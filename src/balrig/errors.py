@@ -35,3 +35,14 @@ class TrialDisagreementError(BalrigError):
     def __init__(self, message, verdicts=None):
         super().__init__(message)
         self.verdicts = verdicts
+
+
+class InvariantError(BalrigError):
+    """A certification invariant failed: rank-nullity, a rank bound, or a
+    re-verified equilibrium equation.
+
+    These checks guard the exact arithmetic and stay active under
+    ``python -O``; reaching one means a bug, not bad input.
+    """
+
+    exit_code = 6

@@ -7,18 +7,24 @@ random evaluation gives the generic answer except with probability at most
 deg/p (Schwartz-Zippel). A TrialPolicy repeats every computation with
 independent draws and refuses to report a verdict the trials do not agree on.
 
-All arithmetic uses plain Python integers; matrices at desk scale (a few
-hundred rows) eliminate in well under a second.
+Work is proportional to the entries the matrices read. Parameters are drawn
+by prefix: the rows of the block for side or color c come in order from one
+random stream seeded by (seed, c), so a rank query draws only the leading
+rows it reads, and shifting draws full invertible blocks that start with the
+same rows. Rank, greedy lexicographic bases and left kernels all run on one
+incremental sparse echelon kernel, ``Echelon``, whose rows are
+``{column: value}`` dicts; arithmetic uses plain Python integers.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence, TypeVar
 
-from .errors import InputError, TrialDisagreementError
+from .errors import InputError, InvariantError, TrialDisagreementError
 
 #: Default modulus: the largest prime below 2^62.
 DEFAULT_PRIME = (1 << 62) - 57
@@ -63,7 +69,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in a prime field")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
 
 @lru_cache(maxsize=None)
@@ -71,88 +77,147 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def _forward_eliminate(rows: list[list[int]], p: int, ncols: int) -> list[int]:
-    """In-place row echelon of the first ``ncols`` columns of ``rows``.
+class Echelon:
+    """Incremental row echelon form over F_p for sparse rows.
 
-    Pivoting is by position (first nonzero entry scanning down), which is
-    exact over F_p. Returns the list of pivot columns; its length is the rank.
-    Columns beyond ``ncols`` ride along, which is how the left kernel is read
-    off an augmented identity block.
+    Rows are ``{column: value}`` dicts. A pivot row is kept under its
+    leading column, scaled so that the leading entry is 1; only its later
+    columns (its tail) are stored, as nonzero residues. A new row is reduced
+    by clearing its pivot columns in increasing order; each step creates
+    entries in later columns only. Values are reduced mod p only where a
+    decision needs them, so a row may carry unreduced integers and entries
+    that are 0 mod p while it is being reduced. An optional tag, a
+    ``{row id: coefficient}`` dict, goes through the same operations, so a
+    row that reduces to zero leaves in its tag a vanishing combination of
+    the tagged rows: a left-kernel vector. Either every row inserted into
+    one echelon carries a tag or none does.
     """
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        inv = pow(prow[c], p - 2, p)
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            if row[c]:
-                f = row[c] * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, tuple[dict[int, int], dict | None]] = {}
+
+    def insert(self, row: dict[int, int], tag: dict | None = None) -> bool:
+        """Reduce ``row`` against the pivots and keep what is left as a new
+        pivot row. Returns True when something was left. Both dicts are
+        consumed; when False is returned, ``tag`` holds the vanishing
+        combination, reduced mod p."""
+        p = self.p
+        pivots = self.pivots
+        todo = [c for c in row if c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            f = row.pop(c, 0) % p
+            if not f:
+                continue  # a column pushed twice, or one that cancelled
+            tail, ptag = pivots[c]
+            for j, v in tail.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * v
+                    if j in pivots:
+                        heappush(todo, j)
+                else:
+                    row[j] = x - f * v
+            if tag is not None:
+                for i, v in ptag.items():
+                    tag[i] = tag.get(i, 0) - f * v
+        lead = min((c for c, v in row.items() if v % p), default=None)
+        if lead is None:
+            if tag is not None:
+                for i, v in tag.items():
+                    tag[i] = v % p
+            return False
+        inv = pow(row.pop(lead) % p, -1, p)
+        if tag is not None:
+            tag = {i: x for i, v in tag.items() if (x := v * inv % p)}
+        pivots[lead] = ({j: x for j, v in row.items() if (x := v * inv % p)}, tag)
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GenericMatrix:
-    """A matrix over F_p with combinatorially labeled rows and columns.
+    """A sparse matrix over F_p with combinatorially labeled rows and columns.
 
-    Entries are row-major residues; they depend deterministically on the seed
-    that produced the underlying random parameters, so the whole object is
-    reproducible from (seed, labels, construction recipe).
+    Row i is stored as ``entries[i]``, a tuple of ``(column, residue)``
+    pairs; zero residues may be left out. Entries depend deterministically
+    on the seed that produced the underlying random parameters, so the whole
+    object is reproducible from (seed, labels, construction recipe). The
+    constructor takes dense rows; builders that know the nonzero pattern use
+    ``from_entries``.
     """
 
     field: PrimeField
-    rows: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple
     col_labels: tuple
     seed: int | None = None
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.row_labels):
+    def __init__(self, field: PrimeField, rows, row_labels, col_labels, seed: int | None = None):
+        if any(len(row) != len(col_labels) for row in rows):
+            raise InputError("column count does not match column labels")
+        p = field.p
+        entries = [tuple((c, x) for c, v in enumerate(row) if (x := v % p)) for row in rows]
+        self._fill(field, entries, row_labels, col_labels, seed)
+
+    @classmethod
+    def from_entries(cls, field: PrimeField, entries, row_labels, col_labels, seed: int | None = None):
+        """A matrix from sparse rows, each a tuple of (column, residue) pairs."""
+        matrix = cls.__new__(cls)
+        matrix._fill(field, entries, row_labels, col_labels, seed)
+        return matrix
+
+    def _fill(self, field, entries, row_labels, col_labels, seed):
+        if len(entries) != len(row_labels):
             raise InputError("row count does not match row labels")
-        for row in self.rows:
-            if len(row) != len(self.col_labels):
-                raise InputError("column count does not match column labels")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "row_labels", tuple(row_labels))
+        object.__setattr__(self, "col_labels", tuple(col_labels))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
 
     @property
     def n_cols(self) -> int:
         return len(self.col_labels)
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as dense tuples of residues."""
+        dense = []
+        for entry in self.entries:
+            row = [0] * self.n_cols
+            for c, v in entry:
+                row[c] = v
+            dense.append(tuple(row))
+        return tuple(dense)
+
     def rank(self) -> int:
-        work = [list(r) for r in self.rows]
-        return len(_forward_eliminate(work, self.field.p, self.n_cols))
+        echelon = Echelon(self.field.p)
+        return sum(echelon.insert(dict(entry)) for entry in self.entries)
 
     def left_kernel(self) -> list[tuple[int, ...]]:
         """Basis of row dependencies: vectors w with w * M = 0.
 
-        Eliminates [M | I]; rows whose M-part vanished hold kernel vectors in
-        the identity part. Checks rank-nullity before returning.
+        Each row goes into the echelon tagged with its own index; a row that
+        reduces to zero leaves a kernel vector in its tag. Checks
+        rank-nullity before returning.
         """
-        n, m, p = self.n_rows, self.n_cols, self.field.p
-        work = [
-            list(row) + [1 if j == i else 0 for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        rank = len(_forward_eliminate(work, p, m))
-        basis = [tuple(row[m:]) for row in work if not any(row[:m])]
-        assert len(basis) == n - rank, "rank-nullity violated"
+        n = self.n_rows
+        echelon = Echelon(self.field.p)
+        basis = []
+        for i, entry in enumerate(self.entries):
+            tag = {i: 1}
+            if not echelon.insert(dict(entry), tag):
+                basis.append(tuple(tag.get(j, 0) for j in range(n)))
+        if len(basis) != n - len(echelon.pivots):
+            raise InvariantError("rank-nullity violated in the left kernel")
         return basis
 
     def dump(self) -> str:
@@ -174,27 +239,17 @@ class GreedyBasis:
     def __init__(self, field: PrimeField, ncols: int):
         self.field = field
         self.ncols = ncols
-        self._pivot_rows: dict[int, list[int]] = {}
+        self._echelon = Echelon(field.p)
         self.selected: list = []
 
     @property
     def rank(self) -> int:
-        return len(self._pivot_rows)
+        return len(self._echelon.pivots)
 
     def offer(self, label, row: Sequence[int]) -> bool:
-        p = self.field.p
-        vec = [v % p for v in row]
-        for c in range(self.ncols):
-            v = vec[c]
-            if v and c in self._pivot_rows:
-                brow = self._pivot_rows[c]
-                vec = [(a - v * b) % p for a, b in zip(vec, brow)]
-        for c in range(self.ncols):
-            if vec[c]:
-                inv = pow(vec[c], p - 2, p)
-                self._pivot_rows[c] = [a * inv % p for a in vec]
-                self.selected.append(label)
-                return True
+        if self._echelon.insert(dict(enumerate(row))):
+            self.selected.append(label)
+            return True
         return False
 
 
@@ -211,22 +266,38 @@ def greedy_independent_rows(
 
 
 def sample_theta(
-    field: PrimeField, seed: int, block_sizes: Sequence[int]
+    field: PrimeField,
+    seed: int,
+    block_sizes: Sequence[int],
+    rows: Sequence[int] | None = None,
 ) -> list[list[list[int]]]:
-    """One uniformly random invertible square block per entry of block_sizes.
+    """Random parameter blocks, one per entry of ``block_sizes``.
 
-    Deterministic for a given (prime, seed, block_sizes); singular draws are
-    rejected and resampled, so every block is guaranteed nonsingular.
+    Block c has ``block_sizes[c]`` columns, and its rows come in order from
+    one random stream seeded by (seed, c), so the leading rows of a block do
+    not depend on how many rows are drawn. With ``rows``, block c holds its
+    ``rows[c]`` leading rows and nothing is tested; rank queries draw this
+    way. Without ``rows``, every block is square and invertible: a row that
+    depends on the rows kept so far is dropped and the stream's next row
+    takes its place. A drop happens with probability at most size/p, so a
+    full block starts with the rows of the prefix draw from the same seed
+    except with that probability.
     """
-    rng = random.Random(seed)
+    if rows is not None and len(rows) != len(block_sizes):
+        raise InputError("sample_theta needs one row count per block")
     p = field.p
     blocks = []
-    for size in block_sizes:
-        while True:
-            block = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
-            work = [row[:] for row in block]
-            if len(_forward_eliminate(work, p, size)) == size:
-                break
+    for c, size in enumerate(block_sizes):
+        rng = random.Random(f"{seed}:{c}")
+        if rows is not None:
+            blocks.append([[rng.randrange(p) for _ in range(size)] for _ in range(rows[c])])
+            continue
+        block: list[list[int]] = []
+        echelon = Echelon(p)
+        while len(block) < size:
+            row = [rng.randrange(p) for _ in range(size)]
+            if echelon.insert(dict(enumerate(row))):
+                block.append(row)
         blocks.append(block)
     return blocks
 

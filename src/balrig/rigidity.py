@@ -18,6 +18,7 @@ draw.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .combinat import (
@@ -26,7 +27,7 @@ from .combinat import (
     f_vector,
     ridges as complex_ridges,
 )
-from .errors import InputError, SizeCapError
+from .errors import InputError, InvariantError, SizeCapError
 from .exactla import (
     DEFAULT_POLICY,
     GenericMatrix,
@@ -50,34 +51,22 @@ def build_rigidity_matrix(
     """The (k,l)-rigidity matrix of g for the given per-side blocks.
 
     ``theta`` is the pair (A-block, B-block) as produced by sample_theta for
-    the side sizes of g. Column labels are (vertex, slot) pairs, slots
-    1-based; rows are edges in sorted order.
+    the side sizes of g, with at least k and l rows. Column labels are
+    (vertex, slot) pairs, slots 1-based; rows are edges in sorted order.
     """
     theta_a, theta_b = theta
     col_labels = [(("A", a), s) for a in range(1, g.a_size + 1) for s in range(1, l + 1)]
     col_labels += [(("B", b), s) for b in range(1, g.b_size + 1) for s in range(1, k + 1)]
-    col_index = {lab: idx for idx, lab in enumerate(col_labels)}
-    rows = []
     row_labels = g.edge_list()
+    entries = []
     for a, b in row_labels:
-        row = [0] * len(col_labels)
-        for s in range(1, l + 1):
-            row[col_index[(("A", a), s)]] = theta_b[s - 1][b - 1]
-        for s in range(1, k + 1):
-            row[col_index[(("B", b), s)]] = theta_a[s - 1][a - 1]
-        rows.append(tuple(row))
-    return GenericMatrix(
-        field=field,
-        rows=tuple(rows),
-        row_labels=tuple(row_labels),
-        col_labels=tuple(col_labels),
-        seed=seed,
-    )
-
-
-def _sample_graph_blocks(g: BipartiteGraph, k: int, l: int, fld: PrimeField, seed: int):
-    """Per-side blocks large enough for both the matrix slots and shifting."""
-    return sample_theta(fld, seed, (max(g.a_size, k), max(g.b_size, l)))
+        a_col = (a - 1) * l  # first column of a's block
+        b_col = l * g.a_size + (b - 1) * k  # first column of b's block
+        entries.append(
+            tuple((a_col + s, theta_b[s][b - 1]) for s in range(l))
+            + tuple((b_col + s, theta_a[s][a - 1]) for s in range(k))
+        )
+    return GenericMatrix.from_entries(field, entries, row_labels, col_labels, seed)
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,7 @@ def analyze(
         raise InputError("k and l must be positive")
 
     def one_trial(fld: PrimeField, seed: int) -> int:
-        theta = _sample_graph_blocks(g, k, l, fld, seed)
+        theta = sample_theta(fld, seed, (g.a_size, g.b_size), rows=(k, l))
         return build_rigidity_matrix(g, k, l, theta, fld, seed).rank()
 
     rank, meta = run_trials(
@@ -135,11 +124,13 @@ def analyze(
     if k > g.a_size or l > g.b_size:
         warnings.append("k or l exceeds a side size; verdicts use the formula verbatim")
     target = max_rank(g, k, l)
-    assert rank <= g.n_edges
-    if not warnings:
-        # holds for every invertible draw: the rows embed in the complete
-        # graph's matrix, whose kernel always contains the kl relation vectors
-        assert rank <= target
+    if rank > g.n_edges:
+        raise InvariantError(f"rank {rank} exceeds the edge count {g.n_edges}")
+    if not warnings and rank > target:
+        # holds for every draw: a rank at a point never exceeds the generic
+        # rank, and the rows embed in the complete graph's matrix, whose
+        # generic kernel contains the kl relation vectors
+        raise InvariantError(f"rank {rank} exceeds the maximal rank {target}")
     return RigidityReport(
         k=k,
         l=l,
@@ -182,7 +173,7 @@ def stress_space(
         raise InputError("k and l must be positive")
 
     def one_trial(fld: PrimeField, seed: int) -> int:
-        theta = _sample_graph_blocks(g, k, l, fld, seed)
+        theta = sample_theta(fld, seed, (g.a_size, g.b_size), rows=(k, l))
         return len(build_rigidity_matrix(g, k, l, theta, fld, seed).left_kernel())
 
     dim, meta = run_trials(
@@ -193,10 +184,10 @@ def stress_space(
     )
     fld = policy.field
     seed = policy.trial_seed(0)
-    theta = _sample_graph_blocks(g, k, l, fld, seed)
+    theta = sample_theta(fld, seed, (g.a_size, g.b_size), rows=(k, l))
     matrix = build_rigidity_matrix(g, k, l, theta, fld, seed)
     basis = matrix.left_kernel()
-    _verify_equilibrium(g, k, l, theta, fld, matrix.row_labels, basis)
+    _verify_equilibrium(k, l, theta, fld, matrix.row_labels, basis)
     return StressBasis(
         k=k,
         l=l,
@@ -206,30 +197,34 @@ def stress_space(
     )
 
 
-def _verify_equilibrium(g, k, l, theta, fld, edge_labels, basis):
+def _verify_equilibrium(k, l, theta, fld, edge_labels, basis):
     """Each stress must cancel at every vertex of the induced embedding.
 
     At an A-vertex a the embedded neighbors are the l-vectors of the incident
     B-vertices, so the condition is sum(w_ab * theta_B[s][b]) = 0 per slot s;
     symmetrically at B-vertices. This recomputes the conditions directly
-    instead of trusting the elimination.
+    instead of trusting the elimination. Edges are grouped by vertex once, so
+    the check costs O(dim * E * (k + l)); isolated vertices have only empty,
+    trivially satisfied sums.
     """
     theta_a, theta_b = theta
     p = fld.p
+    at_a: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    at_b: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for idx, (a, b) in enumerate(edge_labels):
+        at_a[a].append((idx, b - 1))
+        at_b[b].append((idx, a - 1))
     for w in basis:
-        weight = dict(zip(edge_labels, w))
-        for a in range(1, g.a_size + 1):
+        for incident in at_a.values():
             for s in range(l):
-                total = sum(
-                    weight[(i, j)] * theta_b[s][j - 1] for i, j in edge_labels if i == a
-                )
-                assert total % p == 0, "stress fails equilibrium at an A-vertex"
-        for b in range(1, g.b_size + 1):
+                row = theta_b[s]
+                if sum(w[idx] * row[b] for idx, b in incident) % p:
+                    raise InvariantError("stress fails equilibrium at an A-vertex")
+        for incident in at_b.values():
             for s in range(k):
-                total = sum(
-                    weight[(i, j)] * theta_a[s][i - 1] for i, j in edge_labels if j == b
-                )
-                assert total % p == 0, "stress fails equilibrium at a B-vertex"
+                row = theta_a[s]
+                if sum(w[idx] * row[a] for idx, a in incident) % p:
+                    raise InvariantError("stress fails equilibrium at a B-vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -323,37 +318,32 @@ def build_M(
     """Facet-by-(ridge x l-slots) matrix of a pure balanced complex.
 
     ``theta`` holds one block per color (as from sample_theta on the color
-    sizes, padded to at least l rows); the l-vector of vertex (c, i) is column
-    i of the first l rows of block c. The block of facet F at ridge G is that
+    sizes, with at least l rows); the l-vector of vertex (c, i) is column i
+    of the first l rows of block c. The block of facet F at ridge G is that
     vector for the vertex F - G when G is contained in F, else zero.
     """
     if not kx.is_pure():
         raise InputError("the facet-ridge matrix needs a pure complex")
     facet_list = [frozenset(f) for f in kx.sorted_facets()]
     ridge_list = sorted(complex_ridges(kx), key=lambda r: sorted(r))
+    ridge_base = {r: idx * l for idx, r in enumerate(ridge_list)}
     col_labels = [(tuple(sorted(r)), s) for r in ridge_list for s in range(1, l + 1)]
-    rows = []
+    entries = []
     for f in facet_list:
-        row = [0] * len(col_labels)
-        base = 0
-        for r in ridge_list:
-            if r <= f:
-                (c, i) = next(iter(f - r))
-                for s in range(l):
-                    row[base + s] = theta[c - 1][s][i - 1]
-            base += l
-        rows.append(tuple(row))
-    return GenericMatrix(
-        field=field,
-        rows=tuple(rows),
-        row_labels=tuple(tuple(sorted(f)) for f in facet_list),
-        col_labels=tuple(col_labels),
-        seed=seed,
+        entries.append(
+            tuple(
+                (ridge_base[f - {(c, i)}] + s, theta[c - 1][s][i - 1])
+                for c, i in f
+                for s in range(l)
+            )
+        )
+    return GenericMatrix.from_entries(
+        field,
+        entries,
+        [tuple(sorted(f)) for f in facet_list],
+        col_labels,
+        seed,
     )
-
-
-def _sample_complex_blocks(kx: BalancedComplex, l: int, fld: PrimeField, seed: int):
-    return sample_theta(fld, seed, tuple(max(size, l) for size in kx.color_sizes))
 
 
 @dataclass(frozen=True)
@@ -388,7 +378,7 @@ def rows_independent_M(
         raise InputError("l must be positive")
 
     def one_trial(fld: PrimeField, seed: int) -> int:
-        theta = _sample_complex_blocks(kx, l, fld, seed)
+        theta = sample_theta(fld, seed, kx.color_sizes, rows=(l,) * kx.n_colors)
         return build_M(kx, l, theta, fld, seed).rank()
 
     rank, meta = run_trials(

@@ -161,6 +161,18 @@ def test_trial_disagreement_exits_5(capsys, tmp_path):
     assert json.loads(out)["error"]["kind"] == "TrialDisagreementError"
 
 
+def test_invariant_failure_exits_6(capsys, tmp_path, monkeypatch):
+    from balrig.exactla import GenericMatrix
+
+    # a rank above the edge count breaks a certification invariant
+    monkeypatch.setattr(GenericMatrix, "rank", lambda self: self.n_rows + 1)
+    path = write_graph(tmp_path, fam.complete_bipartite(2, 2))
+    rc, out = run_cli(capsys, "analyze", "--graph", path, "-k", "1", "-l", "1")
+    assert rc == 6
+    err = json.loads(out)["error"]
+    assert err["code"] == 6 and err["kind"] == "InvariantError"
+
+
 def test_non_prime_modulus_exits_3(capsys, tmp_path):
     path = write_graph(tmp_path, fam.complete_bipartite(2, 2))
     rc, out = run_cli(

@@ -193,3 +193,21 @@ def test_dump_is_lossless_decimal():
         col_labels=(0, 1),
     )
     assert m.dump() == f"e: 1 {DEFAULT_PRIME - 1}"
+
+
+def test_sample_theta_prefix_streams():
+    full = sample_theta(F, 42, (4, 4))
+    prefix = sample_theta(F, 42, (4, 4), rows=(2, 3))
+    assert prefix == sample_theta(F, 42, (4, 4), rows=(2, 3))
+    assert [len(block) for block in prefix] == [2, 3]
+    # rows come in order from one stream per block: a prefix draw is the
+    # leading part of a longer one, and of the full invertible block
+    assert prefix[0] == sample_theta(F, 42, (4, 4), rows=(5, 1))[0][:2]
+    assert prefix[0] == full[0][:2] and prefix[1] == full[1][:3]
+    # each block has its own stream, keyed by (seed, block) without collisions
+    assert full[0] != full[1]
+    assert sample_theta(F, 1, (3, 3))[0] != sample_theta(F, 0, (3, 3))[1]
+    assert sample_theta(F, 12, (3,))[0] != sample_theta(F, 1, (3, 3, 3))[2]
+    # a prefix draw may ask for more rows than the block has columns
+    (tall,) = sample_theta(F, 5, (2,), rows=(7,))
+    assert len(tall) == 7 and all(len(row) == 2 for row in tall)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from balrig import families as fam
+from balrig import rigidity, shifting
 from balrig.combinat import (
     BalancedComplex,
     BipartiteGraph,
@@ -385,3 +386,51 @@ def test_double_banana_subgraph_is_stress_free():
     g = fam.double_banana()
     sub = induced_subgraph(g, [1, 2, 3], [1, 2, 3]).graph
     assert analyze(sub, 2, 2, POLICY).is_stress_free
+
+
+# ---------------------------------------------------------------------------
+# parameter draws
+# ---------------------------------------------------------------------------
+
+
+def _record_draws(monkeypatch, module):
+    """Wrap ``module.sample_theta`` and collect (seed, sizes, blocks)."""
+    calls = []
+    original = module.sample_theta
+
+    def recording(field, seed, block_sizes, rows=None):
+        blocks = original(field, seed, block_sizes, rows)
+        calls.append((seed, tuple(block_sizes), rows, blocks))
+        return blocks
+
+    monkeypatch.setattr(module, "sample_theta", recording)
+    return calls
+
+
+def test_analyze_rows_lead_shift_blocks(monkeypatch):
+    g = fam.random_quadrangulation(8, seed=3)
+    analyze_draws = _record_draws(monkeypatch, rigidity)
+    shift_draws = _record_draws(monkeypatch, shifting)
+    analyze(g, 2, 2, POLICY)
+    shifting.shift_graph(g, policy=POLICY)
+    assert [d[0] for d in analyze_draws] == [d[0] for d in shift_draws]
+    for (_, sizes, rows, (rows_a, rows_b)), (_, full_sizes, _, (full_a, full_b)) in zip(
+        analyze_draws, shift_draws
+    ):
+        assert sizes == full_sizes == (g.a_size, g.b_size)
+        assert rows == (2, 2)
+        assert len(full_a) == g.a_size and len(full_b) == g.b_size
+        assert rows_a == full_a[:2] and rows_b == full_b[:2]
+
+
+def test_k_far_above_side_draws_only_read_rows(monkeypatch):
+    tree = fam.random_tree(3, 3, seed=1)
+    assert tree.n_edges == 5
+    draws = _record_draws(monkeypatch, rigidity)
+    rep = analyze(tree, 200, 2, POLICY)
+    assert rep.is_stress_free and rep.rank == 5
+    assert rep.warnings
+    assert draws
+    for _, _, _, blocks in draws:
+        entries = sum(len(row) for block in blocks for row in block)
+        assert entries == 200 * tree.a_size + 2 * tree.b_size
