@@ -8,8 +8,9 @@ acceptance suite and prints a property -> pass/fail table.
 Output is canonical JSON (sorted keys, sorted edge and facet lists), so a
 fixed (input, seed, prime, trials) quadruple reproduces identical bytes.
 Errors surface as structured objects with distinct exit codes: 2 usage,
-3 input, 4 size cap, 5 trial disagreement. The environment variable
-BALRIG_SEED overrides the seed flag.
+3 input, 4 size cap, 5 trial disagreement (the error object then lists the
+disagreeing per-trial verdicts under ``verdicts``), 6 failed certification
+invariant. The environment variable BALRIG_SEED overrides the seed flag.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import sys
 
 from .combinat import BalancedComplex, BipartiteGraph, VertexOrder
-from .errors import BalrigError, InputError
+from .errors import BalrigError, InputError, TrialDisagreementError
 from .exactla import DEFAULT_PRIME, TrialPolicy
 from . import families as fam
 from .rigidity import analyze, laman_check, rows_independent_M
@@ -75,6 +76,15 @@ def _parse_complex_order(spec: str, k: BalancedComplex) -> VertexOrder:
         except ValueError as exc:
             raise InputError(f"bad order token {token!r}; expected color.index") from exc
     return VertexOrder(seq)
+
+
+def _jsonable(verdict):
+    """A trial verdict as JSON data: sets become sorted lists, tuples lists."""
+    if isinstance(verdict, (set, frozenset)):
+        return sorted(_jsonable(v) for v in verdict)
+    if isinstance(verdict, (list, tuple)):
+        return [_jsonable(v) for v in verdict]
+    return verdict
 
 
 def _effective_seed(args) -> int:
@@ -194,7 +204,7 @@ def _cmd_selftest(args) -> int:
     failures = 0
     for r in results:
         status = "pass" if r.passed else "FAIL"
-        sys.stdout.write(f"{r.name:<{width}}  {status}  {r.detail}\n")
+        sys.stdout.write(f"{r.name:<{width}}  {status}  {r.seconds:7.2f}s  {r.detail}\n")
         failures += not r.passed
     sys.stdout.write(f"{len(results) - failures}/{len(results)} checks passed\n")
     return 1 if failures else 0
@@ -290,17 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BalrigError as exc:
-        sys.stdout.write(
-            _dumps(
-                {
-                    "error": {
-                        "code": exc.exit_code,
-                        "kind": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                }
-            )
-        )
+        error = {"code": exc.exit_code, "kind": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, TrialDisagreementError) and exc.verdicts is not None:
+            error["verdicts"] = [_jsonable(v) for v in exc.verdicts]
+        sys.stdout.write(_dumps({"error": error}))
         return exc.exit_code
 
 

@@ -4,19 +4,19 @@ Bipartite graphs live on two ordered sides A and B with dense 1-based indices;
 an edge is the pair (i, j) with i on side A and j on side B. Balanced
 complexes are stored by their maximal faces only, each face a set of colored
 vertices (color, index) with at most one vertex per color; the downward
-closure is materialized on demand and memoized. Transforms return new values
-together with explicit old-to-new vertex maps so callers can track vertices
-across operations.
+closure is materialized on demand and kept on the complex. Transforms return
+new values together with explicit old-to-new vertex maps so callers can track
+vertices across operations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError, SizeCapError
+from .errors import InputError, InvariantError, SizeCapError
 
 #: A graph vertex: ("A", i) or ("B", j), 1-based.
 Vertex = tuple[str, int]
@@ -421,9 +421,10 @@ class BalancedComplex:
 
     Vertices are (color, index) pairs, colors 1..len(color_sizes). Every face
     has at most one vertex per color, which makes the complex balanced by
-    construction. ``facets`` must be an antichain; faces are derived on
-    demand, never stored. The complex is *pure* when all maximal faces use
-    every color; operations that require purity check it explicitly.
+    construction. ``facets`` must be an antichain; the other faces are
+    derived on first use (``all_faces``) and cached on the instance. The
+    complex is *pure* when all maximal faces use every color; operations
+    that require purity check it explicitly.
     """
 
     color_sizes: tuple[int, ...]
@@ -446,6 +447,15 @@ class BalancedComplex:
         for f, h in itertools.combinations(self.facets, 2):
             if f <= h or h <= f:
                 raise InputError("maximal faces must form an antichain")
+
+    @cached_property
+    def _all_faces(self) -> frozenset[Face]:
+        out: set[Face] = set()
+        for f in self.facets:
+            fl = sorted(f)
+            for r in range(len(fl) + 1):
+                out.update(frozenset(c) for c in itertools.combinations(fl, r))
+        return frozenset(out)
 
     @property
     def dim(self) -> int:
@@ -494,15 +504,13 @@ class BalancedComplex:
         return cls(tuple(color_sizes), frozenset(maximal))
 
 
-@lru_cache(maxsize=None)
 def all_faces(k: BalancedComplex) -> frozenset[Face]:
-    """Downward closure of the maximal faces, including the empty face."""
-    out: set[Face] = set()
-    for f in k.facets:
-        fl = sorted(f)
-        for r in range(len(fl) + 1):
-            out.update(frozenset(c) for c in itertools.combinations(fl, r))
-    return frozenset(out)
+    """Downward closure of the maximal faces, including the empty face.
+
+    Computed once per complex and kept on the instance, so it goes away with
+    the complex.
+    """
+    return k._all_faces
 
 
 def is_face(k: BalancedComplex, sigma: Iterable[ColoredVertex]) -> bool:
@@ -725,5 +733,6 @@ def subdivide_star(
     top = k.dim + 1
     f_top_anti = sum(1 for f in anti_faces if len(f) == top)
     got = sum(1 for f in result.facets if len(f) == top)
-    assert got == f_top_anti + len(s.facets) * len(lk), "top-face bookkeeping violated"
+    if got != f_top_anti + len(s.facets) * len(lk):
+        raise InvariantError("top-face bookkeeping violated in subdivide_star")
     return result

@@ -38,8 +38,9 @@ class TrialDisagreementError(BalrigError):
 
 
 class InvariantError(BalrigError):
-    """A certification invariant failed: rank-nullity, a rank bound, or a
-    re-verified equilibrium equation.
+    """A certification invariant failed: rank-nullity, a rank bound, a
+    re-verified equilibrium equation, the Heawood counting bound, or the
+    face bookkeeping of a stellar subdivision.
 
     These checks guard the exact arithmetic and stay active under
     ``python -O``; reaching one means a bug, not bad input.

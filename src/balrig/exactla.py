@@ -11,9 +11,10 @@ Work is proportional to the entries the matrices read. Parameters are drawn
 by prefix: the rows of the block for side or color c come in order from one
 random stream seeded by (seed, c), so a rank query draws only the leading
 rows it reads, and shifting draws full invertible blocks that start with the
-same rows. Rank, greedy lexicographic bases and left kernels all run on one
-incremental sparse echelon kernel, ``Echelon``, whose rows are
-``{column: value}`` dicts; arithmetic uses plain Python integers.
+same rows. Rank, greedy lexicographic bases, left kernels and the triangular
+form of a parameter block all run on one incremental sparse echelon kernel,
+``Echelon``, whose rows are ``{column: value}`` dicts; arithmetic uses plain
+Python integers.
 """
 
 from __future__ import annotations
@@ -228,6 +229,27 @@ class GenericMatrix:
         )
 
 
+def triangular_rows(p: int, block: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """The rows of an invertible square block in triangular form.
+
+    Row r of the result is row r of the block minus a combination of the
+    block's earlier rows, scaled so that its leading entry is 1; it is zero
+    before its leading column and in the leading columns of the rows before
+    it. So for every r the first r rows of the result span the same space as
+    the first r rows of the block, the leading columns are distinct, and for
+    a generic block row r leads in column r. Rows are ``{column: value}``
+    dicts of nonzero residues.
+    """
+    echelon = Echelon(p)
+    out = []
+    for row in block:
+        if not echelon.insert(dict(enumerate(row))):
+            raise InvariantError("parameter block is singular")
+        lead = next(reversed(echelon.pivots))
+        out.append({lead: 1, **echelon.pivots[lead][0]})
+    return out
+
+
 class GreedyBasis:
     """Incremental greedy row selection over F_p.
 
@@ -246,8 +268,13 @@ class GreedyBasis:
     def rank(self) -> int:
         return len(self._echelon.pivots)
 
-    def offer(self, label, row: Sequence[int]) -> bool:
-        if self._echelon.insert(dict(enumerate(row))):
+    def offer(self, label, row: Sequence[int] | dict[int, int]) -> bool:
+        """Select ``label`` when ``row`` is independent of the rows selected
+        so far. ``row`` is a dense sequence or a sparse ``{column: value}``
+        dict; a dict row is consumed."""
+        if not isinstance(row, dict):
+            row = dict(enumerate(row))
+        if self._echelon.insert(row):
             self.selected.append(label)
             return True
         return False

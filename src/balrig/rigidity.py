@@ -423,9 +423,9 @@ def heawood_check(
     top face contains one of the two least vertices of some color, so dropping
     the least vertex maps top faces at most 2:1 onto ridges and the inequality
     f_d <= 2 f_{d-1} is forced. That counting argument needs the top faces to
-    be colorful on the whole palette, so the assertion fires only for pure
-    complexes whose palette has exactly dim+1 colors; the report's fields are
-    computed regardless.
+    be colorful on the whole palette, so the check (an ``InvariantError``)
+    fires only for pure complexes whose palette has exactly dim+1 colors; the
+    report's fields are computed regardless.
     """
     fv = f_vector(kx)
     f_top = fv[-1]
@@ -433,8 +433,8 @@ def heawood_check(
     inequality = f_top <= 2 * f_ridge
     shifted = shift_complex(kx, policy=policy)
     avoids = not contains_join(shifted.complex, 3)
-    if avoids and kx.is_pure() and kx.n_colors == kx.dim + 1:
-        assert inequality, "counting bound violated on a join-avoiding complex"
+    if avoids and kx.is_pure() and kx.n_colors == kx.dim + 1 and not inequality:
+        raise InvariantError("counting bound violated on a join-avoiding complex")
     return HeawoodReport(
         avoids_triple_join=avoids,
         inequality_holds=inequality,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import families as fam
@@ -38,6 +39,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    #: wall seconds the check took, filled in by ``run_selftest``
+    seconds: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -561,5 +564,7 @@ def run_selftest(names: list[str] | None = None) -> list[CheckResult]:
     for name, func in CHECKS:
         if wanted is not None and name not in wanted:
             continue
-        results.append(func())
+        start = time.perf_counter()
+        result = func()
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

@@ -12,6 +12,24 @@ shifted edge set. Complexes work the same way color-set by color-set: the
 candidate for one vertex per color in T expands over the faces with color
 support T, with a product coefficient per color.
 
+The expansions are computed after a triangular change of coordinates, which
+leaves the selected set unchanged for the same draw. Each block theta is
+replaced by L * theta with L lower triangular and invertible: row r becomes
+row r minus a combination of the earlier rows, scaled to a leading 1
+(``exactla.triangular_rows``). The candidate for ij' then becomes a nonzero
+multiple of itself plus a combination of the candidates st' with s <= i and
+t <= j. A vertex order extends the natural order on each side (``VertexOrder``
+rejects any other), so the lex order refines this product order and all
+those candidates come earlier. By induction every prefix of the candidate
+sequence spans the same space as before, and the greedy picks the same
+candidates, for every draw and every p, degenerate draws included. Picks of
+complexes work the same way, one color at a time. The payoff is sparsity:
+row i of a triangular block is zero before its leading column, which is
+column i for a generic block, so the candidate ij' touches only the edges pq'
+with p >= i and q >= j, and for a complete bipartite graph the candidate rows
+arrive already in echelon form. Each candidate row is built from the
+triangular rows over the edges or faces present only.
+
 Edge and face counts are preserved deterministically (the candidate monomials
 span as soon as the blocks are invertible); shiftedness of the output is a
 generic fact and is asserted after every run, under the usual trial policy.
@@ -40,6 +58,7 @@ from .exactla import (
     TrialPolicy,
     run_trials,
     sample_theta,
+    triangular_rows,
 )
 
 
@@ -57,28 +76,93 @@ class ShiftedComplex:
     meta: TrialMeta
 
 
-def _shift_edges(
-    g: BipartiteGraph, order: VertexOrder, fld: PrimeField, seed: int
-) -> frozenset[tuple[int, int]]:
+def _face_index(faces, colors) -> tuple[object, list[dict[int, int]]]:
+    """Where each face's column sits, for expanding candidates by color.
+
+    Returns ``(index, slots)``. ``index`` is nested dicts keyed by a face's
+    vertex of every color but the last, as a 0-based block row, ending in a
+    slot number; with a single color it is just the slot number 0, and
+    without faces it is empty. ``slots[s]`` maps the face's vertex of the
+    last color to its column.
+    """
+    root: dict = {}
+    slots: list[dict[int, int]] = []
+    for col, face in enumerate(faces):
+        node, key = root, ()
+        for c in colors[:-1]:
+            node = node.setdefault(key, {})
+            key = face[c] - 1
+        if key not in node:
+            node[key] = len(slots)
+            slots.append({})
+        slots[node[key]][face[colors[-1]] - 1] = col
+    return root.get((), {}), slots
+
+
+def _slot_rows(slots, rows) -> list[list[list[tuple[int, int]]]]:
+    """For every triangular row of the last color and every slot, the
+    ``(column, value)`` pairs of the faces on which the row is nonzero."""
+    return [
+        [[(col, row[v]) for v, col in slot.items() if v in row] for slot in slots]
+        for row in rows
+    ]
+
+
+def _expansion(index, lead_rows, last, p: int) -> dict[int, int]:
+    """A candidate's sparse row: the column of each face maps to the product
+    of the triangular rows' entries at the face's vertices, ``lead_rows``
+    for every color but the last and ``last`` (from ``_slot_rows``) for the
+    last one. Only faces on which no row is zero are visited; the values are
+    left unreduced below p^2."""
+    if not lead_rows:
+        return dict(last[index])
+    level = [(index, 1)]
+    for row in lead_rows[:-1]:
+        level = [
+            (child, coeff * x % p)
+            for node, coeff in level
+            for v, x in row.items()
+            if (child := node.get(v)) is not None
+        ]
+    out = {}
+    for node, coeff in level:
+        for v, x in lead_rows[-1].items():
+            slot = node.get(v)
+            if slot is not None:
+                c = coeff * x % p
+                for col, y in last[slot]:
+                    out[col] = c * y
+    return out
+
+
+def _edge_trial(g: BipartiteGraph, order: VertexOrder):
+    """One shifting trial of g's edges, as a function of (field, seed).
+
+    The candidate order and the edge index do not depend on the draw, so
+    they are built once and shared by all trials.
+    """
     basis_edges = g.edge_list()
-    if not basis_edges:
-        return frozenset()
-    theta_a, theta_b = sample_theta(fld, seed, (g.a_size, g.b_size))
-    p = fld.p
+    index, slots = _face_index([{1: i, 2: j} for i, j in basis_edges], (1, 2))
     candidates = sorted(
         ((i, j) for i in range(1, g.a_size + 1) for j in range(1, g.b_size + 1)),
         key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
     )
-    greedy = GreedyBasis(fld, len(basis_edges))
-    target = len(basis_edges)
-    for i, j in candidates:
-        row_a = theta_a[i - 1]
-        row_b = theta_b[j - 1]
-        expansion = [row_a[pp - 1] * row_b[qq - 1] % p for pp, qq in basis_edges]
-        greedy.offer((i, j), expansion)
-        if greedy.rank == target:
-            break
-    return frozenset(greedy.selected)
+
+    def trial(fld: PrimeField, seed: int) -> frozenset[tuple[int, int]]:
+        if not basis_edges:
+            return frozenset()
+        p = fld.p
+        theta_a, theta_b = sample_theta(fld, seed, (g.a_size, g.b_size))
+        tri_a = triangular_rows(p, theta_a)
+        last = _slot_rows(slots, triangular_rows(p, theta_b))
+        greedy = GreedyBasis(fld, len(basis_edges))
+        for i, j in candidates:
+            greedy.offer((i, j), _expansion(index, (tri_a[i - 1],), last[j - 1], p))
+            if greedy.rank == len(basis_edges):
+                break
+        return frozenset(greedy.selected)
+
+    return trial
 
 
 def shift_graph(
@@ -97,7 +181,7 @@ def shift_graph(
         raise InputError("vertex order does not cover the graph's vertices")
     verdict, meta = run_trials(
         policy,
-        lambda fld, seed: _shift_edges(g, order, fld, seed),
+        _edge_trial(g, order),
         poly_degree=2 * g.n_edges,
         what="shifted edge set",
     )
@@ -109,42 +193,49 @@ def shift_graph(
     return ShiftedGraph(shifted, order, meta)
 
 
-def _shift_faces(
-    k: BalancedComplex, order: VertexOrder, fld: PrimeField, seed: int
-) -> frozenset:
-    blocks = sample_theta(fld, seed, k.color_sizes)
-    p = fld.p
-    selected: set = set()
+def _face_trial(k: BalancedComplex, order: VertexOrder):
+    """One shifting trial of k's faces, as a function of (field, seed).
+
+    Per color set T, the faces with color support T, their index and the
+    candidate picks in lex order do not depend on the draw, so they are
+    built once and shared by all trials.
+    """
+    components = []
     colors = range(1, k.n_colors + 1)
     for r in range(1, k.n_colors + 1):
         for t in itertools.combinations(colors, r):
-            basis = sorted(faces_with_colorset(k, t), key=lambda f: sorted(f))
+            basis = [dict(f) for f in faces_with_colorset(k, t)]
             if not basis:
                 continue
-            basis_by_color = [dict(f) for f in basis]
             candidates = sorted(
                 itertools.product(
                     *[range(1, k.color_sizes[c - 1] + 1) for c in t]
                 ),
                 key=lambda pick: order.lex_key(zip(t, pick)),
             )
-            greedy = GreedyBasis(fld, len(basis))
+            components.append((t, *_face_index(basis, t), len(basis), candidates))
+
+    def trial(fld: PrimeField, seed: int) -> frozenset:
+        p = fld.p
+        tri = [triangular_rows(p, block) for block in sample_theta(fld, seed, k.color_sizes)]
+        selected: set = set()
+        for t, index, slots, size, candidates in components:
+            last = _slot_rows(slots, tri[t[-1] - 1])
+            greedy = GreedyBasis(fld, size)
             for pick in candidates:
-                expansion = []
-                for face in basis_by_color:
-                    coeff = 1
-                    for c, v in zip(t, pick):
-                        coeff = coeff * blocks[c - 1][v - 1][face[c] - 1] % p
-                    expansion.append(coeff)
-                greedy.offer(frozenset(zip(t, pick)), expansion)
-                if greedy.rank == len(basis):
+                lead_rows = [tri[c - 1][v - 1] for c, v in zip(t[:-1], pick)]
+                row = _expansion(index, lead_rows, last[pick[-1] - 1], p)
+                greedy.offer(frozenset(zip(t, pick)), row)
+                if greedy.rank == size:
                     break
-            if greedy.rank != len(basis):
+            if greedy.rank != size:
                 raise BalrigError(
                     "candidate monomials failed to span a color component"
                 )
             selected.update(greedy.selected)
-    return frozenset(selected)
+        return frozenset(selected)
+
+    return trial
 
 
 def shift_complex(
@@ -167,7 +258,7 @@ def shift_complex(
         raise InputError("vertex order does not cover the complex's palette")
     verdict, meta = run_trials(
         policy,
-        lambda fld, seed: _shift_faces(k, order, fld, seed),
+        _face_trial(k, order),
         poly_degree=2 * max(len(all_faces(k)), 1),
         what="shifted face set",
     )

@@ -159,6 +159,32 @@ def test_trial_disagreement_exits_5(capsys, tmp_path):
     )
     assert rc == 5
     assert json.loads(out)["error"]["kind"] == "TrialDisagreementError"
+    # the escalation batch's six per-trial ranks, in trial order
+    verdicts = json.loads(out)["error"]["verdicts"]
+    assert len(verdicts) == 6
+    assert all(isinstance(v, int) and 0 <= v <= g.n_edges for v in verdicts)
+    assert len(set(verdicts)) > 1
+    _, again = run_cli(
+        capsys,
+        "analyze", "--graph", path, "-k", "1", "-l", "2",
+        "--prime", "2", "--seed", "0",
+    )
+    assert again == out
+
+
+def test_shift_disagreement_lists_edge_sets(capsys, tmp_path):
+    # over F_3 the shifted edge set of this graph depends on the draw
+    g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
+    path = write_graph(tmp_path, g)
+    rc, out = run_cli(capsys, "shift", "--graph", path, "--prime", "3", "--seed", "0")
+    assert rc == 5
+    verdicts = json.loads(out)["error"]["verdicts"]
+    assert len(verdicts) == 6
+    for edges in verdicts:
+        assert len(edges) == g.n_edges
+        assert edges == sorted(edges)
+        assert all(len(e) == 2 for e in edges)
+    assert len({tuple(map(tuple, edges)) for edges in verdicts}) > 1
 
 
 def test_invariant_failure_exits_6(capsys, tmp_path, monkeypatch):
@@ -212,3 +238,12 @@ def test_selftest_subset(capsys):
     )
     assert rc == 0
     assert "2/2 checks passed" in out
+
+
+def test_selftest_reports_seconds_per_check(capsys):
+    rc, out = run_cli(capsys, "selftest", "--only", "octahedron-facet-ridge-rigid")
+    assert rc == 0
+    name, status, seconds, *_detail = out.splitlines()[0].split()
+    assert (name, status) == ("octahedron-facet-ridge-rigid", "pass")
+    assert seconds.endswith("s") and float(seconds[:-1]) >= 0
+    assert out.splitlines()[-1] == "1/1 checks passed"

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from balrig.combinat import (
     subdivide_star,
     swap_sides,
 )
-from balrig.errors import InputError
+from balrig.errors import InputError, InvariantError
 
 
 def K(n, m):
@@ -445,6 +447,38 @@ def test_subdivide_star_errors():
     with pytest.raises(InputError):
         # sigma must not be a vertex
         subdivide_star(k, [(1, 1)], s, [(1, 1), (2, 2)])
+
+
+def drop_one_top_facet(monkeypatch):
+    """Make ``from_maximal_candidates`` lose one top face, so that the
+    bookkeeping in ``subdivide_star`` no longer adds up."""
+    original = BalancedComplex.from_maximal_candidates.__func__
+
+    def lossy(cls, color_sizes, faces):
+        out = original(cls, color_sizes, faces)
+        return cls(out.color_sizes, out.facets - {frozenset(max(out.sorted_facets()))})
+
+    monkeypatch.setattr(BalancedComplex, "from_maximal_candidates", classmethod(lossy))
+
+
+def test_subdivide_star_bookkeeping_is_checked(monkeypatch):
+    k = octa()
+    sigma = sorted(k.facets)[0]
+    removed = frozenset({(1, 1), (2, 1), (3, 1)})
+    s = BalancedComplex((2, 2, 2), octa().facets - {removed})
+    drop_one_top_facet(monkeypatch)
+    with pytest.raises(InvariantError, match="bookkeeping"):
+        subdivide_star(k, sigma, s, removed)
+
+
+def test_all_faces_go_away_with_their_complex():
+    k = octa()
+    assert len(all_faces(k)) == 27
+    assert all_faces(k) is all_faces(k)
+    ref = weakref.ref(k)
+    del k
+    gc.collect()
+    assert ref() is None
 
 
 def test_complex_json_roundtrip():

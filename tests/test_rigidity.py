@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import balrig
 from balrig import families as fam
 from balrig import rigidity, shifting
 from balrig.combinat import (
@@ -11,7 +17,7 @@ from balrig.combinat import (
     graph_to_complex,
     induced_subgraph,
 )
-from balrig.errors import InputError, SizeCapError
+from balrig.errors import InputError, InvariantError, SizeCapError
 from balrig.exactla import TrialPolicy, prime_field, sample_theta
 from balrig.rigidity import (
     analyze,
@@ -321,6 +327,54 @@ def test_heawood_tolerates_oversized_palettes():
 # ---------------------------------------------------------------------------
 # order and seed invariance
 # ---------------------------------------------------------------------------
+
+
+def test_heawood_bound_is_checked(monkeypatch):
+    # K_{5,5} has 25 edges on 10 vertices, so f_1 <= 2 f_0 fails; only a
+    # wrong "avoids the triple join" verdict can bring the bound into play
+    monkeypatch.setattr(rigidity, "contains_join", lambda k, m: False)
+    with pytest.raises(InvariantError, match="counting bound"):
+        heawood_check(graph_to_complex(fam.complete_bipartite(5, 5)), POLICY)
+
+
+def test_heawood_and_subdivision_checks_survive_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from balrig import families as fam, rigidity
+        from balrig.combinat import BalancedComplex, graph_to_complex, subdivide_star
+        from balrig.errors import InvariantError
+
+        rigidity.contains_join = lambda k, m: False
+        try:
+            rigidity.heawood_check(graph_to_complex(fam.complete_bipartite(5, 5)))
+        except InvariantError as exc:
+            print("heawood", exc.exit_code)
+
+        octa = fam.cross_polytope_boundary(3)
+        removed = frozenset({(1, 1), (2, 1), (3, 1)})
+        s = BalancedComplex((2, 2, 2), octa.facets - {removed})
+        original = BalancedComplex.from_maximal_candidates.__func__
+
+        def lossy(cls, color_sizes, faces):
+            out = original(cls, color_sizes, faces)
+            return cls(out.color_sizes, out.facets - {frozenset(max(out.sorted_facets()))})
+
+        BalancedComplex.from_maximal_candidates = classmethod(lossy)
+        try:
+            subdivide_star(octa, sorted(octa.facets)[0], s, removed)
+        except InvariantError as exc:
+            print("subdivide", exc.exit_code)
+        """
+    )
+    src = Path(balrig.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.split("\n")[:2] == ["heawood 6", "subdivide 6"]
 
 
 def test_verdicts_do_not_depend_on_the_seed():
