@@ -10,11 +10,12 @@ independent draws and refuses to report a verdict the trials do not agree on.
 Work is proportional to the entries the matrices read. Parameters are drawn
 by prefix: the rows of the block for side or color c come in order from one
 random stream seeded by (seed, c), so a rank query draws only the leading
-rows it reads, and shifting draws full invertible blocks that start with the
-same rows. Rank, greedy lexicographic bases, left kernels and the triangular
-form of a parameter block all run on one incremental sparse echelon kernel,
-``Echelon``, whose rows are ``{column: value}`` dicts; arithmetic uses plain
-Python integers.
+rows it reads. Shifting draws full invertible blocks from the same streams
+and gets them in triangular form, so their leading rows span what the rank
+query's rows span. Rank, greedy lexicographic bases, left kernels and the
+full-block draw all run on one incremental sparse echelon kernel,
+``Echelon``, whose rows are ``{column: value}`` dicts; the field is given by
+its prime p, and arithmetic uses plain Python integers.
 """
 
 from __future__ import annotations
@@ -33,8 +34,14 @@ DEFAULT_PRIME = (1 << 62) - 57
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers all n < 3.3e24."""
+    """Deterministic Miller-Rabin; the witness set covers all n < 3.3e24.
+
+    Cached because every ``TrialPolicy`` checks its prime: one test of the
+    default prime takes about 0.2 ms, several percent of a small verdict
+    call.
+    """
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -55,27 +62,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p; elements are integer residues in [0, p)."""
-
-    p: int = DEFAULT_PRIME
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"modulus {self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in a prime field")
-        return pow(a, -1, self.p)
-
-
-@lru_cache(maxsize=None)
-def prime_field(p: int) -> PrimeField:
-    return PrimeField(p)
 
 
 class Echelon:
@@ -139,46 +125,25 @@ class Echelon:
         return True
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GenericMatrix:
     """A sparse matrix over F_p with combinatorially labeled rows and columns.
 
     Row i is stored as ``entries[i]``, a tuple of ``(column, residue)``
-    pairs; zero residues may be left out. Entries depend deterministically
-    on the seed that produced the underlying random parameters, so the whole
-    object is reproducible from (seed, labels, construction recipe). The
-    constructor takes dense rows; builders that know the nonzero pattern use
-    ``from_entries``.
+    pairs; zero residues may be left out.
     """
 
-    field: PrimeField
+    p: int
     entries: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple
     col_labels: tuple
-    seed: int | None = None
 
-    def __init__(self, field: PrimeField, rows, row_labels, col_labels, seed: int | None = None):
-        if any(len(row) != len(col_labels) for row in rows):
-            raise InputError("column count does not match column labels")
-        p = field.p
-        entries = [tuple((c, x) for c, v in enumerate(row) if (x := v % p)) for row in rows]
-        self._fill(field, entries, row_labels, col_labels, seed)
-
-    @classmethod
-    def from_entries(cls, field: PrimeField, entries, row_labels, col_labels, seed: int | None = None):
-        """A matrix from sparse rows, each a tuple of (column, residue) pairs."""
-        matrix = cls.__new__(cls)
-        matrix._fill(field, entries, row_labels, col_labels, seed)
-        return matrix
-
-    def _fill(self, field, entries, row_labels, col_labels, seed):
-        if len(entries) != len(row_labels):
+    def __post_init__(self):
+        if len(self.entries) != len(self.row_labels):
             raise InputError("row count does not match row labels")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "row_labels", tuple(row_labels))
-        object.__setattr__(self, "col_labels", tuple(col_labels))
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "row_labels", tuple(self.row_labels))
+        object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
     @property
     def n_rows(self) -> int:
@@ -200,7 +165,7 @@ class GenericMatrix:
         return tuple(dense)
 
     def rank(self) -> int:
-        echelon = Echelon(self.field.p)
+        echelon = Echelon(self.p)
         return sum(echelon.insert(dict(entry)) for entry in self.entries)
 
     def left_kernel(self) -> list[tuple[int, ...]]:
@@ -211,7 +176,7 @@ class GenericMatrix:
         rank-nullity before returning.
         """
         n = self.n_rows
-        echelon = Echelon(self.field.p)
+        echelon = Echelon(self.p)
         basis = []
         for i, entry in enumerate(self.entries):
             tag = {i: 1}
@@ -220,34 +185,6 @@ class GenericMatrix:
         if len(basis) != n - len(echelon.pivots):
             raise InvariantError("rank-nullity violated in the left kernel")
         return basis
-
-    def dump(self) -> str:
-        """Lossless debug dump: one ``label: residues`` line per row."""
-        return "\n".join(
-            f"{label}: " + " ".join(str(v) for v in row)
-            for label, row in zip(self.row_labels, self.rows)
-        )
-
-
-def triangular_rows(p: int, block: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """The rows of an invertible square block in triangular form.
-
-    Row r of the result is row r of the block minus a combination of the
-    block's earlier rows, scaled so that its leading entry is 1; it is zero
-    before its leading column and in the leading columns of the rows before
-    it. So for every r the first r rows of the result span the same space as
-    the first r rows of the block, the leading columns are distinct, and for
-    a generic block row r leads in column r. Rows are ``{column: value}``
-    dicts of nonzero residues.
-    """
-    echelon = Echelon(p)
-    out = []
-    for row in block:
-        if not echelon.insert(dict(enumerate(row))):
-            raise InvariantError("parameter block is singular")
-        lead = next(reversed(echelon.pivots))
-        out.append({lead: 1, **echelon.pivots[lead][0]})
-    return out
 
 
 class GreedyBasis:
@@ -258,10 +195,8 @@ class GreedyBasis:
     lexicographically least basis of the row space (matroid greedy property).
     """
 
-    def __init__(self, field: PrimeField, ncols: int):
-        self.field = field
-        self.ncols = ncols
-        self._echelon = Echelon(field.p)
+    def __init__(self, p: int):
+        self._echelon = Echelon(p)
         self.selected: list = []
 
     @property
@@ -281,50 +216,56 @@ class GreedyBasis:
 
 
 def greedy_independent_rows(
-    field: PrimeField, labeled_rows: Sequence[tuple[object, Sequence[int]]]
+    p: int, labeled_rows: Sequence[tuple[object, Sequence[int]]]
 ) -> list:
     """Labels of the greedy independent subset of rows, in the given order."""
-    if not labeled_rows:
-        return []
-    basis = GreedyBasis(field, len(labeled_rows[0][1]))
+    basis = GreedyBasis(p)
     for label, row in labeled_rows:
         basis.offer(label, row)
     return basis.selected
 
 
 def sample_theta(
-    field: PrimeField,
+    p: int,
     seed: int,
     block_sizes: Sequence[int],
     rows: Sequence[int] | None = None,
-) -> list[list[list[int]]]:
+) -> list[list[list[int]]] | list[list[dict[int, int]]]:
     """Random parameter blocks, one per entry of ``block_sizes``.
 
     Block c has ``block_sizes[c]`` columns, and its rows come in order from
     one random stream seeded by (seed, c), so the leading rows of a block do
     not depend on how many rows are drawn. With ``rows``, block c holds its
-    ``rows[c]`` leading rows and nothing is tested; rank queries draw this
-    way. Without ``rows``, every block is square and invertible: a row that
-    depends on the rows kept so far is dropped and the stream's next row
-    takes its place. A drop happens with probability at most size/p, so a
-    full block starts with the rows of the prefix draw from the same seed
-    except with that probability.
+    ``rows[c]`` leading rows as lists, and nothing is tested; rank queries
+    draw this way.
+
+    Without ``rows``, every block is square and invertible, and it comes in
+    triangular form; shifting draws this way. A stream row that depends on
+    the rows kept so far is dropped and the stream's next row takes its
+    place. A drop happens with probability at most size/p, so the kept rows
+    are the prefix draw's rows except with that probability. Row r of the
+    block is the r-th kept row minus a combination of the earlier kept rows,
+    scaled so that its leading entry is 1, as a ``{column: value}`` dict of
+    nonzero residues: the pivot that the rejection test has just built. It
+    is zero before its leading column and in the leading columns of the rows
+    before it. So for every r the first r rows span the same space as the
+    first r kept rows, and the leading columns are distinct; for a generic
+    draw, row r leads in column r.
     """
     if rows is not None and len(rows) != len(block_sizes):
         raise InputError("sample_theta needs one row count per block")
-    p = field.p
     blocks = []
     for c, size in enumerate(block_sizes):
         rng = random.Random(f"{seed}:{c}")
         if rows is not None:
             blocks.append([[rng.randrange(p) for _ in range(size)] for _ in range(rows[c])])
             continue
-        block: list[list[int]] = []
+        block: list[dict[int, int]] = []
         echelon = Echelon(p)
         while len(block) < size:
-            row = [rng.randrange(p) for _ in range(size)]
-            if echelon.insert(dict(enumerate(row))):
-                block.append(row)
+            if echelon.insert({j: rng.randrange(p) for j in range(size)}):
+                lead = next(reversed(echelon.pivots))
+                block.append({lead: 1, **echelon.pivots[lead][0]})
         blocks.append(block)
     return blocks
 
@@ -345,10 +286,8 @@ class TrialPolicy:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trial count must be at least 1")
-
-    @property
-    def field(self) -> PrimeField:
-        return prime_field(self.prime)
+        if not is_prime(self.prime):
+            raise InputError(f"modulus {self.prime} is not prime")
 
     def trial_seed(self, i: int) -> int:
         return self.seed * 1000003 + i
@@ -381,28 +320,28 @@ DEFAULT_POLICY = TrialPolicy()
 
 def run_trials(
     policy: TrialPolicy,
-    compute: Callable[[PrimeField, int], V],
+    compute: Callable[[int, int], V],
     poly_degree: int = 0,
     what: str = "verdict",
 ) -> tuple[V, TrialMeta]:
-    """Run ``compute`` under independent seeds and insist on agreement.
+    """Run ``compute(p, seed)`` under independent seeds and insist on agreement.
 
     ``poly_degree`` bounds the degree of the polynomial whose nonvanishing the
     verdict rests on; deg/p is recorded as the per-trial failure bound.
     """
-    fld = policy.field
+    p = policy.prime
     meta = TrialMeta(
         prime=policy.prime,
         seed=policy.seed,
         trials=policy.trials,
         failure_bound=poly_degree / policy.prime,
     )
-    verdicts = [compute(fld, policy.trial_seed(i)) for i in range(policy.trials)]
+    verdicts = [compute(p, policy.trial_seed(i)) for i in range(policy.trials)]
     if all(v == verdicts[0] for v in verdicts):
         return verdicts[0], meta
     start = policy.trials
     verdicts = [
-        compute(fld, policy.trial_seed(start + i)) for i in range(2 * policy.trials)
+        compute(p, policy.trial_seed(start + i)) for i in range(2 * policy.trials)
     ]
     if all(v == verdicts[0] for v in verdicts):
         return verdicts[0], TrialMeta(

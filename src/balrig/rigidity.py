@@ -31,7 +31,6 @@ from .errors import InputError, InvariantError, SizeCapError
 from .exactla import (
     DEFAULT_POLICY,
     GenericMatrix,
-    PrimeField,
     TrialMeta,
     TrialPolicy,
     run_trials,
@@ -46,7 +45,7 @@ def max_rank(g: BipartiteGraph, k: int, l: int) -> int:
 
 
 def build_rigidity_matrix(
-    g: BipartiteGraph, k: int, l: int, theta: tuple, field: PrimeField, seed: int | None = None
+    g: BipartiteGraph, k: int, l: int, theta: tuple, p: int
 ) -> GenericMatrix:
     """The (k,l)-rigidity matrix of g for the given per-side blocks.
 
@@ -66,7 +65,7 @@ def build_rigidity_matrix(
             tuple((a_col + s, theta_b[s][b - 1]) for s in range(l))
             + tuple((b_col + s, theta_a[s][a - 1]) for s in range(k))
         )
-    return GenericMatrix.from_entries(field, entries, row_labels, col_labels, seed)
+    return GenericMatrix(p, entries, row_labels, col_labels)
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,9 @@ def analyze(
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
 
-    def one_trial(fld: PrimeField, seed: int) -> int:
-        theta = sample_theta(fld, seed, (g.a_size, g.b_size), rows=(k, l))
-        return build_rigidity_matrix(g, k, l, theta, fld, seed).rank()
+    def one_trial(p: int, seed: int) -> int:
+        theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
+        return build_rigidity_matrix(g, k, l, theta, p).rank()
 
     rank, meta = run_trials(
         policy,
@@ -165,16 +164,22 @@ def stress_space(
 ) -> StressBasis:
     """Self-stresses of g: edge weightings with every vertex in equilibrium.
 
-    The dimension must agree across trials; the returned basis comes from the
-    first trial's draw. Every basis vector is re-verified against the vertex
-    equilibrium equations of the induced embedding.
+    The dimension must agree across trials; the returned basis comes from
+    the first trial, in seed order, whose kernel has the agreed dimension
+    (after an escalation, an earlier trial may have another one). Every
+    basis vector is re-verified against the vertex equilibrium equations of
+    the induced embedding.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
+    first_of_dim: dict[int, tuple] = {}
 
-    def one_trial(fld: PrimeField, seed: int) -> int:
-        theta = sample_theta(fld, seed, (g.a_size, g.b_size), rows=(k, l))
-        return len(build_rigidity_matrix(g, k, l, theta, fld, seed).left_kernel())
+    def one_trial(p: int, seed: int) -> int:
+        theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
+        matrix = build_rigidity_matrix(g, k, l, theta, p)
+        basis = matrix.left_kernel()
+        first_of_dim.setdefault(len(basis), (theta, matrix, basis))
+        return len(basis)
 
     dim, meta = run_trials(
         policy,
@@ -182,12 +187,10 @@ def stress_space(
         poly_degree=min(g.n_edges, l * g.a_size + k * g.b_size),
         what="stress space dimension",
     )
-    fld = policy.field
-    seed = policy.trial_seed(0)
-    theta = sample_theta(fld, seed, (g.a_size, g.b_size), rows=(k, l))
-    matrix = build_rigidity_matrix(g, k, l, theta, fld, seed)
-    basis = matrix.left_kernel()
-    _verify_equilibrium(k, l, theta, fld, matrix.row_labels, basis)
+    if dim not in first_of_dim:
+        raise InvariantError(f"no trial has a stress basis of the agreed dimension {dim}")
+    theta, matrix, basis = first_of_dim[dim]
+    _verify_equilibrium(k, l, theta, policy.prime, matrix.row_labels, basis)
     return StressBasis(
         k=k,
         l=l,
@@ -197,7 +200,7 @@ def stress_space(
     )
 
 
-def _verify_equilibrium(k, l, theta, fld, edge_labels, basis):
+def _verify_equilibrium(k, l, theta, p, edge_labels, basis):
     """Each stress must cancel at every vertex of the induced embedding.
 
     At an A-vertex a the embedded neighbors are the l-vectors of the incident
@@ -208,7 +211,6 @@ def _verify_equilibrium(k, l, theta, fld, edge_labels, basis):
     trivially satisfied sums.
     """
     theta_a, theta_b = theta
-    p = fld.p
     at_a: dict[int, list[tuple[int, int]]] = defaultdict(list)
     at_b: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for idx, (a, b) in enumerate(edge_labels):
@@ -312,9 +314,7 @@ def laman_check(g: BipartiteGraph, k: int, l: int) -> LamanReport:
 # ---------------------------------------------------------------------------
 
 
-def build_M(
-    kx: BalancedComplex, l: int, theta: list, field: PrimeField, seed: int | None = None
-) -> GenericMatrix:
+def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
     """Facet-by-(ridge x l-slots) matrix of a pure balanced complex.
 
     ``theta`` holds one block per color (as from sample_theta on the color
@@ -337,13 +337,7 @@ def build_M(
                 for s in range(l)
             )
         )
-    return GenericMatrix.from_entries(
-        field,
-        entries,
-        [tuple(sorted(f)) for f in facet_list],
-        col_labels,
-        seed,
-    )
+    return GenericMatrix(p, entries, [tuple(sorted(f)) for f in facet_list], col_labels)
 
 
 @dataclass(frozen=True)
@@ -377,9 +371,9 @@ def rows_independent_M(
     if l < 1:
         raise InputError("l must be positive")
 
-    def one_trial(fld: PrimeField, seed: int) -> int:
-        theta = sample_theta(fld, seed, kx.color_sizes, rows=(l,) * kx.n_colors)
-        return build_M(kx, l, theta, fld, seed).rank()
+    def one_trial(p: int, seed: int) -> int:
+        theta = sample_theta(p, seed, kx.color_sizes, rows=(l,) * kx.n_colors)
+        return build_M(kx, l, theta, p).rank()
 
     rank, meta = run_trials(
         policy,

@@ -15,15 +15,17 @@ support T, with a product coefficient per color.
 The expansions are computed after a triangular change of coordinates, which
 leaves the selected set unchanged for the same draw. Each block theta is
 replaced by L * theta with L lower triangular and invertible: row r becomes
-row r minus a combination of the earlier rows, scaled to a leading 1
-(``exactla.triangular_rows``). The candidate for ij' then becomes a nonzero
-multiple of itself plus a combination of the candidates st' with s <= i and
-t <= j. A vertex order extends the natural order on each side (``VertexOrder``
-rejects any other), so the lex order refines this product order and all
-those candidates come earlier. By induction every prefix of the candidate
-sequence spans the same space as before, and the greedy picks the same
-candidates, for every draw and every p, degenerate draws included. Picks of
-complexes work the same way, one color at a time. The payoff is sparsity:
+row r minus a combination of the earlier rows, scaled to a leading 1. The
+full-block draw ``exactla.sample_theta`` returns the blocks in this form,
+taken from the elimination its invertibility test runs anyway. The
+candidate for ij' then becomes a nonzero multiple of itself plus a
+combination of the candidates st' with s <= i and t <= j. A vertex order
+extends the natural order on each side (``VertexOrder`` rejects any other),
+so the lex order refines this product order and all those candidates come
+earlier. By induction every prefix of the candidate sequence spans the same
+space as before, and the greedy picks the same candidates, for every draw
+and every p, degenerate draws included. Picks of complexes work the same
+way, one color at a time. The payoff is sparsity:
 row i of a triangular block is zero before its leading column, which is
 column i for a generic block, so the candidate ij' touches only the edges pq'
 with p >= i and q >= j, and for a complete bipartite graph the candidate rows
@@ -53,12 +55,10 @@ from .errors import BalrigError, InputError
 from .exactla import (
     DEFAULT_POLICY,
     GreedyBasis,
-    PrimeField,
     TrialMeta,
     TrialPolicy,
     run_trials,
     sample_theta,
-    triangular_rows,
 )
 
 
@@ -136,7 +136,7 @@ def _expansion(index, lead_rows, last, p: int) -> dict[int, int]:
 
 
 def _edge_trial(g: BipartiteGraph, order: VertexOrder):
-    """One shifting trial of g's edges, as a function of (field, seed).
+    """One shifting trial of g's edges, as a function of (p, seed).
 
     The candidate order and the edge index do not depend on the draw, so
     they are built once and shared by all trials.
@@ -148,14 +148,12 @@ def _edge_trial(g: BipartiteGraph, order: VertexOrder):
         key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
     )
 
-    def trial(fld: PrimeField, seed: int) -> frozenset[tuple[int, int]]:
+    def trial(p: int, seed: int) -> frozenset[tuple[int, int]]:
         if not basis_edges:
             return frozenset()
-        p = fld.p
-        theta_a, theta_b = sample_theta(fld, seed, (g.a_size, g.b_size))
-        tri_a = triangular_rows(p, theta_a)
-        last = _slot_rows(slots, triangular_rows(p, theta_b))
-        greedy = GreedyBasis(fld, len(basis_edges))
+        tri_a, tri_b = sample_theta(p, seed, (g.a_size, g.b_size))
+        last = _slot_rows(slots, tri_b)
+        greedy = GreedyBasis(p)
         for i, j in candidates:
             greedy.offer((i, j), _expansion(index, (tri_a[i - 1],), last[j - 1], p))
             if greedy.rank == len(basis_edges):
@@ -194,7 +192,7 @@ def shift_graph(
 
 
 def _face_trial(k: BalancedComplex, order: VertexOrder):
-    """One shifting trial of k's faces, as a function of (field, seed).
+    """One shifting trial of k's faces, as a function of (p, seed).
 
     Per color set T, the faces with color support T, their index and the
     candidate picks in lex order do not depend on the draw, so they are
@@ -215,13 +213,12 @@ def _face_trial(k: BalancedComplex, order: VertexOrder):
             )
             components.append((t, *_face_index(basis, t), len(basis), candidates))
 
-    def trial(fld: PrimeField, seed: int) -> frozenset:
-        p = fld.p
-        tri = [triangular_rows(p, block) for block in sample_theta(fld, seed, k.color_sizes)]
+    def trial(p: int, seed: int) -> frozenset:
+        tri = sample_theta(p, seed, k.color_sizes)
         selected: set = set()
         for t, index, slots, size, candidates in components:
             last = _slot_rows(slots, tri[t[-1] - 1])
-            greedy = GreedyBasis(fld, size)
+            greedy = GreedyBasis(p)
             for pick in candidates:
                 lead_rows = [tri[c - 1][v - 1] for c, v in zip(t[:-1], pick)]
                 row = _expansion(index, lead_rows, last[pick[-1] - 1], p)

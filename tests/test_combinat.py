@@ -13,7 +13,6 @@ from balrig.combinat import (
     VertexOrder,
     all_faces,
     antistar,
-    are_isomorphic,
     complete_edges,
     cone_left,
     cone_right,
@@ -33,6 +32,7 @@ from balrig.combinat import (
     swap_sides,
 )
 from balrig.errors import InputError, InvariantError
+from graph_isomorphism import are_isomorphic
 
 
 def K(n, m):

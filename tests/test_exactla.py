@@ -9,25 +9,28 @@ from balrig.errors import InputError, TrialDisagreementError
 from balrig.exactla import (
     DEFAULT_PRIME,
     GenericMatrix,
-    PrimeField,
     TrialPolicy,
     greedy_independent_rows,
     is_prime,
-    prime_field,
     run_trials,
     sample_theta,
 )
 
-F = prime_field(DEFAULT_PRIME)
+P = DEFAULT_PRIME
 
 
-def make_matrix(rows, field=F):
+def make_matrix(rows, p=P, row_labels=None):
     return GenericMatrix(
-        field=field,
-        rows=tuple(tuple(v % field.p for v in row) for row in rows),
-        row_labels=tuple(range(len(rows))),
-        col_labels=tuple(range(len(rows[0]) if rows else 0)),
+        p,
+        [tuple((c, x) for c, v in enumerate(row) if (x := v % p)) for row in rows],
+        tuple(range(len(rows))) if row_labels is None else row_labels,
+        tuple(range(len(rows[0]) if rows else 0)),
     )
+
+
+def dense(block, n):
+    """Triangular ``{column: value}`` rows as dense rows of length n."""
+    return [[row.get(c, 0) for c in range(n)] for row in block]
 
 
 def test_default_prime_is_prime():
@@ -37,12 +40,9 @@ def test_default_prime_is_prime():
 
 def test_non_prime_modulus_rejected():
     with pytest.raises(InputError):
-        PrimeField(2**62 - 56)
-
-
-def test_field_inverse_roundtrip():
-    for a in (1, 2, 12345, DEFAULT_PRIME - 1):
-        assert a * F.inv(a) % F.p == 1
+        TrialPolicy(prime=2**62 - 56)
+    with pytest.raises(InputError):
+        TrialPolicy(prime=1)
 
 
 def test_zero_matrix_rank():
@@ -59,7 +59,7 @@ def test_duplicated_row_kernel_pattern():
     m = make_matrix([[3, 1, 4], [3, 1, 4]])
     (vec,) = m.left_kernel()
     # one copy with weight w, the other with -w
-    assert (vec[0] + vec[1]) % F.p == 0 and vec[0] != 0
+    assert (vec[0] + vec[1]) % P == 0 and vec[0] != 0
 
 
 def test_left_kernel_dimension_matches_rank():
@@ -80,7 +80,7 @@ def test_kernel_vectors_annihilate_rows():
     m = make_matrix(rows)
     for vec in m.left_kernel():
         for c in range(3):
-            assert sum(w * m.rows[r][c] for r, w in enumerate(vec)) % F.p == 0
+            assert sum(w * m.rows[r][c] for r, w in enumerate(vec)) % P == 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -100,56 +100,46 @@ def test_rank_invariant_under_permutations(seed, row_perm, col_perm):
 
 def test_greedy_selects_all_independent_rows():
     rows = [(0, [1, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 1])]
-    assert greedy_independent_rows(F, rows) == [0, 1, 2]
+    assert greedy_independent_rows(P, rows) == [0, 1, 2]
 
 
 def test_greedy_rejects_proportional_row():
     rows = [("first", [2, 4]), ("second", [3, 6]), ("third", [0, 1])]
-    assert greedy_independent_rows(F, rows) == ["first", "third"]
+    assert greedy_independent_rows(P, rows) == ["first", "third"]
 
 
 def test_greedy_selection_is_lex_minimal_basis():
-    small = prime_field(101)
     rng = random.Random(9)
     for _ in range(25):
         rows = [[rng.randrange(101) for _ in range(3)] for _ in range(5)]
-        m = GenericMatrix(
-            field=small,
-            rows=tuple(tuple(r) for r in rows),
-            row_labels=tuple(range(5)),
-            col_labels=(0, 1, 2),
-        )
-        rank = m.rank()
-        selected = greedy_independent_rows(small, list(enumerate(rows)))
+        rank = make_matrix(rows, 101).rank()
+        selected = greedy_independent_rows(101, list(enumerate(rows)))
         assert len(selected) == rank
         for subset in itertools.combinations(range(5), rank):
-            sub = GenericMatrix(
-                field=small,
-                rows=tuple(tuple(rows[i]) for i in subset),
-                row_labels=subset,
-                col_labels=(0, 1, 2),
-            )
+            sub = make_matrix([rows[i] for i in subset], 101, subset)
             if sub.rank() == rank:
                 assert list(subset) == selected
                 break
 
 
 def test_sample_theta_deterministic_and_invertible():
-    a1 = sample_theta(F, 42, (4, 3))
-    a2 = sample_theta(F, 42, (4, 3))
+    a1 = sample_theta(P, 42, (4, 3))
+    a2 = sample_theta(P, 42, (4, 3))
     assert a1 == a2
     for block in a1:
-        m = make_matrix(block)
+        m = make_matrix(dense(block, len(block)))
         assert m.rank() == len(block)
 
 
 def test_sample_theta_scalar_blocks_nonzero():
-    blocks = sample_theta(F, 7, (1, 1))
-    assert all(block[0][0] != 0 for block in blocks)
+    # the 1x1 full block is its nonzero entry scaled to 1
+    assert sample_theta(P, 7, (1, 1)) == [[{0: 1}], [{0: 1}]]
+    prefix = sample_theta(P, 7, (1, 1), rows=(1, 1))
+    assert all(block[0][0] != 0 for block in prefix)
 
 
 def test_sample_theta_different_seeds_differ():
-    assert sample_theta(F, 0, (3, 3)) != sample_theta(F, 1, (3, 3))
+    assert sample_theta(P, 0, (3, 3)) != sample_theta(P, 1, (3, 3))
 
 
 def test_run_trials_agreement():
@@ -182,32 +172,26 @@ def test_trial_policy_validation():
 
 def test_matrix_label_validation():
     with pytest.raises(InputError):
-        GenericMatrix(field=F, rows=((1,),), row_labels=(), col_labels=(0,))
-
-
-def test_dump_is_lossless_decimal():
-    m = GenericMatrix(
-        field=F,
-        rows=((1, DEFAULT_PRIME - 1),),
-        row_labels=("e",),
-        col_labels=(0, 1),
-    )
-    assert m.dump() == f"e: 1 {DEFAULT_PRIME - 1}"
+        GenericMatrix(P, (((0, 1),),), row_labels=(), col_labels=(0,))
 
 
 def test_sample_theta_prefix_streams():
-    full = sample_theta(F, 42, (4, 4))
-    prefix = sample_theta(F, 42, (4, 4), rows=(2, 3))
-    assert prefix == sample_theta(F, 42, (4, 4), rows=(2, 3))
+    full = sample_theta(P, 42, (4, 4))
+    prefix = sample_theta(P, 42, (4, 4), rows=(2, 3))
+    assert prefix == sample_theta(P, 42, (4, 4), rows=(2, 3))
     assert [len(block) for block in prefix] == [2, 3]
     # rows come in order from one stream per block: a prefix draw is the
-    # leading part of a longer one, and of the full invertible block
-    assert prefix[0] == sample_theta(F, 42, (4, 4), rows=(5, 1))[0][:2]
-    assert prefix[0] == full[0][:2] and prefix[1] == full[1][:3]
+    # leading part of a longer one
+    assert prefix[0] == sample_theta(P, 42, (4, 4), rows=(5, 1))[0][:2]
+    # the first r rows of the full triangular block span what the first r
+    # prefix rows span: stacking both leaves the rank at r
+    for tri, rows in zip(full, prefix):
+        for r in range(len(rows) + 1):
+            assert make_matrix(dense(tri[:r], 4) + rows[:r]).rank() == r
     # each block has its own stream, keyed by (seed, block) without collisions
     assert full[0] != full[1]
-    assert sample_theta(F, 1, (3, 3))[0] != sample_theta(F, 0, (3, 3))[1]
-    assert sample_theta(F, 12, (3,))[0] != sample_theta(F, 1, (3, 3, 3))[2]
+    assert sample_theta(P, 1, (3, 3))[0] != sample_theta(P, 0, (3, 3))[1]
+    assert sample_theta(P, 12, (3,))[0] != sample_theta(P, 1, (3, 3, 3))[2]
     # a prefix draw may ask for more rows than the block has columns
-    (tall,) = sample_theta(F, 5, (2,), rows=(7,))
+    (tall,) = sample_theta(P, 5, (2,), rows=(7,))
     assert len(tall) == 7 and all(len(row) == 2 for row in tall)

@@ -24,7 +24,6 @@ from balrig.exactla import (
     GenericMatrix,
     GreedyBasis,
     TrialPolicy,
-    prime_field,
     sample_theta,
 )
 from balrig.rigidity import _verify_equilibrium, analyze, stress_space
@@ -102,10 +101,10 @@ def matrices(draw):
 
 def as_matrix(p, rows, ncols):
     return GenericMatrix(
-        field=prime_field(p),
-        rows=tuple(tuple(r) for r in rows),
-        row_labels=tuple(range(len(rows))),
-        col_labels=tuple(range(ncols)),
+        p,
+        [tuple((c, v) for c, v in enumerate(r) if v) for r in rows],
+        tuple(range(len(rows))),
+        tuple(range(ncols)),
     )
 
 
@@ -121,7 +120,7 @@ def test_sparse_kernel_matches_dense_oracle(case):
     rank = dense_rank(rows, p, ncols)
     assert m.rank() == rank
 
-    greedy = GreedyBasis(prime_field(p), ncols)
+    greedy = GreedyBasis(p)
     for i, row in enumerate(rows):
         greedy.offer(i, row)
     assert greedy.selected == dense_greedy(rows, p, ncols)
@@ -144,13 +143,13 @@ def _k33_stresses():
 def test_corrupted_stress_fails_equilibrium():
     basis = _k33_stresses()
     assert basis.dim == 4
-    fld = prime_field(basis.meta.prime)
-    theta = sample_theta(fld, TrialPolicy(seed=4).trial_seed(0), (3, 3), rows=(1, 1))
-    _verify_equilibrium(1, 1, theta, fld, basis.edges, basis.vectors)
+    p = basis.meta.prime
+    theta = sample_theta(p, TrialPolicy(seed=4).trial_seed(0), (3, 3), rows=(1, 1))
+    _verify_equilibrium(1, 1, theta, p, basis.edges, basis.vectors)
     bad = [list(v) for v in basis.vectors]
-    bad[0][0] = (bad[0][0] + 1) % fld.p
+    bad[0][0] = (bad[0][0] + 1) % p
     with pytest.raises(InvariantError):
-        _verify_equilibrium(1, 1, theta, fld, basis.edges, bad)
+        _verify_equilibrium(1, 1, theta, p, basis.edges, bad)
 
 
 def test_corrupted_kernel_vector_raises(monkeypatch):

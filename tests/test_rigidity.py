@@ -18,7 +18,7 @@ from balrig.combinat import (
     induced_subgraph,
 )
 from balrig.errors import InputError, InvariantError, SizeCapError
-from balrig.exactla import TrialPolicy, prime_field, sample_theta
+from balrig.exactla import TrialPolicy, sample_theta
 from balrig.rigidity import (
     analyze,
     build_M,
@@ -29,9 +29,10 @@ from balrig.rigidity import (
     rows_independent_M,
     stress_space,
 )
+from test_kernel_oracle import dense_rank
 
 POLICY = TrialPolicy(trials=2, seed=55)
-FLD = prime_field(POLICY.prime)
+P = POLICY.prime
 
 
 def K(n, m):
@@ -45,8 +46,8 @@ def K(n, m):
 
 def test_single_edge_matrix():
     g = K(1, 1)
-    theta = sample_theta(FLD, 0, (1, 1))
-    m = build_rigidity_matrix(g, 1, 1, theta, FLD)
+    theta = sample_theta(P, 0, (1, 1), rows=(1, 1))
+    m = build_rigidity_matrix(g, 1, 1, theta, P)
     assert m.n_rows == 1 and m.n_cols == 2
     assert m.rows[0] == (theta[1][0][0], theta[0][0][0])
     assert m.rank() == 1
@@ -54,16 +55,16 @@ def test_single_edge_matrix():
 
 def test_matrix_dimensions():
     g = K(3, 2)
-    theta = sample_theta(FLD, 1, (3, 2))
-    m = build_rigidity_matrix(g, 2, 1, theta, FLD)
+    theta = sample_theta(P, 1, (3, 2), rows=(2, 1))
+    m = build_rigidity_matrix(g, 2, 1, theta, P)
     assert m.n_rows == g.n_edges
     assert m.n_cols == 1 * 3 + 2 * 2
 
 
 def test_square_matrix_rank():
     g = K(2, 2)
-    theta = sample_theta(FLD, 2, (2, 2))
-    m = build_rigidity_matrix(g, 2, 2, theta, FLD)
+    theta = sample_theta(P, 2, (2, 2), rows=(2, 2))
+    m = build_rigidity_matrix(g, 2, 2, theta, P)
     assert m.n_rows == 4 and m.n_cols == 8
     assert m.rank() == 4
 
@@ -153,6 +154,16 @@ def test_double_banana_carries_a_stress():
     assert basis.dim >= 1
 
 
+def test_stress_basis_after_escalation_has_the_agreed_dimension():
+    # at p = 3 the first two trials disagree; the four escalated ones agree
+    # on dimension 1, while trial 0 alone has a 3-dimensional kernel
+    g = fam.random_quadrangulation(6, seed=1)
+    policy = TrialPolicy(trials=2, prime=3, seed=22)
+    basis = stress_space(g, 2, 2, policy)
+    assert basis.meta.escalated
+    assert basis.dim == analyze(g, 2, 2, policy).stress_dim == 1
+
+
 # ---------------------------------------------------------------------------
 # sparsity counts
 # ---------------------------------------------------------------------------
@@ -238,9 +249,9 @@ def test_k_1_laman_graphs_are_tight():
 def test_one_dimensional_M_equals_rigidity_matrix():
     g = BipartiteGraph(3, 3, complete_edges(3, 3) - {(3, 3)})
     k = graph_to_complex(g)
-    theta = sample_theta(FLD, 9, (3, 3))
-    m_complex = build_M(k, 2, theta, FLD)
-    m_graph = build_rigidity_matrix(g, 2, 2, theta, FLD)
+    theta = sample_theta(P, 9, (3, 3), rows=(2, 2))
+    m_complex = build_M(k, 2, theta, P)
+    m_graph = build_rigidity_matrix(g, 2, 2, theta, P)
     assert m_complex.n_rows == m_graph.n_rows
     assert m_complex.n_cols == m_graph.n_cols
     assert m_complex.rank() == m_graph.rank()
@@ -248,8 +259,8 @@ def test_one_dimensional_M_equals_rigidity_matrix():
 
 def test_single_facet_M():
     k = BalancedComplex((1, 1, 1), frozenset({frozenset({(1, 1), (2, 1), (3, 1)})}))
-    theta = sample_theta(FLD, 3, (2, 2, 2))
-    m = build_M(k, 2, theta, FLD)
+    theta = sample_theta(P, 3, (2, 2, 2), rows=(2, 2, 2))
+    m = build_M(k, 2, theta, P)
     assert m.n_rows == 1
     assert m.n_cols == 3 * 2
     assert m.rank() == 1
@@ -284,7 +295,7 @@ def test_M_requires_pure():
         frozenset({frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})}),
     )
     with pytest.raises(InputError):
-        build_M(k, 2, sample_theta(FLD, 0, (2, 2)), FLD)
+        build_M(k, 2, sample_theta(P, 0, (2, 2), rows=(2, 2)), P)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +463,8 @@ def _record_draws(monkeypatch, module):
     calls = []
     original = module.sample_theta
 
-    def recording(field, seed, block_sizes, rows=None):
-        blocks = original(field, seed, block_sizes, rows)
+    def recording(p, seed, block_sizes, rows=None):
+        blocks = original(p, seed, block_sizes, rows)
         calls.append((seed, tuple(block_sizes), rows, blocks))
         return blocks
 
@@ -474,7 +485,11 @@ def test_analyze_rows_lead_shift_blocks(monkeypatch):
         assert sizes == full_sizes == (g.a_size, g.b_size)
         assert rows == (2, 2)
         assert len(full_a) == g.a_size and len(full_b) == g.b_size
-        assert rows_a == full_a[:2] and rows_b == full_b[:2]
+        # the shift blocks are triangular; their first two rows span what
+        # analyze's two rows span
+        for rows, full, n in ((rows_a, full_a, g.a_size), (rows_b, full_b, g.b_size)):
+            tri = [[row.get(c, 0) for c in range(n)] for row in full[:2]]
+            assert dense_rank(tri + rows, P, n) == dense_rank(tri, P, n) == 2
 
 
 def test_k_far_above_side_draws_only_read_rows(monkeypatch):

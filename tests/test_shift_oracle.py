@@ -2,16 +2,17 @@
 
 ``dense_shift_edges`` and ``dense_shift_faces`` are the shifting trials as
 they were before the triangular change of coordinates: every candidate
-monomial is expanded densely over all edges or faces, with the blocks
-exactly as ``sample_theta`` draws them. They stay here as a differential
-oracle. The library builds the candidates sparsely from triangular rows, and
-its greedy selection must be identical for the same (input, order, p, seed),
-degenerate draws at small p included.
+monomial is expanded densely over all edges or faces, with the raw blocks
+the draw keeps. ``raw_blocks`` rebuilds those from prefix draws and a dense
+rank test, so the oracle shares no elimination with the library's draw.
+They stay here as a differential oracle. The library builds the candidates
+sparsely from the triangular rows ``sample_theta`` returns for full blocks,
+and its greedy selection must be identical for the same (input, order, p,
+seed), degenerate draws at small p included.
 """
 
 import itertools
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,31 +25,45 @@ from balrig.combinat import (
     cone_right,
     faces_with_colorset,
 )
-from balrig.errors import BalrigError, InvariantError
-from balrig.exactla import (
-    DEFAULT_PRIME,
-    GreedyBasis,
-    prime_field,
-    sample_theta,
-    triangular_rows,
-)
+from balrig.errors import BalrigError
+from balrig.exactla import DEFAULT_PRIME, GreedyBasis, sample_theta
 from balrig.shifting import _edge_trial, _face_trial
 from test_kernel_oracle import dense_rank
 
 PRIMES = (3, 5, 101, DEFAULT_PRIME)
 
 
-def dense_shift_edges(g, order, fld, seed):
+def raw_blocks(p, seed, sizes):
+    """The square blocks the full draw keeps before triangularising: block
+    c's stream rows, read by prefix draws, each kept when it raises the
+    dense rank of the rows kept so far."""
+    blocks = []
+    for c, size in enumerate(sizes):
+        drawn = size
+        while True:
+            counts = [drawn if d == c else 0 for d in range(len(sizes))]
+            stream = sample_theta(p, seed, sizes, rows=counts)[c]
+            kept = []
+            for row in stream:
+                if len(kept) < size and dense_rank(kept + [row], p, size) > len(kept):
+                    kept.append(row)
+            if len(kept) == size:
+                break
+            drawn *= 2
+        blocks.append(kept)
+    return blocks
+
+
+def dense_shift_edges(g, order, p, seed):
     basis_edges = g.edge_list()
     if not basis_edges:
         return frozenset()
-    theta_a, theta_b = sample_theta(fld, seed, (g.a_size, g.b_size))
-    p = fld.p
+    theta_a, theta_b = raw_blocks(p, seed, (g.a_size, g.b_size))
     candidates = sorted(
         ((i, j) for i in range(1, g.a_size + 1) for j in range(1, g.b_size + 1)),
         key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
     )
-    greedy = GreedyBasis(fld, len(basis_edges))
+    greedy = GreedyBasis(p)
     for i, j in candidates:
         row_a = theta_a[i - 1]
         row_b = theta_b[j - 1]
@@ -59,9 +74,8 @@ def dense_shift_edges(g, order, fld, seed):
     return frozenset(greedy.selected)
 
 
-def dense_shift_faces(k, order, fld, seed):
-    blocks = sample_theta(fld, seed, k.color_sizes)
-    p = fld.p
+def dense_shift_faces(k, order, p, seed):
+    blocks = raw_blocks(p, seed, k.color_sizes)
     selected = set()
     colors = range(1, k.n_colors + 1)
     for r in range(1, k.n_colors + 1):
@@ -74,7 +88,7 @@ def dense_shift_faces(k, order, fld, seed):
                 itertools.product(*[range(1, k.color_sizes[c - 1] + 1) for c in t]),
                 key=lambda pick: order.lex_key(zip(t, pick)),
             )
-            greedy = GreedyBasis(fld, len(basis))
+            greedy = GreedyBasis(p)
             for pick in candidates:
                 expansion = []
                 for face in basis_by_color:
@@ -158,23 +172,21 @@ def complex_cases(draw):
 )
 def test_sparse_edge_shift_matches_dense_oracle(case, p, seed):
     g, order = case
-    fld = prime_field(p)
-    assert _edge_trial(g, order)(fld, seed) == dense_shift_edges(g, order, fld, seed)
+    assert _edge_trial(g, order)(p, seed) == dense_shift_edges(g, order, p, seed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(complex_cases(), st.sampled_from(PRIMES), st.integers(0, 10**6))
 def test_sparse_face_shift_matches_dense_oracle(case, p, seed):
     k, order = case
-    fld = prime_field(p)
-    assert _face_trial(k, order)(fld, seed) == dense_shift_faces(k, order, fld, seed)
+    assert _face_trial(k, order)(p, seed) == dense_shift_faces(k, order, p, seed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((2,) + PRIMES), st.integers(0, 7), st.integers(0, 10**6))
 def test_triangular_rows_keep_every_prefix_span(p, n, seed):
-    (block,) = sample_theta(prime_field(p), seed, (n,))
-    tri = triangular_rows(p, block)
+    (tri,) = sample_theta(p, seed, (n,))
+    (block,) = raw_blocks(p, seed, (n,))
     assert len(tri) == n
     leads = []
     for r, row in enumerate(tri):
@@ -190,20 +202,13 @@ def test_triangular_rows_keep_every_prefix_span(p, n, seed):
 
 
 def test_triangular_rows_of_a_generic_block_are_upper_triangular():
-    (block,) = sample_theta(prime_field(DEFAULT_PRIME), 5, (6,))
-    tri = triangular_rows(DEFAULT_PRIME, block)
+    (tri,) = sample_theta(DEFAULT_PRIME, 5, (6,))
     assert [min(row) for row in tri] == list(range(6))
 
 
-def test_triangular_rows_reject_a_singular_block():
-    with pytest.raises(InvariantError):
-        triangular_rows(101, [[1, 2], [2, 4]])
-
-
 def test_offer_takes_sparse_and_dense_rows_alike():
-    fld = prime_field(101)
     rows = [[0, 3, 0, 1], [0, 6, 0, 2], [5, 0, 0, 0], [5, 3, 0, 1], [0, 0, 7, 0]]
-    dense, sparse = GreedyBasis(fld, 4), GreedyBasis(fld, 4)
+    dense, sparse = GreedyBasis(101), GreedyBasis(101)
     for i, row in enumerate(rows):
         dense.offer(i, row)
         sparse.offer(i, {c: v for c, v in enumerate(row) if v})

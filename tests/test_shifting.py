@@ -13,8 +13,9 @@ from balrig.combinat import (
     graph_to_complex,
     join_complexes,
 )
+from balrig import exactla
 from balrig.errors import InputError
-from balrig.exactla import TrialPolicy, greedy_independent_rows, prime_field, sample_theta
+from balrig.exactla import TrialPolicy, greedy_independent_rows, sample_theta
 from balrig.shifting import (
     check_shifted,
     contains_complete_bipartite,
@@ -76,8 +77,8 @@ def test_greedy_expansion_rows_select_all_but_last_pair():
     # the near-complete graph: the first eight in lexicographic order are
     # independent and the pair (3,3) is rejected
     g = k33_minus()
-    fld = prime_field(TrialPolicy().prime)
-    theta_a, theta_b = sample_theta(fld, 3, (3, 3))
+    p = TrialPolicy().prime
+    theta_a, theta_b = sample_theta(p, 3, (3, 3), rows=(3, 3))
     order = VertexOrder.interleaved_graph(3, 3)
     basis = g.edge_list()
     pairs = sorted(
@@ -85,12 +86,34 @@ def test_greedy_expansion_rows_select_all_but_last_pair():
         key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
     )
     rows = [
-        (e, [theta_a[e[0] - 1][p - 1] * theta_b[e[1] - 1][q - 1] % fld.p for p, q in basis])
+        (e, [theta_a[e[0] - 1][a - 1] * theta_b[e[1] - 1][b - 1] % p for a, b in basis])
         for e in pairs
     ]
-    selected = greedy_independent_rows(fld, rows)
+    selected = greedy_independent_rows(p, rows)
     assert selected == pairs[:8]
     assert (3, 3) not in selected
+
+
+def test_a_trial_eliminates_each_parameter_block_once(monkeypatch):
+    # the draw hands its triangular rows to the expansion, so one shifting
+    # trial builds one echelon per parameter block and one for the greedy
+    # basis, and inserts every block row once
+    created, inserted = [], []
+    init, insert = exactla.Echelon.__init__, exactla.Echelon.insert
+
+    def counting_init(self, p):
+        created.append(self)
+        init(self, p)
+
+    def counting_insert(self, row, tag=None):
+        inserted.append(self)
+        return insert(self, row, tag)
+
+    monkeypatch.setattr(exactla.Echelon, "__init__", counting_init)
+    monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
+    shift_graph(K(4, 3), policy=TrialPolicy(trials=1))
+    assert len(created) == 3
+    assert [inserted.count(e) for e in created[:2]] == [4, 3]
 
 
 def test_check_shifted_examples():
