@@ -65,7 +65,7 @@ def _parse_graph_order(spec: str, g: BipartiteGraph) -> VertexOrder:
     return order
 
 
-def _parse_complex_order(spec: str, k: BalancedComplex) -> VertexOrder:
+def _parse_complex_order(spec: str) -> VertexOrder:
     """Explicit order tokens look like 1.1,2.1,... as color.index pairs."""
     seq = []
     for token in spec.split(","):
@@ -76,6 +76,13 @@ def _parse_complex_order(spec: str, k: BalancedComplex) -> VertexOrder:
         except ValueError as exc:
             raise InputError(f"bad order token {token!r}; expected color.index") from exc
     return VertexOrder(seq)
+
+
+def _parse_sizes(spec: str) -> list[int]:
+    try:
+        return [int(s) for s in spec.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad --sizes {spec!r}; expected integers like 3,3,4") from exc
 
 
 def _jsonable(verdict):
@@ -110,89 +117,53 @@ def _emit(args, data: dict, table_lines: list[str]) -> None:
 
 def _cmd_shift(args) -> int:
     policy = _policy(args)
+    explicit = args.order != "default-admissible"
     if args.graph:
         g = _load_graph(args.graph)
-        order = None
-        if args.order != "default-admissible":
-            order = _parse_graph_order(args.order, g)
+        order = _parse_graph_order(args.order, g) if explicit else None
         res = shift_graph(g, order, policy)
-        data = res.graph.to_json_dict()
-        data["meta"] = res.meta.to_json_dict()
-        _emit(args, data, [f"shifted edges: {res.graph.edge_list()}"])
+        shifted, line = res.graph, f"shifted edges: {res.graph.edge_list()}"
     else:
         kx = _load_complex(args.complex)
-        order = None
-        if args.order != "default-admissible":
-            order = _parse_complex_order(args.order, kx)
+        order = _parse_complex_order(args.order) if explicit else None
         res = shift_complex(kx, order, policy)
-        data = res.complex.to_json_dict()
-        data["meta"] = res.meta.to_json_dict()
-        _emit(args, data, [f"shifted facets: {res.complex.sorted_facets()}"])
+        shifted, line = res.complex, f"shifted facets: {res.complex.sorted_facets()}"
+    data = shifted.to_json_dict()
+    data["meta"] = res.meta.to_json_dict()
+    _emit(args, data, [line])
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    g = _load_graph(args.graph)
-    rep = analyze(g, args.k, args.l, _policy(args))
-    data = rep.to_json_dict()
-    lines = [f"{key}: {data[key]}" for key in sorted(data)]
-    _emit(args, data, lines)
+def _cmd_report(args) -> int:
+    data = args.report(args).to_json_dict()
+    _emit(args, data, [f"{key}: {data[key]}" for key in sorted(data)])
     return 0
 
 
-def _cmd_laman(args) -> int:
-    g = _load_graph(args.graph)
-    rep = laman_check(g, args.k, args.l)
-    data = rep.to_json_dict()
-    lines = [f"{key}: {data[key]}" for key in sorted(data)]
-    _emit(args, data, lines)
-    return 0
-
-
-def _cmd_mcheck(args) -> int:
-    kx = _load_complex(args.complex)
-    rep = rows_independent_M(kx, args.l, _policy(args))
-    data = rep.to_json_dict()
-    lines = [f"{key}: {data[key]}" for key in sorted(data)]
-    _emit(args, data, lines)
-    return 0
+#: Each example family by name, as a builder of (arguments, effective seed).
+FAMILIES = {
+    "complete": lambda a, seed: fam.complete_bipartite(a.n, a.m),
+    "cycle": lambda a, seed: fam.cycle(a.n),
+    "tree": lambda a, seed: fam.random_tree(a.n, a.m, seed),
+    "cube": lambda a, seed: fam.cube_graph(a.d),
+    "stacked-cubical": lambda a, seed: (
+        fam.stacked_cubical_augmented(a.d, a.t, seed)
+        if a.augment
+        else fam.stacked_cubical_graph(a.d, a.t, seed).graph
+    ),
+    "laman-cube": lambda a, seed: fam.laman_augmented_cube(a.d),
+    "double-banana": lambda a, seed: fam.double_banana(),
+    "fan": lambda a, seed: fam.fan_quadrangulation(a.n),
+    "quadrangulation": lambda a, seed: fam.random_quadrangulation(a.faces, seed),
+    "cross-polytope": lambda a, seed: fam.cross_polytope_boundary(a.d),
+    "glued-cross-polytopes": lambda a, seed: fam.glued_cross_polytopes(a.d).complex,
+    "gamma": lambda a, seed: fam.gamma_complex(a.d, _parse_sizes(a.sizes)),
+    "van-kampen": lambda a, seed: fam.van_kampen_complex(a.l, a.d),
+}
 
 
 def _cmd_generate(args) -> int:
-    name = args.family
-    seed = _effective_seed(args)
-    if name == "complete":
-        out = fam.complete_bipartite(args.n, args.m)
-    elif name == "cycle":
-        out = fam.cycle(args.n)
-    elif name == "tree":
-        out = fam.random_tree(args.n, args.m, seed)
-    elif name == "cube":
-        out = fam.cube_graph(args.d)
-    elif name == "stacked-cubical":
-        if args.augment:
-            out = fam.stacked_cubical_augmented(args.d, args.t, seed)
-        else:
-            out = fam.stacked_cubical_graph(args.d, args.t, seed).graph
-    elif name == "laman-cube":
-        out = fam.laman_augmented_cube(args.d)
-    elif name == "double-banana":
-        out = fam.double_banana()
-    elif name == "fan":
-        out = fam.fan_quadrangulation(args.n)
-    elif name == "quadrangulation":
-        out = fam.random_quadrangulation(args.faces, seed)
-    elif name == "cross-polytope":
-        out = fam.cross_polytope_boundary(args.d)
-    elif name == "glued-cross-polytopes":
-        out = fam.glued_cross_polytopes(args.d).complex
-    elif name == "gamma":
-        sizes = [int(s) for s in args.sizes.split(",")]
-        out = fam.gamma_complex(args.d, sizes)
-    elif name == "van-kampen":
-        out = fam.van_kampen_complex(args.l, args.d)
-    else:
-        raise InputError(f"unknown family {name!r}")
+    out = FAMILIES[args.family](args, _effective_seed(args))
     sys.stdout.write(_dumps(out.to_json_dict()))
     return 0
 
@@ -210,6 +181,17 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+def _verdict_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
+    """A subcommand with the trial policy and output format options."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="balrig",
@@ -217,65 +199,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_kl=False, needs_graph=True, needs_complex=False):
-        if needs_graph and needs_complex:
-            grp = p.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--graph", help="graph JSON path ('-' for stdin)")
-            grp.add_argument("--complex", help="complex JSON path ('-' for stdin)")
-        elif needs_graph:
-            p.add_argument("--graph", required=True, help="graph JSON path")
-        else:
-            p.add_argument("--complex", required=True, help="complex JSON path")
-        if needs_kl:
-            p.add_argument("-k", type=int, required=True)
-            p.add_argument("-l", type=int, required=True)
-        p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-        p.add_argument("--trials", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
-    p = sub.add_parser("shift", help="balanced shifting of a graph or complex")
-    common(p, needs_graph=True, needs_complex=True)
+    p = _verdict_parser(sub, "shift", "balanced shifting of a graph or complex", _cmd_shift)
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--graph", help="graph JSON path ('-' for stdin)")
+    grp.add_argument("--complex", help="complex JSON path ('-' for stdin)")
     p.add_argument(
         "--order",
         default="default-admissible",
         help="default-admissible, or explicit tokens A1,B1,... (graphs) "
         "or 1.1,2.1,... (complexes)",
     )
-    p.set_defaults(func=_cmd_shift)
 
-    p = sub.add_parser("analyze", help="rigidity / stress-freeness report")
-    common(p, needs_kl=True)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("laman", help="hereditary sparsity count check")
-    common(p, needs_kl=True)
-    p.set_defaults(func=_cmd_laman)
-
-    p = sub.add_parser("mcheck", help="facet-ridge matrix row independence")
-    common(p, needs_graph=False, needs_complex=True)
-    p.add_argument("-l", type=int, required=True)
-    p.set_defaults(func=_cmd_mcheck)
+    inputs = {
+        "--graph": dict(required=True, help="graph JSON path"),
+        "--complex": dict(required=True, help="complex JSON path"),
+        "-k": dict(type=int, required=True),
+        "-l": dict(type=int, required=True),
+    }
+    reports = [
+        ("analyze", "rigidity / stress-freeness report", ("--graph", "-k", "-l"),
+         lambda a: analyze(_load_graph(a.graph), a.k, a.l, _policy(a))),
+        ("laman", "hereditary sparsity count check", ("--graph", "-k", "-l"),
+         lambda a: laman_check(_load_graph(a.graph), a.k, a.l)),
+        ("mcheck", "facet-ridge matrix row independence", ("--complex", "-l"),
+         lambda a: rows_independent_M(_load_complex(a.complex), a.l, _policy(a))),
+    ]
+    for name, summary, flags, report in reports:
+        p = _verdict_parser(sub, name, summary, _cmd_report)
+        for flag in flags:
+            p.add_argument(flag, **inputs[flag])
+        p.set_defaults(report=report)
 
     p = sub.add_parser("generate", help="emit an example family as JSON")
-    p.add_argument(
-        "family",
-        choices=[
-            "complete",
-            "cycle",
-            "tree",
-            "cube",
-            "stacked-cubical",
-            "laman-cube",
-            "double-banana",
-            "fan",
-            "quadrangulation",
-            "cross-polytope",
-            "glued-cross-polytopes",
-            "gamma",
-            "van-kampen",
-        ],
-    )
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--d", type=int, default=3)

@@ -306,9 +306,6 @@ class VertexOrder:
     def __repr__(self) -> str:
         return f"VertexOrder({list(self.sequence)!r})"
 
-    def position(self, v: tuple) -> int:
-        return self._pos[v]
-
     def lex_key(self, face: Iterable[tuple]) -> tuple[int, ...]:
         return tuple(sorted(self._pos[v] for v in face))
 
@@ -362,14 +359,6 @@ class VertexOrder:
             for i in range(1, max(color_sizes, default=0) + 1)
             for c in range(1, len(color_sizes) + 1)
             if i <= color_sizes[c - 1]
-        ]
-        return cls(seq)
-
-    @classmethod
-    def concatenated(cls, first: "VertexOrder", second: "VertexOrder", color_shift: int) -> "VertexOrder":
-        """Order on a join: all of ``first``, then ``second`` with colors shifted."""
-        seq = list(first.sequence) + [
-            (c + color_shift, i) for c, i in second.sequence
         ]
         return cls(seq)
 

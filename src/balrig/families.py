@@ -131,9 +131,6 @@ class CubicalGraph:
     dense: dict[int, Vertex]
     coords: dict[int, tuple[int, ...]] | None = None
 
-    def facet_vertices(self, idx: int) -> list[Vertex]:
-        return sorted(self.dense[v] for v in self.facets[idx].vertex_ids())
-
     def side_of(self, vid: int) -> str:
         return self.dense[vid][0]
 

@@ -104,7 +104,9 @@ def analyze(
     """Rank the (k,l)-rigidity matrix of g and fill in all verdicts.
 
     k or l exceeding a side size is permitted; the rank and the max-rank
-    formula are applied verbatim and a warning is recorded.
+    formula are applied verbatim and a warning is recorded. A per-trial
+    failure bound of at least 1 (a prime too small for the graph) is
+    recorded as a warning too.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
@@ -120,12 +122,18 @@ def analyze(
         what=f"rank of the ({k},{l})-rigidity matrix",
     )
     warnings = []
-    if k > g.a_size or l > g.b_size:
+    oversized = k > g.a_size or l > g.b_size
+    if oversized:
         warnings.append("k or l exceeds a side size; verdicts use the formula verbatim")
+    if meta.failure_bound >= 1:
+        warnings.append(
+            f"per-trial failure bound {meta.failure_bound} is at least 1, so the "
+            "verdict is not certified; use a larger prime"
+        )
     target = max_rank(g, k, l)
     if rank > g.n_edges:
         raise InvariantError(f"rank {rank} exceeds the edge count {g.n_edges}")
-    if not warnings and rank > target:
+    if not oversized and rank > target:
         # holds for every draw: a rank at a point never exceeds the generic
         # rank, and the rows embed in the complete graph's matrix, whose
         # generic kernel contains the kl relation vectors

@@ -1,10 +1,12 @@
 """The acceptance suite: one check per headline property of the engine.
 
-Each check runs at full documented scale with fixed seeds, returns a
-CheckResult, and is shared verbatim between ``balrig selftest`` and the
-pytest acceptance module. Tolerance is exactness over the prime field under
-the default trial policy (three independent draws, agreement required); any
-trial disagreement surfaces as an error, never as a softened verdict.
+Each check runs at full documented scale with fixed seeds, returns
+``(passed, detail)``, and is shared verbatim between ``balrig selftest`` and
+the pytest acceptance module. A check is named only in ``CHECKS``;
+``run_selftest`` attaches the name and the wall seconds. Tolerance is
+exactness over the prime field under the default trial policy (three
+independent draws, agreement required); any trial disagreement surfaces as
+an error, never as a softened verdict.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import families as fam
@@ -29,6 +31,7 @@ from .combinat import (
     join_complexes,
     swap_sides,
 )
+from .errors import InputError
 from .exactla import TrialPolicy
 from .rigidity import analyze, laman_check, rows_independent_M
 from .shifting import check_shifted, contains_join, shift_complex, shift_graph
@@ -39,8 +42,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    #: wall seconds the check took, filled in by ``run_selftest``
-    seconds: float = 0.0
+    #: wall seconds the check took
+    seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +105,7 @@ def sparse_insertion_graph(
 # ---------------------------------------------------------------------------
 
 
-def check_rank_law() -> CheckResult:
+def check_rank_law() -> tuple[bool, str]:
     """rank of the (k,l)-matrix of the complete graph is l n + k m - k l."""
     policy = TrialPolicy(seed=101)
     tested = 0
@@ -113,26 +116,20 @@ def check_rank_law() -> CheckResult:
                     g = fam.complete_bipartite(n, m)
                     rep = analyze(g, k, l, policy)
                     if rep.rank != l * n + k * m - k * l:
-                        return CheckResult(
-                            "rank-law-complete-bipartite",
-                            False,
-                            f"K_{{{n},{m}}} at ({k},{l}): rank {rep.rank}",
-                        )
+                        return False, f"K_{{{n},{m}}} at ({k},{l}): rank {rep.rank}"
                     tested += 1
-    return CheckResult(
-        "rank-law-complete-bipartite", True, f"{tested} (k,l,n,m) cases exact"
-    )
+    return True, f"{tested} (k,l,n,m) cases exact"
 
 
-def check_shift_conservation() -> CheckResult:
+def check_shift_conservation() -> tuple[bool, str]:
     """Shifting preserves the edge count and lands in the shifted class."""
     rng = random.Random(202)
     for i in range(200):
         g = random_bipartite(rng, 6)
         sh = shift_graph(g, policy=TrialPolicy(seed=1000 + i))
         if sh.graph.n_edges != g.n_edges or not check_shifted(sh.graph):
-            return CheckResult("shift-preserves-edges", False, f"failed on {g}")
-    return CheckResult("shift-preserves-edges", True, "200 random graphs, sides <= 6")
+            return False, f"failed on {g}"
+    return True, "200 random graphs, sides <= 6"
 
 
 def _shift_predicates(g, k, l, policy):
@@ -146,7 +143,7 @@ def _shift_predicates(g, k, l, policy):
     return stress_free, ekl <= sg.edges
 
 
-def check_shift_rank_agreement() -> CheckResult:
+def check_shift_rank_agreement() -> tuple[bool, str]:
     """Shifted-graph membership verdicts equal rank verdicts, shared draw."""
     rng = random.Random(202)
     compared = 0
@@ -158,19 +155,15 @@ def check_shift_rank_agreement() -> CheckResult:
                 sf_s, rig_s = _shift_predicates(g, k, l, policy)
                 rep = analyze(g, k, l, policy)
                 if sf_s != rep.is_stress_free or rig_s != rep.is_rigid:
-                    return CheckResult(
-                        "shift-rank-verdicts-agree",
-                        False,
+                    return False, (
                         f"{g} at ({k},{l}): shift ({sf_s},{rig_s}) "
-                        f"vs rank ({rep.is_stress_free},{rep.is_rigid})",
+                        f"vs rank ({rep.is_stress_free},{rep.is_rigid})"
                     )
                 compared += 1
-    return CheckResult(
-        "shift-rank-verdicts-agree", True, f"{compared} verdict pairs agree"
-    )
+    return True, f"{compared} verdict pairs agree"
 
 
-def check_quadrangulations() -> CheckResult:
+def check_quadrangulations() -> tuple[bool, str]:
     """Maximal planar bipartite graphs are (2,2)-rigid and stress-free, and
     stay stress-free after deleting up to three random edges."""
     rng = random.Random(404)
@@ -180,32 +173,24 @@ def check_quadrangulations() -> CheckResult:
         policy = TrialPolicy(seed=2000 + i)
         rep = analyze(g, 2, 2, policy)
         if not (rep.is_rigid and rep.is_stress_free):
-            return CheckResult(
-                "planar-quadrangulations", False, f"quadrangulation {i} not tight"
-            )
+            return False, f"quadrangulation {i} not tight"
         edges = set(g.edges)
         for _ in range(3):
             edges.discard(rng.choice(sorted(edges)))
             sub = BipartiteGraph(g.a_size, g.b_size, frozenset(edges))
             if not analyze(sub, 2, 2, policy).is_stress_free:
-                return CheckResult(
-                    "planar-quadrangulations",
-                    False,
-                    f"edge-deleted subgraph of {i} has a stress",
-                )
-    return CheckResult(
-        "planar-quadrangulations", True, "50 quadrangulations (N <= 20) + deletions"
-    )
+                return False, f"edge-deleted subgraph of {i} has a stress"
+    return True, "50 quadrangulations (N <= 20) + deletions"
 
 
-def check_trees_outerplanar() -> CheckResult:
+def check_trees_outerplanar() -> tuple[bool, str]:
     """Trees are (1,1)-stress-free; fans with pendant trees are (2,1)-stress-free."""
     rng = random.Random(505)
     for i in range(100):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         g = fam.random_tree(n, m, seed=3000 + i)
         if not analyze(g, 1, 1, TrialPolicy(seed=30_000 + i)).is_stress_free:
-            return CheckResult("trees-and-outerplanar", False, f"tree {i} has a stress")
+            return False, f"tree {i} has a stress"
     for i in range(30):
         g = fam.fan_quadrangulation(rng.randint(2, 6))
         for _ in range(rng.randint(0, 4)):
@@ -219,13 +204,11 @@ def check_trees_outerplanar() -> CheckResult:
                     g.a_size + 1, g.b_size, g.edges | {(g.a_size + 1, anchor[1])}
                 )
         if not analyze(g, 2, 1, TrialPolicy(seed=31_000 + i)).is_stress_free:
-            return CheckResult(
-                "trees-and-outerplanar", False, f"outerplanar sample {i} has a stress"
-            )
-    return CheckResult("trees-and-outerplanar", True, "100 trees + 30 outerplanar")
+            return False, f"outerplanar sample {i} has a stress"
+    return True, "100 trees + 30 outerplanar"
 
 
-def check_cone_commutation() -> CheckResult:
+def check_cone_commutation() -> tuple[bool, str]:
     """Coning commutes with shifting; cones shift the rigidity parameters."""
     rng = random.Random(606)
     for i in range(100):
@@ -235,7 +218,7 @@ def check_cone_commutation() -> CheckResult:
         lhs = shift_graph(cone_left(g).graph, order.cone_left(), policy).graph
         rhs = cone_left(shift_graph(g, order, policy).graph).graph
         if lhs != rhs:
-            return CheckResult("cone-commutes-with-shifting", False, f"graph {i}")
+            return False, f"graph {i}"
         for k in range(1, min(2, g.a_size) + 1):
             for l in range(1, min(2, g.b_size) + 1):
                 base = analyze(g, k, l, policy)
@@ -248,17 +231,11 @@ def check_cone_commutation() -> CheckResult:
                     == right.is_stress_free
                 )
                 if not ok:
-                    return CheckResult(
-                        "cone-commutes-with-shifting",
-                        False,
-                        f"predicate mismatch on graph {i} at ({k},{l})",
-                    )
-    return CheckResult(
-        "cone-commutes-with-shifting", True, "100 graphs, edge sets and predicates"
-    )
+                    return False, f"predicate mismatch on graph {i} at ({k},{l})"
+    return True, "100 graphs, edge sets and predicates"
 
 
-def check_deletion_contraction_gluing() -> CheckResult:
+def check_deletion_contraction_gluing() -> tuple[bool, str]:
     """Low-degree deletion, low-overlap contraction, and gluing implications."""
     rng = random.Random(707)
     counts = {"deletion": 0, "contraction": 0, "gluing": 0}
@@ -276,11 +253,11 @@ def check_deletion_contraction_gluing() -> CheckResult:
         if rep_sub.is_stress_free and d <= bound:
             fired = True
             if not analyze(g, k, l, policy).is_stress_free:
-                return CheckResult("deletion-contraction-gluing", False, "deletion/sf")
+                return False, "deletion/sf"
         if rep_sub.is_rigid and d >= bound:
             fired = True
             if not analyze(g, k, l, policy).is_rigid:
-                return CheckResult("deletion-contraction-gluing", False, "deletion/rigid")
+                return False, "deletion/rigid"
         if fired:
             counts["deletion"] += 1
 
@@ -298,15 +275,11 @@ def check_deletion_contraction_gluing() -> CheckResult:
         if rep_sub.is_stress_free and res.common_neighbors <= bound:
             fired = True
             if not analyze(g, k, l, policy).is_stress_free:
-                return CheckResult(
-                    "deletion-contraction-gluing", False, "contraction/sf"
-                )
+                return False, "contraction/sf"
         if rep_sub.is_rigid and res.common_neighbors >= bound:
             fired = True
             if not analyze(g, k, l, policy).is_rigid:
-                return CheckResult(
-                    "deletion-contraction-gluing", False, "contraction/rigid"
-                )
+                return False, "contraction/rigid"
         if fired:
             counts["contraction"] += 1
 
@@ -314,9 +287,7 @@ def check_deletion_contraction_gluing() -> CheckResult:
     while counts["gluing"] < 200:
         attempts += 1
         if attempts > 50_000:
-            return CheckResult(
-                "deletion-contraction-gluing", False, "gluing sampler starved"
-            )
+            return False, "gluing sampler starved"
         k, l = rng.randint(1, 2), rng.randint(1, 2)
         policy = TrialPolicy(seed=7000 + attempts)
         part = counts["gluing"] % 3 + 1
@@ -355,7 +326,7 @@ def check_deletion_contraction_gluing() -> CheckResult:
         if part == 1 and r1.is_rigid and r2.is_rigid:
             fired = True
             if not analyze(union, k, l, policy).is_rigid:
-                return CheckResult("deletion-contraction-gluing", False, "gluing/1")
+                return False, "gluing/1"
         if part == 2 and r1.is_stress_free and r2.is_stress_free:
             inter = BipartiteGraph(
                 oa, ob, frozenset((i - a2_lo, j - b2_lo) for i, j in e1 & e2)
@@ -364,33 +335,27 @@ def check_deletion_contraction_gluing() -> CheckResult:
             if oa >= k and ob >= l and analyze(inter, k, l, policy).is_rigid:
                 fired = True
                 if not analyze(union, k, l, policy).is_stress_free:
-                    return CheckResult("deletion-contraction-gluing", False, "gluing/2")
+                    return False, "gluing/2"
         if part == 3 and r1.is_stress_free and r2.is_stress_free:
             fired = True
             if not analyze(union, k, l, policy).is_stress_free:
-                return CheckResult("deletion-contraction-gluing", False, "gluing/3")
+                return False, "gluing/3"
         if fired:
             counts["gluing"] += 1
 
-    return CheckResult(
-        "deletion-contraction-gluing", True, "200 instances per implication family"
-    )
+    return True, "200 instances per implication family"
 
 
-def check_double_banana() -> CheckResult:
+def check_double_banana() -> tuple[bool, str]:
     """Hereditary sparsity holds yet a self-stress exists."""
     g = fam.double_banana()
     lam = laman_check(g, 2, 2)
     rep = analyze(g, 2, 2, TrialPolicy(seed=808))
     ok = lam.holds and rep.stress_dim >= 1
-    return CheckResult(
-        "double-banana-laman-not-stress-free",
-        ok,
-        f"laman={lam.holds}, stress_dim={rep.stress_dim}",
-    )
+    return ok, f"laman={lam.holds}, stress_dim={rep.stress_dim}"
 
 
-def check_cube_diagonals() -> CheckResult:
+def check_cube_diagonals() -> tuple[bool, str]:
     """The 3-cube plus its long diagonals is sparsity-tight at (1,4)."""
     g = fam.laman_augmented_cube(4)
     lam = laman_check(g, 1, 4)
@@ -401,14 +366,10 @@ def check_cube_diagonals() -> CheckResult:
         and rep.is_rigid
         and rep.is_stress_free
     )
-    return CheckResult(
-        "cube-plus-diagonals",
-        ok,
-        f"edges={g.n_edges}, laman={lam.holds}, rigid={rep.is_rigid}",
-    )
+    return ok, f"edges={g.n_edges}, laman={lam.holds}, rigid={rep.is_rigid}"
 
 
-def check_stacked_cubical() -> CheckResult:
+def check_stacked_cubical() -> tuple[bool, str]:
     """Augmented stacked cubical graphs are (2, d-1)-rigid and stress-free
     with the tight edge count (d-1)|A| + 2|B| - 2(d-1)."""
     for d, tmax in ((3, 5), (4, 3)):
@@ -417,14 +378,10 @@ def check_stacked_cubical() -> CheckResult:
             rep = analyze(g, 2, d - 1, TrialPolicy(seed=40 * d + t))
             tight = g.n_edges == (d - 1) * g.a_size + 2 * g.b_size - 2 * (d - 1)
             if not (rep.is_rigid and rep.is_stress_free and tight):
-                return CheckResult(
-                    "stacked-cubical-augmented",
-                    False,
-                    f"d={d} t={t}: rigid={rep.is_rigid} sf={rep.is_stress_free}",
+                return False, (
+                    f"d={d} t={t}: rigid={rep.is_rigid} sf={rep.is_stress_free}"
                 )
-    return CheckResult(
-        "stacked-cubical-augmented", True, "d=3 t<=5 and d=4 t<=3 all tight"
-    )
+    return True, "d=3 t<=5 and d=4 t<=3 all tight"
 
 
 def _oriented_pendant_graph(gcp) -> BipartiteGraph:
@@ -435,7 +392,7 @@ def _oriented_pendant_graph(gcp) -> BipartiteGraph:
     return frg.graph if deficient == "A" else swap_sides(frg.graph)
 
 
-def check_glued_cross_polytopes() -> CheckResult:
+def check_glued_cross_polytopes() -> tuple[bool, str]:
     """The facet-ridge graph of the glued construction is not (1, d-1)-rigid."""
     gaps = []
     for d in (3, 4):
@@ -443,25 +400,21 @@ def check_glued_cross_polytopes() -> CheckResult:
         g = _oriented_pendant_graph(gcp)
         rep = analyze(g, 1, d - 1, TrialPolicy(seed=111 + d))
         if rep.is_rigid:
-            return CheckResult(
-                "glued-cross-polytopes-not-rigid", False, f"d={d} came out rigid"
-            )
+            return False, f"d={d} came out rigid"
         gaps.append(f"d={d}: rank {rep.rank} < {rep.max_rank}")
-    return CheckResult("glued-cross-polytopes-not-rigid", True, "; ".join(gaps))
+    return True, "; ".join(gaps)
 
 
-def check_octahedron_dual() -> CheckResult:
+def check_octahedron_dual() -> tuple[bool, str]:
     """The facet-ridge graph of the octahedron is (1,2)-rigid."""
     frg = facet_ridge_graph(fam.cross_polytope_boundary(3))
     rep = analyze(frg.graph, 1, 2, TrialPolicy(seed=222))
-    return CheckResult(
-        "octahedron-facet-ridge-rigid",
-        rep.is_rigid,
-        f"rank {rep.rank} = max {rep.max_rank}" if rep.is_rigid else "not rigid",
+    return rep.is_rigid, (
+        f"rank {rep.rank} = max {rep.max_rank}" if rep.is_rigid else "not rigid"
     )
 
 
-def check_facet_ridge_matrix_oracle() -> CheckResult:
+def check_facet_ridge_matrix_oracle() -> tuple[bool, str]:
     """Row independence of the facet-ridge matrix equals join avoidance of
     the shifted complex, on random balanced 2-complexes."""
     rng = random.Random(313)
@@ -471,15 +424,11 @@ def check_facet_ridge_matrix_oracle() -> CheckResult:
         independent = rows_independent_M(kx, 2, policy).independent
         shifted = shift_complex(kx, policy=policy).complex
         if independent != (not contains_join(shifted, 3)):
-            return CheckResult(
-                "facet-ridge-matrix-vs-shifting", False, f"complex {i} disagrees"
-            )
-    return CheckResult(
-        "facet-ridge-matrix-vs-shifting", True, "30 random 2-complexes agree"
-    )
+            return False, f"complex {i} disagrees"
+    return True, "30 random 2-complexes agree"
 
 
-def check_join_shift() -> CheckResult:
+def check_join_shift() -> tuple[bool, str]:
     """Shifting distributes over joins under a nested order."""
     rng = random.Random(414)
     for i in range(20):
@@ -493,22 +442,20 @@ def check_join_shift() -> CheckResult:
             shift_complex(k2, policy=policy).complex,
         )
         if lhs != rhs:
-            return CheckResult("join-shift-compatibility", False, f"pair {i}")
-    return CheckResult("join-shift-compatibility", True, "20 random joins agree")
+            return False, f"pair {i}"
+    return True, "20 random joins agree"
 
 
-def check_gamma_maximality() -> CheckResult:
+def check_gamma_maximality() -> tuple[bool, str]:
     """The two-least-vertices complex is shifted, avoids the triple join, and
     is maximal with that property."""
     cases = [(1, [3, 4]), (2, [3, 3, 4]), (3, [3, 3, 3, 3]), (3, [4, 4, 4, 4])]
     for d, sizes in cases:
         gamma = fam.gamma_complex(d, sizes)
         if not check_shifted(gamma):
-            return CheckResult("gamma-complex-maximality", False, f"{sizes} not shifted")
+            return False, f"{sizes} not shifted"
         if contains_join(gamma, 3):
-            return CheckResult(
-                "gamma-complex-maximality", False, f"{sizes} contains the join"
-            )
+            return False, f"{sizes} contains the join"
         colors = range(1, d + 2)
         for pick in itertools.product(*[range(1, s + 1) for s in sizes]):
             if any(v <= 2 for v in pick):
@@ -518,27 +465,23 @@ def check_gamma_maximality() -> CheckResult:
                 tuple(sizes), frozenset(gamma.facets | {extra})
             )
             if not contains_join(enlarged, 3):
-                return CheckResult(
-                    "gamma-complex-maximality",
-                    False,
-                    f"{sizes} + {sorted(extra)} still avoids the join",
-                )
-    return CheckResult("gamma-complex-maximality", True, f"{len(cases)} palettes")
+                return False, f"{sizes} + {sorted(extra)} still avoids the join"
+    return True, f"{len(cases)} palettes"
 
 
-def check_sparse_min_degree() -> CheckResult:
+def check_sparse_min_degree() -> tuple[bool, str]:
     """Graphs grown by degree-at-most-7 insertions are (7,7)-stress-free."""
     rng = random.Random(515)
     for i in range(15):
         g = sparse_insertion_graph(rng, rng.randint(10, 20))
         if g.n_edges >= 4 * g.n_vertices:
-            return CheckResult("sparse-min-degree", False, "edge bound violated")
+            return False, "edge bound violated"
         if not analyze(g, 7, 7, TrialPolicy(seed=7700 + i)).is_stress_free:
-            return CheckResult("sparse-min-degree", False, f"graph {i} has a stress")
-    return CheckResult("sparse-min-degree", True, "15 graphs, N <= 20, under 4N edges")
+            return False, f"graph {i} has a stress"
+    return True, "15 graphs, N <= 20, under 4N edges"
 
 
-CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
+CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("rank-law-complete-bipartite", check_rank_law),
     ("shift-preserves-edges", check_shift_conservation),
     ("shift-rank-verdicts-agree", check_shift_rank_agreement),
@@ -559,12 +502,16 @@ CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
 
 
 def run_selftest(names: list[str] | None = None) -> list[CheckResult]:
-    wanted = set(names) if names else None
+    """Run the named checks (all when ``names`` is empty), in ``CHECKS`` order."""
+    if names:
+        unknown = set(names) - {name for name, _ in CHECKS}
+        if unknown:
+            raise InputError(f"unknown checks: {', '.join(sorted(unknown))}")
     results = []
     for name, func in CHECKS:
-        if wanted is not None and name not in wanted:
+        if names and name not in names:
             continue
         start = time.perf_counter()
-        result = func()
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        passed, detail = func()
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

@@ -135,32 +135,57 @@ def _expansion(index, lead_rows, last, p: int) -> dict[int, int]:
     return out
 
 
-def _edge_trial(g: BipartiteGraph, order: VertexOrder):
-    """One shifting trial of g's edges, as a function of (p, seed).
+def _trial(sizes, components):
+    """One shifting trial, as a function of (p, seed), over parameter blocks
+    of the given sizes, one per color.
 
-    The candidate order and the edge index do not depend on the draw, so
-    they are built once and shared by all trials.
+    ``components`` lists ``(t, faces, candidates)`` per color set t: the
+    faces with color support t as ``{color: vertex}`` dicts, and the
+    candidate ``(pick, tag)`` pairs in lex order, a pick being one vertex
+    per color of t. The trial returns the tags of the selected picks. The
+    face index and the candidate order do not depend on the draw, so they
+    are built once and shared by all trials.
     """
-    basis_edges = g.edge_list()
-    index, slots = _face_index([{1: i, 2: j} for i, j in basis_edges], (1, 2))
-    candidates = sorted(
-        ((i, j) for i in range(1, g.a_size + 1) for j in range(1, g.b_size + 1)),
-        key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
-    )
+    prepared = [
+        (t[:-1], t[-1], *_face_index(faces, t), len(faces), candidates)
+        for t, faces, candidates in components
+        if faces
+    ]
 
-    def trial(p: int, seed: int) -> frozenset[tuple[int, int]]:
-        if not basis_edges:
+    def trial(p: int, seed: int) -> frozenset:
+        if not prepared:
             return frozenset()
-        tri_a, tri_b = sample_theta(p, seed, (g.a_size, g.b_size))
-        last = _slot_rows(slots, tri_b)
-        greedy = GreedyBasis(p)
-        for i, j in candidates:
-            greedy.offer((i, j), _expansion(index, (tri_a[i - 1],), last[j - 1], p))
-            if greedy.rank == len(basis_edges):
-                break
-        return frozenset(greedy.selected)
+        tri = sample_theta(p, seed, sizes)
+        selected: set = set()
+        for lead_colors, last_color, index, slots, size, candidates in prepared:
+            last = _slot_rows(slots, tri[last_color - 1])
+            greedy = GreedyBasis(p)
+            for pick, tag in candidates:
+                lead_rows = [tri[c - 1][v - 1] for c, v in zip(lead_colors, pick)]
+                greedy.offer(tag, _expansion(index, lead_rows, last[pick[-1] - 1], p))
+                if greedy.rank == size:
+                    break
+            if greedy.rank != size:
+                raise BalrigError(
+                    "candidate monomials failed to span a color component"
+                )
+            selected.update(greedy.selected)
+        return frozenset(selected)
 
     return trial
+
+
+def _edge_trial(g: BipartiteGraph, order: VertexOrder):
+    """One shifting trial of g's edges: the complex trial on the color set
+    (1, 2), side A as color 1 and side B as color 2, each candidate tagged
+    by its pair (i, j)."""
+    candidates = sorted(
+        itertools.product(range(1, g.a_size + 1), range(1, g.b_size + 1)),
+        key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
+    )
+    faces = [{1: i, 2: j} for i, j in g.edge_list()]
+    tagged = [(e, e) for e in candidates]
+    return _trial((g.a_size, g.b_size), [((1, 2), faces, tagged)])
 
 
 def shift_graph(
@@ -192,47 +217,20 @@ def shift_graph(
 
 
 def _face_trial(k: BalancedComplex, order: VertexOrder):
-    """One shifting trial of k's faces, as a function of (p, seed).
-
-    Per color set T, the faces with color support T, their index and the
-    candidate picks in lex order do not depend on the draw, so they are
-    built once and shared by all trials.
-    """
+    """One shifting trial of k's faces, color set by color set, each
+    candidate tagged by its face."""
     components = []
     colors = range(1, k.n_colors + 1)
     for r in range(1, k.n_colors + 1):
         for t in itertools.combinations(colors, r):
-            basis = [dict(f) for f in faces_with_colorset(k, t)]
-            if not basis:
-                continue
-            candidates = sorted(
-                itertools.product(
-                    *[range(1, k.color_sizes[c - 1] + 1) for c in t]
-                ),
+            faces = [dict(f) for f in faces_with_colorset(k, t)]
+            picks = sorted(
+                itertools.product(*[range(1, k.color_sizes[c - 1] + 1) for c in t]),
                 key=lambda pick: order.lex_key(zip(t, pick)),
             )
-            components.append((t, *_face_index(basis, t), len(basis), candidates))
-
-    def trial(p: int, seed: int) -> frozenset:
-        tri = sample_theta(p, seed, k.color_sizes)
-        selected: set = set()
-        for t, index, slots, size, candidates in components:
-            last = _slot_rows(slots, tri[t[-1] - 1])
-            greedy = GreedyBasis(p)
-            for pick in candidates:
-                lead_rows = [tri[c - 1][v - 1] for c, v in zip(t[:-1], pick)]
-                row = _expansion(index, lead_rows, last[pick[-1] - 1], p)
-                greedy.offer(frozenset(zip(t, pick)), row)
-                if greedy.rank == size:
-                    break
-            if greedy.rank != size:
-                raise BalrigError(
-                    "candidate monomials failed to span a color component"
-                )
-            selected.update(greedy.selected)
-        return frozenset(selected)
-
-    return trial
+            tagged = [(pick, frozenset(zip(t, pick))) for pick in picks]
+            components.append((t, faces, tagged))
+    return _trial(k.color_sizes, components)
 
 
 def shift_complex(

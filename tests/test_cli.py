@@ -214,6 +214,24 @@ def test_bad_env_seed_exits_3(capsys, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "InputError"
 
 
+def test_unparsable_sizes_exit_3(capsys):
+    rc, out = run_cli(capsys, "generate", "gamma", "--d", "1", "--sizes", "3,x")
+    assert rc == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InputError" and "3,x" in err["message"]
+
+
+def test_unknown_selftest_check_exits_3(capsys):
+    rc, out = run_cli(
+        capsys, "selftest", "--only", "nosuch,octahedron-facet-ridge-rigid,other"
+    )
+    assert rc == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InputError"
+    assert "nosuch" in err["message"] and "other" in err["message"]
+    assert "octahedron" not in err["message"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["analyze"])  # missing required arguments

@@ -99,6 +99,16 @@ def test_oversized_parameters_warn():
     assert rep.max_rank == 1 * 2 + 3 * 2 - 3
 
 
+def test_failure_bound_of_at_least_one_warns():
+    # a (2,2)-tight 12-face quadrangulation: over F_2 the per-trial failure
+    # bound is 12, so the verdict carries no certificate
+    g = fam.random_quadrangulation(12, seed=3)
+    rep = analyze(g, 2, 2, TrialPolicy(prime=2, trials=1))
+    assert rep.meta.failure_bound >= 1
+    assert rep.warnings
+    assert analyze(g, 2, 2, TrialPolicy(trials=1)).warnings == ()
+
+
 def test_analyze_rejects_bad_parameters():
     with pytest.raises(InputError):
         analyze(K(2, 2), 0, 1, POLICY)
