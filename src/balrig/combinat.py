@@ -3,8 +3,10 @@
 Bipartite graphs live on two ordered sides A and B with dense 1-based indices;
 an edge is the pair (i, j) with i on side A and j on side B. Balanced
 complexes are stored by their maximal faces only, each face a set of colored
-vertices (color, index) with at most one vertex per color; the downward
-closure is materialized on demand and kept on the complex. Transforms return
+vertices (color, index) with at most one vertex per color. The downward
+closure is derived once, on first use, and kept on the complex together with
+its faces grouped by color support; face queries, face counts and shifting
+all read that one face set. Transforms return
 new values together with explicit old-to-new vertex maps so callers can track
 vertices across operations.
 """
@@ -377,6 +379,15 @@ class VertexOrder:
 # ---------------------------------------------------------------------------
 
 
+class FaceSet(NamedTuple):
+    """All faces of a complex, the empty face included, and the same faces
+    grouped by color support: ``by_colors`` maps each sorted tuple of colors
+    that some face uses exactly to those faces."""
+
+    closure: frozenset[Face]
+    by_colors: dict[tuple[int, ...], list[Face]]
+
+
 @dataclass(frozen=True)
 class BalancedComplex:
     """A colored simplicial complex stored by its maximal faces.
@@ -384,7 +395,7 @@ class BalancedComplex:
     Vertices are (color, index) pairs, colors 1..len(color_sizes). Every face
     has at most one vertex per color, which makes the complex balanced by
     construction. ``facets`` must be an antichain; the other faces are
-    derived on first use (``all_faces``) and cached on the instance. The
+    derived on first use (``face_set``) and cached on the instance. The
     complex is *pure* when all maximal faces use every color; operations
     that require purity check it explicitly.
     """
@@ -411,13 +422,18 @@ class BalancedComplex:
                 raise InputError("maximal faces must form an antichain")
 
     @cached_property
-    def _all_faces(self) -> frozenset[Face]:
-        out: set[Face] = set()
+    def face_set(self) -> FaceSet:
+        """The downward closure of the facets, with its faces grouped by
+        color support, derived once and kept on the instance."""
+        closure: set[Face] = set()
         for f in self.facets:
             fl = sorted(f)
             for r in range(len(fl) + 1):
-                out.update(frozenset(c) for c in itertools.combinations(fl, r))
-        return frozenset(out)
+                closure.update(frozenset(c) for c in itertools.combinations(fl, r))
+        groups: dict[tuple[int, ...], list[Face]] = {}
+        for face in closure:
+            groups.setdefault(tuple(sorted(c for c, _ in face)), []).append(face)
+        return FaceSet(frozenset(closure), groups)
 
     @property
     def dim(self) -> int:
@@ -472,34 +488,24 @@ def all_faces(k: BalancedComplex) -> frozenset[Face]:
     Computed once per complex and kept on the instance, so it goes away with
     the complex.
     """
-    return k._all_faces
+    return k.face_set.closure
 
 
 def is_face(k: BalancedComplex, sigma: Iterable[ColoredVertex]) -> bool:
-    sigma = frozenset(sigma)
-    return any(sigma <= f for f in k.facets)
+    return frozenset(sigma) in k.face_set.closure
 
 
 def f_vector(k: BalancedComplex) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_dim); f_-1 = 1 counts the empty face."""
     counts = [0] * (k.dim + 2)
-    for f in all_faces(k):
-        counts[len(f)] += 1
+    for t, faces in k.face_set.by_colors.items():
+        counts[len(t)] += len(faces)
     return tuple(counts)
 
 
-def faces_with_colorset(k: BalancedComplex, colors: Iterable[int]) -> set[Face]:
-    """All faces whose color support is exactly the given color set.
-
-    Each maximal face contributes at most one such restriction (one vertex per
-    color), so this runs over facets without materializing the closure.
-    """
-    t = frozenset(colors)
-    out = set()
-    for f in k.facets:
-        if t <= {c for c, _ in f}:
-            out.add(frozenset((c, i) for c, i in f if c in t))
-    return out
+def faces_with_colorset(k: BalancedComplex, colors: Iterable[int]) -> frozenset[Face]:
+    """All faces whose color support is exactly the given color set."""
+    return frozenset(k.face_set.by_colors.get(tuple(sorted(set(colors))), ()))
 
 
 def ridges(k: BalancedComplex) -> set[Face]:

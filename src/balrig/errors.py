@@ -39,8 +39,9 @@ class TrialDisagreementError(BalrigError):
 
 class InvariantError(BalrigError):
     """A certification invariant failed: rank-nullity, a rank bound, a
-    re-verified equilibrium equation, the Heawood counting bound, or the
-    face bookkeeping of a stellar subdivision.
+    re-verified equilibrium equation, the Heawood counting bound, the face
+    bookkeeping of a stellar subdivision, a generator's structural counts,
+    or shifting's span, edge-count or f-vector check.
 
     These checks guard the exact arithmetic and stay active under
     ``python -O``; reaching one means a bug, not bad input.

@@ -21,7 +21,7 @@ its prime p, and arithmetic uses plain Python integers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence, TypeVar
@@ -31,12 +31,18 @@ from .errors import InputError, InvariantError, TrialDisagreementError
 #: Default modulus: the largest prime below 2^62.
 DEFAULT_PRIME = (1 << 62) - 57
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The first 13 primes as Miller-Rabin witnesses decide primality for every
+#: n below this bound (Sorenson and Webster 2015); ``TrialPolicy`` refuses
+#: larger moduli.
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers all n < 3.3e24.
+    """Miller-Rabin with the witnesses 2, 3, ..., 41, deterministic for
+    n < ``PRIME_LIMIT`` (about 3.3e24); above it a True may be wrong.
 
     Cached because every ``TrialPolicy`` checks its prime: one test of the
     default prime takes about 0.2 ms, several percent of a small verdict
@@ -286,6 +292,8 @@ class TrialPolicy:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trial count must be at least 1")
+        if self.prime >= PRIME_LIMIT:
+            raise InputError(f"modulus {self.prime} is beyond the deterministic primality range")
         if not is_prime(self.prime):
             raise InputError(f"modulus {self.prime} is not prime")
 
@@ -295,22 +303,25 @@ class TrialPolicy:
 
 @dataclass(frozen=True)
 class TrialMeta:
-    """Provenance of a multi-trial verdict, embedded in every report."""
+    """Provenance of a multi-trial verdict, embedded in every report.
+
+    ``warnings`` says when the verdict is not certified; the JSON form
+    carries the key only when there is one.
+    """
 
     prime: int
     seed: int
     trials: int
     escalated: bool = False
     failure_bound: float = 0.0
+    warnings: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "seed": self.seed,
-            "trials": self.trials,
-            "escalated": self.escalated,
-            "failure_bound": self.failure_bound,
-        }
+        out = asdict(self)
+        warnings = list(out.pop("warnings"))
+        if warnings:
+            out["warnings"] = warnings
+        return out
 
 
 V = TypeVar("V")
@@ -327,15 +338,19 @@ def run_trials(
     """Run ``compute(p, seed)`` under independent seeds and insist on agreement.
 
     ``poly_degree`` bounds the degree of the polynomial whose nonvanishing the
-    verdict rests on; deg/p is recorded as the per-trial failure bound.
+    verdict rests on; deg/p is recorded as the per-trial failure bound. A
+    bound of at least 1 certifies nothing, and the meta then carries a
+    warning saying so.
     """
     p = policy.prime
-    meta = TrialMeta(
-        prime=policy.prime,
-        seed=policy.seed,
-        trials=policy.trials,
-        failure_bound=poly_degree / policy.prime,
-    )
+    bound = poly_degree / p
+    warnings = ()
+    if bound >= 1:
+        warnings = (
+            f"per-trial failure bound {bound} is at least 1, so the verdict is not "
+            "certified; use a larger prime",
+        )
+    meta = TrialMeta(p, policy.seed, policy.trials, failure_bound=bound, warnings=warnings)
     verdicts = [compute(p, policy.trial_seed(i)) for i in range(policy.trials)]
     if all(v == verdicts[0] for v in verdicts):
         return verdicts[0], meta
@@ -344,13 +359,7 @@ def run_trials(
         compute(p, policy.trial_seed(start + i)) for i in range(2 * policy.trials)
     ]
     if all(v == verdicts[0] for v in verdicts):
-        return verdicts[0], TrialMeta(
-            prime=meta.prime,
-            seed=meta.seed,
-            trials=2 * policy.trials,
-            escalated=True,
-            failure_bound=meta.failure_bound,
-        )
+        return verdicts[0], replace(meta, trials=2 * policy.trials, escalated=True)
     raise TrialDisagreementError(
         f"random trials disagree on {what} even after escalation "
         f"(prime={policy.prime}, seed={policy.seed}); "

@@ -5,7 +5,9 @@ are tracked through a registry of boundary facets (each facet stored with its
 own cube-grid coordinates so later gluings and augmentations can navigate
 it), cross-polytope gluings identify same-color vertices facet by facet, and
 quadrangulations grow by vertex splitting inside an explicit rotation system.
-Every generator asserts its own structural counts before returning.
+Every generator checks its own structural counts before returning, with
+``InvariantError`` rather than ``assert``, so the checks also run under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from .combinat import (
     complete_edges,
     glue,
 )
-from .errors import InputError
+from .errors import InputError, InvariantError
+
+
+def _check(ok: bool, what: str) -> None:
+    """A generator's structural self-check; ``what`` names what must hold."""
+    if not ok:
+        raise InvariantError(f"generator self-check failed: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +82,7 @@ def random_tree(n: int, m: int, seed: int) -> BipartiteGraph:
             edges.add((a, b))
         current = nxt
     g = BipartiteGraph(n, m, frozenset(edges))
-    assert g.n_edges == n + m - 1
+    _check(g.n_edges == n + m - 1, "a spanning tree")
     return g
 
 
@@ -85,8 +93,8 @@ def double_banana() -> BipartiteGraph:
     """
     half = BipartiteGraph(3, 3, complete_edges(3, 3) - {(3, 3)})
     glued = glue(half, half, {("A", 3): ("A", 3), ("B", 3): ("B", 3)})
-    assert glued.graph.a_size == glued.graph.b_size == 5
-    assert glued.graph.n_edges == 16
+    _check(glued.graph.a_size == glued.graph.b_size == 5, "5 + 5 vertices")
+    _check(glued.graph.n_edges == 16, "16 edges")
     return glued.graph
 
 
@@ -98,7 +106,7 @@ def fan_quadrangulation(k: int) -> BipartiteGraph:
     g = cycle(k)
     chords = {(1, i + 1) for i in range(1, k - 1)}
     out = BipartiteGraph(k, k, g.edges | chords)
-    assert out.n_edges == 3 * k - 2
+    _check(out.n_edges == 3 * k - 2, "3k - 2 edges")
     return out
 
 
@@ -244,9 +252,9 @@ def stacked_cubical_graph(d: int, t: int, seed: int = 0) -> CubicalGraph:
                 boundary.append(CubeFacet(grid))
 
     graph, dense = b.finish()
-    assert graph.n_vertices == 2**d + (t - 1) * 2 ** (d - 1)
-    assert graph.n_edges == (d + 1) * (t + 1) * 2 ** (d - 2) - 2 ** (d - 1)
-    assert len(boundary) == 2 * d + (t - 1) * (2 * d - 2)
+    _check(graph.n_vertices == 2**d + (t - 1) * 2 ** (d - 1), "vertex count")
+    _check(graph.n_edges == (d + 1) * (t + 1) * 2 ** (d - 2) - 2 ** (d - 1), "edge count")
+    _check(len(boundary) == 2 * d + (t - 1) * (2 * d - 2), "boundary facet count")
     return CubicalGraph(d=d, graph=graph, facets=boundary, dense=dense)
 
 
@@ -325,11 +333,11 @@ def stacked_cubical_augmented(d: int, t: int, seed: int = 0) -> BipartiteGraph:
 
     The result has exactly (d-1)|A| + 2|B| - 2(d-1) edges, the tight count
     for simultaneous (2, d-1) rigidity and stress-freeness; this identity is
-    asserted.
+    checked.
     """
     cg = stacked_cubical_graph(d, t, seed)
     out = augment_facet(cg, 0, "two-vertex").graph
-    assert out.n_edges == (d - 1) * out.a_size + 2 * out.b_size - 2 * (d - 1)
+    _check(out.n_edges == (d - 1) * out.a_size + 2 * out.b_size - 2 * (d - 1), "tight count")
     return out
 
 
@@ -338,7 +346,7 @@ def laman_extra_edges(m: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
 
     Base m = 3: the four long diagonals. Recursion: duplicate the solution on
     the two halves x_1 = 0 and x_1 = 1 and add m - 1 fresh cross edges. The
-    count 2^m - (m+1) and the bipartiteness of every edge are asserted.
+    count 2^m - (m+1) and the bipartiteness of every edge are checked.
     """
     if m < 3:
         raise InputError("extra-edge construction starts at the 3-cube")
@@ -364,8 +372,8 @@ def laman_extra_edges(m: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
             added += 1
             if added == m - 1:
                 break
-    assert len(edges) == 2**m - (m + 1)
-    assert all(sum(x) % 2 != sum(y) % 2 for x, y in edges)
+    _check(len(edges) == 2**m - (m + 1), "2^m - (m + 1) extra edges")
+    _check(all(sum(x) % 2 != sum(y) % 2 for x, y in edges), "extra edges are bipartite")
     return edges
 
 
@@ -385,7 +393,7 @@ def laman_augmented_cube(d: int) -> BipartiteGraph:
         u, v = ids[x], ids[y]
         a, bv = (u, v) if cg.dense[u][0] == "A" else (v, u)
         new.add((cg.dense[a][1], cg.dense[bv][1]))
-    assert not new & g.edges
+    _check(not new & g.edges, "extra edges are not cube edges")
     return BipartiteGraph(g.a_size, g.b_size, g.edges | new)
 
 
@@ -462,7 +470,7 @@ def glued_cross_polytopes(
             mine.append(face)
         pendants.append(tuple(mine))
     complex_ = BalancedComplex(sizes, frozenset(facets))
-    assert len(complex_.facets) == (copies + 1) * 2**d - 2 * copies
+    _check(len(complex_.facets) == (copies + 1) * 2**d - 2 * copies, "facet count")
     return GluedCrossPolytopes(complex_, tuple(pattern), tuple(pendants))
 
 
@@ -526,7 +534,7 @@ def _rotation(faces: list[tuple], u: int) -> tuple[list[int], list[int]]:
             break
         nbrs.append(w)
         v = w
-    assert len(nbrs) == len(step), "rotation system is inconsistent"
+    _check(len(nbrs) == len(step), "a consistent rotation system")
     return nbrs, fids
 
 
@@ -538,7 +546,7 @@ def random_quadrangulation(n_faces: int, seed: int = 0) -> BipartiteGraph:
     strictly between them go to a fresh vertex of u's side, and the freed
     corridor closes with the new 4-gon (z, b, u, c). Every face stays a 4-gon
     and every maximal planar bipartite graph is reachable. The output has
-    2N - 4 edges, asserted. Uniformity of the distribution is not claimed.
+    2N - 4 edges, checked. Uniformity of the distribution is not claimed.
     """
     if n_faces < 2:
         raise InputError("a sphere quadrangulation has at least 2 faces")
@@ -559,19 +567,19 @@ def random_quadrangulation(n_faces: int, seed: int = 0) -> BipartiteGraph:
             faces[fi] = tuple(z if w == u else w for w in faces[fi])
             pos = (pos + 1) % deg
         faces.append((z, nbrs[i], u, nbrs[j]))
-    assert len(faces) == n_faces
+    _check(len(faces) == n_faces, "the requested number of 2-cells")
     b = _Builder()
     b.sides = [sides[v] for v in range(len(sides))]
     directed = set()
     for f in faces:
-        assert len(set(f)) == 4, "degenerate 2-cell"
+        _check(len(set(f)) == 4, "a 2-cell has 4 distinct vertices")
         for pos in range(4):
             u, v = f[pos], f[(pos + 1) % 4]
             directed.add((u, v))
             b.add_edge(u, v)
     # an orientable sphere map: every directed edge bounds exactly one face
-    assert len(directed) == 4 * n_faces
-    assert all((v, u) in directed for u, v in directed)
+    _check(len(directed) == 4 * n_faces, "every directed edge bounds one face")
+    _check(all((v, u) in directed for u, v in directed), "an orientable sphere map")
     graph, _ = b.finish()
-    assert graph.n_edges == 2 * graph.n_vertices - 4
+    _check(graph.n_edges == 2 * graph.n_vertices - 4, "2N - 4 edges")
     return graph

@@ -104,9 +104,8 @@ def analyze(
     """Rank the (k,l)-rigidity matrix of g and fill in all verdicts.
 
     k or l exceeding a side size is permitted; the rank and the max-rank
-    formula are applied verbatim and a warning is recorded. A per-trial
-    failure bound of at least 1 (a prime too small for the graph) is
-    recorded as a warning too.
+    formula are applied verbatim and a warning is recorded, ahead of the
+    trial meta's warnings.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
@@ -121,15 +120,11 @@ def analyze(
         poly_degree=min(g.n_edges, l * g.a_size + k * g.b_size),
         what=f"rank of the ({k},{l})-rigidity matrix",
     )
-    warnings = []
     oversized = k > g.a_size or l > g.b_size
+    warnings = meta.warnings
     if oversized:
-        warnings.append("k or l exceeds a side size; verdicts use the formula verbatim")
-    if meta.failure_bound >= 1:
-        warnings.append(
-            f"per-trial failure bound {meta.failure_bound} is at least 1, so the "
-            "verdict is not certified; use a larger prime"
-        )
+        oversize = "k or l exceeds a side size; verdicts use the formula verbatim"
+        warnings = (oversize,) + warnings
     target = max_rank(g, k, l)
     if rank > g.n_edges:
         raise InvariantError(f"rank {rank} exceeds the edge count {g.n_edges}")
@@ -148,7 +143,7 @@ def analyze(
         is_stress_free=rank == g.n_edges,
         stress_dim=g.n_edges - rank,
         meta=meta,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 

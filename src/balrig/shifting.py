@@ -32,9 +32,18 @@ with p >= i and q >= j, and for a complete bipartite graph the candidate rows
 arrive already in echelon form. Each candidate row is built from the
 triangular rows over the edges or faces present only.
 
+The components of a complex are read off its face set, which groups the
+faces by color support once (``BalancedComplex.face_set``); a color set that
+no face uses has no component.
+
 Edge and face counts are preserved deterministically (the candidate monomials
-span as soon as the blocks are invertible); shiftedness of the output is a
-generic fact and is asserted after every run, under the usual trial policy.
+span as soon as the blocks are invertible), so a miss raises
+``InvariantError``. Shiftedness of the output is a generic fact and is
+checked after every run by the one-step rule: replacing a vertex by the next
+smaller one of its side or color gives an edge or face, which by induction
+reaches every smaller vertex. Agreeing trials whose verdict fails it come
+from a degenerate draw, which a small prime makes likely, so they raise
+``InputError`` naming the prime.
 """
 
 from __future__ import annotations
@@ -47,11 +56,9 @@ from .combinat import (
     BipartiteGraph,
     VertexOrder,
     all_faces,
-    f_vector,
-    faces_with_colorset,
     is_face,
 )
-from .errors import BalrigError, InputError
+from .errors import InputError, InvariantError
 from .exactla import (
     DEFAULT_POLICY,
     GreedyBasis,
@@ -59,6 +66,14 @@ from .exactla import (
     TrialPolicy,
     run_trials,
     sample_theta,
+)
+
+
+#: Agreeing trials whose verdict is not shifted come from a degenerate draw,
+#: which the prime made likely; the input is not at fault.
+_TOO_SMALL = (
+    "the trials agree on a non-shifted {what}; the prime {p} is too small "
+    "for this input, use a larger prime"
 )
 
 
@@ -108,30 +123,25 @@ def _slot_rows(slots, rows) -> list[list[list[tuple[int, int]]]]:
     ]
 
 
-def _expansion(index, lead_rows, last, p: int) -> dict[int, int]:
+def _expansion(index, leads, pick, last, p: int) -> dict[int, int]:
     """A candidate's sparse row: the column of each face maps to the product
-    of the triangular rows' entries at the face's vertices, ``lead_rows``
-    for every color but the last and ``last`` (from ``_slot_rows``) for the
-    last one. Only faces on which no row is zero are visited; the values are
-    left unreduced below p^2."""
-    if not lead_rows:
-        return dict(last[index])
+    of the triangular rows' entries at the face's vertices. ``leads`` holds
+    the triangular block of every color but the last, and the candidate's
+    ``pick`` names its row in each; ``last`` holds its row of the last
+    color as ``_slot_rows`` gives it. Only faces on which no row is zero are
+    visited; the values are left unreduced below p^2."""
     level = [(index, 1)]
-    for row in lead_rows[:-1]:
+    for block, v in zip(leads, pick):
         level = [
             (child, coeff * x % p)
             for node, coeff in level
-            for v, x in row.items()
-            if (child := node.get(v)) is not None
+            for w, x in block[v - 1].items()
+            if (child := node.get(w)) is not None
         ]
     out = {}
-    for node, coeff in level:
-        for v, x in lead_rows[-1].items():
-            slot = node.get(v)
-            if slot is not None:
-                c = coeff * x % p
-                for col, y in last[slot]:
-                    out[col] = c * y
+    for slot, coeff in level:
+        for col, y in last[slot]:
+            out[col] = coeff * y
     return out
 
 
@@ -158,15 +168,15 @@ def _trial(sizes, components):
         tri = sample_theta(p, seed, sizes)
         selected: set = set()
         for lead_colors, last_color, index, slots, size, candidates in prepared:
+            leads = [tri[c - 1] for c in lead_colors]
             last = _slot_rows(slots, tri[last_color - 1])
             greedy = GreedyBasis(p)
             for pick, tag in candidates:
-                lead_rows = [tri[c - 1][v - 1] for c, v in zip(lead_colors, pick)]
-                greedy.offer(tag, _expansion(index, lead_rows, last[pick[-1] - 1], p))
+                greedy.offer(tag, _expansion(index, leads, pick, last[pick[-1] - 1], p))
                 if greedy.rank == size:
                     break
             if greedy.rank != size:
-                raise BalrigError(
+                raise InvariantError(
                     "candidate monomials failed to span a color component"
                 )
             selected.update(greedy.selected)
@@ -210,26 +220,25 @@ def shift_graph(
     )
     shifted = BipartiteGraph(g.a_size, g.b_size, verdict)
     if shifted.n_edges != g.n_edges:
-        raise BalrigError("shifting failed to preserve the edge count")
+        raise InvariantError("shifting failed to preserve the edge count")
     if not check_shifted(shifted):
-        raise BalrigError("shifting produced a non-shifted edge set")
+        raise InputError(_TOO_SMALL.format(what="edge set", p=policy.prime))
     return ShiftedGraph(shifted, order, meta)
 
 
 def _face_trial(k: BalancedComplex, order: VertexOrder):
-    """One shifting trial of k's faces, color set by color set, each
-    candidate tagged by its face."""
+    """One shifting trial of k's faces, one component per color support
+    that k's faces use, each candidate tagged by its face."""
     components = []
-    colors = range(1, k.n_colors + 1)
-    for r in range(1, k.n_colors + 1):
-        for t in itertools.combinations(colors, r):
-            faces = [dict(f) for f in faces_with_colorset(k, t)]
-            picks = sorted(
-                itertools.product(*[range(1, k.color_sizes[c - 1] + 1) for c in t]),
-                key=lambda pick: order.lex_key(zip(t, pick)),
-            )
-            tagged = [(pick, frozenset(zip(t, pick))) for pick in picks]
-            components.append((t, faces, tagged))
+    for t, faces in k.face_set.by_colors.items():
+        if not t:
+            continue  # the empty face, which every complex has
+        picks = sorted(
+            itertools.product(*[range(1, k.color_sizes[c - 1] + 1) for c in t]),
+            key=lambda pick: order.lex_key(zip(t, pick)),
+        )
+        tagged = [(pick, frozenset(zip(t, pick))) for pick in picks]
+        components.append((t, [dict(f) for f in faces], tagged))
     return _trial(k.color_sizes, components)
 
 
@@ -241,8 +250,8 @@ def shift_complex(
     """Balanced shifting of a complex, color set by color set.
 
     Defaults to the color-interleaved order, which is (l,...,l)-admissible for
-    every l. Asserts that the selected supports form a complex with the same
-    f-vector and that it is balanced-shifted.
+    every l. Checks in one pass over the selected supports that they form a
+    balanced-shifted complex, then that its f-vector is k's.
     """
     if order is None:
         order = VertexOrder.interleaved_complex(k.color_sizes)
@@ -257,37 +266,38 @@ def shift_complex(
         poly_degree=2 * max(len(all_faces(k)), 1),
         what="shifted face set",
     )
-    faces = set(verdict) | {frozenset()}
-    for f in verdict:
-        for v in f:
-            if f - {v} not in faces:
-                raise BalrigError("shifted supports are not closed under subsets")
+    faces = verdict | {frozenset()}
+    if not _closed_and_shifted(faces):
+        raise InputError(_TOO_SMALL.format(what="face set", p=policy.prime))
+    if sorted(map(len, faces)) != sorted(map(len, all_faces(k))):
+        raise InvariantError("shifting failed to preserve the f-vector")
     shifted = BalancedComplex.from_maximal_candidates(k.color_sizes, faces)
-    if f_vector(shifted) != f_vector(k):
-        raise BalrigError("shifting failed to preserve the f-vector")
-    if not check_shifted(shifted):
-        raise BalrigError("shifting produced a non-shifted complex")
     return ShiftedComplex(shifted, order, meta)
 
 
+def _closed_and_shifted(faces) -> bool:
+    """Whether every face of ``faces`` stays in it when one vertex (c, i) is
+    dropped, and when it is replaced by (c, i - 1). By induction the second
+    step reaches every smaller vertex of color c."""
+    for f in faces:
+        for c, i in f:
+            rest = f - {(c, i)}
+            if rest not in faces or (i > 1 and rest | {(c, i - 1)} not in faces):
+                return False
+    return True
+
+
 def check_shifted(obj: BipartiteGraph | BalancedComplex) -> bool:
-    """Whether replacing any vertex of any face by a smaller same-side
-    (same-color) vertex always yields a face."""
+    """Whether replacing a vertex of any edge or face by the next smaller
+    vertex of its side (color) always yields an edge or face. By induction
+    this holds for every smaller vertex."""
     if isinstance(obj, BipartiteGraph):
         edges = obj.edges
         return all(
-            (p, q) in edges
+            (i == 1 or (i - 1, j) in edges) and (j == 1 or (i, j - 1) in edges)
             for i, j in edges
-            for p in range(1, i + 1)
-            for q in range(1, j + 1)
         )
-    faces = all_faces(obj)
-    for f in faces:
-        for c, i in f:
-            for smaller in range(1, i):
-                if (f - {(c, i)}) | {(c, smaller)} not in faces:
-                    return False
-    return True
+    return _closed_and_shifted(all_faces(obj))
 
 
 def contains_complete_bipartite(g: BipartiteGraph, r: int, s: int) -> bool:

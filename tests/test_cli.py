@@ -265,3 +265,37 @@ def test_selftest_reports_seconds_per_check(capsys):
     assert (name, status) == ("octahedron-facet-ridge-rigid", "pass")
     assert seconds.endswith("s") and float(seconds[:-1]) >= 0
     assert out.splitlines()[-1] == "1/1 checks passed"
+
+
+def test_reports_warn_when_the_failure_bound_is_at_least_one(capsys, tmp_path):
+    path = write_complex(tmp_path, fam.cross_polytope_boundary(3))
+    tiny = ("--prime", "2", "--trials", "1")
+    rc, out = run_cli(capsys, "mcheck", "--complex", path, "-l", "2", *tiny)
+    data = json.loads(out)
+    assert rc == 0 and data["failure_bound"] == 4.0
+    assert "not certified" in data["warnings"][0]
+    rc, out = run_cli(capsys, "shift", "--complex", path, *tiny)
+    meta = json.loads(out)["meta"]
+    assert rc == 0 and meta["failure_bound"] == 27.0
+    assert "not certified" in meta["warnings"][0]
+    # certified reports carry no warnings key
+    rc, out = run_cli(capsys, "mcheck", "--complex", path, "-l", "2")
+    assert rc == 0 and "warnings" not in json.loads(out)
+    rc, out = run_cli(capsys, "shift", "--complex", path)
+    assert rc == 0 and "warnings" not in json.loads(out)["meta"]
+
+
+def test_non_shifted_agreed_verdict_exits_3(capsys, tmp_path):
+    g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
+    path = write_graph(tmp_path, g)
+    rc, out = run_cli(capsys, "shift", "--graph", path, "--prime", "2", "--trials", "1")
+    assert rc == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InputError" and "prime 2 is too small" in err["message"]
+
+
+def test_modulus_beyond_the_primality_range_exits_3(capsys, tmp_path):
+    path = write_graph(tmp_path, fam.complete_bipartite(2, 2))
+    rc, out = run_cli(capsys, "shift", "--graph", path, "--prime", str(2**89 - 1))
+    assert rc == 3
+    assert json.loads(out)["error"]["kind"] == "InputError"

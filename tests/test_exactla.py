@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from balrig.errors import InputError, TrialDisagreementError
 from balrig.exactla import (
     DEFAULT_PRIME,
+    PRIME_LIMIT,
     GenericMatrix,
     TrialPolicy,
     greedy_independent_rows,
@@ -195,3 +196,33 @@ def test_sample_theta_prefix_streams():
     # a prefix draw may ask for more rows than the block has columns
     (tall,) = sample_theta(P, 5, (2,), rows=(7,))
     assert len(tall) == 7 and all(len(row) == 2 for row in tall)
+
+
+def test_moduli_beyond_the_deterministic_primality_range_are_refused():
+    assert is_prime(2**89 - 1) and 2**89 - 1 > PRIME_LIMIT
+    with pytest.raises(InputError, match="deterministic"):
+        TrialPolicy(prime=2**89 - 1)
+    TrialPolicy(prime=2**61 - 1)
+
+
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_composite():
+    # the least n that passes Miller-Rabin for every witness 2..37 is
+    # composite; witness 41 exposes it
+    psi_12 = 318665857834031151167461
+    assert psi_12 < PRIME_LIMIT and not is_prime(psi_12)
+    with pytest.raises(InputError, match="not prime"):
+        TrialPolicy(prime=psi_12)
+
+
+def test_run_trials_warns_when_the_failure_bound_is_at_least_one():
+    _, meta = run_trials(TrialPolicy(prime=5, trials=1), lambda p, seed: 0, poly_degree=5)
+    assert meta.failure_bound == 1.0
+    assert len(meta.warnings) == 1 and "not certified" in meta.warnings[0]
+    assert meta.to_json_dict()["warnings"] == list(meta.warnings)
+    # escalated metas keep the warning
+    _, meta = run_trials(
+        TrialPolicy(prime=5, trials=2), lambda p, seed: seed == 0, poly_degree=5
+    )
+    assert meta.escalated and meta.warnings
+    _, meta = run_trials(TrialPolicy(trials=1), lambda p, seed: 0, poly_degree=5)
+    assert meta.warnings == () and "warnings" not in meta.to_json_dict()

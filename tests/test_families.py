@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import balrig
 from balrig import families as fam
 from balrig.combinat import (
     BipartiteGraph,
@@ -207,3 +214,30 @@ def test_fan_quadrangulation_counts():
         assert g.n_edges == 3 * k - 2
     with pytest.raises(InputError):
         fam.fan_quadrangulation(1)
+
+
+def test_generator_self_checks_hold_under_python_O():
+    # a broken edge source must trip the double banana's edge count as an
+    # InvariantError, with assertions stripped
+    script = textwrap.dedent(
+        """
+        from balrig import families
+        from balrig.errors import InvariantError
+
+        complete = families.complete_edges
+        families.complete_edges = lambda n, m: complete(n, m) - {(1, 1)}
+        try:
+            families.double_banana()
+        except InvariantError as exc:
+            print("double-banana", exc.exit_code)
+        """
+    )
+    src = Path(balrig.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.split("\n")[0] == "double-banana 6"

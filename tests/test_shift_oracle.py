@@ -8,7 +8,9 @@ rank test, so the oracle shares no elimination with the library's draw.
 They stay here as a differential oracle. The library builds the candidates
 sparsely from the triangular rows ``sample_theta`` returns for full blocks,
 and its greedy selection must be identical for the same (input, order, p,
-seed), degenerate draws at small p included.
+seed), degenerate draws at small p included. The faces of each color set
+come from the facet-restriction oracle of ``test_face_oracle``, not from
+the library's grouped face set.
 """
 
 import itertools
@@ -23,11 +25,11 @@ from balrig.combinat import (
     complete_edges,
     cone_left,
     cone_right,
-    faces_with_colorset,
 )
 from balrig.errors import BalrigError
 from balrig.exactla import DEFAULT_PRIME, GreedyBasis, sample_theta
 from balrig.shifting import _edge_trial, _face_trial
+from test_face_oracle import oracle_faces_with_colorset
 from test_kernel_oracle import dense_rank
 
 PRIMES = (3, 5, 101, DEFAULT_PRIME)
@@ -80,7 +82,7 @@ def dense_shift_faces(k, order, p, seed):
     colors = range(1, k.n_colors + 1)
     for r in range(1, k.n_colors + 1):
         for t in itertools.combinations(colors, r):
-            basis = sorted(faces_with_colorset(k, t), key=lambda f: sorted(f))
+            basis = sorted(oracle_faces_with_colorset(k, t), key=lambda f: sorted(f))
             if not basis:
                 continue
             basis_by_color = [dict(f) for f in basis]

@@ -14,7 +14,8 @@ from balrig.combinat import (
     join_complexes,
 )
 from balrig import exactla
-from balrig.errors import InputError
+from balrig import shifting
+from balrig.errors import InputError, InvariantError
 from balrig.exactla import TrialPolicy, greedy_independent_rows, sample_theta
 from balrig.shifting import (
     check_shifted,
@@ -245,3 +246,48 @@ def test_contains_join():
     shifted_away = BalancedComplex((3, 3), facets)
     assert contains_join(shifted_away, 2)
     assert not contains_join(shifted_away, 3)
+
+
+def test_a_non_shifted_agreed_edge_set_is_refused_as_a_too_small_prime():
+    # over F_2 this draw selects a non-shifted edge set
+    g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
+    with pytest.raises(InputError, match="prime 2 is too small"):
+        shift_graph(g, policy=TrialPolicy(prime=2, trials=1))
+    assert check_shifted(shift_graph(g).graph)
+
+
+def test_a_non_shifted_agreed_face_set_is_refused_as_a_too_small_prime():
+    # over F_2 this draw picks the vertex (1, 2) for the lone vertex (1, 1)
+    k = BalancedComplex((2,), frozenset({frozenset({(1, 1)})}))
+    with pytest.raises(InputError, match="prime 2 is too small"):
+        shift_complex(k, policy=TrialPolicy(prime=2, trials=1))
+    assert shift_complex(k).complex == k
+
+
+def test_a_component_left_unspanned_breaks_an_invariant(monkeypatch):
+    # singular blocks cannot come from the draw; two equal rows leave the
+    # candidates short of the edges' span
+    monkeypatch.setattr(
+        shifting, "sample_theta", lambda p, seed, sizes: [[{0: 1, 1: 1}] * 2] * 2
+    )
+    with pytest.raises(InvariantError, match="failed to span"):
+        shift_graph(K(2, 2), policy=TrialPolicy(trials=1))
+
+
+def test_a_lost_edge_breaks_an_invariant(monkeypatch):
+    monkeypatch.setattr(
+        shifting, "_edge_trial", lambda g, order: lambda p, seed: frozenset({(1, 1)})
+    )
+    with pytest.raises(InvariantError, match="edge count"):
+        shift_graph(K(2, 2), policy=TrialPolicy(trials=1))
+
+
+def test_a_changed_f_vector_breaks_an_invariant(monkeypatch):
+    # a shifted complex, but a single vertex where the octahedron has 27 faces
+    monkeypatch.setattr(
+        shifting,
+        "_face_trial",
+        lambda k, order: lambda p, seed: frozenset({frozenset({(1, 1)})}),
+    )
+    with pytest.raises(InvariantError, match="f-vector"):
+        shift_complex(fam.cross_polytope_boundary(3), policy=TrialPolicy(trials=1))
