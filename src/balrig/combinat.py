@@ -18,13 +18,40 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import BalrigError, InputError, InvariantError, check_cap
 
 #: A graph vertex: ("A", i) or ("B", j), 1-based.
 Vertex = tuple[str, int]
 #: A colored vertex of a complex: (color, index), both 1-based.
 ColoredVertex = tuple[int, int]
 Face = frozenset  # of ColoredVertex
+
+#: Most edges the graph JSON loader accepts.
+GRAPH_EDGE_CAP = 1 << 18
+#: Most facets, and most colors, the complex JSON loader accepts.
+COMPLEX_FACET_CAP = 1 << 16
+COMPLEX_COLOR_CAP = 64
+
+
+def _json_int(x) -> int:
+    """A JSON integer; booleans, floats and strings are refused."""
+    if type(x) is not int:
+        raise InputError(f"expected an integer, got {type(x).__name__}")
+    return x
+
+
+def _json_list(x) -> list:
+    if type(x) is not list:
+        raise InputError(f"expected a list, got {type(x).__name__}")
+    return x
+
+
+def _json_face(x) -> Face:
+    vertices = [(_json_int(c), _json_int(i)) for c, i in map(_json_list, _json_list(x))]
+    face = frozenset(vertices)
+    if len(face) != len(vertices):
+        raise InputError("a face may use each color at most once")
+    return face
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +120,13 @@ class BipartiteGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BipartiteGraph":
+        """A graph from its JSON form; at most ``GRAPH_EDGE_CAP`` edges."""
         try:
-            edges = frozenset((int(i), int(j)) for i, j in data["edges"])
-            return cls(int(data["a_size"]), int(data["b_size"]), edges)
-        except InputError:
+            pairs = _json_list(data["edges"])
+            check_cap("graph JSON edges", len(pairs), GRAPH_EDGE_CAP)
+            edges = frozenset((_json_int(i), _json_int(j)) for i, j in map(_json_list, pairs))
+            return cls(_json_int(data["a_size"]), _json_int(data["b_size"]), edges)
+        except BalrigError:
             raise
         except Exception as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
@@ -312,7 +342,8 @@ class VertexOrder:
         return tuple(sorted(self._pos[v] for v in face))
 
     def covers_graph(self, g: BipartiteGraph) -> bool:
-        return set(self.sequence) == set(g.vertices())
+        # the sequence has no duplicates, so this needs no set of g's vertices
+        return len(self.sequence) == g.n_vertices and all(map(g.has_vertex, self.sequence))
 
     def is_admissible(self, k: int, l: int) -> bool:
         """[k] on side A together with [l] on side B is an initial segment."""
@@ -406,6 +437,8 @@ class BalancedComplex:
     def __post_init__(self):
         object.__setattr__(self, "color_sizes", tuple(self.color_sizes))
         object.__setattr__(self, "facets", frozenset(frozenset(f) for f in self.facets))
+        if any(s < 0 for s in self.color_sizes):
+            raise InputError("color sizes must be nonnegative")
         if not self.facets:
             raise InputError("a complex needs at least one (possibly empty) face")
         for f in self.facets:
@@ -417,9 +450,8 @@ class BalancedComplex:
                     raise InputError(f"color {c} out of range")
                 if not (1 <= i <= self.color_sizes[c - 1]):
                     raise InputError(f"vertex ({c},{i}) out of range")
-        for f, h in itertools.combinations(self.facets, 2):
-            if f <= h or h <= f:
-                raise InputError("maximal faces must form an antichain")
+        if len(maximal_faces(self.facets)) != len(self.facets):
+            raise InputError("maximal faces must form an antichain")
 
     @cached_property
     def face_set(self) -> FaceSet:
@@ -459,16 +491,19 @@ class BalancedComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BalancedComplex":
+        """A complex from its JSON form; at most ``COMPLEX_FACET_CAP`` facets
+        on at most ``COMPLEX_COLOR_CAP`` colors."""
         try:
-            facets = frozenset(
-                frozenset((int(c), int(i)) for c, i in f) for f in data["facets"]
-            )
-            k = cls(tuple(int(s) for s in data["color_sizes"]), facets)
-        except InputError:
+            faces = _json_list(data["facets"])
+            sizes = _json_list(data["color_sizes"])
+            check_cap("complex JSON facets", len(faces), COMPLEX_FACET_CAP)
+            check_cap("complex JSON colors", len(sizes), COMPLEX_COLOR_CAP)
+            k = cls(tuple(map(_json_int, sizes)), frozenset(map(_json_face, faces)))
+        except BalrigError:
             raise
         except Exception as exc:
             raise InputError(f"malformed complex JSON: {exc}") from exc
-        if "dim" in data and int(data["dim"]) != k.dim:
+        if "dim" in data and _json_int(data["dim"]) != k.dim:
             raise InputError("declared dim does not match facets")
         return k
 
@@ -477,9 +512,34 @@ class BalancedComplex:
         cls, color_sizes: Sequence[int], faces: Iterable[Face]
     ) -> "BalancedComplex":
         """Build a complex from faces that may not form an antichain."""
-        pool = [frozenset(f) for f in faces]
-        maximal = [f for f in pool if not any(f < h for h in pool)]
-        return cls(tuple(color_sizes), frozenset(maximal))
+        return cls(tuple(color_sizes), maximal_faces(map(frozenset, faces)))
+
+
+def maximal_faces(pool: Iterable[Face]) -> frozenset[Face]:
+    """The faces of ``pool`` that lie in no other face of it.
+
+    A face that covers f is larger and contains every vertex of f, so only
+    the larger faces at f's least frequent vertex are tested, largest first.
+    The empty face is maximal only when it is alone in the pool. The pool
+    need not be closed under taking subfaces.
+    """
+    faces = sorted(set(pool), key=len, reverse=True)
+    at: dict[ColoredVertex, list[Face]] = {}
+    for f in faces:
+        for v in f:
+            at.setdefault(v, []).append(f)
+
+    def covered(f: Face) -> bool:
+        for h in min((at[v] for v in f), key=len):
+            if len(h) <= len(f):
+                return False
+            if f < h:
+                return True
+        return False
+
+    if faces == [frozenset()]:
+        return frozenset(faces)
+    return frozenset(f for f in faces if f and not covered(f))
 
 
 def all_faces(k: BalancedComplex) -> frozenset[Face]:

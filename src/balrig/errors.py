@@ -18,9 +18,18 @@ class InputError(BalrigError):
 
 
 class SizeCapError(BalrigError):
-    """Input exceeds a documented size cap for an exponential-time check."""
+    """Input exceeds a documented size cap: the parameters or columns of a
+    rank query, the sides or candidates of a shift, the edges, facets or
+    colors of a JSON document, or the vertices of an exponential-time
+    check. Raised before the capped work starts."""
 
     exit_code = 4
+
+
+def check_cap(what: str, count: int, cap: int) -> None:
+    """Refuse ``count`` of ``what`` when it is over ``cap``."""
+    if count > cap:
+        raise SizeCapError(f"{what} capped at {cap}; got {count}")
 
 
 class TrialDisagreementError(BalrigError):

@@ -171,8 +171,11 @@ class GenericMatrix:
         return tuple(dense)
 
     def rank(self) -> int:
+        """Rows go in sorted by their leading entry, which the rank does not
+        depend on; a row then mostly meets pivots that lead before it."""
         echelon = Echelon(self.p)
-        return sum(echelon.insert(dict(entry)) for entry in self.entries)
+        rows = sorted(self.entries, key=lambda entry: min(entry, default=()))
+        return sum(echelon.insert(dict(entry)) for entry in rows)
 
     def left_kernel(self) -> list[tuple[int, ...]]:
         """Basis of row dependencies: vectors w with w * M = 0.

@@ -7,6 +7,17 @@ parameters attached to b', and in the block of b', the k parameters attached
 to a; everything else is zero. Rank decides everything: rows independent
 means stress-free, rank l|A| + k|B| - kl means rigid.
 
+Rows are the edges in sorted order. The column blocks follow a
+minimum-degree elimination order of the vertices, not side A then side B:
+eliminating in that order fills in a few entries where the side order
+fills in one clique per vertex. Ranks do not depend on the column order,
+and neither do stress bases, whose vectors each express a dependent edge
+row through the independent rows before it.
+
+Every rank query is capped on the parameters and rows it draws and on the
+columns of its matrix (``RANK_SIZE_CAP``), before it draws or allocates
+anything.
+
 The facet-ridge matrix of a pure balanced complex is the higher-dimensional
 analog: one row per facet, l columns per ridge, and the block of (F, G) is
 the l-vector of the vertex F - G when G is a ridge of F. For 1-dimensional
@@ -20,14 +31,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .combinat import (
     BalancedComplex,
     BipartiteGraph,
+    Vertex,
     f_vector,
     ridges as complex_ridges,
 )
-from .errors import InputError, InvariantError, SizeCapError
+from .errors import InputError, InvariantError, SizeCapError, check_cap
 from .exactla import (
     DEFAULT_POLICY,
     GenericMatrix,
@@ -39,9 +53,55 @@ from .exactla import (
 from .shifting import contains_join, shift_complex
 
 
+#: Most parameters a rank query draws, each drawn row counted as one more
+#: (a row is drawn even for an empty side), and most columns its matrix has.
+RANK_SIZE_CAP = 1 << 18
+
+
+def _check_rank_size(drawn: int, columns: int) -> None:
+    """Refuse a rank query before it draws or allocates anything per row,
+    vertex or column."""
+    check_cap("rank query parameters and rows drawn", drawn, RANK_SIZE_CAP)
+    check_cap("rank query columns", columns, RANK_SIZE_CAP)
+
+
 def max_rank(g: BipartiteGraph, k: int, l: int) -> int:
     """l|A| + k|B| - kl, the rank of the complete graph on the same sides."""
     return l * g.a_size + k * g.b_size - k * l
+
+
+@lru_cache(maxsize=8)
+def _elimination_order(g: BipartiteGraph) -> tuple[Vertex, ...]:
+    """g's vertices in minimum-degree elimination order (Tinney and Walker
+    1967; George and Liu 1989), ties broken by vertex.
+
+    Eliminating a vertex joins its remaining neighbors pairwise, as
+    eliminating its column block joins the blocks its rows reach; the
+    vertex of least degree in that elimination graph goes next. A heap holds
+    one entry per degree change, and an entry whose degree is out of date
+    is skipped when it comes up. Cached, bounded, so that every trial of a
+    verdict call reads one order.
+    """
+    adj: dict[Vertex, set[Vertex]] = {v: set() for v in g.vertices()}
+    for a, b in g.edges:
+        adj[("A", a)].add(("B", b))
+        adj[("B", b)].add(("A", a))
+    heap = [(len(nbrs), v) for v, nbrs in adj.items()]
+    heapify(heap)
+    order = []
+    while heap:
+        degree, v = heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) != degree:
+            continue
+        del adj[v]
+        order.append(v)
+        for u in nbrs:
+            fill = adj[u]
+            fill.discard(v)
+            fill.update(w for w in nbrs if w != u)
+            heappush(heap, (len(fill), u))
+    return tuple(order)
 
 
 def build_rigidity_matrix(
@@ -51,16 +111,22 @@ def build_rigidity_matrix(
 
     ``theta`` is the pair (A-block, B-block) as produced by sample_theta for
     the side sizes of g, with at least k and l rows. Column labels are
-    (vertex, slot) pairs, slots 1-based; rows are edges in sorted order.
+    (vertex, slot) pairs, slots 1-based, with the vertex blocks laid out in
+    minimum-degree elimination order (``_elimination_order``), so that
+    eliminating the columns in order fills in little; rows are edges in
+    sorted order.
     """
     theta_a, theta_b = theta
-    col_labels = [(("A", a), s) for a in range(1, g.a_size + 1) for s in range(1, l + 1)]
-    col_labels += [(("B", b), s) for b in range(1, g.b_size + 1) for s in range(1, k + 1)]
+    col_labels = []
+    first = {}  # first column of each vertex's block
+    for v in _elimination_order(g):
+        first[v] = len(col_labels)
+        col_labels += [(v, s) for s in range(1, (l if v[0] == "A" else k) + 1)]
     row_labels = g.edge_list()
     entries = []
     for a, b in row_labels:
-        a_col = (a - 1) * l  # first column of a's block
-        b_col = l * g.a_size + (b - 1) * k  # first column of b's block
+        a_col = first[("A", a)]
+        b_col = first[("B", b)]
         entries.append(
             tuple((a_col + s, theta_b[s][b - 1]) for s in range(l))
             + tuple((b_col + s, theta_a[s][a - 1]) for s in range(k))
@@ -105,10 +171,13 @@ def analyze(
 
     k or l exceeding a side size is permitted; the rank and the max-rank
     formula are applied verbatim and a warning is recorded, ahead of the
-    trial meta's warnings.
+    trial meta's warnings. The parameters and rows drawn,
+    k(|A| + 1) + l(|B| + 1), and the columns, l|A| + k|B|, are capped at
+    ``RANK_SIZE_CAP``.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
+    _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), l * g.a_size + k * g.b_size)
 
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
@@ -171,10 +240,11 @@ def stress_space(
     the first trial, in seed order, whose kernel has the agreed dimension
     (after an escalation, an earlier trial may have another one). Every
     basis vector is re-verified against the vertex equilibrium equations of
-    the induced embedding.
+    the induced embedding. Capped as ``analyze`` is.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
+    _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), l * g.a_size + k * g.b_size)
     first_of_dim: dict[int, tuple] = {}
 
     def one_trial(p: int, seed: int) -> int:
@@ -369,10 +439,13 @@ def rows_independent_M(
 
     By the shifting criterion this holds exactly when the shifted complex
     avoids the join of l+1 points per color; the cross-check lives in the
-    test suite.
+    test suite. The parameters and rows drawn, l per vertex and color of
+    the palette, and the columns, at most l per vertex of each facet, are
+    capped at ``RANK_SIZE_CAP``.
     """
     if l < 1:
         raise InputError("l must be positive")
+    _check_rank_size(l * (sum(kx.color_sizes) + kx.n_colors), l * sum(map(len, kx.facets)))
 
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, kx.color_sizes, rows=(l,) * kx.n_colors)

@@ -49,6 +49,7 @@ from a degenerate draw, which a small prime makes likely, so they raise
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .combinat import (
@@ -58,7 +59,7 @@ from .combinat import (
     all_faces,
     is_face,
 )
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, check_cap
 from .exactla import (
     DEFAULT_POLICY,
     GreedyBasis,
@@ -75,6 +76,22 @@ _TOO_SMALL = (
     "the trials agree on a non-shifted {what}; the prime {p} is too small "
     "for this input, use a larger prime"
 )
+
+
+#: Largest side or color a shift accepts: it draws a full square block per
+#: side or color, s^2 entries in O(s^3) steps.
+SHIFT_SIDE_CAP = 256
+#: Most candidates a complex shift may offer, bounded before any face is
+#: derived by the sum over the facets' color sets T of prod(1 + s_c), c in T:
+#: every color support of a face is a subset t of some T, and offers
+#: prod(s_c), c in t, candidates.
+SHIFT_CANDIDATE_CAP = 1 << 18
+
+
+def _check_shift_size(sizes, color_sets=()) -> None:
+    check_cap("shift vertices per side or color", max(sizes, default=0), SHIFT_SIDE_CAP)
+    bound = sum(math.prod(1 + sizes[c - 1] for c in t) for t in color_sets)
+    check_cap("complex shift candidate bound", bound, SHIFT_CANDIDATE_CAP)
 
 
 @dataclass(frozen=True)
@@ -207,7 +224,9 @@ def shift_graph(
 
     Defaults to the interleaved order. The result has the same number of
     edges, is balanced-shifted, and is reproducible from (seed, prime, order).
+    Sides over ``SHIFT_SIDE_CAP`` are refused before anything is drawn.
     """
+    _check_shift_size((g.a_size, g.b_size))
     if order is None:
         order = VertexOrder.interleaved_graph(g.a_size, g.b_size)
     if not order.covers_graph(g):
@@ -251,8 +270,11 @@ def shift_complex(
 
     Defaults to the color-interleaved order, which is (l,...,l)-admissible for
     every l. Checks in one pass over the selected supports that they form a
-    balanced-shifted complex, then that its f-vector is k's.
+    balanced-shifted complex, then that its f-vector is k's. Colors over
+    ``SHIFT_SIDE_CAP`` and candidate bounds over ``SHIFT_CANDIDATE_CAP`` are
+    refused before any face is derived.
     """
+    _check_shift_size(k.color_sizes, {frozenset(c for c, _ in f) for f in k.facets})
     if order is None:
         order = VertexOrder.interleaved_complex(k.color_sizes)
     expected = {

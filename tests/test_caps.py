@@ -1,0 +1,141 @@
+"""Every size cap refuses its input with exit 4 before the work it guards.
+
+Each case runs in a fresh interpreter limited to 1 GiB of address space and
+a timeout, so a missing cap shows as a memory error or a timeout instead of
+a slow or swapping test run. No case builds what its cap rejects: the
+inputs are small JSON files or graphs whose declared sizes are large. The
+last case checks that an explicit vertex order is matched against a huge
+side without listing the side's vertices.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import balrig
+from balrig.combinat import COMPLEX_COLOR_CAP, COMPLEX_FACET_CAP, GRAPH_EDGE_CAP
+from balrig.rigidity import RANK_SIZE_CAP
+from balrig.shifting import SHIFT_CANDIDATE_CAP, SHIFT_SIDE_CAP
+
+SRC = str(Path(balrig.__file__).resolve().parents[1])
+MEMORY = 1 << 30
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
+def run_capped(args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+def refused(tmp_path, command: list[str], data: dict | None = None) -> str:
+    """Run a CLI command on ``data`` (as its input file) and return the
+    error message of its exit-4 refusal."""
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        command = [str(path) if arg == "INPUT" else arg for arg in command]
+    out = run_capped(["-m", "balrig.cli", *command])
+    assert out.returncode == 4, out.stdout + out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error["kind"] == "SizeCapError"
+    return error["message"]
+
+
+def test_analyze_caps_the_parameters_it_draws(tmp_path):
+    graph = {"a_size": 10**8, "b_size": 2, "edges": [[1, 1], [2, 2]]}
+    message = refused(tmp_path, ["analyze", "--graph", "INPUT", "-k", "1", "-l", "1"], graph)
+    assert message == f"rank query parameters and rows drawn capped at {RANK_SIZE_CAP}; got 100000004"
+
+
+def test_analyze_caps_the_rows_it_draws_for_an_empty_side(tmp_path):
+    # no vertex and no column, but k rows of the A-block would be drawn
+    graph = {"a_size": 0, "b_size": 0, "edges": []}
+    message = refused(tmp_path, ["analyze", "--graph", "INPUT", "-k", "100000000", "-l", "1"], graph)
+    assert message == f"rank query parameters and rows drawn capped at {RANK_SIZE_CAP}; got 100000001"
+
+
+def test_analyze_caps_its_columns(tmp_path):
+    # k(|A| + 1) + l(|B| + 1) = 1000 + 40000 drawn, but k|B| columns
+    graph = {"a_size": 0, "b_size": 39999, "edges": []}
+    message = refused(tmp_path, ["analyze", "--graph", "INPUT", "-k", "1000", "-l", "1"], graph)
+    assert message == f"rank query columns capped at {RANK_SIZE_CAP}; got 39999000"
+
+
+def test_stress_space_is_capped_like_analyze():
+    script = (
+        "from balrig import BipartiteGraph, SizeCapError, stress_space\n"
+        "try:\n"
+        "    stress_space(BipartiteGraph(3, 2, frozenset({(1, 1)})), 10**8, 1)\n"
+        "except SizeCapError as exc:\n"
+        "    print(exc.exit_code)\n"
+    )
+    out = run_capped(["-c", script])
+    assert out.stdout.strip() == "4", out.stderr
+
+
+def test_mcheck_caps_the_parameters_it_draws(tmp_path):
+    kx = {"color_sizes": [10**8, 2], "facets": [[[1, 1], [2, 1]]]}
+    message = refused(tmp_path, ["mcheck", "--complex", "INPUT", "-l", "1"], kx)
+    assert message.startswith("rank query parameters and rows drawn capped")
+
+
+def test_shift_caps_the_side_of_a_graph(tmp_path):
+    graph = {"a_size": SHIFT_SIDE_CAP + 1, "b_size": 1, "edges": [[1, 1]]}
+    message = refused(tmp_path, ["shift", "--graph", "INPUT"], graph)
+    assert message == f"shift vertices per side or color capped at {SHIFT_SIDE_CAP}; got 257"
+
+
+def test_shift_caps_the_colors_of_a_complex(tmp_path):
+    kx = {"color_sizes": [1, SHIFT_SIDE_CAP + 1], "facets": [[[1, 1], [2, 1]]]}
+    message = refused(tmp_path, ["shift", "--complex", "INPUT"], kx)
+    assert message == f"shift vertices per side or color capped at {SHIFT_SIDE_CAP}; got 257"
+
+
+def test_shift_caps_the_candidates_of_a_complex(tmp_path):
+    # one facet on 12 colors of 2 vertices: 3^12 = 531441 candidate bound,
+    # and 2^12 color supports that are never derived
+    kx = {"color_sizes": [2] * 12, "facets": [[[c, 1] for c in range(1, 13)]]}
+    message = refused(tmp_path, ["shift", "--complex", "INPUT"], kx)
+    assert message == f"complex shift candidate bound capped at {SHIFT_CANDIDATE_CAP}; got 531441"
+
+
+def test_the_graph_loader_caps_edges(tmp_path):
+    edges = [[1, 1]] * (GRAPH_EDGE_CAP + 1)
+    graph = {"a_size": 1, "b_size": 1, "edges": edges}
+    message = refused(tmp_path, ["laman", "--graph", "INPUT", "-k", "1", "-l", "1"], graph)
+    assert f"graph JSON edges capped at {GRAPH_EDGE_CAP}" in message
+
+
+def test_the_complex_loader_caps_facets(tmp_path):
+    kx = {"color_sizes": [1], "facets": [[[1, 1]]] * (COMPLEX_FACET_CAP + 1)}
+    message = refused(tmp_path, ["mcheck", "--complex", "INPUT", "-l", "1"], kx)
+    assert f"complex JSON facets capped at {COMPLEX_FACET_CAP}" in message
+
+
+def test_the_complex_loader_caps_colors(tmp_path):
+    colors = COMPLEX_COLOR_CAP + 1
+    kx = {"color_sizes": [1] * colors, "facets": [[[c, 1] for c in range(1, colors + 1)]]}
+    message = refused(tmp_path, ["mcheck", "--complex", "INPUT", "-l", "1"], kx)
+    assert f"complex JSON colors capped at {COMPLEX_COLOR_CAP}" in message
+
+
+
+def test_an_explicit_order_is_checked_without_listing_a_huge_side(tmp_path):
+    graph = {"a_size": 10**8, "b_size": 1, "edges": [[1, 1]]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(graph))
+    out = run_capped(["-m", "balrig.cli", "shift", "--graph", str(path), "--order", "A1,B1"])
+    assert out.returncode == 3, out.stdout + out.stderr
+    assert "every vertex" in json.loads(out.stdout)["error"]["message"]

@@ -5,11 +5,15 @@ restricts every facet to a color set, and ``oracle_check_shifted`` tries
 every smaller vertex of a side or color. The library reads one face set,
 grouped by color support, and checks shiftedness by the one-step rule; both
 must give the same answers on random pure and non-pure complexes and on
-random bipartite graphs, shifted and not shifted.
+random bipartite graphs, shifted and not shifted. ``oracle_maximal`` and
+``oracle_is_antichain`` compare every pair of faces; the library tests a
+face only against the larger faces at its least frequent vertex, on pools
+closed under taking subfaces and on pools that are not.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +24,9 @@ from balrig.combinat import (
     f_vector,
     faces_with_colorset,
     is_face,
+    maximal_faces,
 )
+from balrig.errors import InputError
 from balrig.shifting import check_shifted
 
 
@@ -57,6 +63,15 @@ def oracle_check_shifted(obj):
                 if (f - {(c, i)}) | {(c, smaller)} not in faces:
                     return False
     return True
+
+
+def oracle_maximal(pool):
+    pool = set(pool)
+    return {f for f in pool if not any(f < h for h in pool)}
+
+
+def oracle_is_antichain(faces):
+    return not any(f <= h or h <= f for f, h in itertools.combinations(faces, 2))
 
 
 def _below(face):
@@ -150,3 +165,57 @@ def test_the_cases_hold_shifted_and_non_shifted_inputs():
     assert not check_shifted(gap) and not oracle_check_shifted(gap)
     assert not check_shifted(BipartiteGraph(2, 2, frozenset({(1, 1), (2, 2)})))
     assert check_shifted(BipartiteGraph(2, 3, frozenset({(1, 1), (1, 2), (2, 1)})))
+
+
+@st.composite
+def pools(draw):
+    """Faces on 1-4 colors of 1-3 vertices, with repeats and the empty face
+    at times, closed under taking subfaces or not."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    faces = []
+    for _ in range(draw(st.integers(0, 8))):
+        colors = draw(st.lists(st.integers(1, len(sizes)), unique=True, max_size=len(sizes)))
+        faces.append(frozenset((c, draw(st.integers(1, sizes[c - 1]))) for c in colors))
+    if faces and draw(st.booleans()):
+        faces.append(draw(st.sampled_from(faces)))
+    if draw(st.booleans()):
+        faces = [
+            frozenset(sub)
+            for f in faces
+            for r in range(len(f) + 1)
+            for sub in itertools.combinations(sorted(f), r)
+        ]
+    return tuple(sizes), faces
+
+
+@settings(max_examples=100, deadline=None)
+@given(pools())
+def test_maximal_faces_match_the_pairwise_scan(case):
+    sizes, pool = case
+    assert maximal_faces(pool) == oracle_maximal(pool)
+    if pool:
+        k = BalancedComplex.from_maximal_candidates(sizes, pool)
+        assert k.facets == oracle_maximal(pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pools())
+def test_the_antichain_check_matches_the_pairwise_scan(case):
+    sizes, pool = case
+    faces = frozenset(pool)
+    if not faces:
+        return
+    if oracle_is_antichain(faces):
+        assert BalancedComplex(sizes, faces).facets == faces
+    else:
+        with pytest.raises(InputError, match="antichain"):
+            BalancedComplex(sizes, faces)
+
+
+def test_the_empty_face_is_maximal_only_alone():
+    empty, v = frozenset(), frozenset({(1, 1)})
+    assert maximal_faces([empty, empty]) == {empty}
+    assert maximal_faces([empty, v]) == {v}
+    assert maximal_faces([]) == frozenset()
+    with pytest.raises(InputError, match="antichain"):
+        BalancedComplex((1,), frozenset({empty, v}))

@@ -4,12 +4,18 @@
 and left kernels used to run on. It stays here as a differential oracle: the
 two routes share no code, so a disagreement on rank, on the greedy
 selection, or on the kernel exposes a bug in one of them.
+
+``natural_rigidity_rows`` is the rigidity matrix in the layout it had
+before its column blocks followed the elimination order: every A-vertex
+block before every B-vertex block, in index order. Ranks and stress bases
+must not depend on the layout.
 """
 
 import os
 import subprocess
 import sys
 import textwrap
+from heapq import heappop
 from pathlib import Path
 
 import pytest
@@ -17,7 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import balrig
+from balrig import exactla
 from balrig.combinat import BipartiteGraph, complete_edges
+from balrig.families import random_tree
 from balrig.errors import InvariantError
 from balrig.exactla import (
     DEFAULT_PRIME,
@@ -26,7 +34,13 @@ from balrig.exactla import (
     TrialPolicy,
     sample_theta,
 )
-from balrig.rigidity import _verify_equilibrium, analyze, stress_space
+from balrig.rigidity import (
+    _elimination_order,
+    _verify_equilibrium,
+    analyze,
+    build_rigidity_matrix,
+    stress_space,
+)
 
 PRIMES = (2, 3, 101, DEFAULT_PRIME)
 
@@ -196,3 +210,99 @@ def test_max_rank_bound_is_checked(monkeypatch):
     monkeypatch.setattr(GenericMatrix, "rank", lambda self: 6)
     with pytest.raises(InvariantError, match="maximal rank"):
         analyze(g, 1, 1)
+
+
+def natural_rigidity_rows(g, k, l, theta) -> list[list[int]]:
+    """Dense rows of the (k,l)-rigidity matrix, edges in sorted order, the
+    l slots of A-vertex a at columns (a-1)l.., then the k slots of B-vertex
+    b at l|A| + (b-1)k.."""
+    theta_a, theta_b = theta
+    rows = []
+    for a, b in sorted(g.edges):
+        row = [0] * (l * g.a_size + k * g.b_size)
+        for s in range(l):
+            row[(a - 1) * l + s] = theta_b[s][b - 1]
+        for s in range(k):
+            row[l * g.a_size + (b - 1) * k + s] = theta_a[s][a - 1]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def rigidity_cases(draw):
+    """(g, k, l, p, seed): sides of 0-8 vertices, isolated vertices among
+    them, and k or l at times above a side."""
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    density = draw(st.sampled_from((0.1, 0.3, 0.6, 1.0)))
+    edges = frozenset(e for e in pairs if draw(st.floats(0, 1)) < density)
+    k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return BipartiteGraph(n, m, edges), k, l, draw(st.sampled_from(PRIMES)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rigidity_cases())
+def test_elimination_layout_keeps_ranks_and_stress_bases(case):
+    g, k, l, p, seed = case
+    theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
+    natural = natural_rigidity_rows(g, k, l, theta)
+    ncols = l * g.a_size + k * g.b_size
+    m = build_rigidity_matrix(g, k, l, theta, p)
+    assert m.n_cols == ncols and m.row_labels == tuple(sorted(g.edges))
+    assert m.rank() == dense_rank(natural, p, ncols)
+    assert m.left_kernel() == as_matrix(p, natural, ncols).left_kernel()
+
+
+def scan_min_degree_order(g) -> list:
+    """Minimum-degree order by a full scan per step: the vertex of least
+    degree in the elimination graph, ties broken by vertex, goes next, and
+    its neighbors become pairwise adjacent."""
+    adj = {v: {("B", j) if v[0] == "A" else ("A", j) for j in g.neighbors(v)} for v in g.vertices()}
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u] = (adj[u] | nbrs) - {u, v}
+        order.append(v)
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(rigidity_cases())
+def test_elimination_order_is_a_deterministic_permutation(case):
+    g = case[0]
+    order = _elimination_order(g)
+    assert sorted(order) == sorted(g.vertices())
+    assert list(order) == scan_min_degree_order(g)
+    # a fresh computation on an equal graph gives the same order
+    again = BipartiteGraph(g.a_size, g.b_size, frozenset(sorted(g.edges)))
+    assert _elimination_order.__wrapped__(again) == order
+
+
+def test_stress_space_returns_the_natural_layouts_basis():
+    g = BipartiteGraph(4, 4, complete_edges(4, 4) - {(1, 1), (2, 3)})
+    policy = TrialPolicy(seed=8)
+    basis = stress_space(g, 2, 2, policy)
+    theta = sample_theta(policy.prime, policy.trial_seed(0), (4, 4), rows=(2, 2))
+    natural = as_matrix(policy.prime, natural_rigidity_rows(g, 2, 2, theta), 16)
+    assert basis.dim == 14 - 12
+    assert list(basis.vectors) == natural.left_kernel()
+
+
+def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
+    # in minimum-degree order each edge row leads at its leaf end, a column
+    # no earlier row reaches, so no row is reduced; the layout with every
+    # A-vertex first needs 61 reductions here
+    g = random_tree(10, 27, seed=5)
+    theta = sample_theta(DEFAULT_PRIME, 0, (10, 27), rows=(1, 1))
+    m = build_rigidity_matrix(g, 1, 1, theta, DEFAULT_PRIME)
+    steps = []
+
+    def counting_heappop(heap):
+        steps.append(heap[0])
+        return heappop(heap)
+
+    monkeypatch.setattr(exactla, "heappop", counting_heappop)
+    assert m.rank() == g.n_edges == 36
+    assert steps == []
