@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .combinat import BalancedComplex, BipartiteGraph, VertexOrder
 from .errors import BalrigError, InputError, TrialDisagreementError
@@ -192,7 +193,11 @@ def _verdict_parser(sub, name: str, summary: str, func) -> argparse.ArgumentPars
     return p
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes
+    about 2 ms, a large part of a small verdict call, and parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="balrig",
         description="Balanced shifting and bipartite rigidity over a prime field.",

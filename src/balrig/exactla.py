@@ -16,6 +16,12 @@ query's rows span. Rank, greedy lexicographic bases, left kernels and the
 full-block draw all run on one incremental sparse echelon kernel,
 ``Echelon``, whose rows are ``{column: value}`` dicts; the field is given by
 its prime p, and arithmetic uses plain Python integers.
+
+The kernel does only the modular work a verdict reads. A row is reduced mod
+p once, when it is finished, and a pivot is not scaled: the inverse of its
+leading entry is computed the first time the pivot reduces a row, and many
+pivots never do. Entries are drawn by a rejection loop on ``getrandbits``
+that yields exactly the stream of ``randrange(p)``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import Callable, Sequence, TypeVar
 
 from .errors import InputError, InvariantError, TrialDisagreementError
@@ -74,23 +81,28 @@ class Echelon:
     """Incremental row echelon form over F_p for sparse rows.
 
     Rows are ``{column: value}`` dicts. A pivot row is kept under its
-    leading column, scaled so that the leading entry is 1; only its later
-    columns (its tail) are stored, as nonzero residues. A new row is reduced
-    by clearing its pivot columns in increasing order; each step creates
-    entries in later columns only. Values are reduced mod p only where a
-    decision needs them, so a row may carry unreduced integers and entries
-    that are 0 mod p while it is being reduced. An optional tag, a
-    ``{row id: coefficient}`` dict, goes through the same operations, so a
-    row that reduces to zero leaves in its tag a vanishing combination of
-    the tagged rows: a left-kernel vector. Either every row inserted into
-    one echelon carries a tag or none does.
+    leading column as the list ``[tail, tag, lead, inverse]``: its later
+    columns (its tail) as nonzero residues, its tag, the residue of its
+    leading entry, and the inverse of that entry, which is None until the
+    pivot first reduces a row. Pivots are not scaled, so a stored row is the
+    finished row reduced mod p. A new row is reduced by clearing its pivot
+    columns in increasing order; each step creates entries in later columns
+    only. Values are reduced mod p only where a decision needs them, so a
+    row may carry unreduced integers and entries that are 0 mod p while it
+    is being reduced. An optional tag, a ``{row id: coefficient}`` dict,
+    goes through the same operations, so a row that reduces to zero leaves
+    in its tag a vanishing combination of the tagged rows: a left-kernel
+    vector, the same for any scaling of the pivots, since it is the only
+    combination with coefficient 1 on that row and otherwise only on earlier
+    independent rows. Either every row inserted into one echelon carries a
+    tag or none does.
     """
 
     __slots__ = ("p", "pivots")
 
     def __init__(self, p: int):
         self.p = p
-        self.pivots: dict[int, tuple[dict[int, int], dict | None]] = {}
+        self.pivots: dict[int, list] = {}
 
     def insert(self, row: dict[int, int], tag: dict | None = None) -> bool:
         """Reduce ``row`` against the pivots and keep what is left as a new
@@ -106,7 +118,11 @@ class Echelon:
             f = row.pop(c, 0) % p
             if not f:
                 continue  # a column pushed twice, or one that cancelled
-            tail, ptag = pivots[c]
+            pivot = pivots[c]
+            tail, ptag, lead, inv = pivot
+            if inv is None:
+                inv = pivot[3] = pow(lead, -1, p)
+            f = f * inv % p
             for j, v in tail.items():
                 x = row.get(j)
                 if x is None:
@@ -118,17 +134,28 @@ class Echelon:
             if tag is not None:
                 for i, v in ptag.items():
                     tag[i] = tag.get(i, 0) - f * v
-        lead = min((c for c, v in row.items() if v % p), default=None)
-        if lead is None:
+        tail = {j: x for j, v in row.items() if (x := v % p)}
+        if not tail:
             if tag is not None:
                 for i, v in tag.items():
                     tag[i] = v % p
             return False
-        inv = pow(row.pop(lead) % p, -1, p)
         if tag is not None:
-            tag = {i: x for i, v in tag.items() if (x := v * inv % p)}
-        pivots[lead] = ({j: x for j, v in row.items() if (x := v * inv % p)}, tag)
+            tag = {i: x for i, v in tag.items() if (x := v % p)}
+        lead = min(tail)
+        value = tail.pop(lead)
+        pivots[lead] = [tail, tag, value, None]
         return True
+
+    def monic(self, lead: int) -> dict[int, int]:
+        """The pivot row under ``lead`` scaled so that its leading entry is 1,
+        as a ``{column: value}`` dict of nonzero residues."""
+        p = self.p
+        pivot = self.pivots[lead]
+        tail, _, value, inv = pivot
+        if inv is None:
+            inv = pivot[3] = pow(value, -1, p)
+        return {lead: 1, **{j: v * inv % p for j, v in tail.items()}}
 
 
 @dataclass(frozen=True)
@@ -190,7 +217,10 @@ class GenericMatrix:
         for i, entry in enumerate(self.entries):
             tag = {i: 1}
             if not echelon.insert(dict(entry), tag):
-                basis.append(tuple(tag.get(j, 0) for j in range(n)))
+                w = [0] * n
+                for j, v in tag.items():
+                    w[j] = v
+                basis.append(tuple(w))
         if len(basis) != n - len(echelon.pivots):
             raise InvariantError("rank-nullity violated in the left kernel")
         return basis
@@ -244,9 +274,11 @@ def sample_theta(
 
     Block c has ``block_sizes[c]`` columns, and its rows come in order from
     one random stream seeded by (seed, c), so the leading rows of a block do
-    not depend on how many rows are drawn. With ``rows``, block c holds its
-    ``rows[c]`` leading rows as lists, and nothing is tested; rank queries
-    draw this way.
+    not depend on how many rows are drawn. The entries are the values of
+    ``randrange(p)`` on that stream, drawn from its ``getrandbits`` by the
+    same rejection rule without a call per entry. With ``rows``, block c
+    holds its ``rows[c]`` leading rows as lists, and nothing is tested; rank
+    queries draw this way.
 
     Without ``rows``, every block is square and invertible, and it comes in
     triangular form; shifting draws this way. A stream row that depends on
@@ -255,7 +287,8 @@ def sample_theta(
     are the prefix draw's rows except with that probability. Row r of the
     block is the r-th kept row minus a combination of the earlier kept rows,
     scaled so that its leading entry is 1, as a ``{column: value}`` dict of
-    nonzero residues: the pivot that the rejection test has just built. It
+    nonzero residues: the pivot that the rejection test has just built, made
+    monic by the inverse that the echelon then keeps for later rows. It
     is zero before its leading column and in the leading columns of the rows
     before it. So for every r the first r rows span the same space as the
     first r kept rows, and the leading columns are distinct; for a generic
@@ -265,18 +298,33 @@ def sample_theta(
         raise InputError("sample_theta needs one row count per block")
     blocks = []
     for c, size in enumerate(block_sizes):
-        rng = random.Random(f"{seed}:{c}")
+        getrandbits = random.Random(f"{seed}:{c}").getrandbits
         if rows is not None:
-            blocks.append([[rng.randrange(p) for _ in range(size)] for _ in range(rows[c])])
+            flat = _below(getrandbits, p, rows[c] * size)
+            blocks.append([flat[r * size : (r + 1) * size] for r in range(rows[c])])
             continue
         block: list[dict[int, int]] = []
         echelon = Echelon(p)
         while len(block) < size:
-            if echelon.insert({j: rng.randrange(p) for j in range(size)}):
-                lead = next(reversed(echelon.pivots))
-                block.append({lead: 1, **echelon.pivots[lead][0]})
+            if echelon.insert(dict(enumerate(_below(getrandbits, p, size)))):
+                block.append(echelon.monic(next(reversed(echelon.pivots))))
         blocks.append(block)
     return blocks
+
+
+def _below(getrandbits: Callable[[int], int], p: int, n: int) -> list[int]:
+    """The next n values of ``randrange(p)`` on the stream of ``getrandbits``.
+
+    ``randrange(p)`` draws ``p.bit_length()`` bits and rejects values of at
+    least p; the accepted values, in stream order, are its outputs. Each
+    pass draws only as many values as are still missing, so the stream is
+    left where n calls of ``randrange(p)`` would leave it.
+    """
+    bits = p.bit_length()
+    out: list[int] = []
+    while len(out) < n:
+        out += [x for x in map(getrandbits, repeat(bits, n - len(out))) if x < p]
+    return out
 
 
 @dataclass(frozen=True)

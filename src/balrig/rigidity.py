@@ -268,7 +268,7 @@ def stress_space(
         k=k,
         l=l,
         edges=matrix.row_labels,
-        vectors=tuple(tuple(v) for v in basis),
+        vectors=tuple(basis),
         meta=meta,
     )
 
@@ -279,26 +279,27 @@ def _verify_equilibrium(k, l, theta, p, edge_labels, basis):
     At an A-vertex a the embedded neighbors are the l-vectors of the incident
     B-vertices, so the condition is sum(w_ab * theta_B[s][b]) = 0 per slot s;
     symmetrically at B-vertices. This recomputes the conditions directly
-    instead of trusting the elimination. Edges are grouped by vertex once, so
-    the check costs O(dim * E * (k + l)); isolated vertices have only empty,
-    trivially satisfied sums.
+    instead of trusting the elimination. A vector's entries are grouped by
+    vertex over its support only: a vertex with no edge in the support has
+    an empty, trivially satisfied sum. So the check of w costs O(E) to find
+    its support and O(|support| * (k + l)) to test it.
     """
     theta_a, theta_b = theta
-    at_a: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    at_b: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for idx, (a, b) in enumerate(edge_labels):
-        at_a[a].append((idx, b - 1))
-        at_b[b].append((idx, a - 1))
     for w in basis:
+        at_a: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        at_b: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for idx, x in enumerate(w):
+            if x:
+                a, b = edge_labels[idx]
+                at_a[a].append((x, b - 1))
+                at_b[b].append((x, a - 1))
         for incident in at_a.values():
-            for s in range(l):
-                row = theta_b[s]
-                if sum(w[idx] * row[b] for idx, b in incident) % p:
+            for row in theta_b[:l]:
+                if sum(x * row[b] for x, b in incident) % p:
                     raise InvariantError("stress fails equilibrium at an A-vertex")
         for incident in at_b.values():
-            for s in range(k):
-                row = theta_a[s]
-                if sum(w[idx] * row[a] for idx, a in incident) % p:
+            for row in theta_a[:k]:
+                if sum(x * row[a] for x, a in incident) % p:
                     raise InvariantError("stress fails equilibrium at a B-vertex")
 
 

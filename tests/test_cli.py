@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import balrig
 from balrig import families as fam
-from balrig.cli import main
+from balrig.cli import build_parser, main
 from balrig.combinat import BipartiteGraph, complete_edges
 
 
@@ -299,3 +304,32 @@ def test_modulus_beyond_the_primality_range_exits_3(capsys, tmp_path):
     rc, out = run_cli(capsys, "shift", "--graph", path, "--prime", str(2**89 - 1))
     assert rc == 3
     assert json.loads(out)["error"]["kind"] == "InputError"
+
+
+def test_repeated_calls_in_one_process_match_fresh_runs(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process; each call must still print and
+    # exit exactly as a fresh process does
+    monkeypatch.delenv("BALRIG_SEED", raising=False)
+    graph = write_graph(tmp_path, fam.complete_bipartite(3, 3))
+    octahedron = write_complex(tmp_path, fam.cross_polytope_boundary(3))
+    calls = [
+        ["shift", "--graph", graph],
+        ["mcheck", "--complex", octahedron, "-l", "2"],
+        ["analyze", "--graph", graph],
+        ["generate", "tree", "--n", "4", "--m", "5", "--seed", "2"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(balrig.__file__).resolve().parents[1])}
+    build_parser.cache_clear()
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "balrig.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert build_parser.cache_info().misses == 1

@@ -226,3 +226,39 @@ def test_run_trials_warns_when_the_failure_bound_is_at_least_one():
     assert meta.escalated and meta.warnings
     _, meta = run_trials(TrialPolicy(trials=1), lambda p, seed: 0, poly_degree=5)
     assert meta.warnings == () and "warnings" not in meta.to_json_dict()
+
+
+def reference_full_block(rng, p, size):
+    """The triangular block from ``randrange`` rows by dense elimination: a
+    stream row that reduces to zero is dropped; a kept row is reduced by the
+    earlier kept rows, in increasing order of their leading columns, and
+    scaled to a leading 1."""
+    pivots = {}  # leading column -> dense row with a 1 there
+    block = []
+    while len(block) < size:
+        row = [rng.randrange(p) for _ in range(size)]
+        for lead in sorted(pivots):
+            f = row[lead]
+            row = [(x - f * y) % p for x, y in zip(row, pivots[lead])]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        pivots[lead] = [x * inv % p for x in row]
+        block.append({c: x for c, x in enumerate(pivots[lead]) if x})
+    return block
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 257, 65537, DEFAULT_PRIME])
+def test_sample_theta_draws_the_randrange_stream(p):
+    # primes just above a power of two make about half the raw draws of
+    # getrandbits rejections; the draws must still be randrange's
+    sizes, rows = (1, 3, 5, 0), (4, 2, 3, 2)
+    for seed in range(4):
+        prefix, full = [], []
+        for c, (size, n) in enumerate(zip(sizes, rows)):
+            rng = random.Random(f"{seed}:{c}")
+            prefix.append([[rng.randrange(p) for _ in range(size)] for _ in range(n)])
+            full.append(reference_full_block(random.Random(f"{seed}:{c}"), p, size))
+        assert sample_theta(p, seed, sizes, rows=rows) == prefix
+        assert sample_theta(p, seed, sizes) == full

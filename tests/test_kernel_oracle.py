@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import balrig
 from balrig import exactla
 from balrig.combinat import BipartiteGraph, complete_edges
-from balrig.families import random_tree
+from balrig.families import random_quadrangulation, random_tree
 from balrig.errors import InvariantError
 from balrig.exactla import (
     DEFAULT_PRIME,
@@ -42,7 +42,7 @@ from balrig.rigidity import (
     stress_space,
 )
 
-PRIMES = (2, 3, 101, DEFAULT_PRIME)
+PRIMES = (2, 3, 5, 101, DEFAULT_PRIME)
 
 
 def dense_forward_eliminate(rows: list[list[int]], p: int, ncols: int) -> list[int]:
@@ -79,6 +79,32 @@ def dense_forward_eliminate(rows: list[list[int]], p: int, ncols: int) -> list[i
 
 def dense_rank(rows, p, ncols) -> int:
     return len(dense_forward_eliminate([list(r) for r in rows], p, ncols))
+
+
+def dense_left_kernel(rows, p, ncols) -> list[tuple[int, ...]]:
+    """One vector per row that depends on the independent rows before it:
+    coefficient 1 on that row, and on the earlier independent rows the
+    unique solution of the linear system that cancels it, by dense
+    elimination and back-substitution. Zero elsewhere."""
+    basis, kept = [], []
+    for i, row in enumerate(rows):
+        if dense_rank([rows[j] for j in kept] + [row], p, ncols) > len(kept):
+            kept.append(i)
+            continue
+        # columns of the system: the kept rows, then the right-hand side -row
+        system = [[rows[j][c] for j in kept] + [-row[c] % p] for c in range(ncols)]
+        n = len(kept)
+        assert dense_forward_eliminate(system, p, n) == list(range(n))
+        x = [0] * n
+        for r in reversed(range(n)):
+            rest = system[r][n] - sum(system[r][j] * x[j] for j in range(r + 1, n))
+            x[r] = rest * pow(system[r][r], -1, p) % p
+        w = [0] * len(rows)
+        w[i] = 1
+        for j, xj in zip(kept, x):
+            w[j] = xj
+        basis.append(tuple(w))
+    return basis
 
 
 def dense_greedy(rows, p, ncols) -> list[int]:
@@ -141,6 +167,7 @@ def test_sparse_kernel_matches_dense_oracle(case):
     assert greedy.rank == rank
 
     kernel = m.left_kernel()
+    assert kernel == dense_left_kernel(rows, p, ncols)
     assert len(kernel) == len(rows) - rank
     for w in kernel:
         assert len(w) == len(rows)
@@ -164,6 +191,22 @@ def test_corrupted_stress_fails_equilibrium():
     bad[0][0] = (bad[0][0] + 1) % p
     with pytest.raises(InvariantError):
         _verify_equilibrium(1, 1, theta, p, basis.edges, bad)
+
+
+def test_equilibrium_is_checked_at_both_sides():
+    # w_11 = theta_B(2), w_12 = -theta_B(1) cancels at A-vertex 1 but not at
+    # B-vertex 1; its mirror image cancels at B-vertex 1 but not at A-vertex 1
+    p = DEFAULT_PRIME
+    edges = tuple(sorted(complete_edges(3, 3)))
+    (theta_a,), (theta_b,) = theta = sample_theta(p, 4, (3, 3), rows=(1, 1))
+    at_a = [0] * 9
+    at_a[edges.index((1, 1))], at_a[edges.index((1, 2))] = theta_b[1], -theta_b[0] % p
+    with pytest.raises(InvariantError, match="at a B-vertex"):
+        _verify_equilibrium(1, 1, theta, p, edges, [at_a])
+    at_b = [0] * 9
+    at_b[edges.index((1, 1))], at_b[edges.index((2, 1))] = theta_a[1], -theta_a[0] % p
+    with pytest.raises(InvariantError, match="at an A-vertex"):
+        _verify_equilibrium(1, 1, theta, p, edges, [at_b])
 
 
 def test_corrupted_kernel_vector_raises(monkeypatch):
@@ -306,3 +349,25 @@ def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
     monkeypatch.setattr(exactla, "heappop", counting_heappop)
     assert m.rank() == g.n_edges == 36
     assert steps == []
+
+
+def test_pivots_are_inverted_only_when_they_reduce_a_row(monkeypatch):
+    # a pivot's leading entry is inverted the first time the pivot reduces a
+    # row; a tree makes no reduction, and a quadrangulation leaves many
+    # pivots unused
+    inversions = []
+
+    def counting_pow(base, exp, mod=None):
+        inversions.append(exp == -1)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(exactla, "pow", counting_pow, raising=False)
+    tree = random_tree(10, 27, seed=5)
+    theta = sample_theta(DEFAULT_PRIME, 0, (10, 27), rows=(1, 1))
+    assert build_rigidity_matrix(tree, 1, 1, theta, DEFAULT_PRIME).rank() == 36
+    assert sum(inversions) == 0
+
+    quad = random_quadrangulation(64, seed=0)
+    theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
+    assert build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME).rank() == 128
+    assert 0 < sum(inversions) < 128
