@@ -9,13 +9,15 @@ independent draws and refuses to report a verdict the trials do not agree on.
 
 Work is proportional to the entries the matrices read. Parameters are drawn
 by prefix: the rows of the block for side or color c come in order from one
-random stream seeded by (seed, c), so a rank query draws only the leading
-rows it reads. Shifting draws full invertible blocks from the same streams
-and gets them in triangular form, so their leading rows span what the rank
-query's rows span. Rank, greedy lexicographic bases, left kernels and the
-full-block draw all run on one incremental sparse echelon kernel,
-``Echelon``, whose rows are ``{column: value}`` dicts; the field is given by
-its prime p, and arithmetic uses plain Python integers.
+random stream seeded by (seed, c) (``prefix_stream``), so a rank query
+draws only the leading rows it reads, and the prefix walk of a graph shift
+reads them one step at a time. The greedy route of shifting draws full
+invertible blocks from the same streams and gets them in triangular form,
+so their leading rows span what the rank query's rows span. Rank, greedy
+lexicographic bases, left kernels and the full-block draw all run on one
+incremental sparse echelon kernel, ``Echelon``, whose rows are
+``{column: value}`` dicts; the field is given by its prime p, and
+arithmetic uses plain Python integers.
 
 The kernel does only the modular work a verdict reads. A row is reduced mod
 p once, when it is finished, and a pivot is not scaled: the inverse of its
@@ -30,8 +32,8 @@ import random
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import repeat
-from typing import Callable, Sequence, TypeVar
+from itertools import islice, repeat
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, InvariantError, TrialDisagreementError
 
@@ -273,12 +275,12 @@ def sample_theta(
     """Random parameter blocks, one per entry of ``block_sizes``.
 
     Block c has ``block_sizes[c]`` columns, and its rows come in order from
-    one random stream seeded by (seed, c), so the leading rows of a block do
-    not depend on how many rows are drawn. The entries are the values of
-    ``randrange(p)`` on that stream, drawn from its ``getrandbits`` by the
-    same rejection rule without a call per entry. With ``rows``, block c
-    holds its ``rows[c]`` leading rows as lists, and nothing is tested; rank
-    queries draw this way.
+    one random stream seeded by (seed, c) (``prefix_stream``), so the
+    leading rows of a block do not depend on how many rows are drawn. The
+    entries are the values of ``randrange(p)`` on that stream, drawn from
+    its ``getrandbits`` by the same rejection rule without a call per entry.
+    With ``rows``, block c holds its ``rows[c]`` leading rows as lists, and
+    nothing is tested; rank queries draw this way.
 
     Without ``rows``, every block is square and invertible, and it comes in
     triangular form; shifting draws this way. A stream row that depends on
@@ -298,18 +300,28 @@ def sample_theta(
         raise InputError("sample_theta needs one row count per block")
     blocks = []
     for c, size in enumerate(block_sizes):
-        getrandbits = random.Random(f"{seed}:{c}").getrandbits
+        stream = prefix_stream(p, seed, c, size)
         if rows is not None:
-            flat = _below(getrandbits, p, rows[c] * size)
-            blocks.append([flat[r * size : (r + 1) * size] for r in range(rows[c])])
+            blocks.append(list(islice(stream, rows[c])))
             continue
         block: list[dict[int, int]] = []
         echelon = Echelon(p)
         while len(block) < size:
-            if echelon.insert(dict(enumerate(_below(getrandbits, p, size)))):
+            if echelon.insert(dict(enumerate(next(stream)))):
                 block.append(echelon.monic(next(reversed(echelon.pivots))))
         blocks.append(block)
     return blocks
+
+
+def prefix_stream(p: int, seed: int, c: int, size: int) -> Iterator[list[int]]:
+    """The rows of parameter block c, in order, without end: each a list of
+    ``size`` values of ``randrange(p)`` from the random stream seeded by
+    (seed, c). Every draw of block c reads this stream, so a caller that
+    takes rows one at a time gets the rows ``sample_theta(..., rows=...)``
+    returns."""
+    getrandbits = random.Random(f"{seed}:{c}").getrandbits
+    while True:
+        yield _below(getrandbits, p, size)
 
 
 def _below(getrandbits: Callable[[int], int], p: int, n: int) -> list[int]:

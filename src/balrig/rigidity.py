@@ -104,6 +104,25 @@ def _elimination_order(g: BipartiteGraph) -> tuple[Vertex, ...]:
     return tuple(order)
 
 
+@lru_cache(maxsize=8)
+def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> tuple:
+    """What the (k,l)-rigidity matrix of g lays out before any value is
+    drawn: the row labels (the edges, sorted), the column labels, and per
+    row ``(a_cols, b, b_cols, a)``, the columns of its A-vertex's block with
+    the 0-based index of its B-vertex, then the same for the B-vertex.
+    Cached, bounded, so that every trial of a verdict call reads one
+    layout."""
+    col_labels = []
+    block = {}  # the columns of each vertex's block
+    for v in _elimination_order(g):
+        width = l if v[0] == "A" else k
+        block[v] = range(len(col_labels), len(col_labels) + width)
+        col_labels += [(v, s) for s in range(1, width + 1)]
+    row_labels = tuple(g.edge_list())
+    rows = tuple((block["A", a], b - 1, block["B", b], a - 1) for a, b in row_labels)
+    return row_labels, tuple(col_labels), rows
+
+
 def build_rigidity_matrix(
     g: BipartiteGraph, k: int, l: int, theta: tuple, p: int
 ) -> GenericMatrix:
@@ -114,23 +133,17 @@ def build_rigidity_matrix(
     (vertex, slot) pairs, slots 1-based, with the vertex blocks laid out in
     minimum-degree elimination order (``_elimination_order``), so that
     eliminating the columns in order fills in little; rows are edges in
-    sorted order.
+    sorted order. Only the values are filled in here; the layout comes from
+    ``_rigidity_layout``.
     """
-    theta_a, theta_b = theta
-    col_labels = []
-    first = {}  # first column of each vertex's block
-    for v in _elimination_order(g):
-        first[v] = len(col_labels)
-        col_labels += [(v, s) for s in range(1, (l if v[0] == "A" else k) + 1)]
-    row_labels = g.edge_list()
-    entries = []
-    for a, b in row_labels:
-        a_col = first[("A", a)]
-        b_col = first[("B", b)]
-        entries.append(
-            tuple((a_col + s, theta_b[s][b - 1]) for s in range(l))
-            + tuple((b_col + s, theta_a[s][a - 1]) for s in range(k))
-        )
+    row_labels, col_labels, layout = _rigidity_layout(g, k, l)
+    # the l-vector of each B-vertex and the k-vector of each A-vertex
+    at_b = [tuple(row[j] for row in theta[1][:l]) for j in range(g.b_size)]
+    at_a = [tuple(row[i] for row in theta[0][:k]) for i in range(g.a_size)]
+    entries = [
+        (*zip(a_cols, at_b[b]), *zip(b_cols, at_a[a]))
+        for a_cols, b, b_cols, a in layout
+    ]
     return GenericMatrix(p, entries, row_labels, col_labels)
 
 

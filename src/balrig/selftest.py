@@ -32,9 +32,15 @@ from .combinat import (
     swap_sides,
 )
 from .errors import InputError
-from .exactla import TrialPolicy
+from .exactla import TrialPolicy, run_trials
 from .rigidity import analyze, laman_check, rows_independent_M
-from .shifting import check_shifted, contains_join, shift_complex, shift_graph
+from .shifting import (
+    _edge_trial,
+    check_shifted,
+    contains_join,
+    shift_complex,
+    shift_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -133,18 +139,21 @@ def check_shift_conservation() -> tuple[bool, str]:
 
 
 def _shift_predicates(g, k, l, policy):
-    """(stress-free, rigid) read off the shifted graph, shared random draw."""
+    """(stress-free, rigid) read off the shifted graph, shared random draw.
+
+    The shift runs the greedy trials directly: ``shift_graph`` may take the
+    prefix walk, which ranks the same matrix on the same streams as
+    ``analyze``, and then the comparison would check nothing."""
     order = VertexOrder.admissible_graph(g.a_size, g.b_size, k, l)
-    sg = shift_graph(g, order, policy).graph
-    stress_free = (
-        k + 1 > g.a_size or l + 1 > g.b_size or (k + 1, l + 1) not in sg.edges
-    )
+    edges, _ = run_trials(policy, _edge_trial(g, order), what="shifted edge set")
+    stress_free = k + 1 > g.a_size or l + 1 > g.b_size or (k + 1, l + 1) not in edges
     ekl = {(i, j) for i, j in complete_edges(g.a_size, g.b_size) if i <= k or j <= l}
-    return stress_free, ekl <= sg.edges
+    return stress_free, ekl <= edges
 
 
 def check_shift_rank_agreement() -> tuple[bool, str]:
-    """Shifted-graph membership verdicts equal rank verdicts, shared draw."""
+    """Shifted-graph membership verdicts of the greedy route equal rank
+    verdicts, shared draw."""
     rng = random.Random(202)
     compared = 0
     for i in range(200):

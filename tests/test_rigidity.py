@@ -13,6 +13,7 @@ from balrig import rigidity, shifting
 from balrig.combinat import (
     BalancedComplex,
     BipartiteGraph,
+    VertexOrder,
     complete_edges,
     graph_to_complex,
     induced_subgraph,
@@ -416,7 +417,6 @@ def test_verdicts_do_not_depend_on_the_seed():
 
 
 def test_shift_predicates_do_not_depend_on_the_admissible_order():
-    from balrig.combinat import VertexOrder
     from balrig.shifting import shift_graph
 
     rng = random.Random(15)
@@ -483,7 +483,9 @@ def _record_draws(monkeypatch, module):
 
 
 def test_analyze_rows_lead_shift_blocks(monkeypatch):
-    g = fam.random_quadrangulation(8, seed=3)
+    g = fam.complete_bipartite(5, 6)
+    # the route rule sends this graph to the greedy, which draws full blocks
+    assert not shifting._walk_is_short(g, VertexOrder.interleaved_graph(5, 6))
     analyze_draws = _record_draws(monkeypatch, rigidity)
     shift_draws = _record_draws(monkeypatch, shifting)
     analyze(g, 2, 2, POLICY)
@@ -500,6 +502,30 @@ def test_analyze_rows_lead_shift_blocks(monkeypatch):
         for rows, full, n in ((rows_a, full_a, g.a_size), (rows_b, full_b, g.b_size)):
             tri = [[row.get(c, 0) for c in range(n)] for row in full[:2]]
             assert dense_rank(tri + rows, P, n) == dense_rank(tri, P, n) == 2
+
+
+def test_the_walk_reads_the_rows_analyze_reads(monkeypatch):
+    # a (2,2)-tight graph reaches rank E after two steps per side under the
+    # interleaved order, so the walk reads two rows per side, and they are
+    # the rows of the (2,2)-rigidity matrix of the same trial
+    g = fam.random_quadrangulation(64, seed=3)
+    analyze_draws = _record_draws(monkeypatch, rigidity)
+    reads = {}
+    stream = shifting.prefix_stream
+
+    def recording(p, seed, c, size):
+        for row in stream(p, seed, c, size):
+            reads.setdefault((seed, c), []).append(row)
+            yield row
+
+    monkeypatch.setattr(shifting, "prefix_stream", recording)
+    analyze(g, 2, 2, POLICY)
+    shifting.shift_graph(g, policy=POLICY)
+    assert len(analyze_draws) == POLICY.trials
+    assert len(reads) == 2 * POLICY.trials
+    for seed, _, rows, (rows_a, rows_b) in analyze_draws:
+        assert rows == (2, 2)
+        assert reads[seed, 0] == rows_a and reads[seed, 1] == rows_b
 
 
 def test_k_far_above_side_draws_only_read_rows(monkeypatch):

@@ -8,9 +8,11 @@ rank test, so the oracle shares no elimination with the library's draw.
 They stay here as a differential oracle. The library builds the candidates
 sparsely from the triangular rows ``sample_theta`` returns for full blocks,
 and its greedy selection must be identical for the same (input, order, p,
-seed), degenerate draws at small p included. The faces of each color set
-come from the facet-restriction oracle of ``test_face_oracle``, not from
-the library's grouped face set.
+seed), degenerate draws at small p included. The greedy trial is in turn
+the oracle of the prefix walk, which must pick the same edges whenever the
+draw is not degenerate. The faces of each color set come from the
+facet-restriction oracle of ``test_face_oracle``, not from the library's
+grouped face set.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from balrig.combinat import (
 )
 from balrig.errors import BalrigError
 from balrig.exactla import DEFAULT_PRIME, GreedyBasis, sample_theta
-from balrig.shifting import _edge_trial, _face_trial
+from balrig.shifting import _edge_trial, _face_trial, _prefix_trial, check_shifted
 from test_face_oracle import oracle_faces_with_colorset
 from test_kernel_oracle import dense_rank
 
@@ -120,10 +122,11 @@ def merged_order(draw, parts):
 
 
 @st.composite
-def graph_cases(draw):
+def graph_cases(draw, max_side=5):
     """(graph, order) with empty, single-edge, complete and random edge sets
-    and interleaved, admissible, shuffled and cone orders."""
-    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    and interleaved, admissible, shuffled and cone orders; a cone adds one
+    vertex to a side of at most ``max_side``."""
+    n, m = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     pairs = sorted(complete_edges(n, m))
     kind = draw(st.sampled_from(("random", "random", "empty", "single", "complete")))
     if kind == "empty":
@@ -175,6 +178,43 @@ def complex_cases(draw):
 def test_sparse_edge_shift_matches_dense_oracle(case, p, seed):
     g, order = case
     assert _edge_trial(g, order)(p, seed) == dense_shift_edges(g, order, p, seed)
+
+
+def dropped_a_stream_row(p, seed, sizes):
+    """Whether a full-block draw dropped a stream row: the leading stream
+    rows of some block, as many as it has columns, are dependent."""
+    prefix = sample_theta(p, seed, sizes, rows=sizes)
+    return any(dense_rank(rows, p, n) < n for rows, n in zip(prefix, sizes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_cases(max_side=8), st.sampled_from((2,) + PRIMES), st.integers(0, 10**6))
+@example((BipartiteGraph(3, 2, frozenset()), VertexOrder.interleaved_graph(3, 2)), 3, 0)
+@example(
+    (
+        BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)})),
+        VertexOrder.interleaved_graph(3, 3),
+    ),
+    2,
+    0,
+)
+@example(
+    (BipartiteGraph(9, 9, complete_edges(9, 9)), VertexOrder.admissible_graph(9, 9, 2, 3)),
+    DEFAULT_PRIME,
+    1,
+)
+def test_prefix_walk_matches_the_greedy_trial(case, p, seed):
+    # the walk reads the greedy's counts on initial segments; they name the
+    # greedy's cells when its set is shifted, and they are the same counts
+    # when each block's leading stream rows are the ones the full draw keeps
+    g, order = case
+    greedy = _edge_trial(g, order)(p, seed)
+    walk = _prefix_trial(g, order)(p, seed)
+    if walk is not None:
+        assert len(walk) == g.n_edges
+    sizes = (g.a_size, g.b_size)
+    if check_shifted(BipartiteGraph(*sizes, greedy)) and not dropped_a_stream_row(p, seed, sizes):
+        assert walk == greedy
 
 
 @settings(max_examples=100, deadline=None)

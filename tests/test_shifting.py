@@ -264,6 +264,52 @@ def test_a_non_shifted_agreed_face_set_is_refused_as_a_too_small_prime():
     assert shift_complex(k).complex == k
 
 
+def _default_order(g):
+    return VertexOrder.interleaved_graph(g.a_size, g.b_size)
+
+
+def _refuse(*args):
+    raise AssertionError("this route must not run")
+
+
+def test_the_route_rule_sends_complete_graphs_to_the_greedy(monkeypatch):
+    monkeypatch.setattr(shifting, "_prefix_trial", _refuse)
+    for g in [K(n, n) for n in range(3, 9)] + [K(3, 4)]:
+        assert not shifting._walk_is_short(g, _default_order(g))
+        assert shift_graph(g).graph == g
+
+
+def test_the_route_rule_sends_sparse_and_thin_graphs_to_the_walk(monkeypatch):
+    monkeypatch.setattr(shifting, "_edge_trial", _refuse)
+    graphs = [fam.random_quadrangulation(f, seed=f) for f in (8, 16, 64)]
+    graphs += [fam.random_tree(n, m, seed=n) for n, m in ((3, 4), (10, 10), (40, 25))]
+    graphs.append(K(2, 20))
+    for g in graphs:
+        assert shifting._walk_is_short(g, _default_order(g))
+        sg = shift_graph(g).graph
+        assert sg.n_edges == g.n_edges and check_shifted(sg)
+
+
+def test_the_walk_is_not_shifted_by_construction():
+    # over F_2 this draw's prefix ranks name a non-shifted edge set;
+    # shift_graph refuses it as coming from a too small prime
+    g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
+    walked = shifting._prefix_trial(g, _default_order(g))(2, 0)
+    assert walked == {(1, 1), (2, 2), (2, 3), (3, 2)}
+    assert not check_shifted(BipartiteGraph(3, 3, walked))
+
+
+def test_a_degenerate_walk_gives_the_greedy_verdict():
+    # over F_2 the second stream row of each side is zero in this draw,
+    # which the walk cannot read cells from
+    g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
+    order = _default_order(g)
+    assert shifting._prefix_trial(g, order)(2, 5) is None
+    greedy = shifting._edge_trial(g, order)(2, 5)
+    assert len(greedy) == g.n_edges
+    assert shifting._graph_trial(g, order)(2, 5) == greedy
+
+
 def test_a_component_left_unspanned_breaks_an_invariant(monkeypatch):
     # singular blocks cannot come from the draw; two equal rows leave the
     # candidates short of the edges' span
