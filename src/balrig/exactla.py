@@ -11,13 +11,12 @@ Work is proportional to the entries the matrices read. Parameters are drawn
 by prefix: the rows of the block for side or color c come in order from one
 random stream seeded by (seed, c) (``prefix_stream``), so a rank query
 draws only the leading rows it reads, and the prefix walk of a graph shift
-reads them one step at a time. The greedy route of shifting draws full
-invertible blocks from the same streams and gets them in triangular form,
-so their leading rows span what the rank query's rows span. Rank, greedy
-lexicographic bases, left kernels and the full-block draw all run on one
-incremental sparse echelon kernel, ``Echelon``, whose rows are
-``{column: value}`` dicts; the field is given by its prime p, and
-arithmetic uses plain Python integers.
+reads them one step at a time. Every block is drawn in unit upper
+triangular form, so a full block, which shifting reads, is invertible for
+every draw and needs no test. Rank, greedy lexicographic bases and left
+kernels all run on one incremental sparse echelon kernel, ``Echelon``,
+whose rows are ``{column: value}`` dicts; the field is given by its prime
+p, and arithmetic uses plain Python integers.
 
 The kernel does only the modular work a verdict reads. A row is reduced mod
 p once, when it is finished, and a pivot is not scaled: the inverse of its
@@ -149,16 +148,6 @@ class Echelon:
         pivots[lead] = [tail, tag, value, None]
         return True
 
-    def monic(self, lead: int) -> dict[int, int]:
-        """The pivot row under ``lead`` scaled so that its leading entry is 1,
-        as a ``{column: value}`` dict of nonzero residues."""
-        p = self.p
-        pivot = self.pivots[lead]
-        tail, _, value, inv = pivot
-        if inv is None:
-            inv = pivot[3] = pow(value, -1, p)
-        return {lead: 1, **{j: v * inv % p for j, v in tail.items()}}
-
 
 @dataclass(frozen=True)
 class GenericMatrix:
@@ -271,57 +260,42 @@ def sample_theta(
     seed: int,
     block_sizes: Sequence[int],
     rows: Sequence[int] | None = None,
-) -> list[list[list[int]]] | list[list[dict[int, int]]]:
+) -> list[list[list[int]]]:
     """Random parameter blocks, one per entry of ``block_sizes``.
 
-    Block c has ``block_sizes[c]`` columns, and its rows come in order from
-    one random stream seeded by (seed, c) (``prefix_stream``), so the
-    leading rows of a block do not depend on how many rows are drawn. The
-    entries are the values of ``randrange(p)`` on that stream, drawn from
-    its ``getrandbits`` by the same rejection rule without a call per entry.
-    With ``rows``, block c holds its ``rows[c]`` leading rows as lists, and
-    nothing is tested; rank queries draw this way.
-
-    Without ``rows``, every block is square and invertible, and it comes in
-    triangular form; shifting draws this way. A stream row that depends on
-    the rows kept so far is dropped and the stream's next row takes its
-    place. A drop happens with probability at most size/p, so the kept rows
-    are the prefix draw's rows except with that probability. Row r of the
-    block is the r-th kept row minus a combination of the earlier kept rows,
-    scaled so that its leading entry is 1, as a ``{column: value}`` dict of
-    nonzero residues: the pivot that the rejection test has just built, made
-    monic by the inverse that the echelon then keeps for later rows. It
-    is zero before its leading column and in the leading columns of the rows
-    before it. So for every r the first r rows span the same space as the
-    first r kept rows, and the leading columns are distinct; for a generic
-    draw, row r leads in column r.
+    Block c has ``block_sizes[c]`` columns, and holds its ``rows[c]``
+    leading rows, or all of them (as many as it has columns) without
+    ``rows``, as lists read from ``prefix_stream``. The leading rows of a
+    block do not depend on how many rows are drawn, and a full block is unit
+    upper triangular, so it is invertible for every draw.
     """
-    if rows is not None and len(rows) != len(block_sizes):
+    if rows is None:
+        rows = block_sizes
+    elif len(rows) != len(block_sizes):
         raise InputError("sample_theta needs one row count per block")
-    blocks = []
-    for c, size in enumerate(block_sizes):
-        stream = prefix_stream(p, seed, c, size)
-        if rows is not None:
-            blocks.append(list(islice(stream, rows[c])))
-            continue
-        block: list[dict[int, int]] = []
-        echelon = Echelon(p)
-        while len(block) < size:
-            if echelon.insert(dict(enumerate(next(stream)))):
-                block.append(echelon.monic(next(reversed(echelon.pivots))))
-        blocks.append(block)
-    return blocks
+    return [
+        list(islice(prefix_stream(p, seed, c, size), n))
+        for c, (size, n) in enumerate(zip(block_sizes, rows))
+    ]
 
 
 def prefix_stream(p: int, seed: int, c: int, size: int) -> Iterator[list[int]]:
-    """The rows of parameter block c, in order, without end: each a list of
-    ``size`` values of ``randrange(p)`` from the random stream seeded by
-    (seed, c). Every draw of block c reads this stream, so a caller that
-    takes rows one at a time gets the rows ``sample_theta(..., rows=...)``
-    returns."""
+    """The rows of parameter block c, in order, without end. Row r of the
+    ``size`` rows is r zeros, a 1, and then ``size - r - 1`` values of
+    ``randrange(p)`` from the random stream seeded by (seed, c); every later
+    row is zero. Every draw of block c reads this stream, so a caller that
+    takes rows one at a time gets the rows ``sample_theta`` returns.
+
+    Any generic block is L times a unit upper triangular one, L lower
+    triangular and invertible, and the verdicts drawn from a block do not
+    change under L: shifting's by its triangular argument, and the rigidity
+    and facet-ridge matrices' because L acts on them as column operations.
+    """
     getrandbits = random.Random(f"{seed}:{c}").getrandbits
+    for r in range(size):
+        yield [0] * r + [1] + _below(getrandbits, p, size - r - 1)
     while True:
-        yield _below(getrandbits, p, size)
+        yield [0] * size
 
 
 def _below(getrandbits: Callable[[int], int], p: int, n: int) -> list[int]:

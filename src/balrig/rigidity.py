@@ -25,6 +25,12 @@ complexes it coincides with the (l,l)-rigidity matrix of the underlying
 graph, and both constructions draw their parameters from the same per-side
 (per-color) random blocks, so cross-checks against shifting can share one
 draw.
+
+The drawn rows are the leading rows of a unit upper triangular block. A
+generic set of rows is an invertible T times such rows, and T, applied to
+one side's or one color's rows, acts on either matrix as an invertible
+change of the columns of each vertex or ridge block that reads them. So
+rank and left kernel are a generic draw's, with the same degree bounds.
 """
 
 from __future__ import annotations

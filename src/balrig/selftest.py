@@ -139,11 +139,12 @@ def check_shift_conservation() -> tuple[bool, str]:
 
 
 def _shift_predicates(g, k, l, policy):
-    """(stress-free, rigid) read off the shifted graph, shared random draw.
+    """(stress-free, rigid) read off the shifted graph, shared random draw:
+    the greedy's full blocks start with the rows ``analyze`` reads.
 
     The shift runs the greedy trials directly: ``shift_graph`` may take the
-    prefix walk, which ranks the same matrix on the same streams as
-    ``analyze``, and then the comparison would check nothing."""
+    prefix walk, which ranks the same matrix as ``analyze``, and then the
+    comparison would check nothing."""
     order = VertexOrder.admissible_graph(g.a_size, g.b_size, k, l)
     edges, _ = run_trials(policy, _edge_trial(g, order), what="shifted edge set")
     stress_free = k + 1 > g.a_size or l + 1 > g.b_size or (k + 1, l + 1) not in edges

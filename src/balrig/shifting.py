@@ -12,25 +12,23 @@ shifted edge set. Complexes work the same way color-set by color-set: the
 candidate for one vertex per color in T expands over the faces with color
 support T, with a product coefficient per color.
 
-The expansions are computed after a triangular change of coordinates, which
-leaves the selected set unchanged for the same draw. Each block theta is
-replaced by L * theta with L lower triangular and invertible: row r becomes
-row r minus a combination of the earlier rows, scaled to a leading 1. The
-full-block draw ``exactla.sample_theta`` returns the blocks in this form,
-taken from the elimination its invertibility test runs anyway. The
-candidate for ij' then becomes a nonzero multiple of itself plus a
-combination of the candidates st' with s <= i and t <= j. A vertex order
-extends the natural order on each side (``VertexOrder`` rejects any other),
-so the lex order refines this product order and all those candidates come
-earlier. By induction every prefix of the candidate sequence spans the same
-space as before, and the greedy picks the same candidates, for every draw
-and every p, degenerate draws included. Picks of complexes work the same
-way, one color at a time. The payoff is sparsity:
-row i of a triangular block is zero before its leading column, which is
-column i for a generic block, so the candidate ij' touches only the edges pq'
-with p >= i and q >= j, and for a complete bipartite graph the candidate rows
-arrive already in echelon form. Each candidate row is built from the
-triangular rows over the edges or faces present only.
+The blocks are drawn unit upper triangular (``exactla.prefix_stream``),
+which leaves the selected set generic. Replace a block theta by L * theta
+with L lower triangular and invertible: the candidate for ij' becomes a
+nonzero multiple of itself plus a combination of the candidates st' with
+s <= i and t <= j. A vertex order extends the natural order on each side
+(``VertexOrder`` rejects any other), so the lex order refines this product
+order and all those candidates come earlier. By induction every prefix of
+the candidate sequence spans the same space as before, and the greedy picks
+the same candidates, for every draw and every p. Picks of complexes work the
+same way, one color at a time. A generic block is L * U with U unit upper
+triangular, so the selected set depends on U alone, and drawing U's entries
+at random is a random evaluation of the same conditions, of no higher
+degree. The payoff is sparsity: row i of a block is zero before column i, so
+the candidate ij' touches only the edges pq' with p >= i and q >= j, and for
+a complete bipartite graph the candidate rows arrive already in echelon
+form. Each candidate row is built from the block rows over the edges or
+faces present only.
 
 Graphs have a second route, the prefix walk, which reads the shifted edge
 set off ranks of prefixes, since balanced shifting of a graph is bipartite
@@ -51,18 +49,18 @@ needs all 2n steps, where the greedy's candidate rows arrive in echelon
 form. The route rule (``_walk_is_short``) takes the walk when a lower bound
 on its steps, computed from the sizes, E and the order, is at most 2V/5 + 1.
 
-The walk reads the same counts as the greedy when the leading stream rows of
-each block are the rows the full-block draw keeps, and names the same cells
-when the greedy's set is shifted. Its counts are the generic prefix ranks as
-soon as the E star rows that a generic draw accepts stay independent: a rank
-at a point is at most the generic rank, and those rows keep every prefix at
-it. That is one E×E minor of degree E in the drawn entries, so the per-trial
-failure bound 2E/p of the greedy, whose candidate entries have degree 2,
-covers the walk too. On a degenerate draw the walk can end below E, or name
-more cells than its row or column has left; the trial then returns the
-greedy trial's verdict for the same (p, seed), so every per-trial verdict is
-an E-edge set. Its output is not shifted by construction, so it is checked
-as the greedy's is.
+The walk reads the rows the greedy reads, so for every draw its counts are
+the greedy's, and it names the same cells when the greedy's set is shifted.
+Its counts are the generic prefix ranks as soon as the E star rows that a
+generic draw accepts stay independent: a rank at a point is at most the
+generic rank, and those rows keep every prefix at it. That is one E×E minor
+of degree E in the drawn entries, so the per-trial failure bound 2E/p of the
+greedy, whose candidate entries have degree 2, covers the walk too. Since
+every block is invertible, the walk reaches rank E by the last A-step, and
+an A-step after b B-steps adds at most |B| - b (the first b B-rows give b
+independent relations among its star rows), B-steps symmetrically; a walk
+that breaks either raises ``InvariantError``. Its output is not shifted by
+construction, so it is checked as the greedy's is.
 
 The components of a complex are read off its face set, which groups the
 faces by color support once (``BalancedComplex.face_set``); a color set that
@@ -111,8 +109,8 @@ _TOO_SMALL = (
 )
 
 
-#: Largest side or color a shift accepts: it draws a full square block per
-#: side or color, s^2 entries in O(s^3) steps.
+#: Largest side or color a shift accepts: on the greedy route a graph offers
+#: up to |A||B| candidates, each expanded over the edges it touches.
 SHIFT_SIDE_CAP = 256
 #: Most candidates a complex shift may offer, bounded before any face is
 #: derived by the sum over the facets' color sets T of prod(1 + s_c), c in T:
@@ -165,7 +163,7 @@ def _face_index(faces, colors) -> tuple[object, list[dict[int, int]]]:
 
 
 def _slot_rows(slots, rows) -> list[list[list[tuple[int, int]]]]:
-    """For every triangular row of the last color and every slot, the
+    """For every block row of the last color and every slot, the
     ``(column, value)`` pairs of the faces on which the row is nonzero."""
     return [
         [[(col, row[v]) for v, col in slot.items() if v in row] for slot in slots]
@@ -175,8 +173,8 @@ def _slot_rows(slots, rows) -> list[list[list[tuple[int, int]]]]:
 
 def _expansion(index, leads, pick, last, p: int) -> dict[int, int]:
     """A candidate's sparse row: the column of each face maps to the product
-    of the triangular rows' entries at the face's vertices. ``leads`` holds
-    the triangular block of every color but the last, and the candidate's
+    of the block rows' entries at the face's vertices. ``leads`` holds the
+    block of every color but the last, as sparse rows, and the candidate's
     ``pick`` names its row in each; ``last`` holds its row of the last
     color as ``_slot_rows`` gives it. Only faces on which no row is zero are
     visited; the values are left unreduced below p^2."""
@@ -215,11 +213,14 @@ def _trial(sizes, components):
     def trial(p: int, seed: int) -> frozenset:
         if not prepared:
             return frozenset()
-        tri = sample_theta(p, seed, sizes)
+        blocks = [
+            [{j: x for j, x in enumerate(row) if x} for row in block]
+            for block in sample_theta(p, seed, sizes)
+        ]
         selected: set = set()
         for lead_colors, last_color, index, slots, size, candidates in prepared:
-            leads = [tri[c - 1] for c in lead_colors]
-            last = _slot_rows(slots, tri[last_color - 1])
+            leads = [blocks[c - 1] for c in lead_colors]
+            last = _slot_rows(slots, blocks[last_color - 1])
             greedy = GreedyBasis(p)
             for pick, tag in candidates:
                 greedy.offer(tag, _expansion(index, leads, pick, last[pick[-1] - 1], p))
@@ -271,20 +272,20 @@ def _walk_is_short(g: BipartiteGraph, order: VertexOrder) -> bool:
 
 def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
     """One shifting trial of g's edges by the prefix walk, as a function of
-    (p, seed) that returns the shifted edge set, or None on a degenerate
-    draw.
+    (p, seed) that returns the shifted edge set.
 
     The walk visits the vertices in order. At the a-th A-vertex it offers
     one greedy basis the star row of every B-vertex q: row a of the
     A-stream on each edge column pq. B-steps are symmetric. With b
     B-vertices behind it, the step's rank increment inc names the cells
     (a, b+1), ..., (a, b+inc); a B-step names (a+1, b), ..., (a+inc, b).
-    The walk stops when the rank reaches E. It ends below E, or an
-    increment exceeds the cells left in its row or column, only on a
-    degenerate draw. Edge columns are ordered by the edges' lex keys, latest
-    first, which eliminates up to 2.5 times faster than earliest first on
-    random graphs of density 0.4 to 0.6. The star lists do not depend on the
-    draw, so they are built once and shared by all trials.
+    The walk stops when the rank reaches E. Invertible blocks keep every
+    increment within the cells left in its row or column and bring the
+    rank to E, so a walk that breaks either raises ``InvariantError``. Edge
+    columns are ordered by the edges' lex keys, latest first, which
+    eliminates up to 2.5 times faster than earliest first on random graphs
+    of density 0.4 to 0.6. The star lists do not depend on the draw, so
+    they are built once and shared by all trials.
     """
     n_edges = g.n_edges
     sizes = (g.a_size, g.b_size)
@@ -301,7 +302,7 @@ def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
     stars = ([s for s in by_b if s], [s for s in by_a if s])
     steps = [(int(side == "B"), idx) for side, idx in order.sequence]
 
-    def walk(p: int, seed: int) -> frozenset | None:
+    def walk(p: int, seed: int) -> frozenset:
         if not n_edges:
             return frozenset()
         streams = [prefix_stream(p, seed, c, size) for c, size in enumerate(sizes)]
@@ -318,7 +319,9 @@ def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
             inc = basis.rank - before
             other = seen[1 - c]
             if other + inc > sizes[1 - c]:
-                return None
+                raise InvariantError(
+                    "a walk step named more cells than its row or column has"
+                )
             seen[c] += 1
             if c:
                 cells += [(i, idx) for i in range(other + 1, other + inc + 1)]
@@ -326,25 +329,15 @@ def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
                 cells += [(idx, j) for j in range(other + 1, other + inc + 1)]
             if basis.rank == n_edges:
                 return frozenset(cells)
-        return None
+        raise InvariantError("the prefix walk ended below the edge count")
 
     return walk
 
 
 def _graph_trial(g: BipartiteGraph, order: VertexOrder):
     """The trial ``shift_graph`` runs: the prefix walk where the route rule
-    takes it, with the greedy trial's verdict for the same (p, seed) on a
-    degenerate draw, so that every verdict is an E-edge set; the greedy
-    trial elsewhere."""
-    if not _walk_is_short(g, order):
-        return _edge_trial(g, order)
-    walk = _prefix_trial(g, order)
-
-    def trial(p: int, seed: int) -> frozenset:
-        verdict = walk(p, seed)
-        return _edge_trial(g, order)(p, seed) if verdict is None else verdict
-
-    return trial
+    takes it, the greedy trial elsewhere."""
+    return (_prefix_trial if _walk_is_short(g, order) else _edge_trial)(g, order)
 
 
 def shift_graph(
@@ -357,14 +350,14 @@ def shift_graph(
     Defaults to the interleaved order. The result has the same number of
     edges, is balanced-shifted, and is reproducible from (seed, prime, order).
     The trials take the prefix walk or the greedy by the route rule
-    (``_graph_trial``). Sides over ``SHIFT_SIDE_CAP`` are refused before
-    anything is drawn.
+    (``_graph_trial``). An order that does not list every vertex, then sides
+    over ``SHIFT_SIDE_CAP``, are refused before anything is drawn.
     """
+    if order is not None and not order.covers_graph(g):
+        raise InputError("vertex order does not list every vertex of the graph exactly once")
     _check_shift_size((g.a_size, g.b_size))
     if order is None:
         order = VertexOrder.interleaved_graph(g.a_size, g.b_size)
-    if not order.covers_graph(g):
-        raise InputError("vertex order does not cover the graph's vertices")
     verdict, meta = run_trials(
         policy,
         _graph_trial(g, order),
@@ -419,7 +412,9 @@ def shift_complex(
     verdict, meta = run_trials(
         policy,
         _face_trial(k, order),
-        poly_degree=2 * max(len(all_faces(k)), 1),
+        # a candidate entry on a face is a product of one drawn entry per
+        # vertex, so each component's minor has degree |t| times its faces
+        poly_degree=sum(map(len, all_faces(k))),
         what="shifted face set",
     )
     faces = verdict | {frozenset()}

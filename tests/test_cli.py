@@ -155,12 +155,13 @@ def test_size_cap_exits_4(capsys, tmp_path):
 def test_trial_disagreement_exits_5(capsys, tmp_path):
     # over the two-element field this graph's rank genuinely depends on the
     # draw, so three trials disagree and so does the escalation batch
-    g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
+    edges = {(1, 4), (1, 5), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (4, 5)}
+    g = BipartiteGraph(4, 5, frozenset(edges))
     path = write_graph(tmp_path, g)
     rc, out = run_cli(
         capsys,
-        "analyze", "--graph", path, "-k", "1", "-l", "2",
-        "--prime", "2", "--seed", "0",
+        "analyze", "--graph", path, "-k", "2", "-l", "1",
+        "--prime", "2", "--seed", "4",
     )
     assert rc == 5
     assert json.loads(out)["error"]["kind"] == "TrialDisagreementError"
@@ -171,8 +172,8 @@ def test_trial_disagreement_exits_5(capsys, tmp_path):
     assert len(set(verdicts)) > 1
     _, again = run_cli(
         capsys,
-        "analyze", "--graph", path, "-k", "1", "-l", "2",
-        "--prime", "2", "--seed", "0",
+        "analyze", "--graph", path, "-k", "2", "-l", "1",
+        "--prime", "2", "--seed", "4",
     )
     assert again == out
 

@@ -29,11 +29,6 @@ def make_matrix(rows, p=P, row_labels=None):
     )
 
 
-def dense(block, n):
-    """Triangular ``{column: value}`` rows as dense rows of length n."""
-    return [[row.get(c, 0) for c in range(n)] for row in block]
-
-
 def test_default_prime_is_prime():
     assert is_prime(DEFAULT_PRIME)
     assert DEFAULT_PRIME == 2**62 - 57
@@ -128,15 +123,14 @@ def test_sample_theta_deterministic_and_invertible():
     a2 = sample_theta(P, 42, (4, 3))
     assert a1 == a2
     for block in a1:
-        m = make_matrix(dense(block, len(block)))
+        m = make_matrix(block)
         assert m.rank() == len(block)
 
 
 def test_sample_theta_scalar_blocks_nonzero():
-    # the 1x1 full block is its nonzero entry scaled to 1
-    assert sample_theta(P, 7, (1, 1)) == [[{0: 1}], [{0: 1}]]
-    prefix = sample_theta(P, 7, (1, 1), rows=(1, 1))
-    assert all(block[0][0] != 0 for block in prefix)
+    # a 1x1 block is its leading 1, drawn or not, and later rows are zero
+    assert sample_theta(P, 7, (1, 1)) == [[[1]], [[1]]]
+    assert sample_theta(P, 7, (1, 1), rows=(1, 3)) == [[[1]], [[1], [0], [0]]]
 
 
 def test_sample_theta_different_seeds_differ():
@@ -184,18 +178,18 @@ def test_sample_theta_prefix_streams():
     # rows come in order from one stream per block: a prefix draw is the
     # leading part of a longer one
     assert prefix[0] == sample_theta(P, 42, (4, 4), rows=(5, 1))[0][:2]
-    # the first r rows of the full triangular block span what the first r
-    # prefix rows span: stacking both leaves the rank at r
-    for tri, rows in zip(full, prefix):
-        for r in range(len(rows) + 1):
-            assert make_matrix(dense(tri[:r], 4) + rows[:r]).rank() == r
+    # a full block is the prefix draw of all its rows
+    for block, rows in zip(full, prefix):
+        assert block[: len(rows)] == rows
     # each block has its own stream, keyed by (seed, block) without collisions
     assert full[0] != full[1]
     assert sample_theta(P, 1, (3, 3))[0] != sample_theta(P, 0, (3, 3))[1]
     assert sample_theta(P, 12, (3,))[0] != sample_theta(P, 1, (3, 3, 3))[2]
-    # a prefix draw may ask for more rows than the block has columns
+    # a prefix draw may ask for more rows than the block has columns; the
+    # rows past the last column are zero
     (tall,) = sample_theta(P, 5, (2,), rows=(7,))
     assert len(tall) == 7 and all(len(row) == 2 for row in tall)
+    assert tall[2:] == [[0, 0]] * 5
 
 
 def test_moduli_beyond_the_deterministic_primality_range_are_refused():
@@ -228,25 +222,16 @@ def test_run_trials_warns_when_the_failure_bound_is_at_least_one():
     assert meta.warnings == () and "warnings" not in meta.to_json_dict()
 
 
-def reference_full_block(rng, p, size):
-    """The triangular block from ``randrange`` rows by dense elimination: a
-    stream row that reduces to zero is dropped; a kept row is reduced by the
-    earlier kept rows, in increasing order of their leading columns, and
-    scaled to a leading 1."""
-    pivots = {}  # leading column -> dense row with a 1 there
-    block = []
-    while len(block) < size:
-        row = [rng.randrange(p) for _ in range(size)]
-        for lead in sorted(pivots):
-            f = row[lead]
-            row = [(x - f * y) % p for x, y in zip(row, pivots[lead])]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        pivots[lead] = [x * inv % p for x in row]
-        block.append({c: x for c, x in enumerate(pivots[lead]) if x})
-    return block
+def reference_rows(rng, p, size, n):
+    """n rows of a unit upper triangular block from ``randrange``: row r is
+    r zeros, a 1, and the next size - r - 1 values; rows past the last
+    column are zero."""
+    return [
+        [0] * r + [1] + [rng.randrange(p) for _ in range(size - r - 1)]
+        if r < size
+        else [0] * size
+        for r in range(n)
+    ]
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 257, 65537, DEFAULT_PRIME])
@@ -257,8 +242,7 @@ def test_sample_theta_draws_the_randrange_stream(p):
     for seed in range(4):
         prefix, full = [], []
         for c, (size, n) in enumerate(zip(sizes, rows)):
-            rng = random.Random(f"{seed}:{c}")
-            prefix.append([[rng.randrange(p) for _ in range(size)] for _ in range(n)])
-            full.append(reference_full_block(random.Random(f"{seed}:{c}"), p, size))
+            prefix.append(reference_rows(random.Random(f"{seed}:{c}"), p, size, n))
+            full.append(reference_rows(random.Random(f"{seed}:{c}"), p, size, size))
         assert sample_theta(p, seed, sizes, rows=rows) == prefix
         assert sample_theta(p, seed, sizes) == full

@@ -167,12 +167,14 @@ def test_double_banana_carries_a_stress():
 
 def test_stress_basis_after_escalation_has_the_agreed_dimension():
     # at p = 3 the first two trials disagree; the four escalated ones agree
-    # on dimension 1, while trial 0 alone has a 3-dimensional kernel
+    # on dimension 0, while trial 0 alone has a 1-dimensional kernel
     g = fam.random_quadrangulation(6, seed=1)
-    policy = TrialPolicy(trials=2, prime=3, seed=22)
+    policy = TrialPolicy(trials=2, prime=3, seed=17)
+    theta = sample_theta(3, policy.trial_seed(0), (g.a_size, g.b_size), rows=(2, 2))
+    assert len(build_rigidity_matrix(g, 2, 2, theta, 3).left_kernel()) == 1
     basis = stress_space(g, 2, 2, policy)
     assert basis.meta.escalated
-    assert basis.dim == analyze(g, 2, 2, policy).stress_dim == 1
+    assert basis.dim == analyze(g, 2, 2, policy).stress_dim == 0
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +499,61 @@ def test_analyze_rows_lead_shift_blocks(monkeypatch):
         assert sizes == full_sizes == (g.a_size, g.b_size)
         assert rows == (2, 2)
         assert len(full_a) == g.a_size and len(full_b) == g.b_size
-        # the shift blocks are triangular; their first two rows span what
-        # analyze's two rows span
-        for rows, full, n in ((rows_a, full_a, g.a_size), (rows_b, full_b, g.b_size)):
-            tri = [[row.get(c, 0) for c in range(n)] for row in full[:2]]
-            assert dense_rank(tri + rows, P, n) == dense_rank(tri, P, n) == 2
+        # the shift blocks start with analyze's two rows
+        assert full_a[:2] == rows_a and full_b[:2] == rows_b
+
+
+def _invertible(rng, p, n):
+    while True:
+        t = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if dense_rank(t, p, n) == n:
+            return t
+
+
+def _times(t, rows, p):
+    return [
+        [sum(x * row[c] for x, row in zip(coeffs, rows)) % p for c in range(len(rows[0]))]
+        for coeffs in t
+    ]
+
+
+def _same_rank_and_left_kernel(m1, m2, p):
+    k1, k2 = m1.left_kernel(), m2.left_kernel()
+    n = m1.n_rows
+    assert m1.rank() == m2.rank()
+    assert dense_rank(k1, p, n) == dense_rank(k2, p, n) == dense_rank(k1 + k2, p, n)
+
+
+@pytest.mark.parametrize("p", [5, 101, P])
+def test_rigidity_matrices_ignore_an_invertible_change_of_one_sides_rows(p):
+    # T acts on the drawn rows of one side or color as a change of the
+    # columns of every block that reads them, so the unit upper triangular
+    # draw ranks as the generic rows T times it do, and has their stresses
+    rng = random.Random(p)
+    for i in range(30):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        edges = frozenset(e for e in complete_edges(n, m) if rng.random() < 0.6)
+        g = BipartiteGraph(n, m, edges)
+        k, l = rng.randint(1, 3), rng.randint(1, 3)
+        theta = sample_theta(p, i, (n, m), rows=(k, l))
+        base = build_rigidity_matrix(g, k, l, theta, p)
+        for side, r in ((0, k), (1, l)):
+            moved = list(theta)
+            moved[side] = _times(_invertible(rng, p, r), theta[side], p)
+            _same_rank_and_left_kernel(base, build_rigidity_matrix(g, k, l, moved, p), p)
+    complexes = (
+        fam.cross_polytope_boundary(3),
+        fam.van_kampen_complex(2, 1),
+        fam.gamma_complex(2, [3, 3, 3]),
+    )
+    for kx in complexes:
+        for l in (1, 2, 3):
+            theta = sample_theta(p, l, kx.color_sizes, rows=(l,) * kx.n_colors)
+            base = build_M(kx, l, theta, p)
+            for c in range(kx.n_colors):
+                moved = list(theta)
+                moved[c] = _times(_invertible(rng, p, l), theta[c], p)
+                _same_rank_and_left_kernel(base, build_M(kx, l, moved, p), p)
 
 
 def test_the_walk_reads_the_rows_analyze_reads(monkeypatch):

@@ -1,25 +1,28 @@
 """Sparse triangular shifting against the dense candidate expansion.
 
 ``dense_shift_edges`` and ``dense_shift_faces`` are the shifting trials as
-they were before the triangular change of coordinates: every candidate
-monomial is expanded densely over all edges or faces, with the raw blocks
-the draw keeps. ``raw_blocks`` rebuilds those from prefix draws and a dense
-rank test, so the oracle shares no elimination with the library's draw.
-They stay here as a differential oracle. The library builds the candidates
-sparsely from the triangular rows ``sample_theta`` returns for full blocks,
-and its greedy selection must be identical for the same (input, order, p,
-seed), degenerate draws at small p included. The greedy trial is in turn
-the oracle of the prefix walk, which must pick the same edges whenever the
-draw is not degenerate. The faces of each color set come from the
+they were before the unit upper triangular draw: every candidate monomial is
+expanded densely over all edges or faces, for any invertible blocks. They
+stay here as a differential oracle. On raw invertible blocks theta, their
+greedy selection must equal the library's trial run on L * theta, L lower
+triangular and invertible, for every p: the selected set depends only on the
+unit upper triangular factor of theta, and that is the form the library
+draws. On the library's own draw the two must be identical for the same
+(input, order, p, seed). The greedy trial is in turn the oracle of the
+prefix walk, which reads the same rows and must pick the same edges whenever
+the greedy's set is shifted. The faces of each color set come from the
 facet-restriction oracle of ``test_face_oracle``, not from the library's
 grouped face set.
 """
 
 import itertools
+import random
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from balrig import shifting
 from balrig.combinat import (
     BalancedComplex,
     BipartiteGraph,
@@ -34,35 +37,39 @@ from balrig.shifting import _edge_trial, _face_trial, _prefix_trial, check_shift
 from test_face_oracle import oracle_faces_with_colorset
 from test_kernel_oracle import dense_rank
 
-PRIMES = (3, 5, 101, DEFAULT_PRIME)
+PRIMES = (2, 3, 5, 101, DEFAULT_PRIME)
 
 
-def raw_blocks(p, seed, sizes):
-    """The square blocks the full draw keeps before triangularising: block
-    c's stream rows, read by prefix draws, each kept when it raises the
-    dense rank of the rows kept so far."""
+def raw_blocks(rng, p, sizes):
+    """Random invertible square blocks, one per size, as int lists."""
     blocks = []
-    for c, size in enumerate(sizes):
-        drawn = size
+    for size in sizes:
         while True:
-            counts = [drawn if d == c else 0 for d in range(len(sizes))]
-            stream = sample_theta(p, seed, sizes, rows=counts)[c]
-            kept = []
-            for row in stream:
-                if len(kept) < size and dense_rank(kept + [row], p, size) > len(kept):
-                    kept.append(row)
-            if len(kept) == size:
+            block = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+            if dense_rank(block, p, size) == size:
                 break
-            drawn *= 2
-        blocks.append(kept)
+        blocks.append(block)
     return blocks
 
 
-def dense_shift_edges(g, order, p, seed):
+def lower_triangular_times(rng, p, block):
+    """L * block for a random lower triangular L with a nonzero diagonal."""
+    n = len(block)
+    lower = [
+        [rng.randrange(p) for _ in range(r)] + [rng.randrange(1, p)] + [0] * (n - r - 1)
+        for r in range(n)
+    ]
+    return [
+        [sum(lower[r][s] * block[s][c] for s in range(n)) % p for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def dense_shift_edges(g, order, p, blocks):
     basis_edges = g.edge_list()
     if not basis_edges:
         return frozenset()
-    theta_a, theta_b = raw_blocks(p, seed, (g.a_size, g.b_size))
+    theta_a, theta_b = blocks
     candidates = sorted(
         ((i, j) for i in range(1, g.a_size + 1) for j in range(1, g.b_size + 1)),
         key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
@@ -78,8 +85,7 @@ def dense_shift_edges(g, order, p, seed):
     return frozenset(greedy.selected)
 
 
-def dense_shift_faces(k, order, p, seed):
-    blocks = raw_blocks(p, seed, k.color_sizes)
+def dense_shift_faces(k, order, p, blocks):
     selected = set()
     colors = range(1, k.n_colors + 1)
     for r in range(1, k.n_colors + 1):
@@ -177,18 +183,46 @@ def complex_cases(draw):
 )
 def test_sparse_edge_shift_matches_dense_oracle(case, p, seed):
     g, order = case
-    assert _edge_trial(g, order)(p, seed) == dense_shift_edges(g, order, p, seed)
+    blocks = sample_theta(p, seed, (g.a_size, g.b_size))
+    assert _edge_trial(g, order)(p, seed) == dense_shift_edges(g, order, p, blocks)
 
 
-def dropped_a_stream_row(p, seed, sizes):
-    """Whether a full-block draw dropped a stream row: the leading stream
-    rows of some block, as many as it has columns, are dependent."""
-    prefix = sample_theta(p, seed, sizes, rows=sizes)
-    return any(dense_rank(rows, p, n) < n for rows, n in zip(prefix, sizes))
+def _run_on(trial, blocks, p):
+    """``trial`` run with ``shifting.sample_theta`` drawing ``blocks``."""
+    with mock.patch.object(shifting, "sample_theta", lambda p, seed, sizes: blocks):
+        return trial(p, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_cases(), st.sampled_from(PRIMES), st.integers(0, 10**6))
+@example(
+    (BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)})),
+     VertexOrder.interleaved_graph(3, 3)),
+    2,
+    0,
+)
+def test_the_edge_trial_on_l_theta_picks_the_dense_greedy_of_theta(case, p, seed):
+    # the selected set depends only on the unit upper triangular factor of
+    # theta, so a lower triangular row operation changes no pick, at any p
+    g, order = case
+    rng = random.Random(seed)
+    theta = raw_blocks(rng, p, (g.a_size, g.b_size))
+    moved = [lower_triangular_times(rng, p, block) for block in theta]
+    assert _run_on(_edge_trial(g, order), moved, p) == dense_shift_edges(g, order, p, theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complex_cases(), st.sampled_from(PRIMES), st.integers(0, 10**6))
+def test_the_face_trial_on_l_theta_picks_the_dense_greedy_of_theta(case, p, seed):
+    k, order = case
+    rng = random.Random(seed)
+    theta = raw_blocks(rng, p, k.color_sizes)
+    moved = [lower_triangular_times(rng, p, block) for block in theta]
+    assert _run_on(_face_trial(k, order), moved, p) == dense_shift_faces(k, order, p, theta)
 
 
 @settings(max_examples=300, deadline=None)
-@given(graph_cases(max_side=8), st.sampled_from((2,) + PRIMES), st.integers(0, 10**6))
+@given(graph_cases(max_side=8), st.sampled_from(PRIMES), st.integers(0, 10**6))
 @example((BipartiteGraph(3, 2, frozenset()), VertexOrder.interleaved_graph(3, 2)), 3, 0)
 @example(
     (
@@ -204,16 +238,13 @@ def dropped_a_stream_row(p, seed, sizes):
     1,
 )
 def test_prefix_walk_matches_the_greedy_trial(case, p, seed):
-    # the walk reads the greedy's counts on initial segments; they name the
-    # greedy's cells when its set is shifted, and they are the same counts
-    # when each block's leading stream rows are the ones the full draw keeps
+    # the walk reads the greedy's counts on initial segments, from the same
+    # rows; they name the greedy's cells when its set is shifted
     g, order = case
     greedy = _edge_trial(g, order)(p, seed)
     walk = _prefix_trial(g, order)(p, seed)
-    if walk is not None:
-        assert len(walk) == g.n_edges
-    sizes = (g.a_size, g.b_size)
-    if check_shifted(BipartiteGraph(*sizes, greedy)) and not dropped_a_stream_row(p, seed, sizes):
+    assert len(walk) == g.n_edges
+    if check_shifted(BipartiteGraph(g.a_size, g.b_size, greedy)):
         assert walk == greedy
 
 
@@ -221,31 +252,26 @@ def test_prefix_walk_matches_the_greedy_trial(case, p, seed):
 @given(complex_cases(), st.sampled_from(PRIMES), st.integers(0, 10**6))
 def test_sparse_face_shift_matches_dense_oracle(case, p, seed):
     k, order = case
-    assert _face_trial(k, order)(p, seed) == dense_shift_faces(k, order, p, seed)
+    blocks = sample_theta(p, seed, k.color_sizes)
+    assert _face_trial(k, order)(p, seed) == dense_shift_faces(k, order, p, blocks)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from((2,) + PRIMES), st.integers(0, 7), st.integers(0, 10**6))
+@given(st.sampled_from(PRIMES), st.integers(0, 7), st.integers(0, 10**6))
 def test_triangular_rows_keep_every_prefix_span(p, n, seed):
+    # a full block is the prefix draw of all its rows, unit upper triangular
     (tri,) = sample_theta(p, seed, (n,))
-    (block,) = raw_blocks(p, seed, (n,))
     assert len(tri) == n
-    leads = []
     for r, row in enumerate(tri):
-        lead = min(row)
-        assert row[lead] == 1
-        assert all(0 < v < p for v in row.values())
-        assert not set(leads) & set(row), "a row is nonzero in an earlier lead column"
-        leads.append(lead)
-        dense = [[t.get(c, 0) for c in range(n)] for t in tri[: r + 1]]
-        assert dense_rank(dense, p, n) == r + 1
-        assert dense_rank(dense + block[: r + 1], p, n) == r + 1
-    assert len(set(leads)) == n
+        assert len(row) == n and row[: r + 1] == [0] * r + [1]
+        assert all(0 <= v < p for v in row)
+        assert sample_theta(p, seed, (n,), rows=(r + 1,)) == [tri[: r + 1]]
+        assert dense_rank(tri[: r + 1], p, n) == r + 1
 
 
 def test_triangular_rows_of_a_generic_block_are_upper_triangular():
     (tri,) = sample_theta(DEFAULT_PRIME, 5, (6,))
-    assert [min(row) for row in tri] == list(range(6))
+    assert [next(c for c, x in enumerate(row) if x) for row in tri] == list(range(6))
 
 
 def test_offer_takes_sparse_and_dense_rows_alike():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -95,10 +96,9 @@ def test_greedy_expansion_rows_select_all_but_last_pair():
     assert (3, 3) not in selected
 
 
-def test_a_trial_eliminates_each_parameter_block_once(monkeypatch):
-    # the draw hands its triangular rows to the expansion, so one shifting
-    # trial builds one echelon per parameter block and one for the greedy
-    # basis, and inserts every block row once
+def test_a_trial_eliminates_no_parameter_block(monkeypatch):
+    # the draw is unit upper triangular already, so one shifting trial
+    # builds one echelon, the greedy basis, and inserts only candidates
     created, inserted = [], []
     init, insert = exactla.Echelon.__init__, exactla.Echelon.insert
 
@@ -112,9 +112,11 @@ def test_a_trial_eliminates_each_parameter_block_once(monkeypatch):
 
     monkeypatch.setattr(exactla.Echelon, "__init__", counting_init)
     monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
-    shift_graph(K(4, 3), policy=TrialPolicy(trials=1))
-    assert len(created) == 3
-    assert [inserted.count(e) for e in created[:2]] == [4, 3]
+    g = K(4, 3)
+    assert not shifting._walk_is_short(g, _default_order(g))
+    shift_graph(g, policy=TrialPolicy(trials=1))
+    assert len(created) == 1
+    assert inserted == created * len(inserted) and len(inserted) >= g.n_edges
 
 
 def test_check_shifted_examples():
@@ -177,8 +179,6 @@ def test_cross_polytope_is_fixpoint():
 
 def test_shift_complex_preserves_flag_counts():
     rng = random.Random(77)
-    import itertools
-
     for i in range(10):
         sizes = (rng.randint(2, 3), rng.randint(2, 3), rng.randint(2, 3))
         facets = frozenset(
@@ -237,8 +237,6 @@ def test_contains_join():
     assert contains_join(fam.van_kampen_complex(2, 2), 3)
     assert contains_join(fam.cross_polytope_boundary(3), 2)
     # non-shifted complex takes the search path
-    import itertools
-
     facets = frozenset(
         frozenset(zip((1, 2), pick))
         for pick in itertools.product((2, 3), repeat=2)
@@ -257,11 +255,30 @@ def test_a_non_shifted_agreed_edge_set_is_refused_as_a_too_small_prime():
 
 
 def test_a_non_shifted_agreed_face_set_is_refused_as_a_too_small_prime():
-    # over F_2 this draw picks the vertex (1, 2) for the lone vertex (1, 1)
-    k = BalancedComplex((2,), frozenset({frozenset({(1, 1)})}))
+    # over F_2 this draw picks a non-shifted edge set for a path of three
+    # edges
+    facets = [{(1, 1), (2, 1)}, {(1, 2), (2, 1)}, {(1, 2), (2, 2)}]
+    k = BalancedComplex((2, 2), frozenset(map(frozenset, facets)))
     with pytest.raises(InputError, match="prime 2 is too small"):
-        shift_complex(k, policy=TrialPolicy(prime=2, trials=1))
-    assert shift_complex(k).complex == k
+        shift_complex(k, policy=TrialPolicy(prime=2, trials=1, seed=1))
+    assert check_shifted(shift_complex(k).complex)
+    # a lone vertex's block is [[1, u], [0, 1]], so it stays put on every draw
+    lone = BalancedComplex((2,), frozenset({frozenset({(1, 1)})}))
+    for seed in range(8):
+        policy = TrialPolicy(prime=2, trials=1, seed=seed)
+        assert shift_complex(lone, policy=policy).complex == lone
+
+
+def test_the_failure_bound_of_a_complex_shift_sums_the_face_sizes():
+    # a candidate entry on a face is a product of one drawn entry per vertex
+    policy = TrialPolicy(prime=101, trials=1)
+    for k, degree in [
+        (fam.cross_polytope_boundary(3), 54),
+        (fam.cross_polytope_boundary(4), 216),
+        (fam.cross_polytope_boundary(5), 810),
+        (fam.gamma_complex(3, [3, 3, 3, 3]), 764),
+    ]:
+        assert shift_complex(k, policy=policy).meta.failure_bound == degree / 101
 
 
 def _default_order(g):
@@ -295,26 +312,37 @@ def test_the_walk_is_not_shifted_by_construction():
     # shift_graph refuses it as coming from a too small prime
     g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
     walked = shifting._prefix_trial(g, _default_order(g))(2, 0)
-    assert walked == {(1, 1), (2, 2), (2, 3), (3, 2)}
+    assert walked == {(1, 1), (1, 2), (1, 3), (2, 2)}
     assert not check_shifted(BipartiteGraph(3, 3, walked))
 
 
-def test_a_degenerate_walk_gives_the_greedy_verdict():
-    # over F_2 the second stream row of each side is zero in this draw,
-    # which the walk cannot read cells from
-    g = BipartiteGraph(3, 3, frozenset({(1, 2), (1, 3), (2, 2), (3, 1)}))
-    order = _default_order(g)
-    assert shifting._prefix_trial(g, order)(2, 5) is None
-    greedy = shifting._edge_trial(g, order)(2, 5)
-    assert len(greedy) == g.n_edges
-    assert shifting._graph_trial(g, order)(2, 5) == greedy
+def _constant_streams(rows):
+    """A ``prefix_stream`` stand-in that yields ``rows[c]`` on block c
+    forever: singular blocks, which the draw cannot give."""
+    return lambda p, seed, c, size: itertools.repeat([rows[c]] * size)
+
+
+def test_a_walk_step_naming_too_many_cells_breaks_an_invariant(monkeypatch):
+    # zero B-rows give no relations, so the first A-step after both B-steps
+    # raises the rank by 2 with no cell left in its row
+    monkeypatch.setattr(shifting, "prefix_stream", _constant_streams((1, 0)))
+    order = VertexOrder([("B", 1), ("B", 2), ("A", 1), ("A", 2)])
+    with pytest.raises(InvariantError, match="more cells"):
+        shifting._prefix_trial(K(2, 2), order)(101, 0)
+
+
+def test_a_walk_ending_below_the_edge_count_breaks_an_invariant(monkeypatch):
+    # all-ones rows on both sides span 3 of K_{2,2}'s 4 edges
+    monkeypatch.setattr(shifting, "prefix_stream", _constant_streams((1, 1)))
+    with pytest.raises(InvariantError, match="ended below"):
+        shifting._prefix_trial(K(2, 2), _default_order(K(2, 2)))(101, 0)
 
 
 def test_a_component_left_unspanned_breaks_an_invariant(monkeypatch):
     # singular blocks cannot come from the draw; two equal rows leave the
     # candidates short of the edges' span
     monkeypatch.setattr(
-        shifting, "sample_theta", lambda p, seed, sizes: [[{0: 1, 1: 1}] * 2] * 2
+        shifting, "sample_theta", lambda p, seed, sizes: [[[1, 1]] * 2] * 2
     )
     with pytest.raises(InvariantError, match="failed to span"):
         shift_graph(K(2, 2), policy=TrialPolicy(trials=1))
