@@ -35,12 +35,14 @@ def _dumps(obj) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document at ``path`` (``-`` for stdin). Text that is not
+    UTF-8, not JSON or nested too deeply to parse is refused as input."""
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

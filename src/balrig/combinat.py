@@ -352,11 +352,6 @@ class VertexOrder:
         }
         return set(self.sequence[: k + l]) == want
 
-    def is_admissible_uniform(self, l: int, n_colors: int) -> bool:
-        """The least l vertices of each color form an initial segment."""
-        want = {(c, i) for c in range(1, n_colors + 1) for i in range(1, l + 1)}
-        return set(self.sequence[: l * n_colors]) == want
-
     @classmethod
     def interleaved_graph(cls, a_size: int, b_size: int) -> "VertexOrder":
         """1 < 1' < 2 < 2' < ...; admissible for every (k, k) and (k+1, k)."""
@@ -596,8 +591,9 @@ def link(k: BalancedComplex, sigma: Iterable[ColoredVertex]) -> BalancedComplex:
     sigma = frozenset(sigma)
     if not is_face(k, sigma):
         raise InputError("link of a non-face")
-    duals = [f - sigma for f in k.facets if sigma <= f]
-    return BalancedComplex.from_maximal_candidates(k.color_sizes, duals)
+    # the facets form an antichain, so their duals do too
+    duals = frozenset(f - sigma for f in k.facets if sigma <= f)
+    return BalancedComplex(k.color_sizes, duals)
 
 
 def join_complexes(k1: BalancedComplex, k2: BalancedComplex) -> BalancedComplex:

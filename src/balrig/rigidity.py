@@ -47,7 +47,7 @@ from .combinat import (
     f_vector,
     ridges as complex_ridges,
 )
-from .errors import InputError, InvariantError, SizeCapError, check_cap
+from .errors import InputError, InvariantError, check_cap
 from .exactla import (
     DEFAULT_POLICY,
     GenericMatrix,
@@ -369,11 +369,7 @@ def laman_check(g: BipartiteGraph, k: int, l: int) -> LamanReport:
         raise InputError("k and l must be positive")
     if g.a_size < k or g.b_size < l:
         raise InputError("sparsity check needs |A| >= k and |B| >= l")
-    if g.n_vertices > LAMAN_SIZE_CAP:
-        raise SizeCapError(
-            f"sparsity brute force capped at {LAMAN_SIZE_CAP} vertices; "
-            f"got {g.n_vertices}"
-        )
+    check_cap("sparsity brute force vertices", g.n_vertices, LAMAN_SIZE_CAP)
     global_ok = g.n_edges == max_rank(g, k, l)
     adj = [0] * (g.a_size + 1)
     for i, j in g.edges:

@@ -25,10 +25,14 @@ same way, one color at a time. A generic block is L * U with U unit upper
 triangular, so the selected set depends on U alone, and drawing U's entries
 at random is a random evaluation of the same conditions, of no higher
 degree. The payoff is sparsity: row i of a block is zero before column i, so
-the candidate ij' touches only the edges pq' with p >= i and q >= j, and for
-a complete bipartite graph the candidate rows arrive already in echelon
-form. Each candidate row is built from the block rows over the edges or
-faces present only.
+the candidate ij' touches only the edges pq' with p >= i and q >= j, and a
+candidate of a complex only the faces at or above its pick in every color.
+The columns list the edges sorted and the faces by lex key, both linear
+extensions of that coordinatewise order, so a candidate whose pick is an
+edge or face leads at its own column with the entry 1. On a complete
+bipartite graph, and on any input that is already shifted, the candidate
+rows then arrive in echelon form and none meets a pivot. Each candidate row
+is built from the block rows over the edges or faces present only.
 
 Graphs have a second route, the prefix walk, which reads the shifted edge
 set off ranks of prefixes, since balanced shifting of a graph is bipartite
@@ -374,7 +378,9 @@ def shift_graph(
 
 def _face_trial(k: BalancedComplex, order: VertexOrder):
     """One shifting trial of k's faces, one component per color support
-    that k's faces use, each candidate tagged by its face."""
+    that k's faces use, each candidate tagged by its face. The faces, the
+    component's columns, are listed by their lex keys, the order the
+    candidates are offered in; no column order changes a rank."""
     components = []
     for t, faces in k.face_set.by_colors.items():
         if not t:
@@ -384,7 +390,8 @@ def _face_trial(k: BalancedComplex, order: VertexOrder):
             key=lambda pick: order.lex_key(zip(t, pick)),
         )
         tagged = [(pick, frozenset(zip(t, pick))) for pick in picks]
-        components.append((t, [dict(f) for f in faces], tagged))
+        columns = sorted(faces, key=order.lex_key)
+        components.append((t, [dict(f) for f in columns], tagged))
     return _trial(k.color_sizes, components)
 
 
@@ -397,9 +404,9 @@ def shift_complex(
 
     Defaults to the color-interleaved order, which is (l,...,l)-admissible for
     every l. Checks in one pass over the selected supports that they form a
-    balanced-shifted complex, then that its f-vector is k's. Colors over
-    ``SHIFT_SIDE_CAP`` and candidate bounds over ``SHIFT_CANDIDATE_CAP`` are
-    refused before any face is derived.
+    balanced-shifted complex and reads off its facets, then checks that its
+    f-vector is k's. Colors over ``SHIFT_SIDE_CAP`` and candidate bounds over
+    ``SHIFT_CANDIDATE_CAP`` are refused before any face is derived.
     """
     _check_shift_size(k.color_sizes, {frozenset(c for c, _ in f) for f in k.facets})
     if order is None:
@@ -418,24 +425,28 @@ def shift_complex(
         what="shifted face set",
     )
     faces = verdict | {frozenset()}
-    if not _closed_and_shifted(faces):
+    facets = _shifted_facets(faces)
+    if facets is None:
         raise InputError(_TOO_SMALL.format(what="face set", p=policy.prime))
     if sorted(map(len, faces)) != sorted(map(len, all_faces(k))):
         raise InvariantError("shifting failed to preserve the f-vector")
-    shifted = BalancedComplex.from_maximal_candidates(k.color_sizes, faces)
-    return ShiftedComplex(shifted, order, meta)
+    return ShiftedComplex(BalancedComplex(k.color_sizes, facets), order, meta)
 
 
-def _closed_and_shifted(faces) -> bool:
-    """Whether every face of ``faces`` stays in it when one vertex (c, i) is
-    dropped, and when it is replaced by (c, i - 1). By induction the second
-    step reaches every smaller vertex of color c."""
+def _shifted_facets(faces) -> frozenset | None:
+    """The facets of ``faces`` when every face stays in it as one vertex
+    (c, i) is dropped and as it is replaced by (c, i - 1), else None. By
+    induction the second step reaches every smaller vertex of color c. In a
+    set closed under the first step a face is a facet exactly when it is no
+    face minus a vertex, so the facets come out of the same pass."""
+    covered = set()
     for f in faces:
         for c, i in f:
             rest = f - {(c, i)}
             if rest not in faces or (i > 1 and rest | {(c, i - 1)} not in faces):
-                return False
-    return True
+                return None
+            covered.add(rest)
+    return faces - covered
 
 
 def check_shifted(obj: BipartiteGraph | BalancedComplex) -> bool:
@@ -448,7 +459,7 @@ def check_shifted(obj: BipartiteGraph | BalancedComplex) -> bool:
             (i == 1 or (i - 1, j) in edges) and (j == 1 or (i, j - 1) in edges)
             for i, j in edges
         )
-    return _closed_and_shifted(all_faces(obj))
+    return _shifted_facets(all_faces(obj)) is not None
 
 
 def contains_complete_bipartite(g: BipartiteGraph, r: int, s: int) -> bool:

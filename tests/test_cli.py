@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -139,6 +140,28 @@ def test_mcheck_octahedron(capsys, tmp_path):
 def test_malformed_input_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
+    rc, out = run_cli(capsys, "analyze", "--graph", str(path), "-k", "1", "-l", "1")
+    assert rc == 3
+    err = json.loads(out)["error"]
+    assert err["code"] == 3 and err["kind"] == "InputError"
+
+
+#: Text the JSON loaders cannot parse: bytes that are not UTF-8, and arrays
+#: nested deeper than the parser's recursion limit.
+UNREADABLE = {"not-utf8": b"\xff\xfe\x00{", "deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_unreadable_input_exits_3(capsys, tmp_path, monkeypatch, name, from_stdin):
+    data = UNREADABLE[name]
+    if from_stdin:
+        # a strict UTF-8 stdin, whatever the locale's error handler is
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        path = "-"
+    else:
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
     rc, out = run_cli(capsys, "analyze", "--graph", str(path), "-k", "1", "-l", "1")
     assert rc == 3
     err = json.loads(out)["error"]

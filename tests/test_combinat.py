@@ -264,9 +264,11 @@ def test_lex_key_orders_edges_min_endpoint_first():
 
 
 def test_complex_order_uniform_admissibility():
+    # the least l vertices of each color form an initial segment
     order = VertexOrder.interleaved_complex((3, 3, 3))
-    assert order.is_admissible_uniform(1, 3)
-    assert order.is_admissible_uniform(2, 3)
+    for l in (1, 2, 3):
+        want = {(c, i) for c in (1, 2, 3) for i in range(1, l + 1)}
+        assert set(order.sequence[: 3 * l]) == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ must give the same answers on random pure and non-pure complexes and on
 random bipartite graphs, shifted and not shifted. ``oracle_maximal`` and
 ``oracle_is_antichain`` compare every pair of faces; the library tests a
 face only against the larger faces at its least frequent vertex, on pools
-closed under taking subfaces and on pools that are not.
+closed under taking subfaces and on pools that are not. On a closed pool the
+shiftedness pass also returns the facets, the faces that are no face minus a
+vertex, and must match both oracles together.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from balrig.combinat import (
     maximal_faces,
 )
 from balrig.errors import InputError
-from balrig.shifting import check_shifted
+from balrig.shifting import _shifted_facets, check_shifted
 
 
 def oracle_is_face(k, sigma):
@@ -210,6 +212,29 @@ def test_the_antichain_check_matches_the_pairwise_scan(case):
     else:
         with pytest.raises(InputError, match="antichain"):
             BalancedComplex(sizes, faces)
+
+
+def _subfaces(face):
+    return {frozenset(sub) for r in range(len(face) + 1) for sub in itertools.combinations(face, r)}
+
+
+@st.composite
+def closed_pools(draw):
+    """A pool closed under taking subfaces, the empty face included, and at
+    times under the shifting rules too."""
+    sizes, pool = draw(pools())
+    reach = _below if draw(st.booleans()) else _subfaces
+    return sizes, frozenset().union({frozenset()}, *map(reach, pool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_pools())
+def test_the_shiftedness_pass_returns_the_facets_of_a_shifted_pool(case):
+    sizes, pool = case
+    k = BalancedComplex.from_maximal_candidates(sizes, pool)
+    assert all_faces(k) == pool
+    expected = oracle_maximal(pool) if oracle_check_shifted(k) else None
+    assert _shifted_facets(pool) == expected
 
 
 def test_the_empty_face_is_maximal_only_alone():

@@ -8,13 +8,14 @@ from balrig.combinat import (
     BalancedComplex,
     BipartiteGraph,
     VertexOrder,
+    all_faces,
     complete_edges,
     cone_left,
     f_vector,
     graph_to_complex,
     join_complexes,
 )
-from balrig import exactla
+from balrig import combinat, exactla
 from balrig import shifting
 from balrig.errors import InputError, InvariantError
 from balrig.exactla import TrialPolicy, greedy_independent_rows, sample_theta
@@ -175,6 +176,45 @@ def test_cross_polytope_is_fixpoint():
         k = fam.cross_polytope_boundary(d)
         res = shift_complex(k, policy=TrialPolicy(trials=2, seed=d))
         assert res.complex == k
+
+
+@pytest.mark.parametrize(
+    "k", [fam.cross_polytope_boundary(4), fam.gamma_complex(2, [3, 3, 4])], ids=["cp4", "gamma"]
+)
+@pytest.mark.parametrize("p", [2, exactla.DEFAULT_PRIME])
+def test_candidates_of_a_shifted_complex_meet_no_pivot(monkeypatch, k, p):
+    # every pick of a shifted complex is a face, and the face columns follow
+    # the candidates' lex order, so each row leads at its own pick's column
+    # (a candidate that is no face touches no face at all)
+    assert check_shifted(k)
+    offered, met = [], []
+    insert = exactla.Echelon.insert
+
+    def watching_insert(self, row, tag=None):
+        offered.append(row)
+        met.extend(c for c in row if c in self.pivots)
+        return insert(self, row, tag)
+
+    monkeypatch.setattr(exactla.Echelon, "insert", watching_insert)
+    order = VertexOrder.interleaved_complex(k.color_sizes)
+    assert shifting._face_trial(k, order)(p, 0) == all_faces(k) - {frozenset()}
+    assert offered and not met
+
+
+def test_a_complex_shift_reads_its_facets_off_the_checked_faces(monkeypatch):
+    # the facets come out of the shiftedness pass; only the constructor's
+    # antichain check runs maximal_faces, and only on them
+    k = fam.glued_cross_polytopes(3).complex
+    pools = []
+    maximal_faces = combinat.maximal_faces
+
+    def watching(pool):
+        pools.append(frozenset(pool))
+        return maximal_faces(pools[-1])
+
+    monkeypatch.setattr(combinat, "maximal_faces", watching)
+    res = shift_complex(k, policy=TrialPolicy(trials=1))
+    assert res.complex != k and pools == [res.complex.facets]
 
 
 def test_shift_complex_preserves_flag_counts():
