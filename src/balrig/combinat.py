@@ -575,12 +575,15 @@ def ridges(k: BalancedComplex) -> set[Face]:
 
 
 def antistar(k: BalancedComplex, sigma: Iterable[ColoredVertex]) -> BalancedComplex:
-    """Subcomplex of faces not containing sigma."""
+    """Subcomplex of faces not containing sigma. A face without sigma in a
+    facet F on sigma misses some v of sigma, so the facets without sigma and
+    these F - {v} hold the antistar's maximal faces."""
     sigma = frozenset(sigma)
-    if not is_face(k, sigma):
+    if not any(sigma <= f for f in k.facets):
         raise InputError("antistar of a non-face")
-    keep = [f for f in all_faces(k) if not sigma <= f]
-    return BalancedComplex.from_maximal_candidates(k.color_sizes, keep)
+    pool = [f for f in k.facets if not sigma <= f]
+    pool += [f - {v} for f in k.facets if sigma <= f for v in sigma]
+    return BalancedComplex.from_maximal_candidates(k.color_sizes, pool)
 
 
 def link(k: BalancedComplex, sigma: Iterable[ColoredVertex]) -> BalancedComplex:
@@ -722,7 +725,7 @@ def subdivide_star(
     x = frozenset(x)
     if len(sigma) < 2:
         raise InputError("subdivide_star needs a non-vertex face")
-    if not is_face(k, sigma):
+    if not any(sigma <= f for f in k.facets):
         raise InputError("sigma is not a face")
     sigma_colors = {c for c, _ in sigma}
     if s.n_colors != k.n_colors:
@@ -748,11 +751,11 @@ def subdivide_star(
             new_sizes[c - 1] += 1
             vmap[(c, i)] = (c, new_sizes[c - 1])
 
-    anti_faces = [f for f in all_faces(k) if not sigma <= f]
+    anti_faces = antistar(k, sigma).facets
     lk = [f - sigma for f in k.facets if sigma <= f]
     glued = [frozenset(vmap[v] for v in sf) | lf for sf in s.facets for lf in lk]
     result = BalancedComplex.from_maximal_candidates(
-        tuple(new_sizes), anti_faces + glued
+        tuple(new_sizes), [*anti_faces, *glued]
     )
     top = k.dim + 1
     f_top_anti = sum(1 for f in anti_faces if len(f) == top)

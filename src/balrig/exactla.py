@@ -15,8 +15,9 @@ reads them one step at a time. Every block is drawn in unit upper
 triangular form, so a full block, which shifting reads, is invertible for
 every draw and needs no test. Rank, greedy lexicographic bases and left
 kernels all run on one incremental sparse echelon kernel, ``Echelon``,
-whose rows are ``{column: value}`` dicts; the field is given by its prime
-p, and arithmetic uses plain Python integers.
+whose rows are ``{column: value}`` dicts (a left kernel appends identity
+columns); the field is given by its prime p, and arithmetic uses plain
+Python integers.
 
 The kernel does only the modular work a verdict reads. A row is reduced mod
 p once, when it is finished, and a pivot is not scaled: the inverse of its
@@ -34,7 +35,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .errors import InputError, InvariantError, TrialDisagreementError
+from .errors import InputError, InvariantError, TrialDisagreementError, check_cap
 
 #: Default modulus: the largest prime below 2^62.
 DEFAULT_PRIME = (1 << 62) - 57
@@ -82,21 +83,15 @@ class Echelon:
     """Incremental row echelon form over F_p for sparse rows.
 
     Rows are ``{column: value}`` dicts. A pivot row is kept under its
-    leading column as the list ``[tail, tag, lead, inverse]``: its later
-    columns (its tail) as nonzero residues, its tag, the residue of its
-    leading entry, and the inverse of that entry, which is None until the
-    pivot first reduces a row. Pivots are not scaled, so a stored row is the
-    finished row reduced mod p. A new row is reduced by clearing its pivot
-    columns in increasing order; each step creates entries in later columns
-    only. Values are reduced mod p only where a decision needs them, so a
-    row may carry unreduced integers and entries that are 0 mod p while it
-    is being reduced. An optional tag, a ``{row id: coefficient}`` dict,
-    goes through the same operations, so a row that reduces to zero leaves
-    in its tag a vanishing combination of the tagged rows: a left-kernel
-    vector, the same for any scaling of the pivots, since it is the only
-    combination with coefficient 1 on that row and otherwise only on earlier
-    independent rows. Either every row inserted into one echelon carries a
-    tag or none does.
+    leading column as the list ``[tail, lead, inverse]``: its later columns
+    (its tail) as nonzero residues, the residue of its leading entry, and
+    the inverse of that entry, which is None until the pivot first reduces a
+    row. Pivots are not scaled, so a stored row is the finished row reduced
+    mod p. A new row is reduced by clearing its pivot columns in increasing
+    order; each step creates entries in later columns only. Values are
+    reduced mod p only where a decision needs them, so a row may carry
+    unreduced integers and entries that are 0 mod p while it is being
+    reduced.
     """
 
     __slots__ = ("p", "pivots")
@@ -105,11 +100,10 @@ class Echelon:
         self.p = p
         self.pivots: dict[int, list] = {}
 
-    def insert(self, row: dict[int, int], tag: dict | None = None) -> bool:
+    def insert(self, row: dict[int, int]) -> int | None:
         """Reduce ``row`` against the pivots and keep what is left as a new
-        pivot row. Returns True when something was left. Both dicts are
-        consumed; when False is returned, ``tag`` holds the vanishing
-        combination, reduced mod p."""
+        pivot row. Returns the new pivot's leading column, or None when the
+        row reduces to zero. ``row`` is consumed."""
         p = self.p
         pivots = self.pivots
         todo = [c for c in row if c in pivots]
@@ -120,9 +114,9 @@ class Echelon:
             if not f:
                 continue  # a column pushed twice, or one that cancelled
             pivot = pivots[c]
-            tail, ptag, lead, inv = pivot
+            tail, lead, inv = pivot
             if inv is None:
-                inv = pivot[3] = pow(lead, -1, p)
+                inv = pivot[2] = pow(lead, -1, p)
             f = f * inv % p
             for j, v in tail.items():
                 x = row.get(j)
@@ -132,21 +126,12 @@ class Echelon:
                         heappush(todo, j)
                 else:
                     row[j] = x - f * v
-            if tag is not None:
-                for i, v in ptag.items():
-                    tag[i] = tag.get(i, 0) - f * v
         tail = {j: x for j, v in row.items() if (x := v % p)}
         if not tail:
-            if tag is not None:
-                for i, v in tag.items():
-                    tag[i] = v % p
-            return False
-        if tag is not None:
-            tag = {i: x for i, v in tag.items() if (x := v % p)}
+            return None
         lead = min(tail)
-        value = tail.pop(lead)
-        pivots[lead] = [tail, tag, value, None]
-        return True
+        pivots[lead] = [tail, tail.pop(lead), None]
+        return lead
 
 
 @dataclass(frozen=True)
@@ -193,26 +178,35 @@ class GenericMatrix:
         depend on; a row then mostly meets pivots that lead before it."""
         echelon = Echelon(self.p)
         rows = sorted(self.entries, key=lambda entry: min(entry, default=()))
-        return sum(echelon.insert(dict(entry)) for entry in rows)
+        return sum(echelon.insert(dict(entry)) is not None for entry in rows)
 
     def left_kernel(self) -> list[tuple[int, ...]]:
         """Basis of row dependencies: vectors w with w * M = 0.
 
-        Each row goes into the echelon tagged with its own index; a row that
-        reduces to zero leaves a kernel vector in its tag. Checks
-        rank-nullity before returning.
+        Row i gets a 1 in column ``n_cols + i``, where the reduction carries
+        its combination of the rows. A row that leads there is dependent: its
+        pivot, read as row indices, is the kernel vector with 1 on that row
+        and otherwise only on earlier independent rows, and is dropped before
+        the next row goes in. Checks rank-nullity before returning.
         """
-        n = self.n_rows
+        n, m = self.n_rows, self.n_cols
+        if any(c >= m for entry in self.entries for c, _ in entry):
+            raise InputError("an entry lies past the last column")
         echelon = Echelon(self.p)
+        pivots = echelon.pivots
         basis = []
         for i, entry in enumerate(self.entries):
-            tag = {i: 1}
-            if not echelon.insert(dict(entry), tag):
+            row = dict(entry)
+            row[m + i] = 1
+            lead = echelon.insert(row)
+            if lead >= m:
+                tail, value, _ = pivots.pop(lead)
                 w = [0] * n
-                for j, v in tag.items():
-                    w[j] = v
+                w[lead - m] = value
+                for j, v in tail.items():
+                    w[j - m] = v
                 basis.append(tuple(w))
-        if len(basis) != n - len(echelon.pivots):
+        if len(basis) != n - len(pivots):
             raise InvariantError("rank-nullity violated in the left kernel")
         return basis
 
@@ -233,25 +227,22 @@ class GreedyBasis:
     def rank(self) -> int:
         return len(self._echelon.pivots)
 
-    def offer(self, label, row: Sequence[int] | dict[int, int]) -> bool:
-        """Select ``label`` when ``row`` is independent of the rows selected
-        so far. ``row`` is a dense sequence or a sparse ``{column: value}``
-        dict; a dict row is consumed."""
-        if not isinstance(row, dict):
-            row = dict(enumerate(row))
-        if self._echelon.insert(row):
-            self.selected.append(label)
-            return True
-        return False
+    def offer(self, label, row: dict[int, int]) -> bool:
+        """Select ``label`` when ``row``, a sparse ``{column: value}`` dict,
+        is independent of the rows selected so far. ``row`` is consumed."""
+        if self._echelon.insert(row) is None:
+            return False
+        self.selected.append(label)
+        return True
 
 
 def greedy_independent_rows(
     p: int, labeled_rows: Sequence[tuple[object, Sequence[int]]]
 ) -> list:
-    """Labels of the greedy independent subset of rows, in the given order."""
+    """Labels of the greedy independent subset of dense rows, in order."""
     basis = GreedyBasis(p)
     for label, row in labeled_rows:
-        basis.offer(label, row)
+        basis.offer(label, dict(enumerate(row)))
     return basis.selected
 
 
@@ -313,6 +304,10 @@ def _below(getrandbits: Callable[[int], int], p: int, n: int) -> list[int]:
     return out
 
 
+#: Most trials of a policy before escalation; each is a full verdict call.
+TRIAL_CAP = 64
+
+
 @dataclass(frozen=True)
 class TrialPolicy:
     """How many independent random draws to run and how to reconcile them.
@@ -329,6 +324,7 @@ class TrialPolicy:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trial count must be at least 1")
+        check_cap("trial count", self.trials, TRIAL_CAP)
         if self.prime >= PRIME_LIMIT:
             raise InputError(f"modulus {self.prime} is beyond the deterministic primality range")
         if not is_prime(self.prime):

@@ -76,7 +76,6 @@ def max_rank(g: BipartiteGraph, k: int, l: int) -> int:
     return l * g.a_size + k * g.b_size - k * l
 
 
-@lru_cache(maxsize=8)
 def _elimination_order(g: BipartiteGraph) -> tuple[Vertex, ...]:
     """g's vertices in minimum-degree elimination order (Tinney and Walker
     1967; George and Liu 1989), ties broken by vertex.
@@ -85,8 +84,8 @@ def _elimination_order(g: BipartiteGraph) -> tuple[Vertex, ...]:
     eliminating its column block joins the blocks its rows reach; the
     vertex of least degree in that elimination graph goes next. A heap holds
     one entry per degree change, and an entry whose degree is out of date
-    is skipped when it comes up. Cached, bounded, so that every trial of a
-    verdict call reads one order.
+    is skipped when it comes up. Only ``_rigidity_layout``, which is
+    cached, calls it.
     """
     adj: dict[Vertex, set[Vertex]] = {v: set() for v in g.vertices()}
     for a, b in g.edges:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import balrig
 from balrig.combinat import COMPLEX_COLOR_CAP, COMPLEX_FACET_CAP, GRAPH_EDGE_CAP
+from balrig.exactla import TRIAL_CAP
 from balrig.rigidity import RANK_SIZE_CAP
 from balrig.shifting import SHIFT_CANDIDATE_CAP, SHIFT_SIDE_CAP
 
@@ -83,6 +84,14 @@ def test_stress_space_is_capped_like_analyze():
     )
     out = run_capped(["-c", script])
     assert out.stdout.strip() == "4", out.stderr
+
+
+def test_analyze_caps_its_trials(tmp_path):
+    # a billion trials of a 2+2 graph would run for about a day
+    graph = {"a_size": 2, "b_size": 2, "edges": [[1, 1], [2, 2]]}
+    command = ["analyze", "--graph", "INPUT", "-k", "1", "-l", "1", "--trials", "1000000000"]
+    message = refused(tmp_path, command, graph)
+    assert message == f"trial count capped at {TRIAL_CAP}; got 1000000000"
 
 
 def test_mcheck_caps_the_parameters_it_draws(tmp_path):

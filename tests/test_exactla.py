@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balrig.errors import InputError, TrialDisagreementError
+from balrig.errors import InputError, SizeCapError, TrialDisagreementError
 from balrig.exactla import (
     DEFAULT_PRIME,
     PRIME_LIMIT,
+    TRIAL_CAP,
+    Echelon,
     GenericMatrix,
     TrialPolicy,
     greedy_independent_rows,
@@ -102,6 +104,16 @@ def test_greedy_selects_all_independent_rows():
 def test_greedy_rejects_proportional_row():
     rows = [("first", [2, 4]), ("second", [3, 6]), ("third", [0, 1])]
     assert greedy_independent_rows(P, rows) == ["first", "third"]
+    # the kernel returns a new pivot's leading column, or None for a row
+    # that reduces to zero, a zero row and a row that is 0 mod p included
+    echelon = Echelon(P)
+    assert echelon.insert({0: 2, 1: 4}) == 0
+    assert echelon.insert({0: 3, 1: 6}) is None
+    assert echelon.insert({0: 1, 2: 1}) == 1
+    assert echelon.insert({}) is None
+    assert echelon.insert({3: P, 4: 2 * P}) is None
+    assert echelon.insert({2: 7, 4: 1}) == 2
+    assert sorted(echelon.pivots) == [0, 1, 2]
 
 
 def test_greedy_selection_is_lex_minimal_basis():
@@ -163,11 +175,18 @@ def test_run_trials_disagreement_raises():
 def test_trial_policy_validation():
     with pytest.raises(InputError):
         TrialPolicy(trials=0)
+    assert TrialPolicy(trials=TRIAL_CAP).trials == TRIAL_CAP
+    with pytest.raises(SizeCapError, match=f"trial count capped at {TRIAL_CAP}; got 65"):
+        TrialPolicy(trials=TRIAL_CAP + 1)
 
 
 def test_matrix_label_validation():
     with pytest.raises(InputError):
         GenericMatrix(P, (((0, 1),),), row_labels=(), col_labels=(0,))
+    # a left kernel keeps its row combinations in the columns past the last
+    past = GenericMatrix(P, (((0, 1),), ((1, 1),)), row_labels=(0, 1), col_labels=(0,))
+    with pytest.raises(InputError, match="past the last column"):
+        past.left_kernel()
 
 
 def test_sample_theta_prefix_streams():

@@ -10,7 +10,9 @@ random bipartite graphs, shifted and not shifted. ``oracle_maximal`` and
 face only against the larger faces at its least frequent vertex, on pools
 closed under taking subfaces and on pools that are not. On a closed pool the
 shiftedness pass also returns the facets, the faces that are no face minus a
-vertex, and must match both oracles together.
+vertex, and must match both oracles together. ``oracle_antistar`` keeps the
+maximal faces of the whole face set less the star; the library reads them
+off a pool of facets and facets less one vertex of sigma.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from balrig.combinat import (
     BalancedComplex,
     BipartiteGraph,
     all_faces,
+    antistar,
     f_vector,
     faces_with_colorset,
     is_face,
@@ -74,6 +77,15 @@ def oracle_maximal(pool):
 
 def oracle_is_antichain(faces):
     return not any(f <= h or h <= f for f, h in itertools.combinations(faces, 2))
+
+
+def oracle_antistar(k, sigma):
+    """Every face of k without sigma, reduced to its maximal faces."""
+    sigma = frozenset(sigma)
+    if sigma not in all_faces(k):
+        raise InputError("antistar of a non-face")
+    keep = [f for f in all_faces(k) if not sigma <= f]
+    return BalancedComplex(k.color_sizes, oracle_maximal(keep))
 
 
 def _below(face):
@@ -244,3 +256,21 @@ def test_the_empty_face_is_maximal_only_alone():
     assert maximal_faces([]) == frozenset()
     with pytest.raises(InputError, match="antichain"):
         BalancedComplex((1,), frozenset({empty, v}))
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of the InputError it
+    raises."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes())
+def test_antistar_matches_the_closure_pool_oracle(k):
+    # probes cover faces, non-faces, the empty face (whose antistar is
+    # empty, so refused) and vertices that are facets
+    for sigma in [frozenset(), *_probes(k)]:
+        assert _outcome(antistar, k, sigma) == _outcome(oracle_antistar, k, sigma)

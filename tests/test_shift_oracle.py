@@ -32,7 +32,7 @@ from balrig.combinat import (
     cone_right,
 )
 from balrig.errors import BalrigError
-from balrig.exactla import DEFAULT_PRIME, GreedyBasis, sample_theta
+from balrig.exactla import DEFAULT_PRIME, GreedyBasis, greedy_independent_rows, sample_theta
 from balrig.shifting import _edge_trial, _face_trial, _prefix_trial, check_shifted
 from test_face_oracle import oracle_faces_with_colorset
 from test_kernel_oracle import dense_rank
@@ -79,7 +79,7 @@ def dense_shift_edges(g, order, p, blocks):
         row_a = theta_a[i - 1]
         row_b = theta_b[j - 1]
         expansion = [row_a[pp - 1] * row_b[qq - 1] % p for pp, qq in basis_edges]
-        greedy.offer((i, j), expansion)
+        greedy.offer((i, j), dict(enumerate(expansion)))
         if greedy.rank == len(basis_edges):
             break
     return frozenset(greedy.selected)
@@ -106,7 +106,7 @@ def dense_shift_faces(k, order, p, blocks):
                     for c, v in zip(t, pick):
                         coeff = coeff * blocks[c - 1][v - 1][face[c] - 1] % p
                     expansion.append(coeff)
-                greedy.offer(frozenset(zip(t, pick)), expansion)
+                greedy.offer(frozenset(zip(t, pick)), dict(enumerate(expansion)))
                 if greedy.rank == len(basis):
                     break
             if greedy.rank != len(basis):
@@ -274,10 +274,10 @@ def test_triangular_rows_of_a_generic_block_are_upper_triangular():
     assert [next(c for c, x in enumerate(row) if x) for row in tri] == list(range(6))
 
 
-def test_offer_takes_sparse_and_dense_rows_alike():
+def test_dense_and_sparse_rows_select_alike():
+    # greedy_independent_rows takes dense rows, GreedyBasis sparse ones
     rows = [[0, 3, 0, 1], [0, 6, 0, 2], [5, 0, 0, 0], [5, 3, 0, 1], [0, 0, 7, 0]]
-    dense, sparse = GreedyBasis(101), GreedyBasis(101)
+    sparse = GreedyBasis(101)
     for i, row in enumerate(rows):
-        dense.offer(i, row)
         sparse.offer(i, {c: v for c, v in enumerate(row) if v})
-    assert dense.selected == sparse.selected == [0, 2, 4]
+    assert greedy_independent_rows(101, list(enumerate(rows))) == sparse.selected == [0, 2, 4]

@@ -107,9 +107,9 @@ def test_a_trial_eliminates_no_parameter_block(monkeypatch):
         created.append(self)
         init(self, p)
 
-    def counting_insert(self, row, tag=None):
+    def counting_insert(self, row):
         inserted.append(self)
-        return insert(self, row, tag)
+        return insert(self, row)
 
     monkeypatch.setattr(exactla.Echelon, "__init__", counting_init)
     monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
@@ -190,10 +190,10 @@ def test_candidates_of_a_shifted_complex_meet_no_pivot(monkeypatch, k, p):
     offered, met = [], []
     insert = exactla.Echelon.insert
 
-    def watching_insert(self, row, tag=None):
+    def watching_insert(self, row):
         offered.append(row)
         met.extend(c for c in row if c in self.pivots)
-        return insert(self, row, tag)
+        return insert(self, row)
 
     monkeypatch.setattr(exactla.Echelon, "insert", watching_insert)
     order = VertexOrder.interleaved_complex(k.color_sizes)
