@@ -589,13 +589,15 @@ def antistar(k: BalancedComplex, sigma: Iterable[ColoredVertex]) -> BalancedComp
 def link(k: BalancedComplex, sigma: Iterable[ColoredVertex]) -> BalancedComplex:
     """Faces disjoint from sigma whose union with sigma is a face.
 
-    The palette is kept; sigma's colors simply go unused in the link.
+    The palette is kept; sigma's colors simply go unused in the link. Its
+    facets are F - sigma for the facets F on sigma, and sigma is a face
+    exactly when there is one, so one scan of the facets does both.
     """
     sigma = frozenset(sigma)
-    if not is_face(k, sigma):
-        raise InputError("link of a non-face")
     # the facets form an antichain, so their duals do too
     duals = frozenset(f - sigma for f in k.facets if sigma <= f)
+    if not duals:
+        raise InputError("link of a non-face")
     return BalancedComplex(k.color_sizes, duals)
 
 

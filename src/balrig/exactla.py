@@ -24,12 +24,23 @@ p once, when it is finished, and a pivot is not scaled: the inverse of its
 leading entry is computed the first time the pivot reduces a row, and many
 pivots never do. Entries are drawn by a rejection loop on ``getrandbits``
 that yields exactly the stream of ``randrange(p)``.
+
+Rows that settle nothing are not eliminated at all. A matrix builder may
+hand ``GenericMatrix`` a ``PeelPlan``, fixed before any draw: blocks of
+columns (those whose labels share their first component) that at most
+their width of the remaining rows meet, in peel order. Such rows are
+independent of every other row exactly when their restriction to the
+block has full row rank, which ``rank`` and ``left_kernel`` check at each
+draw without an inverse; they count those rows and eliminate only the
+rest, the core. The first block that fails its check sends its rows and
+all later ones to the core, so every draw gets its matrix's exact rank
+and kernel.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
@@ -135,17 +146,128 @@ class Echelon:
 
 
 @dataclass(frozen=True)
+class PeelPlan:
+    """The rows of a matrix layout that peel off before elimination.
+
+    ``blocks`` lists the blocks that peel, in peel order, as ``(width,
+    rows)``: the block's column count and, per row, ``(i, start)``, where
+    ``entries[i][start:start + width]`` are row i's entries in the block's
+    columns, in column order. ``by_lead`` and ``in_order`` are the core
+    rows, the rows of no block, in ``rank``'s order (``_lead_key``) and by
+    index.
+    """
+
+    blocks: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    by_lead: tuple[int, ...]
+    in_order: tuple[int, ...]
+
+
+def peel_plan(col_labels: Sequence, row_columns: Sequence[tuple[int, ...]]) -> PeelPlan:
+    """The peel plan of a layout: ``row_columns[i]`` is the tuple of the
+    columns of row i's entries, in entry order, zero entries included.
+
+    A block is the set of columns whose labels share their first component,
+    and a row must hold its entries in a block it meets as one run, in
+    column order. A block that at most its width of the remaining rows meet
+    peels: those rows leave, and the blocks they also meet may peel next.
+    Which rows peel does not depend on the order, as in k-core peeling; the
+    order is first come, first served, from the blocks in column order.
+    """
+    block_of: dict = {}
+    columns: list[list[int]] = []  # each block's columns, in order
+    col_block = []
+    for c, label in enumerate(col_labels):
+        b = block_of.setdefault(label[0], len(columns))
+        if b == len(columns):
+            columns.append([])
+        columns[b].append(c)
+        col_block.append(b)
+    runs = [tuple(cols) for cols in columns]
+    rows_of: list[list[tuple[int, int]]] = [[] for _ in columns]
+    row_blocks = []
+    for i, cols in enumerate(row_columns):
+        met, start = [], 0
+        while start < len(cols):
+            b = col_block[cols[start]]
+            width = len(runs[b])
+            if cols[start : start + width] != runs[b]:
+                raise InputError("a row meets a column block other than in one run")
+            rows_of[b].append((i, start))
+            met.append(b)
+            start += width
+        row_blocks.append(met)
+    count = [len(rows) for rows in rows_of]
+    queue = [b for b, run in enumerate(runs) if count[b] <= len(run)]
+    peeled = [False] * len(row_columns)
+    blocks = []
+    for b in queue:  # the queue grows while it is read
+        rows = tuple((i, start) for i, start in rows_of[b] if not peeled[i])
+        if not rows:
+            continue
+        blocks.append((len(runs[b]), rows))
+        for i, _ in rows:
+            peeled[i] = True
+            for other in row_blocks[i]:
+                count[other] -= 1
+                if count[other] == len(runs[other]):
+                    queue.append(other)
+    core = [i for i, done in enumerate(peeled) if not done]
+    by_lead = sorted(core, key=lambda i: _lead_key(row_columns[i]))
+    return PeelPlan(tuple(blocks), tuple(by_lead), tuple(core))
+
+
+def _lead_key(columns: Sequence[int]) -> tuple[int, int]:
+    """Sort key of a row for ``rank``: its leading column, and among rows
+    with one lead, the row that reaches furthest first. The first row is
+    the pivot; what it fills in lies late, so each later row soon leads at
+    a column of its own (a K_{n,n} in index order reduces several times
+    as much)."""
+    return min(columns, default=-1), -max(columns, default=-1)
+
+
+def _independent(p: int, entries, width: int, rows) -> bool:
+    """Whether the rows ``(i, start)`` restricted to
+    ``entries[i][start:start + width]`` are independent over F_p.
+
+    Fraction-free: one row needs a nonzero entry, two rows of width 2 a
+    nonzero determinant, and otherwise a row that is eliminated scales the
+    others by its pivot entry instead of being divided by it. Nothing is
+    inverted.
+    """
+    if len(rows) == 1:
+        i, start = rows[0]
+        return any(v % p for _, v in entries[i][start : start + width])
+    if len(rows) == 2 == width:
+        (i, s), (j, t) = rows
+        (_, a), (_, b) = entries[i][s : s + 2]
+        (_, c), (_, d) = entries[j][t : t + 2]
+        return (a * d - b * c) % p != 0
+    short = [[v for _, v in entries[i][start : start + width]] for i, start in rows]
+    while short:
+        top = short.pop()
+        j = next((j for j, x in enumerate(top) if x % p), None)
+        if j is None:
+            return False
+        x = top[j]
+        short = [[(y * x - row[j] * z) % p for y, z in zip(row, top)] for row in short]
+    return True
+
+
+@dataclass(frozen=True)
 class GenericMatrix:
     """A sparse matrix over F_p with combinatorially labeled rows and columns.
 
     Row i is stored as ``entries[i]``, a tuple of ``(column, residue)``
-    pairs; zero residues may be left out.
+    pairs; zero residues may be left out. ``plan``, when a builder gives
+    one, is the ``PeelPlan`` of the builder's layout; without one every row
+    is a core row.
     """
 
     p: int
     entries: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple
     col_labels: tuple
+    plan: PeelPlan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.entries) != len(self.row_labels):
@@ -173,30 +295,59 @@ class GenericMatrix:
             dense.append(tuple(row))
         return tuple(dense)
 
+    def _peel(self, by_lead: bool) -> tuple[int, Sequence[int]]:
+        """How many rows peel at this draw, and the core rows, in ``rank``'s
+        order or by index.
+
+        Each planned block is checked in peel order. The first one whose
+        rows are dependent in its columns ends the peel: its rows and all
+        later ones join the core.
+        """
+        plan, entries = self.plan, self.entries
+        gone = set()
+        if plan is not None:
+            for done, (width, rows) in enumerate(plan.blocks):
+                if not _independent(self.p, entries, width, rows):
+                    gone = {i for _, rows in plan.blocks[:done] for i, _ in rows}
+                    break
+            else:
+                core = plan.by_lead if by_lead else plan.in_order
+                return len(entries) - len(core), core
+        core = [i for i in range(len(entries)) if i not in gone]
+        if by_lead:
+            core.sort(key=lambda i: _lead_key([c for c, _ in entries[i]]))
+        return len(gone), core
+
     def rank(self) -> int:
-        """Rows go in sorted by their leading entry, which the rank does not
-        depend on; a row then mostly meets pivots that lead before it."""
+        """The peeled rows, plus the rank of the core. Core rows go in
+        sorted by their leading column (``_lead_key``), which the rank does
+        not depend on; a row then mostly meets pivots that lead before it."""
+        peeled, core = self._peel(by_lead=True)
+        entries = self.entries
         echelon = Echelon(self.p)
-        rows = sorted(self.entries, key=lambda entry: min(entry, default=()))
-        return sum(echelon.insert(dict(entry)) is not None for entry in rows)
+        return peeled + sum(echelon.insert(dict(entries[i])) is not None for i in core)
 
     def left_kernel(self) -> list[tuple[int, ...]]:
         """Basis of row dependencies: vectors w with w * M = 0.
 
-        Row i gets a 1 in column ``n_cols + i``, where the reduction carries
-        its combination of the rows. A row that leads there is dependent: its
-        pivot, read as row indices, is the kernel vector with 1 on that row
-        and otherwise only on earlier independent rows, and is dropped before
-        the next row goes in. Checks rank-nullity before returning.
+        Every dependency is 0 on the peeled rows, so only the core is
+        eliminated, in row order. Core row i gets a 1 in column
+        ``n_cols + i``, where the reduction carries its combination of the
+        rows. A row that leads there is dependent: its pivot, read as row
+        indices, is the kernel vector with 1 on that row and otherwise only
+        on earlier independent rows, and is dropped before the next row goes
+        in. Checks rank-nullity before returning.
         """
         n, m = self.n_rows, self.n_cols
-        if any(c >= m for entry in self.entries for c, _ in entry):
+        entries = self.entries
+        if any(c >= m for entry in entries for c, _ in entry):
             raise InputError("an entry lies past the last column")
+        peeled, core = self._peel(by_lead=False)
         echelon = Echelon(self.p)
         pivots = echelon.pivots
         basis = []
-        for i, entry in enumerate(self.entries):
-            row = dict(entry)
+        for i in core:
+            row = dict(entries[i])
             row[m + i] = 1
             lead = echelon.insert(row)
             if lead >= m:
@@ -206,7 +357,7 @@ class GenericMatrix:
                 for j, v in tail.items():
                     w[j - m] = v
                 basis.append(tuple(w))
-        if len(basis) != n - len(pivots):
+        if len(basis) != n - peeled - len(pivots):
             raise InvariantError("rank-nullity violated in the left kernel")
         return basis
 

@@ -26,6 +26,15 @@ graph, and both constructions draw their parameters from the same per-side
 (per-color) random blocks, so cross-checks against shifting can share one
 draw.
 
+Both matrices have one column block per vertex or ridge, and a vertex
+or ridge that at most its block width of the remaining rows meet (l edges
+at an A-vertex, k at a B-vertex, l facets at a ridge) owns columns no
+other row reaches: the bipartite analogue of undoing a Henneberg
+0-extension. Each builder's cached layout carries the peel plan of these
+blocks (``exactla.peel_plan``), so rank and left kernel eliminate only the
+rows that remain; a tree at (1,1) and the facet-ridge matrix of a sphere
+at l = 2 peel whole.
+
 The drawn rows are the leading rows of a unit upper triangular block. A
 generic set of rows is an invertible T times such rows, and T, applied to
 one side's or one color's rows, acts on either matrix as an invertible
@@ -39,6 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .combinat import (
     BalancedComplex,
@@ -53,6 +63,7 @@ from .exactla import (
     GenericMatrix,
     TrialMeta,
     TrialPolicy,
+    peel_plan,
     run_trials,
     sample_theta,
 )
@@ -62,6 +73,13 @@ from .shifting import contains_join, shift_complex
 #: Most parameters a rank query draws, each drawn row counted as one more
 #: (a row is drawn even for an empty side), and most columns its matrix has.
 RANK_SIZE_CAP = 1 << 18
+
+
+#: Most entries a stress basis is sure to return: E times the least
+#: dimension, E - (l|A| + k|B|). K_{70,70} at (2,2) returns 22.6 million in
+#: 5.4 s at a peak of 370 MiB (16 bytes an entry, 3 trials), so the cap is
+#: about half a GiB.
+STRESS_OUTPUT_CAP = 1 << 25
 
 
 def _check_rank_size(drawn: int, columns: int) -> None:
@@ -112,11 +130,11 @@ def _elimination_order(g: BipartiteGraph) -> tuple[Vertex, ...]:
 @lru_cache(maxsize=8)
 def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> tuple:
     """What the (k,l)-rigidity matrix of g lays out before any value is
-    drawn: the row labels (the edges, sorted), the column labels, and per
-    row ``(a_cols, b, b_cols, a)``, the columns of its A-vertex's block with
-    the 0-based index of its B-vertex, then the same for the B-vertex.
-    Cached, bounded, so that every trial of a verdict call reads one
-    layout."""
+    drawn: the row labels (the edges, sorted), the column labels, per row
+    ``(cols, b, a)``, the columns of its A-vertex's block and then of its
+    B-vertex's, with the 0-based indices of the B- and the A-vertex, and
+    the peel plan. Cached, bounded, so that every trial of a verdict call
+    reads one layout."""
     col_labels = []
     block = {}  # the columns of each vertex's block
     for v in _elimination_order(g):
@@ -124,8 +142,11 @@ def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> tuple:
         block[v] = range(len(col_labels), len(col_labels) + width)
         col_labels += [(v, s) for s in range(1, width + 1)]
     row_labels = tuple(g.edge_list())
-    rows = tuple((block["A", a], b - 1, block["B", b], a - 1) for a, b in row_labels)
-    return row_labels, tuple(col_labels), rows
+    rows = tuple(
+        ((*block["A", a], *block["B", b]), b - 1, a - 1) for a, b in row_labels
+    )
+    plan = peel_plan(col_labels, [cols for cols, _, _ in rows])
+    return row_labels, tuple(col_labels), rows, plan
 
 
 def build_rigidity_matrix(
@@ -138,18 +159,17 @@ def build_rigidity_matrix(
     (vertex, slot) pairs, slots 1-based, with the vertex blocks laid out in
     minimum-degree elimination order (``_elimination_order``), so that
     eliminating the columns in order fills in little; rows are edges in
-    sorted order. Only the values are filled in here; the layout comes from
-    ``_rigidity_layout``.
+    sorted order. Only the values are filled in here; the layout and its
+    peel plan come from ``_rigidity_layout``.
     """
-    row_labels, col_labels, layout = _rigidity_layout(g, k, l)
+    if len(theta[0]) < k or len(theta[1]) < l:
+        raise InputError("the rigidity matrix needs k rows of the A-block and l of the B-block")
+    row_labels, col_labels, layout, plan = _rigidity_layout(g, k, l)
     # the l-vector of each B-vertex and the k-vector of each A-vertex
-    at_b = [tuple(row[j] for row in theta[1][:l]) for j in range(g.b_size)]
-    at_a = [tuple(row[i] for row in theta[0][:k]) for i in range(g.a_size)]
-    entries = [
-        (*zip(a_cols, at_b[b]), *zip(b_cols, at_a[a]))
-        for a_cols, b, b_cols, a in layout
-    ]
-    return GenericMatrix(p, entries, row_labels, col_labels)
+    at_b = list(zip(*theta[1][:l]))
+    at_a = list(zip(*theta[0][:k]))
+    entries = [tuple(zip(cols, at_b[b] + at_a[a])) for cols, b, a in layout]
+    return GenericMatrix(p, entries, row_labels, col_labels, plan)
 
 
 @dataclass(frozen=True)
@@ -258,11 +278,16 @@ def stress_space(
     the first trial, in seed order, whose kernel has the agreed dimension
     (after an escalation, an earlier trial may have another one). Every
     basis vector is re-verified against the vertex equilibrium equations of
-    the induced embedding. Capped as ``analyze`` is.
+    the induced embedding. Capped as ``analyze`` is, and on the entries the
+    basis is sure to hold (``STRESS_OUTPUT_CAP``), before any draw.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
-    _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), l * g.a_size + k * g.b_size)
+    columns = l * g.a_size + k * g.b_size
+    _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), columns)
+    check_cap(
+        "stress basis entries", g.n_edges * max(0, g.n_edges - columns), STRESS_OUTPUT_CAP
+    )
     first_of_dim: dict[int, tuple] = {}
 
     def one_trial(p: int, seed: int) -> int:
@@ -402,30 +427,50 @@ def laman_check(g: BipartiteGraph, k: int, l: int) -> LamanReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _facet_ridge_layout(kx: BalancedComplex, l: int) -> tuple:
+    """What the facet-ridge matrix of kx lays out before any value is
+    drawn: the row labels (the facets, sorted), the column labels (the
+    ridges, sorted, with l slots each), per row ``(cols, vertices)``, the
+    facet's vertices (c, i) in order, 0-based, and the columns of the
+    ridge the facet has without each of them, and the peel plan. Cached,
+    bounded, so that every trial of a verdict call reads one layout."""
+    if not kx.is_pure():
+        raise InputError("the facet-ridge matrix needs a pure complex")
+    row_labels = tuple(kx.sorted_facets())
+    ridge_list = sorted(tuple(sorted(r)) for r in complex_ridges(kx))
+    ridge_base = {frozenset(r): idx * l for idx, r in enumerate(ridge_list)}
+    col_labels = tuple((r, s) for r in ridge_list for s in range(1, l + 1))
+    rows = tuple(
+        (
+            tuple(ridge_base[frozenset(f) - {v}] + s for v in f for s in range(l)),
+            tuple((c - 1, i - 1) for c, i in f),
+        )
+        for f in row_labels
+    )
+    plan = peel_plan(col_labels, [cols for cols, _ in rows])
+    return row_labels, col_labels, rows, plan
+
+
 def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
     """Facet-by-(ridge x l-slots) matrix of a pure balanced complex.
 
     ``theta`` holds one block per color (as from sample_theta on the color
     sizes, with at least l rows); the l-vector of vertex (c, i) is column i
     of the first l rows of block c. The block of facet F at ridge G is that
-    vector for the vertex F - G when G is contained in F, else zero.
+    vector for the vertex F - G when G is contained in F, else zero. Only
+    the values are filled in here; the layout and its peel plan come from
+    ``_facet_ridge_layout``.
     """
-    if not kx.is_pure():
-        raise InputError("the facet-ridge matrix needs a pure complex")
-    facet_list = [frozenset(f) for f in kx.sorted_facets()]
-    ridge_list = sorted(complex_ridges(kx), key=lambda r: sorted(r))
-    ridge_base = {r: idx * l for idx, r in enumerate(ridge_list)}
-    col_labels = [(tuple(sorted(r)), s) for r in ridge_list for s in range(1, l + 1)]
-    entries = []
-    for f in facet_list:
-        entries.append(
-            tuple(
-                (ridge_base[f - {(c, i)}] + s, theta[c - 1][s][i - 1])
-                for c, i in f
-                for s in range(l)
-            )
-        )
-    return GenericMatrix(p, entries, [tuple(sorted(f)) for f in facet_list], col_labels)
+    if any(len(block) < l for block in theta):
+        raise InputError("the facet-ridge matrix needs l rows of every color block")
+    row_labels, col_labels, layout, plan = _facet_ridge_layout(kx, l)
+    vectors = [list(zip(*block[:l])) for block in theta]
+    entries = [
+        tuple(zip(cols, chain.from_iterable(vectors[c][i] for c, i in vertices)))
+        for cols, vertices in layout
+    ]
+    return GenericMatrix(p, entries, row_labels, col_labels, plan)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import balrig
 from balrig.combinat import COMPLEX_COLOR_CAP, COMPLEX_FACET_CAP, GRAPH_EDGE_CAP
 from balrig.exactla import TRIAL_CAP
-from balrig.rigidity import RANK_SIZE_CAP
+from balrig.rigidity import RANK_SIZE_CAP, STRESS_OUTPUT_CAP
 from balrig.shifting import SHIFT_CANDIDATE_CAP, SHIFT_SIDE_CAP
 
 SRC = str(Path(balrig.__file__).resolve().parents[1])
@@ -84,6 +84,25 @@ def test_stress_space_is_capped_like_analyze():
     )
     out = run_capped(["-c", script])
     assert out.stdout.strip() == "4", out.stderr
+
+
+def test_stress_space_caps_the_entries_it_returns():
+    # K_{n,n} at (2,2) has at least n^2 - 4n stresses of n^2 entries each;
+    # K_{70,70} runs (22.6 million entries), K_{128,128} would need 260
+    # million and is refused before any draw
+    assert 4900 * (4900 - 280) <= STRESS_OUTPUT_CAP < 16384 * (16384 - 512)
+    script = (
+        "from balrig import SizeCapError, stress_space\n"
+        "from balrig.families import complete_bipartite\n"
+        "try:\n"
+        "    stress_space(complete_bipartite(128, 128), 2, 2)\n"
+        "except SizeCapError as exc:\n"
+        "    print(exc.exit_code, exc)\n"
+    )
+    out = run_capped(["-c", script])
+    assert out.stdout.strip() == (
+        f"4 stress basis entries capped at {STRESS_OUTPUT_CAP}; got 260046848"
+    ), out.stderr
 
 
 def test_analyze_caps_its_trials(tmp_path):

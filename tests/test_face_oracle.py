@@ -12,7 +12,10 @@ closed under taking subfaces and on pools that are not. On a closed pool the
 shiftedness pass also returns the facets, the faces that are no face minus a
 vertex, and must match both oracles together. ``oracle_antistar`` keeps the
 maximal faces of the whole face set less the star; the library reads them
-off a pool of facets and facets less one vertex of sigma.
+off a pool of facets and facets less one vertex of sigma. ``oracle_link``
+keeps the maximal faces tau of the whole face set with tau disjoint from
+sigma and tau + sigma a face; the library reads them off the facets on
+sigma.
 """
 
 import itertools
@@ -29,6 +32,7 @@ from balrig.combinat import (
     f_vector,
     faces_with_colorset,
     is_face,
+    link,
     maximal_faces,
 )
 from balrig.errors import InputError
@@ -85,6 +89,17 @@ def oracle_antistar(k, sigma):
     if sigma not in all_faces(k):
         raise InputError("antistar of a non-face")
     keep = [f for f in all_faces(k) if not sigma <= f]
+    return BalancedComplex(k.color_sizes, oracle_maximal(keep))
+
+
+def oracle_link(k, sigma):
+    """Every face of k disjoint from sigma whose union with it is a face,
+    reduced to its maximal faces."""
+    sigma = frozenset(sigma)
+    faces = all_faces(k)
+    if sigma not in faces:
+        raise InputError("link of a non-face")
+    keep = [f for f in faces if not f & sigma and f | sigma in faces]
     return BalancedComplex(k.color_sizes, oracle_maximal(keep))
 
 
@@ -274,3 +289,12 @@ def test_antistar_matches_the_closure_pool_oracle(k):
     # empty, so refused) and vertices that are facets
     for sigma in [frozenset(), *_probes(k)]:
         assert _outcome(antistar, k, sigma) == _outcome(oracle_antistar, k, sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes())
+def test_link_matches_the_closure_oracle(k):
+    # probes cover faces, non-faces, the empty face (whose link is the
+    # complex) and facets (whose link is the empty face alone)
+    for sigma in [frozenset(), *_probes(k)]:
+        assert _outcome(link, k, sigma) == _outcome(oracle_link, k, sigma)

@@ -334,27 +334,37 @@ def test_stress_space_returns_the_natural_layouts_basis():
 
 
 def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
-    # in minimum-degree order each edge row leads at its leaf end, a column
-    # no earlier row reaches, so no row is reduced; the layout with every
-    # A-vertex first needs 61 reductions here
+    # a tree peels whole, so its rank sends no row to the echelon; even
+    # unpeeled, in minimum-degree order each edge row leads at its leaf
+    # end, a column no earlier row reaches, so no row is reduced; the
+    # layout with every A-vertex first needs 61 reductions here
     g = random_tree(10, 27, seed=5)
     theta = sample_theta(DEFAULT_PRIME, 0, (10, 27), rows=(1, 1))
     m = build_rigidity_matrix(g, 1, 1, theta, DEFAULT_PRIME)
-    steps = []
+    steps, inserted = [], []
+    insert = exactla.Echelon.insert
 
     def counting_heappop(heap):
         steps.append(heap[0])
         return heappop(heap)
 
+    def counting_insert(self, row):
+        inserted.append(row)
+        return insert(self, row)
+
     monkeypatch.setattr(exactla, "heappop", counting_heappop)
+    monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
     assert m.rank() == g.n_edges == 36
-    assert steps == []
+    assert inserted == []
+    unpeeled = GenericMatrix(m.p, m.entries, m.row_labels, m.col_labels)
+    assert unpeeled.rank() == 36
+    assert len(inserted) == 36 and steps == []
 
 
 def test_pivots_are_inverted_only_when_they_reduce_a_row(monkeypatch):
-    # a pivot's leading entry is inverted the first time the pivot reduces a
-    # row; a tree makes no reduction, and a quadrangulation leaves many
-    # pivots unused
+    # a pivot's leading entry is inverted the first time the pivot reduces
+    # a row; unpeeled, a quadrangulation leaves many of its 128 pivots
+    # unused, and peeled, only the 22 pivots of its core can be inverted
     inversions = []
 
     def counting_pow(base, exp, mod=None):
@@ -362,12 +372,12 @@ def test_pivots_are_inverted_only_when_they_reduce_a_row(monkeypatch):
         return pow(base, exp, mod)
 
     monkeypatch.setattr(exactla, "pow", counting_pow, raising=False)
-    tree = random_tree(10, 27, seed=5)
-    theta = sample_theta(DEFAULT_PRIME, 0, (10, 27), rows=(1, 1))
-    assert build_rigidity_matrix(tree, 1, 1, theta, DEFAULT_PRIME).rank() == 36
-    assert sum(inversions) == 0
-
     quad = random_quadrangulation(64, seed=0)
     theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
-    assert build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME).rank() == 128
+    m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
+    unpeeled = GenericMatrix(m.p, m.entries, m.row_labels, m.col_labels)
+    assert unpeeled.rank() == 128
     assert 0 < sum(inversions) < 128
+    inversions.clear()
+    assert m.rank() == 128
+    assert 0 < sum(inversions) <= len(m.plan.by_lead) == 22

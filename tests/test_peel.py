@@ -1,0 +1,201 @@
+"""Peeling private blocks before elimination, against the unpeeled route.
+
+A matrix builder hands ``GenericMatrix`` a peel plan; ``unpeeled`` is the
+same entries without one, so every row goes through the echelon kernel.
+Rank and left kernel must agree at every draw, at small primes too, where
+blocks often fail their check and the peel falls back to the core.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from balrig import exactla
+from balrig import families as fam
+from balrig.combinat import BalancedComplex, BipartiteGraph
+from balrig.errors import InputError
+from balrig.exactla import DEFAULT_PRIME, GenericMatrix, peel_plan, sample_theta
+from balrig.rigidity import build_M, build_rigidity_matrix
+
+SMALL_PRIMES = (2, 3, 5)
+
+
+def unpeeled(m: GenericMatrix) -> GenericMatrix:
+    return GenericMatrix(m.p, m.entries, m.row_labels, m.col_labels)
+
+
+def assert_same_as_unpeeled(m: GenericMatrix) -> None:
+    oracle = unpeeled(m)
+    assert m.rank() == oracle.rank()
+    assert m.left_kernel() == oracle.left_kernel()
+
+
+@st.composite
+def graph_cases(draw):
+    """A random bipartite graph with sides of 1-6 vertices, k and l up to 4
+    (so at times above a side), a small prime and a seed."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    edges = frozenset(e for e in pairs if draw(st.booleans()))
+    k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p, seed = draw(st.sampled_from(SMALL_PRIMES)), draw(st.integers(0, 99))
+    return BipartiteGraph(n, m, edges), k, l, p, seed
+
+
+@st.composite
+def complex_cases(draw):
+    """A random pure balanced complex on 1-4 colors of 1-3 vertices, l up
+    to 3, a small prime and a seed."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    picks = list(itertools.product(*[range(1, s + 1) for s in sizes]))
+    chosen = [pick for pick in picks if draw(st.booleans())] or [picks[0]]
+    kx = BalancedComplex(sizes, frozenset(frozenset(enumerate(p, 1)) for p in chosen))
+    return kx, draw(st.integers(1, 3)), draw(st.sampled_from(SMALL_PRIMES)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_cases())
+def test_rigidity_matrices_match_the_unpeeled_elimination(case):
+    g, k, l, p, seed = case
+    theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
+    assert_same_as_unpeeled(build_rigidity_matrix(g, k, l, theta, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_cases())
+def test_facet_ridge_matrices_match_the_unpeeled_elimination(case):
+    kx, l, p, seed = case
+    theta = sample_theta(p, seed, kx.color_sizes, rows=(l,) * kx.n_colors)
+    assert_same_as_unpeeled(build_M(kx, l, theta, p))
+
+
+def test_failed_blocks_fall_back_to_the_exact_rank_and_kernel(monkeypatch):
+    # at p = 2 and 3 many block checks fail; every draw must still give
+    # the unpeeled rank and kernel
+    verdicts = []
+    independent = exactla._independent
+
+    def watching(*args):
+        verdicts.append(independent(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(exactla, "_independent", watching)
+    rng = random.Random(13)
+    graphs = [fam.random_tree(6, 8, seed=1), fam.random_quadrangulation(12, seed=2)]
+    pairs = list(itertools.product(range(1, 6), repeat=2))
+    graphs += [
+        BipartiteGraph(5, 5, frozenset(e for e in pairs if rng.random() < 0.5)) for _ in range(4)
+    ]
+    complexes = [fam.cross_polytope_boundary(3), fam.gamma_complex(2, [3, 3, 3])]
+    for p in (2, 3, DEFAULT_PRIME):
+        for seed in range(5):
+            for g in graphs:
+                for k, l in ((1, 1), (2, 2), (1, 3)):
+                    theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
+                    assert_same_as_unpeeled(build_rigidity_matrix(g, k, l, theta, p))
+            for kx in complexes:
+                theta = sample_theta(p, seed, kx.color_sizes, rows=(2,) * kx.n_colors)
+                assert_same_as_unpeeled(build_M(kx, 2, theta, p))
+    assert True in verdicts and False in verdicts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SMALL_PRIMES).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(1, 4).flatmap(
+                lambda width: st.lists(
+                    st.lists(st.integers(0, p - 1), min_size=width, max_size=width),
+                    min_size=1,
+                    max_size=width,
+                )
+            ),
+        )
+    )
+)
+def test_the_block_check_is_linear_independence(case):
+    p, rows = case
+    entries = [tuple(enumerate(row)) for row in rows]
+    width = len(rows[0])
+    combos = itertools.product(range(p), repeat=len(rows))
+    dependent = any(
+        any(c) and all(sum(x * row[j] for x, row in zip(c, rows)) % p == 0 for j in range(width))
+        for c in combos
+    )
+    placed = tuple((i, 0) for i in range(len(rows)))
+    assert exactla._independent(p, entries, width, placed) == (not dependent)
+
+
+def test_a_plan_peels_blocks_in_turn_and_needs_runs():
+    # block "x" has columns 0 and 2, and row 0 alone meets it; "y" (column
+    # 1) has two rows for one column until "x" has peeled row 0
+    labels = [("x", 1), ("y", 1), ("x", 2)]
+    plan = peel_plan(labels, [(0, 2, 1), (1,)])
+    assert plan.blocks == ((2, ((0, 0),)), (1, ((1, 0),)))
+    assert plan.by_lead == plan.in_order == ()
+    plan = peel_plan(labels + [("z", 1)], [(0, 2, 1, 3), (1, 3), (1, 3)])
+    assert plan.blocks == ((2, ((0, 0),)),)
+    assert plan.by_lead == plan.in_order == (1, 2)
+    # a row whose x entries are apart, or out of column order, is refused
+    for cols in [(0, 1, 2), (2, 0, 1), (0, 1)]:
+        with pytest.raises(InputError, match="one run"):
+            peel_plan(labels, [cols])
+
+
+def _inserted_rows(monkeypatch) -> list:
+    """Every row that reaches ``Echelon.insert`` from now on, as a set of
+    (column, value) pairs."""
+    rows = []
+    insert = exactla.Echelon.insert
+
+    def watching(self, row):
+        rows.append(frozenset(row.items()))
+        return insert(self, row)
+
+    monkeypatch.setattr(exactla.Echelon, "insert", watching)
+    return rows
+
+
+@pytest.mark.parametrize("route", ["rank", "left_kernel"])
+def test_a_tree_and_a_sphere_matrix_send_no_row_to_the_echelon(monkeypatch, route):
+    # every edge of a tree at (1,1) peels at a leaf; every ridge of the
+    # 4-dimensional cross-polytope lies in 2 facets, as many as l = 2 slots
+    inserted = _inserted_rows(monkeypatch)
+    tree = fam.random_tree(10, 27, seed=5)
+    theta = sample_theta(DEFAULT_PRIME, 0, (10, 27), rows=(1, 1))
+    m = build_rigidity_matrix(tree, 1, 1, theta, DEFAULT_PRIME)
+    kx = fam.cross_polytope_boundary(4)
+    theta = sample_theta(DEFAULT_PRIME, 0, kx.color_sizes, rows=(2,) * kx.n_colors)
+    mk = build_M(kx, 2, theta, DEFAULT_PRIME)
+    if route == "rank":
+        assert m.rank() == 36 and mk.rank() == 16
+    else:
+        assert m.left_kernel() == [] and mk.left_kernel() == []
+    assert inserted == []
+
+
+def test_a_quadrangulation_sends_only_its_core(monkeypatch):
+    quad = fam.random_quadrangulation(64, seed=0)
+    theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
+    m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
+    core = [frozenset(m.entries[i]) for i in m.plan.by_lead]
+    assert len(core) == 22
+    inserted = _inserted_rows(monkeypatch)
+    assert m.rank() == 128
+    assert inserted == core
+
+
+def test_builders_refuse_blocks_with_too_few_rows():
+    # a short block would leave entries out of the runs the plan reads
+    g = fam.random_tree(3, 4, seed=0)
+    theta = sample_theta(DEFAULT_PRIME, 0, (3, 4), rows=(1, 2))
+    with pytest.raises(InputError, match="rows"):
+        build_rigidity_matrix(g, 2, 2, theta, DEFAULT_PRIME)
+    kx = fam.cross_polytope_boundary(3)
+    theta = sample_theta(DEFAULT_PRIME, 0, kx.color_sizes, rows=(2, 1, 2))
+    with pytest.raises(InputError, match="rows"):
+        build_M(kx, 2, theta, DEFAULT_PRIME)
