@@ -27,8 +27,10 @@ that yields exactly the stream of ``randrange(p)``.
 
 Rows that settle nothing are not eliminated at all. A matrix builder may
 hand ``GenericMatrix`` a ``PeelPlan``, fixed before any draw: blocks of
-columns (those whose labels share their first component) that at most
-their width of the remaining rows meet, in peel order. Such rows are
+columns that at most their width of the remaining rows meet, in peel
+order. ``peel`` finds them from the block structure alone, each block's
+width and the blocks each row meets, before a builder lays out a single
+column, so the builder can order only the core. Such rows are
 independent of every other row exactly when their restriction to the
 block has full row rank, which ``rank`` and ``left_kernel`` check at each
 draw without an inverse; they count those rows and eliminate only the
@@ -161,59 +163,57 @@ class PeelPlan:
     by_lead: tuple[int, ...]
     in_order: tuple[int, ...]
 
+    @classmethod
+    def of(cls, blocks, core: Sequence[int], row_columns: Sequence[Sequence[int]]) -> PeelPlan:
+        """The plan of a layout's ``peel``, once its columns are laid out:
+        ``row_columns[i]`` lists the columns of row i's entries."""
+        by_lead = sorted(core, key=lambda i: _lead_key(row_columns[i]))
+        return cls(tuple(blocks), tuple(by_lead), tuple(core))
 
-def peel_plan(col_labels: Sequence, row_columns: Sequence[tuple[int, ...]]) -> PeelPlan:
-    """The peel plan of a layout: ``row_columns[i]`` is the tuple of the
-    columns of row i's entries, in entry order, zero entries included.
 
-    A block is the set of columns whose labels share their first component,
-    and a row must hold its entries in a block it meets as one run, in
-    column order. A block that at most its width of the remaining rows meet
-    peels: those rows leave, and the blocks they also meet may peel next.
-    Which rows peel does not depend on the order, as in k-core peeling; the
-    order is first come, first served, from the blocks in column order.
+def peel(
+    widths: Sequence[int], row_runs: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[list[int], list[tuple[int, tuple[tuple[int, int], ...]]], list[int]]:
+    """Which blocks of a layout peel, from its block structure alone.
+
+    Block b has ``widths[b]`` columns, and ``row_runs[i]`` lists, in entry
+    order, the ``(b, start)`` of each block row i meets: its entries
+    ``start`` to ``start + widths[b]`` lie in block b's columns, in the
+    block's column order. A block that at most its width of the remaining
+    rows meet peels: those rows leave, and the blocks they also meet may
+    peel next. Which rows peel does not depend on the order, as in k-core
+    peeling; one queue pass takes the blocks first come, first served,
+    from block 0 on. Returns the blocks that peel, in peel order, as block
+    indices and as ``PeelPlan.blocks`` lists them, and the core rows by
+    index. A row that meets a block twice, or whose runs overlap, is
+    refused.
     """
-    block_of: dict = {}
-    columns: list[list[int]] = []  # each block's columns, in order
-    col_block = []
-    for c, label in enumerate(col_labels):
-        b = block_of.setdefault(label[0], len(columns))
-        if b == len(columns):
-            columns.append([])
-        columns[b].append(c)
-        col_block.append(b)
-    runs = [tuple(cols) for cols in columns]
-    rows_of: list[list[tuple[int, int]]] = [[] for _ in columns]
-    row_blocks = []
-    for i, cols in enumerate(row_columns):
-        met, start = [], 0
-        while start < len(cols):
-            b = col_block[cols[start]]
-            width = len(runs[b])
-            if cols[start : start + width] != runs[b]:
-                raise InputError("a row meets a column block other than in one run")
-            rows_of[b].append((i, start))
-            met.append(b)
-            start += width
-        row_blocks.append(met)
+    rows_of: list[list[tuple[int, int]]] = [[] for _ in widths]
+    for i, runs in enumerate(row_runs):
+        end = 0
+        for b, start in runs:
+            rows = rows_of[b]
+            if start < end or rows and rows[-1][0] == i:
+                raise InputError("a row meets a block twice or runs past a block's width")
+            rows.append((i, start))
+            end = start + widths[b]
     count = [len(rows) for rows in rows_of]
-    queue = [b for b, run in enumerate(runs) if count[b] <= len(run)]
-    peeled = [False] * len(row_columns)
-    blocks = []
+    queue = [b for b, width in enumerate(widths) if count[b] <= width]
+    peeled = [False] * len(row_runs)
+    order, blocks = [], []
     for b in queue:  # the queue grows while it is read
         rows = tuple((i, start) for i, start in rows_of[b] if not peeled[i])
         if not rows:
             continue
-        blocks.append((len(runs[b]), rows))
+        order.append(b)
+        blocks.append((widths[b], rows))
         for i, _ in rows:
             peeled[i] = True
-            for other in row_blocks[i]:
+            for other, _ in row_runs[i]:
                 count[other] -= 1
-                if count[other] == len(runs[other]):
+                if count[other] == widths[other]:
                     queue.append(other)
-    core = [i for i, done in enumerate(peeled) if not done]
-    by_lead = sorted(core, key=lambda i: _lead_key(row_columns[i]))
-    return PeelPlan(tuple(blocks), tuple(by_lead), tuple(core))
+    return order, blocks, [i for i, done in enumerate(peeled) if not done]
 
 
 def _lead_key(columns: Sequence[int]) -> tuple[int, int]:

@@ -7,12 +7,13 @@ parameters attached to b', and in the block of b', the k parameters attached
 to a; everything else is zero. Rank decides everything: rows independent
 means stress-free, rank l|A| + k|B| - kl means rigid.
 
-Rows are the edges in sorted order. The column blocks follow a
-minimum-degree elimination order of the vertices, not side A then side B:
-eliminating in that order fills in a few entries where the side order
-fills in one clique per vertex. Ranks do not depend on the column order,
-and neither do stress bases, whose vectors each express a dependent edge
-row through the independent rows before it.
+Rows are the edges in sorted order. The column blocks put the peeled
+vertices (below) first, then the rest in a minimum-degree elimination
+order of the rows that remain, not side A then side B: that order fills
+in a few entries where the side order fills in one clique per vertex.
+Ranks do not depend on the column order, and neither do stress bases,
+whose vectors each express a dependent edge row through the independent
+rows before it.
 
 Every rank query is capped on the parameters and rows it draws and on the
 columns of its matrix (``RANK_SIZE_CAP``), before it draws or allocates
@@ -30,10 +31,10 @@ Both matrices have one column block per vertex or ridge, and a vertex
 or ridge that at most its block width of the remaining rows meet (l edges
 at an A-vertex, k at a B-vertex, l facets at a ridge) owns columns no
 other row reaches: the bipartite analogue of undoing a Henneberg
-0-extension. Each builder's cached layout carries the peel plan of these
-blocks (``exactla.peel_plan``), so rank and left kernel eliminate only the
-rows that remain; a tree at (1,1) and the facet-ridge matrix of a sphere
-at l = 2 peel whole.
+0-extension. Both builders find these blocks with ``exactla.peel`` before
+laying out any column, and their cached layouts carry the peel plan, so
+rank and left kernel eliminate only the rows that remain; a tree at (1,1)
+and the facet-ridge matrix of a sphere at l = 2 peel whole.
 
 The drawn rows are the leading rows of a unit upper triangular block. A
 generic set of rows is an invertible T times such rows, and T, applied to
@@ -49,11 +50,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from typing import Iterable
 
 from .combinat import (
     BalancedComplex,
     BipartiteGraph,
-    Vertex,
     f_vector,
     ridges as complex_ridges,
 )
@@ -61,9 +62,10 @@ from .errors import InputError, InvariantError, check_cap
 from .exactla import (
     DEFAULT_POLICY,
     GenericMatrix,
+    PeelPlan,
     TrialMeta,
     TrialPolicy,
-    peel_plan,
+    peel,
     run_trials,
     sample_theta,
 )
@@ -77,8 +79,8 @@ RANK_SIZE_CAP = 1 << 18
 
 #: Most entries a stress basis is sure to return: E times the least
 #: dimension, E - (l|A| + k|B|). K_{70,70} at (2,2) returns 22.6 million in
-#: 5.4 s at a peak of 370 MiB (16 bytes an entry, 3 trials), so the cap is
-#: about half a GiB.
+#: 3.7 s at a peak of 329 MiB (16 bytes an entry; 3 trials, two ranks and
+#: one left kernel), so the cap is about half a GiB.
 STRESS_OUTPUT_CAP = 1 << 25
 
 
@@ -94,21 +96,22 @@ def max_rank(g: BipartiteGraph, k: int, l: int) -> int:
     return l * g.a_size + k * g.b_size - k * l
 
 
-def _elimination_order(g: BipartiteGraph) -> tuple[Vertex, ...]:
-    """g's vertices in minimum-degree elimination order (Tinney and Walker
-    1967; George and Liu 1989), ties broken by vertex.
+def _elimination_order(edges: Iterable[tuple]) -> list:
+    """The endpoints of ``edges``, pairs of comparable vertices, in
+    minimum-degree elimination order (Tinney and Walker 1967; George and
+    Liu 1989), ties broken by vertex.
 
     Eliminating a vertex joins its remaining neighbors pairwise, as
     eliminating its column block joins the blocks its rows reach; the
     vertex of least degree in that elimination graph goes next. A heap holds
     one entry per degree change, and an entry whose degree is out of date
-    is skipped when it comes up. Only ``_rigidity_layout``, which is
-    cached, calls it.
+    is skipped when it comes up. ``_rigidity_layout`` calls it on the core
+    edges only.
     """
-    adj: dict[Vertex, set[Vertex]] = {v: set() for v in g.vertices()}
-    for a, b in g.edges:
-        adj[("A", a)].add(("B", b))
-        adj[("B", b)].add(("A", a))
+    adj: dict = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     heap = [(len(nbrs), v) for v, nbrs in adj.items()]
     heapify(heap)
     order = []
@@ -124,7 +127,7 @@ def _elimination_order(g: BipartiteGraph) -> tuple[Vertex, ...]:
             fill.discard(v)
             fill.update(w for w in nbrs if w != u)
             heappush(heap, (len(fill), u))
-    return tuple(order)
+    return order
 
 
 @lru_cache(maxsize=8)
@@ -134,18 +137,29 @@ def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> tuple:
     ``(cols, b, a)``, the columns of its A-vertex's block and then of its
     B-vertex's, with the 0-based indices of the B- and the A-vertex, and
     the peel plan. Cached, bounded, so that every trial of a verdict call
-    reads one layout."""
-    col_labels = []
-    block = {}  # the columns of each vertex's block
-    for v in _elimination_order(g):
-        width = l if v[0] == "A" else k
-        block[v] = range(len(col_labels), len(col_labels) + width)
-        col_labels += [(v, s) for s in range(1, width + 1)]
+    reads one layout.
+
+    The peel comes first, on blocks in vertex order (a - 1 for the
+    A-vertex a, |A| + b - 1 for the B-vertex b). The columns then hold the
+    peeled blocks in peel order, the core rows' vertices in minimum-degree
+    order of the core edges, which meet no other vertex, and the rest.
+    """
+    n = g.a_size
     row_labels = tuple(g.edge_list())
-    rows = tuple(
-        ((*block["A", a], *block["B", b]), b - 1, a - 1) for a, b in row_labels
-    )
-    plan = peel_plan(col_labels, [cols for cols, _, _ in rows])
+    ends = [(a - 1, n + b - 1) for a, b in row_labels]
+    widths = [l] * n + [k] * g.b_size
+    order, blocks, core = peel(widths, [((u, 0), (v, l)) for u, v in ends])
+    order += _elimination_order(ends[i] for i in core)
+    placed = set(order)
+    order += [b for b in range(len(widths)) if b not in placed]
+    columns = [()] * len(widths)  # the columns of each block
+    col_labels = []
+    for b in order:
+        columns[b] = tuple(range(len(col_labels), len(col_labels) + widths[b]))
+        v = ("A", b + 1) if b < n else ("B", b - n + 1)
+        col_labels += [(v, s) for s in range(1, widths[b] + 1)]
+    rows = tuple((columns[u] + columns[v], v - n, u) for u, v in ends)
+    plan = PeelPlan.of(blocks, core, [cols for cols, _, _ in rows])
     return row_labels, tuple(col_labels), rows, plan
 
 
@@ -156,11 +170,11 @@ def build_rigidity_matrix(
 
     ``theta`` is the pair (A-block, B-block) as produced by sample_theta for
     the side sizes of g, with at least k and l rows. Column labels are
-    (vertex, slot) pairs, slots 1-based, with the vertex blocks laid out in
+    (vertex, slot) pairs, slots 1-based, with the core's vertex blocks in
     minimum-degree elimination order (``_elimination_order``), so that
-    eliminating the columns in order fills in little; rows are edges in
-    sorted order. Only the values are filled in here; the layout and its
-    peel plan come from ``_rigidity_layout``.
+    eliminating them in order fills in little; rows are edges in sorted
+    order. Only the values are filled in here; the layout and its peel
+    plan come from ``_rigidity_layout``.
     """
     if len(theta[0]) < k or len(theta[1]) < l:
         raise InputError("the rigidity matrix needs k rows of the A-block and l of the B-block")
@@ -274,12 +288,13 @@ def stress_space(
 ) -> StressBasis:
     """Self-stresses of g: edge weightings with every vertex in equilibrium.
 
-    The dimension must agree across trials; the returned basis comes from
-    the first trial, in seed order, whose kernel has the agreed dimension
-    (after an escalation, an earlier trial may have another one). Every
-    basis vector is re-verified against the vertex equilibrium equations of
-    the induced embedding. Capped as ``analyze`` is, and on the entries the
-    basis is sure to hold (``STRESS_OUTPUT_CAP``), before any draw.
+    The dimension, E minus the rank, must agree across trials; the basis is
+    the one left kernel, of the first trial, in seed order, with the agreed
+    dimension (after an escalation, an earlier trial may have another one).
+    Every basis vector is re-verified against the vertex equilibrium
+    equations of the induced embedding. Capped as ``analyze`` is, and on
+    the entries the basis is sure to hold (``STRESS_OUTPUT_CAP``), before
+    any draw.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
@@ -293,9 +308,9 @@ def stress_space(
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
         matrix = build_rigidity_matrix(g, k, l, theta, p)
-        basis = matrix.left_kernel()
-        first_of_dim.setdefault(len(basis), (theta, matrix, basis))
-        return len(basis)
+        dim = g.n_edges - matrix.rank()
+        first_of_dim.setdefault(dim, (theta, matrix))
+        return dim
 
     dim, meta = run_trials(
         policy,
@@ -303,9 +318,10 @@ def stress_space(
         poly_degree=min(g.n_edges, l * g.a_size + k * g.b_size),
         what="stress space dimension",
     )
-    if dim not in first_of_dim:
-        raise InvariantError(f"no trial has a stress basis of the agreed dimension {dim}")
-    theta, matrix, basis = first_of_dim[dim]
+    theta, matrix = first_of_dim[dim]
+    basis = matrix.left_kernel()
+    if len(basis) != dim:
+        raise InvariantError(f"a stress basis of {len(basis)} vectors, not the agreed {dim}")
     _verify_equilibrium(k, l, theta, policy.prime, matrix.row_labels, basis)
     return StressBasis(
         k=k,
@@ -433,22 +449,27 @@ def _facet_ridge_layout(kx: BalancedComplex, l: int) -> tuple:
     drawn: the row labels (the facets, sorted), the column labels (the
     ridges, sorted, with l slots each), per row ``(cols, vertices)``, the
     facet's vertices (c, i) in order, 0-based, and the columns of the
-    ridge the facet has without each of them, and the peel plan. Cached,
-    bounded, so that every trial of a verdict call reads one layout."""
+    ridge the facet has without each of them, and the peel plan, from
+    ``peel`` on the ridge blocks (ridge r is block r). Cached, bounded, so
+    that every trial of a verdict call reads one layout."""
     if not kx.is_pure():
         raise InputError("the facet-ridge matrix needs a pure complex")
     row_labels = tuple(kx.sorted_facets())
     ridge_list = sorted(tuple(sorted(r)) for r in complex_ridges(kx))
-    ridge_base = {frozenset(r): idx * l for idx, r in enumerate(ridge_list)}
+    ridge_index = {frozenset(r): idx for idx, r in enumerate(ridge_list)}
     col_labels = tuple((r, s) for r in ridge_list for s in range(1, l + 1))
+    row_ridges = [[ridge_index[frozenset(f) - {v}] for v in f] for f in row_labels]
     rows = tuple(
         (
-            tuple(ridge_base[frozenset(f) - {v}] + s for v in f for s in range(l)),
+            tuple(r * l + s for r in ridges for s in range(l)),
             tuple((c - 1, i - 1) for c, i in f),
         )
-        for f in row_labels
+        for f, ridges in zip(row_labels, row_ridges)
     )
-    plan = peel_plan(col_labels, [cols for cols, _ in rows])
+    _, blocks, core = peel(
+        [l] * len(ridge_list), [[(r, j * l) for j, r in enumerate(ridges)] for ridges in row_ridges]
+    )
+    plan = PeelPlan.of(blocks, core, [cols for cols, _ in rows])
     return row_labels, col_labels, rows, plan
 
 

@@ -314,13 +314,16 @@ def scan_min_degree_order(g) -> list:
 @settings(max_examples=100, deadline=None)
 @given(rigidity_cases())
 def test_elimination_order_is_a_deterministic_permutation(case):
+    # the order covers the vertices with an edge; an isolated vertex,
+    # which the scan takes whenever it is least, changes no other pick
     g = case[0]
-    order = _elimination_order(g)
-    assert sorted(order) == sorted(g.vertices())
-    assert list(order) == scan_min_degree_order(g)
-    # a fresh computation on an equal graph gives the same order
-    again = BipartiteGraph(g.a_size, g.b_size, frozenset(sorted(g.edges)))
-    assert _elimination_order(again) == order
+    edges = [(("A", a), ("B", b)) for a, b in sorted(g.edges)]
+    order = _elimination_order(edges)
+    ends = {v for e in edges for v in e}
+    assert sorted(order) == sorted(ends)
+    assert order == [v for v in scan_min_degree_order(g) if v in ends]
+    # a fresh computation, the edges in another order, gives the same order
+    assert _elimination_order(reversed(edges)) == order
 
 
 def test_stress_space_returns_the_natural_layouts_basis():
@@ -331,6 +334,42 @@ def test_stress_space_returns_the_natural_layouts_basis():
     natural = as_matrix(policy.prime, natural_rigidity_rows(g, 2, 2, theta), 16)
     assert basis.dim == 14 - 12
     assert list(basis.vectors) == natural.left_kernel()
+
+
+@pytest.mark.parametrize(
+    "g, k, l, policy",
+    [
+        (BipartiteGraph(4, 4, complete_edges(4, 4) - {(1, 1), (2, 3)}), 2, 2, TrialPolicy(seed=8)),
+        (BipartiteGraph(4, 4, complete_edges(4, 4)), 2, 2, TrialPolicy(prime=5, seed=1)),
+        # escalations: the first round disagrees, and the kept trial is the
+        # first of any round with the dimension the doubled round agrees on
+        (random_quadrangulation(6, seed=1), 2, 2, TrialPolicy(trials=2, prime=3, seed=17)),
+        (random_quadrangulation(6, seed=1), 3, 1, TrialPolicy(trials=2, prime=3, seed=2)),
+        (random_tree(4, 5, seed=0), 1, 1, TrialPolicy(trials=1)),
+    ],
+)
+def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, policy):
+    # every trial ranks; the one left kernel is the dense oracle's kernel of
+    # the first trial, in seed order, whose rank gives the agreed dimension
+    kernels = []
+    left_kernel = GenericMatrix.left_kernel
+
+    def watching(self):
+        kernels.append(self)
+        return left_kernel(self)
+
+    monkeypatch.setattr(GenericMatrix, "left_kernel", watching)
+    basis = stress_space(g, k, l, policy)
+    (m,) = kernels
+    p, ncols = policy.prime, l * g.a_size + k * g.b_size
+    assert list(basis.vectors) == dense_left_kernel(m.rows, p, ncols)
+    ran = policy.trials + basis.meta.trials if basis.meta.escalated else policy.trials
+    for i in range(ran):
+        theta = sample_theta(p, policy.trial_seed(i), (g.a_size, g.b_size), rows=(k, l))
+        kept = build_rigidity_matrix(g, k, l, theta, p)
+        if g.n_edges - dense_rank(kept.rows, p, ncols) == basis.dim:
+            break
+    assert m.entries == kept.entries
 
 
 def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):

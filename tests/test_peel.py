@@ -3,7 +3,8 @@
 A matrix builder hands ``GenericMatrix`` a peel plan; ``unpeeled`` is the
 same entries without one, so every row goes through the echelon kernel.
 Rank and left kernel must agree at every draw, at small primes too, where
-blocks often fail their check and the peel falls back to the core.
+blocks often fail their check and the peel falls back to the core. The
+peel itself is checked against a naive fixpoint on the block structure.
 """
 
 import itertools
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balrig import exactla
+from balrig import exactla, rigidity
 from balrig import families as fam
 from balrig.combinat import BalancedComplex, BipartiteGraph
 from balrig.errors import InputError
-from balrig.exactla import DEFAULT_PRIME, GenericMatrix, peel_plan, sample_theta
-from balrig.rigidity import build_M, build_rigidity_matrix
+from balrig.exactla import DEFAULT_PRIME, GenericMatrix, PeelPlan, peel, sample_theta
+from balrig.rigidity import _facet_ridge_layout, _rigidity_layout, build_M, build_rigidity_matrix
 
 SMALL_PRIMES = (2, 3, 5)
 
@@ -131,19 +132,117 @@ def test_the_block_check_is_linear_independence(case):
 
 
 def test_a_plan_peels_blocks_in_turn_and_needs_runs():
-    # block "x" has columns 0 and 2, and row 0 alone meets it; "y" (column
-    # 1) has two rows for one column until "x" has peeled row 0
-    labels = [("x", 1), ("y", 1), ("x", 2)]
-    plan = peel_plan(labels, [(0, 2, 1), (1,)])
+    # block 0 (width 2, the columns 0 and 2) meets row 0 alone; block 1
+    # (column 1) has two rows for one column until block 0 has peeled row 0
+    order, blocks, core = peel((2, 1), [((0, 0), (1, 2)), ((1, 0),)])
+    plan = PeelPlan.of(blocks, core, [(0, 2, 1), (1,)])
+    assert order == [0, 1]
     assert plan.blocks == ((2, ((0, 0),)), (1, ((1, 0),)))
     assert plan.by_lead == plan.in_order == ()
-    plan = peel_plan(labels + [("z", 1)], [(0, 2, 1, 3), (1, 3), (1, 3)])
+    runs = [((0, 0), (1, 2), (2, 3)), ((1, 0), (2, 1)), ((1, 0), (2, 1))]
+    order, blocks, core = peel((2, 1, 1), runs)
+    plan = PeelPlan.of(blocks, core, [(0, 2, 1, 3), (1, 3), (1, 3)])
+    assert order == [0]
     assert plan.blocks == ((2, ((0, 0),)),)
     assert plan.by_lead == plan.in_order == (1, 2)
-    # a row whose x entries are apart, or out of column order, is refused
-    for cols in [(0, 1, 2), (2, 0, 1), (0, 1)]:
-        with pytest.raises(InputError, match="one run"):
-            peel_plan(labels, [cols])
+    # a row that meets a block twice, or whose run starts inside the run
+    # before it or before its first entry, is refused
+    for bad in [((0, 0), (0, 2)), ((0, 0), (1, 1)), ((1, 0), (0, 0)), ((0, -1),)]:
+        with pytest.raises(InputError, match="twice or runs past"):
+            peel((2, 1), [bad])
+
+
+def naive_peeled_rows(widths, row_blocks) -> set:
+    """The rows that peel, by a fixpoint: drop every block that at most its
+    width of the remaining rows meet, with those rows, until none is left."""
+    remaining = set(range(len(row_blocks)))
+    while True:
+        meeting = [{i for i in remaining if b in row_blocks[i]} for b in range(len(widths))]
+        drop = set().union(*(rows for rows, w in zip(meeting, widths) if len(rows) <= w))
+        if not drop:
+            return set(range(len(row_blocks))) - remaining
+        remaining -= drop
+
+
+def assert_a_valid_peel(plan, rows, widths, row_blocks) -> None:
+    """The plan peels the fixpoint's rows, and replayed in peel order each
+    block takes every remaining row that meets it, at most its width."""
+    n = len(row_blocks)
+    peeled = {i for _, block_rows in plan.blocks for i, _ in block_rows}
+    assert peeled == naive_peeled_rows(widths, row_blocks)
+    assert sorted(plan.in_order) == list(plan.in_order) == sorted(set(range(n)) - peeled)
+    assert sorted(plan.by_lead) == list(plan.in_order)
+    remaining = set(range(n))
+    for width, block_rows in plan.blocks:
+        i, start = block_rows[0]
+        columns = set(rows[i][start : start + width])
+        meeting = {j for j in remaining if columns & set(rows[j])}
+        assert {j for j, _ in block_rows} == meeting and len(meeting) <= width
+        remaining -= meeting
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_cases())
+def test_the_graph_peel_is_the_naive_fixpoint(case):
+    g, k, l, _, _ = case
+    row_labels, _, rows, plan = _rigidity_layout(g, k, l)
+    widths = [l] * g.a_size + [k] * g.b_size
+    row_blocks = [{a - 1, g.a_size + b - 1} for a, b in row_labels]
+    assert_a_valid_peel(plan, [cols for cols, _, _ in rows], widths, row_blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_cases())
+def test_the_facet_ridge_peel_is_the_naive_fixpoint(case):
+    kx, l, _, _ = case
+    row_labels, _, rows, plan = _facet_ridge_layout(kx, l)
+    ridges = sorted({frozenset(f) - {v} for f in row_labels for v in f}, key=sorted)
+    row_blocks = [{ridges.index(frozenset(f) - {v}) for v in f} for f in row_labels]
+    assert_a_valid_peel(plan, [cols for cols, _ in rows], [l] * len(ridges), row_blocks)
+
+
+def _min_degree_input(monkeypatch, g, k, l) -> set:
+    """The vertices, as blocks, that ``_rigidity_layout`` hands the
+    minimum-degree order when it lays out g afresh."""
+    seen = set()
+    order = rigidity._elimination_order
+
+    def watching(edges):
+        edges = list(edges)
+        seen.update(v for e in edges for v in e)
+        return order(edges)
+
+    monkeypatch.setattr(rigidity, "_elimination_order", watching)
+    _rigidity_layout.__wrapped__(g, k, l)
+    return seen
+
+
+def test_the_minimum_degree_order_sees_only_core_vertices(monkeypatch):
+    tree = fam.random_tree(10, 27, seed=5)
+    assert _min_degree_input(monkeypatch, tree, 1, 1) == set()
+    quad = fam.random_quadrangulation(64, seed=0)
+    row_labels, _, _, plan = _rigidity_layout(quad, 2, 2)
+    ends = [(a - 1, quad.a_size + b - 1) for a, b in row_labels]
+    core_ends = {v for i in plan.in_order for v in ends[i]}
+    assert len(plan.in_order) == 22
+    assert _min_degree_input(monkeypatch, quad, 2, 2) == core_ends
+
+
+@pytest.mark.parametrize(
+    "g, k, l",
+    [(fam.random_tree(10, 27, seed=5), 1, 1), (fam.random_quadrangulation(64, seed=0), 2, 2)],
+)
+def test_peeled_blocks_come_first_then_the_core(g, k, l):
+    # the columns hold the peeled blocks in peel order, then the vertices
+    # of the core rows, which reach no other column
+    _, _, rows, plan = _rigidity_layout(g, k, l)
+    at = 0
+    for width, block_rows in plan.blocks:
+        for i, start in block_rows:
+            assert rows[i][0][start : start + width] == tuple(range(at, at + width))
+        at += width
+    core_columns = {c for i in plan.in_order for c in rows[i][0]}
+    assert core_columns == set(range(at, at + len(core_columns)))
 
 
 def _inserted_rows(monkeypatch) -> list:
