@@ -25,15 +25,19 @@ leading entry is computed the first time the pivot reduces a row, and many
 pivots never do. Entries are drawn by a rejection loop on ``getrandbits``
 that yields exactly the stream of ``randrange(p)``.
 
-Rows that settle nothing are not eliminated at all. A matrix builder may
-hand ``GenericMatrix`` a ``PeelPlan``, fixed before any draw: blocks of
-columns that at most their width of the remaining rows meet, in peel
-order. ``peel`` finds them from the block structure alone, each block's
-width and the blocks each row meets, before a builder lays out a single
-column, so the builder can order only the core. Such rows are
-independent of every other row exactly when their restriction to the
-block has full row rank, which ``rank`` and ``left_kernel`` check at each
-draw without an inverse; they count those rows and eliminate only the
+Rows that settle nothing are not eliminated, nor built. A matrix row is
+its column tuple and the ids of the drawn vectors whose concatenation fills
+it; a builder hands ``GenericMatrix`` the trial's vectors once, and an
+explicit row of ``(column, value)`` pairs is the case of one vector per
+row. A builder may also hand it a ``PeelPlan``, fixed before any draw:
+blocks of columns that at most their width of the remaining rows meet, in
+peel order, naming per row the vector that fills the row in the block.
+``peel`` finds them from the block structure alone, each block's width and
+the blocks each row meets, before a builder lays out a single column, so
+the builder can order only the core. Such rows are independent of every
+other row exactly when their vectors in the block are independent, which
+``rank`` and ``left_kernel`` check at each draw on the vectors themselves,
+without an inverse; they count those rows and build and eliminate only the
 rest, the core. The first block that fails its check sends its rows and
 all later ones to the core, so every draw gets its matrix's exact rank
 and kernel.
@@ -45,7 +49,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, InvariantError, TrialDisagreementError, check_cap
@@ -151,65 +155,66 @@ class Echelon:
 class PeelPlan:
     """The rows of a matrix layout that peel off before elimination.
 
-    ``blocks`` lists the blocks that peel, in peel order, as ``(width,
-    rows)``: the block's column count and, per row, ``(i, start)``, where
-    ``entries[i][start:start + width]`` are row i's entries in the block's
-    columns, in column order. ``by_lead`` and ``in_order`` are the core
-    rows, the rows of no block, in ``rank``'s order (``_lead_key``) and by
-    index.
+    ``blocks`` lists the blocks that peel, in peel order, each as the
+    ``(i, v)`` of its rows: row i, and the id of the vector that fills row
+    i's entries in the block's columns. ``by_lead`` and ``in_order`` are the
+    core rows, the rows of no block, in ``rank``'s order (``_lead_key``) and
+    by index.
     """
 
-    blocks: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    blocks: tuple[tuple[tuple[int, int], ...], ...]
     by_lead: tuple[int, ...]
     in_order: tuple[int, ...]
 
     @classmethod
-    def of(cls, blocks, core: Sequence[int], row_columns: Sequence[Sequence[int]]) -> PeelPlan:
+    def of(
+        cls, blocks, core: Sequence[int], columns: Sequence[Sequence[int]], fills
+    ) -> PeelPlan:
         """The plan of a layout's ``peel``, once its columns are laid out:
-        ``row_columns[i]`` lists the columns of row i's entries."""
-        by_lead = sorted(core, key=lambda i: _lead_key(row_columns[i]))
-        return cls(tuple(blocks), tuple(by_lead), tuple(core))
+        row i has its entries in the columns ``columns[i]``, filled by the
+        vectors ``fills[i]``, one per block the row meets, in ``peel``'s
+        order."""
+        blocks = tuple(tuple((i, fills[i][j]) for i, j in rows) for rows in blocks)
+        by_lead = sorted(core, key=lambda i: _lead_key(columns[i]))
+        return cls(blocks, tuple(by_lead), tuple(core))
 
 
 def peel(
-    widths: Sequence[int], row_runs: Sequence[Sequence[tuple[int, int]]]
-) -> tuple[list[int], list[tuple[int, tuple[tuple[int, int], ...]]], list[int]]:
+    widths: Sequence[int], row_blocks: Sequence[Sequence[int]]
+) -> tuple[list[int], list[tuple[tuple[int, int], ...]], list[int]]:
     """Which blocks of a layout peel, from its block structure alone.
 
-    Block b has ``widths[b]`` columns, and ``row_runs[i]`` lists, in entry
-    order, the ``(b, start)`` of each block row i meets: its entries
-    ``start`` to ``start + widths[b]`` lie in block b's columns, in the
-    block's column order. A block that at most its width of the remaining
-    rows meet peels: those rows leave, and the blocks they also meet may
-    peel next. Which rows peel does not depend on the order, as in k-core
-    peeling; one queue pass takes the blocks first come, first served,
-    from block 0 on. Returns the blocks that peel, in peel order, as block
-    indices and as ``PeelPlan.blocks`` lists them, and the core rows by
-    index. A row that meets a block twice, or whose runs overlap, is
-    refused.
+    Block b has ``widths[b]`` columns, and ``row_blocks[i]`` lists the
+    blocks row i meets, in the order of the vectors that fill the row: its
+    j-th vector fills its entries in block ``row_blocks[i][j]``. A block
+    that at most its width of the remaining rows meet peels: those rows
+    leave, and the blocks they also meet may peel next. Which rows peel
+    does not depend on the order, as in k-core peeling; one queue pass
+    takes the blocks first come, first served, from block 0 on. Returns the
+    blocks that peel, in peel order, as block indices and as the ``(i, j)``
+    of their rows, and the core rows by index. A row that meets a block
+    twice is refused.
     """
     rows_of: list[list[tuple[int, int]]] = [[] for _ in widths]
-    for i, runs in enumerate(row_runs):
-        end = 0
-        for b, start in runs:
+    for i, blocks in enumerate(row_blocks):
+        for j, b in enumerate(blocks):
             rows = rows_of[b]
-            if start < end or rows and rows[-1][0] == i:
-                raise InputError("a row meets a block twice or runs past a block's width")
-            rows.append((i, start))
-            end = start + widths[b]
+            if rows and rows[-1][0] == i:
+                raise InputError("a row meets a block twice")
+            rows.append((i, j))
     count = [len(rows) for rows in rows_of]
     queue = [b for b, width in enumerate(widths) if count[b] <= width]
-    peeled = [False] * len(row_runs)
+    peeled = [False] * len(row_blocks)
     order, blocks = [], []
     for b in queue:  # the queue grows while it is read
-        rows = tuple((i, start) for i, start in rows_of[b] if not peeled[i])
+        rows = tuple((i, j) for i, j in rows_of[b] if not peeled[i])
         if not rows:
             continue
         order.append(b)
-        blocks.append((widths[b], rows))
+        blocks.append(rows)
         for i, _ in rows:
             peeled[i] = True
-            for other, _ in row_runs[i]:
+            for other in row_blocks[i]:
                 count[other] -= 1
                 if count[other] == widths[other]:
                     queue.append(other)
@@ -225,24 +230,20 @@ def _lead_key(columns: Sequence[int]) -> tuple[int, int]:
     return min(columns, default=-1), -max(columns, default=-1)
 
 
-def _independent(p: int, entries, width: int, rows) -> bool:
-    """Whether the rows ``(i, start)`` restricted to
-    ``entries[i][start:start + width]`` are independent over F_p.
+def _independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether ``vectors``, all of one length, are independent over F_p.
 
-    Fraction-free: one row needs a nonzero entry, two rows of width 2 a
-    nonzero determinant, and otherwise a row that is eliminated scales the
-    others by its pivot entry instead of being divided by it. Nothing is
-    inverted.
+    Fraction-free: one vector needs a nonzero entry, two of length 2 a
+    nonzero determinant, and otherwise a vector that is eliminated scales
+    the others by its pivot entry instead of being divided by it. Nothing
+    is inverted.
     """
-    if len(rows) == 1:
-        i, start = rows[0]
-        return any(v % p for _, v in entries[i][start : start + width])
-    if len(rows) == 2 == width:
-        (i, s), (j, t) = rows
-        (_, a), (_, b) = entries[i][s : s + 2]
-        (_, c), (_, d) = entries[j][t : t + 2]
+    if len(vectors) == 1:
+        return any(map(p.__rmod__, vectors[0]))  # some entry x % p is nonzero
+    if len(vectors) == 2 == len(vectors[0]):
+        (a, b), (c, d) = vectors
         return (a * d - b * c) % p != 0
-    short = [[v for _, v in entries[i][start : start + width]] for i, start in rows]
+    short = list(vectors)
     while short:
         top = short.pop()
         j = next((j for j, x in enumerate(top) if x % p), None)
@@ -253,36 +254,70 @@ def _independent(p: int, entries, width: int, rows) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericMatrix:
     """A sparse matrix over F_p with combinatorially labeled rows and columns.
 
-    Row i is stored as ``entries[i]``, a tuple of ``(column, residue)``
-    pairs; zero residues may be left out. ``plan``, when a builder gives
-    one, is the ``PeelPlan`` of the builder's layout; without one every row
-    is a core row.
+    Row i has its entries in the columns ``columns[i]``, and their values
+    are the drawn vectors ``vectors[v]`` for v in ``fills[i]``, concatenated;
+    zero values may be left out of a row. ``from_entries`` makes each row a
+    vector of its own. A row is built only when ``rank`` or ``left_kernel``
+    eliminates it; ``entries`` and ``rows`` build every row, and two
+    matrices are equal when their entries and labels are. ``plan``, when a
+    builder gives one, is the ``PeelPlan`` of the builder's layout; without
+    one every row is a core row.
     """
 
     p: int
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    columns: Sequence[Sequence[int]]
+    fills: Sequence[Sequence[int]]
+    vectors: Sequence[Sequence[int]]
     row_labels: tuple
     col_labels: tuple
-    plan: PeelPlan | None = field(default=None, compare=False, repr=False)
+    plan: PeelPlan | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
+        if not len(self.columns) == len(self.fills) == len(self.row_labels):
             raise InputError("row count does not match row labels")
-        object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
+    @classmethod
+    def from_entries(cls, p: int, entries, row_labels, col_labels) -> GenericMatrix:
+        """The matrix whose row i is the ``(column, value)`` pairs
+        ``entries[i]``."""
+        columns = tuple(tuple(c for c, _ in entry) for entry in entries)
+        vectors = [tuple(v for _, v in entry) for entry in entries]
+        fills = tuple((i,) for i in range(len(vectors)))
+        return cls(p, columns, fills, vectors, row_labels, col_labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, GenericMatrix):
+            return NotImplemented
+        return (self.p, self.row_labels, self.col_labels, self.entries) == (
+            other.p,
+            other.row_labels,
+            other.col_labels,
+            other.entries,
+        )
+
     @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return len(self.columns)
 
     @property
     def n_cols(self) -> int:
         return len(self.col_labels)
+
+    def _values(self, i: int) -> Iterator[int]:
+        """Row i's values, in the order of its columns."""
+        vectors = self.vectors
+        return chain.from_iterable([vectors[v] for v in self.fills[i]])
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every row as ``(column, value)`` pairs, built on each read."""
+        return tuple(tuple(zip(cols, self._values(i))) for i, cols in enumerate(self.columns))
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -299,39 +334,43 @@ class GenericMatrix:
         """How many rows peel at this draw, and the core rows, in ``rank``'s
         order or by index.
 
-        Each planned block is checked in peel order. The first one whose
-        rows are dependent in its columns ends the peel: its rows and all
-        later ones join the core.
+        Each planned block is checked in peel order, on the vectors that
+        fill its rows there. The first one whose vectors are dependent ends
+        the peel: its rows and all later ones join the core.
         """
-        plan, entries = self.plan, self.entries
-        gone = set()
+        plan, vectors = self.plan, self.vectors
+        gone = ()
         if plan is not None:
-            for done, (width, rows) in enumerate(plan.blocks):
-                if not _independent(self.p, entries, width, rows):
-                    gone = {i for _, rows in plan.blocks[:done] for i, _ in rows}
+            for done, block in enumerate(plan.blocks):
+                if not _independent(self.p, [vectors[v] for _, v in block]):
+                    gone = {i for block in plan.blocks[:done] for i, _ in block}
                     break
             else:
                 core = plan.by_lead if by_lead else plan.in_order
-                return len(entries) - len(core), core
-        core = [i for i in range(len(entries)) if i not in gone]
+                return self.n_rows - len(core), core
+        core = [i for i in range(self.n_rows) if i not in gone]
         if by_lead:
-            core.sort(key=lambda i: _lead_key([c for c, _ in entries[i]]))
+            columns = self.columns
+            core.sort(key=lambda i: _lead_key(columns[i]))
         return len(gone), core
 
     def rank(self) -> int:
-        """The peeled rows, plus the rank of the core. Core rows go in
-        sorted by their leading column (``_lead_key``), which the rank does
-        not depend on; a row then mostly meets pivots that lead before it."""
+        """The peeled rows, plus the rank of the core. Only core rows are
+        built, and they go in sorted by their leading column (``_lead_key``),
+        which the rank does not depend on; a row then mostly meets pivots
+        that lead before it."""
         peeled, core = self._peel(by_lead=True)
-        entries = self.entries
+        columns, values = self.columns, self._values
         echelon = Echelon(self.p)
-        return peeled + sum(echelon.insert(dict(entries[i])) is not None for i in core)
+        return peeled + sum(
+            echelon.insert(dict(zip(columns[i], values(i)))) is not None for i in core
+        )
 
     def left_kernel(self) -> list[tuple[int, ...]]:
         """Basis of row dependencies: vectors w with w * M = 0.
 
-        Every dependency is 0 on the peeled rows, so only the core is
-        eliminated, in row order. Core row i gets a 1 in column
+        Every dependency is 0 on the peeled rows, so only the core is built
+        and eliminated, in row order. Core row i gets a 1 in column
         ``n_cols + i``, where the reduction carries its combination of the
         rows. A row that leads there is dependent: its pivot, read as row
         indices, is the kernel vector with 1 on that row and otherwise only
@@ -339,15 +378,15 @@ class GenericMatrix:
         in. Checks rank-nullity before returning.
         """
         n, m = self.n_rows, self.n_cols
-        entries = self.entries
-        if any(c >= m for entry in entries for c, _ in entry):
+        columns, values = self.columns, self._values
+        if any(c >= m for cols in columns for c in cols):
             raise InputError("an entry lies past the last column")
         peeled, core = self._peel(by_lead=False)
         echelon = Echelon(self.p)
         pivots = echelon.pivots
         basis = []
         for i in core:
-            row = dict(entries[i])
+            row = dict(zip(columns[i], values(i)))
             row[m + i] = 1
             lead = echelon.insert(row)
             if lead >= m:

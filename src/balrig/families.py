@@ -13,11 +13,15 @@ Every generator checks its own structural counts before returning, with
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .combinat import (
+    COMPLEX_COLOR_CAP,
+    COMPLEX_FACET_CAP,
+    GRAPH_EDGE_CAP,
     BalancedComplex,
     BipartiteGraph,
     Face,
@@ -25,13 +29,40 @@ from .combinat import (
     complete_edges,
     glue,
 )
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, check_cap
+
+#: Most 2-cells of a random quadrangulation. Each split scans every face, so
+#: building takes time quadratic in the faces: 4096 take 3.3 s on a shared
+#: 2-vCPU VM, 8192 about 13 s.
+QUADRANGULATION_FACE_CAP = 4096
 
 
 def _check(ok: bool, what: str) -> None:
     """A generator's structural self-check; ``what`` names what must hold."""
     if not ok:
         raise InvariantError(f"generator self-check failed: {what}")
+
+
+# Every generator refuses, before it builds anything, an output that the
+# JSON loaders would refuse. A dimension is checked before any count that
+# is exponential in it, so that no count grows beyond a few machine words.
+
+
+def _check_edges(edges: int) -> None:
+    check_cap("generated graph edges", edges, GRAPH_EDGE_CAP)
+
+
+def _check_dimension(what: str, d: int) -> None:
+    """Refuse a dimension past which 2^d alone passes the edge cap."""
+    check_cap(what, d, GRAPH_EDGE_CAP.bit_length())
+
+
+def _check_colors(colors: int) -> None:
+    check_cap("generated complex colors", colors, COMPLEX_COLOR_CAP)
+
+
+def _check_facets(facets: int) -> None:
+    check_cap("generated complex facets", facets, COMPLEX_FACET_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +73,7 @@ def _check(ok: bool, what: str) -> None:
 def complete_bipartite(n: int, m: int) -> BipartiteGraph:
     if n < 1 or m < 1:
         raise InputError("complete bipartite graph needs positive sides")
+    _check_edges(n * m)
     return BipartiteGraph(n, m, complete_edges(n, m))
 
 
@@ -49,6 +81,7 @@ def cycle(n: int) -> BipartiteGraph:
     """The cycle on 2n vertices, alternating sides; cycle(2) is the square."""
     if n < 2:
         raise InputError("an even cycle needs at least 4 vertices")
+    _check_edges(2 * n)
     edges = {(i, i) for i in range(1, n + 1)}
     edges |= {(i + 1, i) for i in range(1, n)}
     edges.add((1, n))
@@ -63,6 +96,7 @@ def random_tree(n: int, m: int, seed: int) -> BipartiteGraph:
     """
     if n < 1 or m < 1:
         raise InputError("tree sides must be positive")
+    _check_edges(n + m - 1)
     rng = random.Random(seed)
     vertices: list[Vertex] = [("A", i) for i in range(1, n + 1)] + [
         ("B", j) for j in range(1, m + 1)
@@ -103,6 +137,7 @@ def fan_quadrangulation(k: int) -> BipartiteGraph:
     from one corner to every other far corner. 3k - 2 edges."""
     if k < 2:
         raise InputError("fan needs a polygon with at least 4 vertices")
+    _check_edges(3 * k - 2)
     g = cycle(k)
     chords = {(1, i + 1) for i in range(1, k - 1)}
     out = BipartiteGraph(k, k, g.edges | chords)
@@ -184,6 +219,8 @@ def cube_complex(d: int) -> CubicalGraph:
     """
     if d < 1:
         raise InputError("cube dimension must be positive")
+    _check_dimension("cube dimension", d)
+    _check_edges(d * 2 ** (d - 1))
     b = _Builder()
     ids: dict[tuple[int, ...], int] = {}
     for x in itertools.product((0, 1), repeat=d):
@@ -221,6 +258,8 @@ def stacked_cubical_graph(d: int, t: int, seed: int = 0) -> CubicalGraph:
         raise InputError("stacked cubical polytopes need dimension at least 3")
     if t < 1:
         raise InputError("need at least one cube")
+    _check_dimension("cube dimension", d)
+    _check_edges((d + 1) * (t + 1) * 2 ** (d - 2) - 2 ** (d - 1))
     rng = random.Random(seed)
     base = cube_complex(d)
     b = _Builder()
@@ -336,6 +375,8 @@ def stacked_cubical_augmented(d: int, t: int, seed: int = 0) -> BipartiteGraph:
     checked.
     """
     cg = stacked_cubical_graph(d, t, seed)
+    # |A| = |B|: every glued cube adds as many vertices to each side
+    _check_edges((d + 1) * cg.graph.n_vertices // 2 - 2 * (d - 1))
     out = augment_facet(cg, 0, "two-vertex").graph
     _check(out.n_edges == (d - 1) * out.a_size + 2 * out.b_size - 2 * (d - 1), "tight count")
     return out
@@ -385,6 +426,8 @@ def laman_augmented_cube(d: int) -> BipartiteGraph:
     """
     if d < 4:
         raise InputError("the augmented cube construction starts at d = 4")
+    _check_dimension("cube dimension", d)
+    _check_edges((d - 1) * 2 ** (d - 2) + 2 ** (d - 1) - d)
     cg = cube_complex(d - 1)
     ids = {x: vid for vid, x in cg.coords.items()}
     g = cg.graph
@@ -407,6 +450,8 @@ def cross_polytope_boundary(d: int) -> BalancedComplex:
     all colorful picks as facets."""
     if d < 2:
         raise InputError("cross-polytope dimension must be at least 2")
+    _check_colors(d)
+    _check_facets(2**d)
     facets = frozenset(
         frozenset(zip(range(1, d + 1), pick))
         for pick in itertools.product((1, 2), repeat=d)
@@ -434,6 +479,9 @@ def glued_cross_polytopes(
     """
     if d < 3:
         raise InputError("glued cross-polytopes need dimension at least 3")
+    _check_colors(d)
+    copies = (4 if d == 3 else 2 * d - 1) if pattern is None else len(pattern)
+    _check_facets((copies + 1) * 2**d - 2 * copies)
     odd = sorted(
         s for s in itertools.product((1, 2), repeat=d) if s.count(2) % 2 == 1
     )
@@ -487,11 +535,18 @@ def gamma_complex(d: int, sizes: list[int]) -> BalancedComplex:
         raise InputError("need one size per color, d + 1 of them")
     if any(s < 2 for s in sizes):
         raise InputError("each color needs at least two vertices")
-    facets = frozenset(
-        frozenset(zip(range(1, d + 2), pick))
-        for pick in itertools.product(*[range(1, s + 1) for s in sizes])
-        if any(v <= 2 for v in pick)
+    _check_colors(len(sizes))
+    _check_facets(math.prod(sizes) - math.prod(s - 2 for s in sizes))
+    # each facet once, by the first color c whose vertex is one of its two least
+    picks = itertools.chain.from_iterable(
+        itertools.product(
+            *[range(3, s + 1) for s in sizes[:c]],
+            (1, 2),
+            *[range(1, s + 1) for s in sizes[c + 1 :]],
+        )
+        for c in range(len(sizes))
     )
+    facets = frozenset(frozenset(zip(range(1, d + 2), pick)) for pick in picks)
     return BalancedComplex(tuple(sizes), facets)
 
 
@@ -499,6 +554,8 @@ def van_kampen_complex(l: int, d: int) -> BalancedComplex:
     """The join of l+1 points per color over d+1 colors."""
     if l < 1 or d < 0:
         raise InputError("need l >= 1 and d >= 0")
+    _check_colors(d + 1)
+    _check_facets((l + 1) ** (d + 1))
     facets = frozenset(
         frozenset(zip(range(1, d + 2), pick))
         for pick in itertools.product(range(1, l + 2), repeat=d + 1)
@@ -550,6 +607,7 @@ def random_quadrangulation(n_faces: int, seed: int = 0) -> BipartiteGraph:
     """
     if n_faces < 2:
         raise InputError("a sphere quadrangulation has at least 2 faces")
+    check_cap("quadrangulation faces", n_faces, QUADRANGULATION_FACE_CAP)
     rng = random.Random(seed)
     sides = {0: "A", 1: "A", 2: "B", 3: "B"}
     faces: list[tuple] = [(0, 2, 1, 3), (0, 3, 1, 2)]

@@ -32,9 +32,12 @@ or ridge that at most its block width of the remaining rows meet (l edges
 at an A-vertex, k at a B-vertex, l facets at a ridge) owns columns no
 other row reaches: the bipartite analogue of undoing a Henneberg
 0-extension. Both builders find these blocks with ``exactla.peel`` before
-laying out any column, and their cached layouts carry the peel plan, so
-rank and left kernel eliminate only the rows that remain; a tree at (1,1)
-and the facet-ridge matrix of a sphere at l = 2 peel whole.
+laying out any column, and their cached layouts carry the peel plan. A
+builder draws nothing per row: it hands ``GenericMatrix`` the trial's
+vertex vectors once, and each row is its columns and the vectors that
+fill it. The block checks read those vectors, and rank and left kernel
+build and eliminate only the rows that remain; a tree at (1,1) and the
+facet-ridge matrix of a sphere at l = 2 peel whole and build no row.
 
 The drawn rows are the leading rows of a unit upper triangular block. A
 generic set of rows is an invertible T times such rows, and T, applied to
@@ -49,7 +52,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable
 
 from .combinat import (
@@ -134,21 +137,22 @@ def _elimination_order(edges: Iterable[tuple]) -> list:
 def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> tuple:
     """What the (k,l)-rigidity matrix of g lays out before any value is
     drawn: the row labels (the edges, sorted), the column labels, per row
-    ``(cols, b, a)``, the columns of its A-vertex's block and then of its
-    B-vertex's, with the 0-based indices of the B- and the A-vertex, and
+    the columns of its A-vertex's block and then of its B-vertex's, per row
+    the vectors that fill them, the B-vertex's and then the A-vertex's, and
     the peel plan. Cached, bounded, so that every trial of a verdict call
     reads one layout.
 
-    The peel comes first, on blocks in vertex order (a - 1 for the
-    A-vertex a, |A| + b - 1 for the B-vertex b). The columns then hold the
-    peeled blocks in peel order, the core rows' vertices in minimum-degree
-    order of the core edges, which meet no other vertex, and the rest.
+    Blocks and vectors are numbered in vertex order (a - 1 for the
+    A-vertex a, |A| + b - 1 for the B-vertex b), and the peel comes first,
+    on the blocks. The columns then hold the peeled blocks in peel order,
+    the core rows' vertices in minimum-degree order of the core edges,
+    which meet no other vertex, and the rest.
     """
     n = g.a_size
     row_labels = tuple(g.edge_list())
     ends = [(a - 1, n + b - 1) for a, b in row_labels]
     widths = [l] * n + [k] * g.b_size
-    order, blocks, core = peel(widths, [((u, 0), (v, l)) for u, v in ends])
+    order, blocks, core = peel(widths, ends)
     order += _elimination_order(ends[i] for i in core)
     placed = set(order)
     order += [b for b in range(len(widths)) if b not in placed]
@@ -158,9 +162,10 @@ def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> tuple:
         columns[b] = tuple(range(len(col_labels), len(col_labels) + widths[b]))
         v = ("A", b + 1) if b < n else ("B", b - n + 1)
         col_labels += [(v, s) for s in range(1, widths[b] + 1)]
-    rows = tuple((columns[u] + columns[v], v - n, u) for u, v in ends)
-    plan = PeelPlan.of(blocks, core, [cols for cols, _, _ in rows])
-    return row_labels, tuple(col_labels), rows, plan
+    row_columns = tuple(columns[u] + columns[v] for u, v in ends)
+    fills = tuple((v, u) for u, v in ends)
+    plan = PeelPlan.of(blocks, core, row_columns, fills)
+    return row_labels, tuple(col_labels), row_columns, fills, plan
 
 
 def build_rigidity_matrix(
@@ -173,17 +178,18 @@ def build_rigidity_matrix(
     (vertex, slot) pairs, slots 1-based, with the core's vertex blocks in
     minimum-degree elimination order (``_elimination_order``), so that
     eliminating them in order fills in little; rows are edges in sorted
-    order. Only the values are filled in here; the layout and its peel
-    plan come from ``_rigidity_layout``.
+    order. Only the vertex vectors are read here, and no row is built; the
+    layout and its peel plan come from ``_rigidity_layout``.
     """
     if len(theta[0]) < k or len(theta[1]) < l:
         raise InputError("the rigidity matrix needs k rows of the A-block and l of the B-block")
-    row_labels, col_labels, layout, plan = _rigidity_layout(g, k, l)
-    # the l-vector of each B-vertex and the k-vector of each A-vertex
-    at_b = list(zip(*theta[1][:l]))
-    at_a = list(zip(*theta[0][:k]))
-    entries = [tuple(zip(cols, at_b[b] + at_a[a])) for cols, b, a in layout]
-    return GenericMatrix(p, entries, row_labels, col_labels, plan)
+    row_labels, col_labels, columns, fills, plan = _rigidity_layout(g, k, l)
+    # the k-vector of each A-vertex and the l-vector of each B-vertex
+    at_a = list(zip(*theta[0][:k]))[: g.a_size]
+    at_b = list(zip(*theta[1][:l]))[: g.b_size]
+    if len(at_a) != g.a_size or len(at_b) != g.b_size:
+        raise InputError("the rigidity matrix needs a block column per vertex of its side")
+    return GenericMatrix(p, columns, fills, at_a + at_b, row_labels, col_labels, plan)
 
 
 @dataclass(frozen=True)
@@ -291,10 +297,12 @@ def stress_space(
     The dimension, E minus the rank, must agree across trials; the basis is
     the one left kernel, of the first trial, in seed order, with the agreed
     dimension (after an escalation, an earlier trial may have another one).
-    Every basis vector is re-verified against the vertex equilibrium
-    equations of the induced embedding. Capped as ``analyze`` is, and on
-    the entries the basis is sure to hold (``STRESS_OUTPUT_CAP``), before
-    any draw.
+    The first trial computes its left kernel and reads its dimension off
+    it, and the other trials only rank, so a second kernel runs only when
+    the agreed dimension is not the first trial's. Every basis vector is
+    re-verified against the vertex equilibrium equations of the induced
+    embedding. Capped as ``analyze`` is, and on the entries the basis is
+    sure to hold (``STRESS_OUTPUT_CAP``), before any draw.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
@@ -303,13 +311,20 @@ def stress_space(
     check_cap(
         "stress basis entries", g.n_edges * max(0, g.n_edges - columns), STRESS_OUTPUT_CAP
     )
+    # per dimension, the first trial's theta and matrix, with its basis
+    # when the trial computed one
     first_of_dim: dict[int, tuple] = {}
 
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
         matrix = build_rigidity_matrix(g, k, l, theta, p)
-        dim = g.n_edges - matrix.rank()
-        first_of_dim.setdefault(dim, (theta, matrix))
+        if first_of_dim:
+            dim = g.n_edges - matrix.rank()
+            first_of_dim.setdefault(dim, (theta, matrix, None))
+        else:
+            basis = matrix.left_kernel()
+            dim = len(basis)
+            first_of_dim[dim] = (theta, matrix, basis)
         return dim
 
     dim, meta = run_trials(
@@ -318,8 +333,9 @@ def stress_space(
         poly_degree=min(g.n_edges, l * g.a_size + k * g.b_size),
         what="stress space dimension",
     )
-    theta, matrix = first_of_dim[dim]
-    basis = matrix.left_kernel()
+    theta, matrix, basis = first_of_dim[dim]
+    if basis is None:
+        basis = matrix.left_kernel()
     if len(basis) != dim:
         raise InvariantError(f"a stress basis of {len(basis)} vectors, not the agreed {dim}")
     _verify_equilibrium(k, l, theta, policy.prime, matrix.row_labels, basis)
@@ -447,11 +463,12 @@ def laman_check(g: BipartiteGraph, k: int, l: int) -> LamanReport:
 def _facet_ridge_layout(kx: BalancedComplex, l: int) -> tuple:
     """What the facet-ridge matrix of kx lays out before any value is
     drawn: the row labels (the facets, sorted), the column labels (the
-    ridges, sorted, with l slots each), per row ``(cols, vertices)``, the
-    facet's vertices (c, i) in order, 0-based, and the columns of the
-    ridge the facet has without each of them, and the peel plan, from
-    ``peel`` on the ridge blocks (ridge r is block r). Cached, bounded, so
-    that every trial of a verdict call reads one layout."""
+    ridges, sorted, with l slots each), per row the columns of the ridge
+    the facet has without each of its vertices, in order, per row the
+    vectors of those vertices that fill them (the vertices numbered color
+    by color), and the peel plan, from ``peel`` on the ridge blocks (ridge
+    r is block r). Cached, bounded, so that every trial of a verdict call
+    reads one layout."""
     if not kx.is_pure():
         raise InputError("the facet-ridge matrix needs a pure complex")
     row_labels = tuple(kx.sorted_facets())
@@ -459,18 +476,12 @@ def _facet_ridge_layout(kx: BalancedComplex, l: int) -> tuple:
     ridge_index = {frozenset(r): idx for idx, r in enumerate(ridge_list)}
     col_labels = tuple((r, s) for r in ridge_list for s in range(1, l + 1))
     row_ridges = [[ridge_index[frozenset(f) - {v}] for v in f] for f in row_labels]
-    rows = tuple(
-        (
-            tuple(r * l + s for r in ridges for s in range(l)),
-            tuple((c - 1, i - 1) for c, i in f),
-        )
-        for f, ridges in zip(row_labels, row_ridges)
-    )
-    _, blocks, core = peel(
-        [l] * len(ridge_list), [[(r, j * l) for j, r in enumerate(ridges)] for ridges in row_ridges]
-    )
-    plan = PeelPlan.of(blocks, core, [cols for cols, _ in rows])
-    return row_labels, col_labels, rows, plan
+    columns = tuple(tuple(r * l + s for r in ridges for s in range(l)) for ridges in row_ridges)
+    first = [0, *accumulate(kx.color_sizes)]  # the first vector of each color
+    fills = tuple(tuple(first[c - 1] + i - 1 for c, i in f) for f in row_labels)
+    _, blocks, core = peel([l] * len(ridge_list), row_ridges)
+    plan = PeelPlan.of(blocks, core, columns, fills)
+    return row_labels, col_labels, columns, fills, plan
 
 
 def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
@@ -480,18 +491,19 @@ def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
     sizes, with at least l rows); the l-vector of vertex (c, i) is column i
     of the first l rows of block c. The block of facet F at ridge G is that
     vector for the vertex F - G when G is contained in F, else zero. Only
-    the values are filled in here; the layout and its peel plan come from
-    ``_facet_ridge_layout``.
+    the vertex vectors are read here, and no row is built; the layout and
+    its peel plan come from ``_facet_ridge_layout``.
     """
     if any(len(block) < l for block in theta):
         raise InputError("the facet-ridge matrix needs l rows of every color block")
-    row_labels, col_labels, layout, plan = _facet_ridge_layout(kx, l)
-    vectors = [list(zip(*block[:l])) for block in theta]
-    entries = [
-        tuple(zip(cols, chain.from_iterable(vectors[c][i] for c, i in vertices)))
-        for cols, vertices in layout
-    ]
-    return GenericMatrix(p, entries, row_labels, col_labels, plan)
+    row_labels, col_labels, columns, fills, plan = _facet_ridge_layout(kx, l)
+    sizes = kx.color_sizes
+    vectors = [list(zip(*block[:l]))[:size] for block, size in zip(theta, sizes)]
+    if [len(v) for v in vectors] != list(sizes):
+        raise InputError("the facet-ridge matrix needs a block column per vertex of its color")
+    return GenericMatrix(
+        p, columns, fills, list(chain.from_iterable(vectors)), row_labels, col_labels, plan
+    )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Each case runs in a fresh interpreter limited to 1 GiB of address space and
 a timeout, so a missing cap shows as a memory error or a timeout instead of
 a slow or swapping test run. No case builds what its cap rejects: the
 inputs are small JSON files or graphs whose declared sizes are large. The
+generator cases check that ``generate`` refuses what the loaders would. The
 last case checks that an explicit vertex order is matched against a huge
 side without listing the side's vertices.
 """
@@ -15,9 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import balrig
+from balrig import families as fam
 from balrig.combinat import COMPLEX_COLOR_CAP, COMPLEX_FACET_CAP, GRAPH_EDGE_CAP
 from balrig.exactla import TRIAL_CAP
+from balrig.families import QUADRANGULATION_FACE_CAP
 from balrig.rigidity import RANK_SIZE_CAP, STRESS_OUTPUT_CAP
 from balrig.shifting import SHIFT_CANDIDATE_CAP, SHIFT_SIDE_CAP
 
@@ -158,6 +163,40 @@ def test_the_complex_loader_caps_colors(tmp_path):
     message = refused(tmp_path, ["mcheck", "--complex", "INPUT", "-l", "1"], kx)
     assert f"complex JSON colors capped at {COMPLEX_COLOR_CAP}" in message
 
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("complete --n 100000 --m 100000", f"graph edges capped at {GRAPH_EDGE_CAP}; got 10000000000"),
+        ("tree --n 262144 --m 2", f"graph edges capped at {GRAPH_EDGE_CAP}; got 262145"),
+        ("cycle --n 1000000000", f"graph edges capped at {GRAPH_EDGE_CAP}; got 2000000000"),
+        ("fan --n 1000000000", f"graph edges capped at {GRAPH_EDGE_CAP}; got 2999999998"),
+        ("quadrangulation --faces 100000000",
+         f"quadrangulation faces capped at {QUADRANGULATION_FACE_CAP}; got 100000000"),
+        ("cube --d 1000000000", "cube dimension capped at 19; got 1000000000"),
+        ("cube --d 16", f"graph edges capped at {GRAPH_EDGE_CAP}; got 524288"),
+        ("stacked-cubical --d 3 --t 100000 --augment",
+         f"graph edges capped at {GRAPH_EDGE_CAP}; got 800004"),
+        ("laman-cube --d 16", f"graph edges capped at {GRAPH_EDGE_CAP}; got 278512"),
+        ("cross-polytope --d 17", f"complex facets capped at {COMPLEX_FACET_CAP}; got 131072"),
+        ("glued-cross-polytopes --d 12",
+         f"complex facets capped at {COMPLEX_FACET_CAP}; got 98258"),
+        ("gamma --d 2 --sizes 200,200,200",
+         f"complex facets capped at {COMPLEX_FACET_CAP}; got 237608"),
+        ("van-kampen --l 1 --d 1000000000",
+         f"complex colors capped at {COMPLEX_COLOR_CAP}; got 1000000001"),
+    ],
+)
+def test_generate_refuses_what_the_loaders_would(tmp_path, family, message):
+    # an output past a loader's cap (or, for quadrangulations, past the
+    # size whose build time is measured) is refused before it is built
+    assert refused(tmp_path, ["generate", *family.split()]).endswith(message)
+
+
+def test_generate_builds_up_to_the_caps():
+    # a complex at the facet cap takes over a second, a graph at the edge
+    # cap a quarter of one
+    assert fam.complete_bipartite(512, 512).n_edges == GRAPH_EDGE_CAP
 
 
 def test_an_explicit_order_is_checked_without_listing_a_huge_side(tmp_path):

@@ -23,7 +23,7 @@ P = DEFAULT_PRIME
 
 
 def make_matrix(rows, p=P, row_labels=None):
-    return GenericMatrix(
+    return GenericMatrix.from_entries(
         p,
         [tuple((c, x) for c, v in enumerate(row) if (x := v % p)) for row in rows],
         tuple(range(len(rows))) if row_labels is None else row_labels,
@@ -182,9 +182,9 @@ def test_trial_policy_validation():
 
 def test_matrix_label_validation():
     with pytest.raises(InputError):
-        GenericMatrix(P, (((0, 1),),), row_labels=(), col_labels=(0,))
+        GenericMatrix.from_entries(P, (((0, 1),),), row_labels=(), col_labels=(0,))
     # a left kernel keeps its row combinations in the columns past the last
-    past = GenericMatrix(P, (((0, 1),), ((1, 1),)), row_labels=(0, 1), col_labels=(0,))
+    past = GenericMatrix.from_entries(P, (((0, 1),), ((1, 1),)), (0, 1), (0,))
     with pytest.raises(InputError, match="past the last column"):
         past.left_kernel()
 

@@ -1,0 +1,90 @@
+"""Outputs that must not change when only the speed of a route does.
+
+The digests were recorded before the rigidity rows were built from drawn
+vertex vectors, and every later change that claims the same outputs must
+keep them: the sha256 of each stress basis, as JSON, and of the stdout of
+the CLI's small-prime, one-trial commands, which take the peel's fallback
+and the echelon's degenerate draws.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from balrig import families as fam
+from balrig.cli import main
+from balrig.combinat import BipartiteGraph
+from balrig.exactla import TrialPolicy
+from balrig.rigidity import stress_space
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def half_dense_8x9() -> BipartiteGraph:
+    rng = random.Random(7)
+    pairs = [(i, j) for i in range(1, 9) for j in range(1, 10)]
+    return BipartiteGraph(8, 9, frozenset(e for e in pairs if rng.random() < 0.5))
+
+
+STRESS_CASES = {
+    "K_4,4": lambda: (fam.complete_bipartite(4, 4), 2, 2),
+    "double banana": lambda: (fam.double_banana(), 1, 2),
+    "quad64": lambda: (fam.random_quadrangulation(64, seed=0), 2, 2),
+    "half-dense 8x9": lambda: (half_dense_8x9(), 2, 2),
+}
+
+#: (case, policy seed): (dimension, sha256 of the vectors as JSON)
+STRESS_DIGESTS = {
+    ("K_4,4", 0): (4, "4a7f68fe0e991e085c3e7ca4d01f9c353555fe0e80ece326b36a3d3306bdf925"),
+    ("K_4,4", 1): (4, "5a61e1c1ee161c417c51eca38a70d375c838ade589a2f44cb1598047afc6cee2"),
+    ("double banana", 0): (3, "38f1b333a4d401b7303c9330704a894a64dffb4fbd90a58d3f5e8d6ca4c43ed6"),
+    ("double banana", 1): (3, "53ca491c3673f1ff31c6922359a0efcb3078c73796036f57d7af92fd8a158003"),
+    ("quad64", 0): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("quad64", 1): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("half-dense 8x9", 0): (8, "02de156536cf7f6a90df1b0f7b405e627713d7031744bba8242380c3e9be17e4"),
+    ("half-dense 8x9", 1): (8, "0fc1b6b82ea965f4fb71fb3361865b675a77bbad1db772c3632ee0cf90aad93c"),
+}
+
+
+@pytest.mark.parametrize("case, seed", list(STRESS_DIGESTS))
+def test_stress_bases_keep_their_digests(case, seed):
+    g, k, l = STRESS_CASES[case]()
+    basis = stress_space(g, k, l, TrialPolicy(seed=seed))
+    assert (basis.dim, sha256(json.dumps(basis.vectors))) == STRESS_DIGESTS[(case, seed)]
+
+
+INPUTS = {
+    "quad.json": ["generate", "quadrangulation", "--faces", "16", "--seed", "3"],
+    "tree.json": ["generate", "tree", "--n", "6", "--m", "7", "--seed", "2"],
+    "banana.json": ["generate", "double-banana"],
+    "glued.json": ["generate", "glued-cross-polytopes", "--d", "3"],
+    "cp4.json": ["generate", "cross-polytope", "--d", "4"],
+}
+
+#: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout
+CLI_DIGESTS = {
+    "analyze --graph quad.json -k 2 -l 2 --prime 2 --trials 1":
+        "ca1e6f75fabf244851f90cd0e0bf88347a125625d3a8a39165bed415ccb2af2c",
+    "analyze --graph banana.json -k 1 -l 2 --prime 2 --trials 1":
+        "0bd1286e0cf206de82d63af35d444dae16e9b73fc7b57e5b9c2b643e2ec338cb",
+    "analyze --graph tree.json -k 1 -l 1 --prime 2 --trials 1":
+        "14b2ccb7073f6c0a3f6e8a190d54521ff56000afd30b632381f8e26a307fdb10",
+    "mcheck --complex glued.json -l 2 --prime 2 --trials 1":
+        "0e634bc9b1ad072949dc76560aca7e83bfeb72a89a57b114f447048d1e7f05fa",
+    "mcheck --complex cp4.json -l 2 --prime 2 --trials 1":
+        "e6e35c67d626204a08a27ec4350f30f2f017146f7f133acac55789a0a126e207",
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_small_prime_cli_outputs_keep_their_digests(tmp_path, capsys, command):
+    for name, argv in INPUTS.items():
+        assert main(argv) == 0
+        (tmp_path / name).write_text(capsys.readouterr().out)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command.split()]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == CLI_DIGESTS[command]

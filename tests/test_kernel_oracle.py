@@ -140,7 +140,7 @@ def matrices(draw):
 
 
 def as_matrix(p, rows, ncols):
-    return GenericMatrix(
+    return GenericMatrix.from_entries(
         p,
         [tuple((c, v) for c, v in enumerate(r) if v) for r in rows],
         tuple(range(len(rows))),
@@ -349,27 +349,37 @@ def test_stress_space_returns_the_natural_layouts_basis():
     ],
 )
 def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, policy):
-    # every trial ranks; the one left kernel is the dense oracle's kernel of
-    # the first trial, in seed order, whose rank gives the agreed dimension
-    kernels = []
-    left_kernel = GenericMatrix.left_kernel
+    # the first trial computes its left kernel and reads its dimension off
+    # it, and every other trial ranks; a second kernel runs only when the
+    # agreed dimension is not the first trial's. The basis is the dense
+    # oracle's kernel of the first trial, in seed order, whose rank gives
+    # the agreed dimension
+    kernels, ranks = [], []
+    left_kernel, rank = GenericMatrix.left_kernel, GenericMatrix.rank
 
-    def watching(self):
+    def watching_kernel(self):
         kernels.append(self)
         return left_kernel(self)
 
-    monkeypatch.setattr(GenericMatrix, "left_kernel", watching)
+    def watching_rank(self):
+        ranks.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(GenericMatrix, "left_kernel", watching_kernel)
+    monkeypatch.setattr(GenericMatrix, "rank", watching_rank)
     basis = stress_space(g, k, l, policy)
-    (m,) = kernels
     p, ncols = policy.prime, l * g.a_size + k * g.b_size
-    assert list(basis.vectors) == dense_left_kernel(m.rows, p, ncols)
     ran = policy.trials + basis.meta.trials if basis.meta.escalated else policy.trials
+    trials = []
     for i in range(ran):
         theta = sample_theta(p, policy.trial_seed(i), (g.a_size, g.b_size), rows=(k, l))
-        kept = build_rigidity_matrix(g, k, l, theta, p)
-        if g.n_edges - dense_rank(kept.rows, p, ncols) == basis.dim:
-            break
-    assert m.entries == kept.entries
+        trials.append(build_rigidity_matrix(g, k, l, theta, p))
+    kept = next(
+        i for i, m in enumerate(trials) if g.n_edges - dense_rank(m.rows, p, ncols) == basis.dim
+    )
+    assert kernels == ([trials[0]] if kept == 0 else [trials[0], trials[kept]])
+    assert ranks == trials[1:]
+    assert list(basis.vectors) == dense_left_kernel(trials[kept].rows, p, ncols)
 
 
 def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
@@ -395,7 +405,7 @@ def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
     monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
     assert m.rank() == g.n_edges == 36
     assert inserted == []
-    unpeeled = GenericMatrix(m.p, m.entries, m.row_labels, m.col_labels)
+    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.col_labels)
     assert unpeeled.rank() == 36
     assert len(inserted) == 36 and steps == []
 
@@ -414,7 +424,7 @@ def test_pivots_are_inverted_only_when_they_reduce_a_row(monkeypatch):
     quad = random_quadrangulation(64, seed=0)
     theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
     m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
-    unpeeled = GenericMatrix(m.p, m.entries, m.row_labels, m.col_labels)
+    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.col_labels)
     assert unpeeled.rank() == 128
     assert 0 < sum(inversions) < 128
     inversions.clear()

@@ -149,7 +149,9 @@ def complex_documents(draw):
     facets = [sorted(map(list, f)) for f in faces if not any(f < h for h in faces)]
     # sampling with replacement repeats facets at times
     facets += draw(st.lists(st.sampled_from(facets), max_size=2))
-    data = {"color_sizes": sizes, "facets": facets}
+    # a copy: a spoiled entry of data["facets"] must not reach the
+    # mutations below, which read the drawn facets
+    data = {"color_sizes": sizes, "facets": list(facets)}
     if draw(st.booleans()):
         data["dim"] = max(map(len, facets)) - 1
 

@@ -25,7 +25,7 @@ SMALL_PRIMES = (2, 3, 5)
 
 
 def unpeeled(m: GenericMatrix) -> GenericMatrix:
-    return GenericMatrix(m.p, m.entries, m.row_labels, m.col_labels)
+    return GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.col_labels)
 
 
 def assert_same_as_unpeeled(m: GenericMatrix) -> None:
@@ -103,6 +103,15 @@ def test_failed_blocks_fall_back_to_the_exact_rank_and_kernel(monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+def independent_by_search(p: int, vectors) -> bool:
+    """No nonzero combination of the vectors vanishes mod p."""
+    width = len(vectors[0])
+    return not any(
+        any(c) and all(sum(x * v[j] for x, v in zip(c, vectors)) % p == 0 for j in range(width))
+        for c in itertools.product(range(p), repeat=len(vectors))
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(SMALL_PRIMES).flatmap(
@@ -120,35 +129,27 @@ def test_failed_blocks_fall_back_to_the_exact_rank_and_kernel(monkeypatch):
 )
 def test_the_block_check_is_linear_independence(case):
     p, rows = case
-    entries = [tuple(enumerate(row)) for row in rows]
-    width = len(rows[0])
-    combos = itertools.product(range(p), repeat=len(rows))
-    dependent = any(
-        any(c) and all(sum(x * row[j] for x, row in zip(c, rows)) % p == 0 for j in range(width))
-        for c in combos
-    )
-    placed = tuple((i, 0) for i in range(len(rows)))
-    assert exactla._independent(p, entries, width, placed) == (not dependent)
+    assert exactla._independent(p, rows) == independent_by_search(p, rows)
 
 
-def test_a_plan_peels_blocks_in_turn_and_needs_runs():
+def test_a_plan_peels_blocks_in_turn_and_names_their_vectors():
     # block 0 (width 2, the columns 0 and 2) meets row 0 alone; block 1
-    # (column 1) has two rows for one column until block 0 has peeled row 0
-    order, blocks, core = peel((2, 1), [((0, 0), (1, 2)), ((1, 0),)])
-    plan = PeelPlan.of(blocks, core, [(0, 2, 1), (1,)])
+    # (column 1) has two rows for one column until block 0 has peeled row
+    # 0. Row 0 is filled by the vectors 5 (in block 0) and 6 (in block 1),
+    # row 1 by the vector 7
+    order, blocks, core = peel((2, 1), [(0, 1), (1,)])
+    plan = PeelPlan.of(blocks, core, [(0, 2, 1), (1,)], [(5, 6), (7,)])
     assert order == [0, 1]
-    assert plan.blocks == ((2, ((0, 0),)), (1, ((1, 0),)))
+    assert plan.blocks == (((0, 5),), ((1, 7),))
     assert plan.by_lead == plan.in_order == ()
-    runs = [((0, 0), (1, 2), (2, 3)), ((1, 0), (2, 1)), ((1, 0), (2, 1))]
-    order, blocks, core = peel((2, 1, 1), runs)
-    plan = PeelPlan.of(blocks, core, [(0, 2, 1, 3), (1, 3), (1, 3)])
+    order, blocks, core = peel((2, 1, 1), [(0, 1, 2), (1, 2), (1, 2)])
+    plan = PeelPlan.of(blocks, core, [(0, 2, 1, 3), (1, 3), (1, 3)], [(0, 1, 2), (3, 4), (5, 6)])
     assert order == [0]
-    assert plan.blocks == ((2, ((0, 0),)),)
+    assert plan.blocks == (((0, 0),),)
     assert plan.by_lead == plan.in_order == (1, 2)
-    # a row that meets a block twice, or whose run starts inside the run
-    # before it or before its first entry, is refused
-    for bad in [((0, 0), (0, 2)), ((0, 0), (1, 1)), ((1, 0), (0, 0)), ((0, -1),)]:
-        with pytest.raises(InputError, match="twice or runs past"):
+    # a row that meets a block twice is refused
+    for bad in [(0, 0), (0, 1, 0)]:
+        with pytest.raises(InputError, match="twice"):
             peel((2, 1), [bad])
 
 
@@ -164,20 +165,25 @@ def naive_peeled_rows(widths, row_blocks) -> set:
         remaining -= drop
 
 
-def assert_a_valid_peel(plan, rows, widths, row_blocks) -> None:
+def assert_a_valid_peel(plan, columns, fills, widths, row_blocks) -> None:
     """The plan peels the fixpoint's rows, and replayed in peel order each
-    block takes every remaining row that meets it, at most its width."""
+    block takes every remaining row that meets it, at most its width, and
+    names per row the vector that fills the row in the block. Row i meets
+    the blocks ``row_blocks[i]``, in the order of its vectors ``fills[i]``
+    and of its columns."""
     n = len(row_blocks)
-    peeled = {i for _, block_rows in plan.blocks for i, _ in block_rows}
+    peeled = {i for block in plan.blocks for i, _ in block}
     assert peeled == naive_peeled_rows(widths, row_blocks)
     assert sorted(plan.in_order) == list(plan.in_order) == sorted(set(range(n)) - peeled)
     assert sorted(plan.by_lead) == list(plan.in_order)
     remaining = set(range(n))
-    for width, block_rows in plan.blocks:
-        i, start = block_rows[0]
-        columns = set(rows[i][start : start + width])
-        meeting = {j for j in remaining if columns & set(rows[j])}
-        assert {j for j, _ in block_rows} == meeting and len(meeting) <= width
+    for block in plan.blocks:
+        (b,) = {row_blocks[i][fills[i].index(v)] for i, v in block}
+        i, v = block[0]
+        start = sum(widths[c] for c in row_blocks[i][: fills[i].index(v)])
+        block_columns = set(columns[i][start : start + widths[b]])
+        meeting = {j for j in remaining if block_columns & set(columns[j])}
+        assert {j for j, _ in block} == meeting and len(meeting) <= widths[b]
         remaining -= meeting
 
 
@@ -185,20 +191,28 @@ def assert_a_valid_peel(plan, rows, widths, row_blocks) -> None:
 @given(graph_cases())
 def test_the_graph_peel_is_the_naive_fixpoint(case):
     g, k, l, _, _ = case
-    row_labels, _, rows, plan = _rigidity_layout(g, k, l)
+    row_labels, _, columns, fills, plan = _rigidity_layout(g, k, l)
     widths = [l] * g.a_size + [k] * g.b_size
-    row_blocks = [{a - 1, g.a_size + b - 1} for a, b in row_labels]
-    assert_a_valid_peel(plan, [cols for cols, _, _ in rows], widths, row_blocks)
+    # an edge row meets its A-vertex's block, filled by the l-vector of its
+    # B-vertex, and then its B-vertex's, filled by the k-vector of its
+    # A-vertex; vectors are numbered A-vertices first
+    row_blocks = [(a - 1, g.a_size + b - 1) for a, b in row_labels]
+    assert fills == tuple((v, u) for u, v in row_blocks)
+    assert_a_valid_peel(plan, columns, fills, widths, row_blocks)
 
 
 @settings(max_examples=200, deadline=None)
 @given(complex_cases())
 def test_the_facet_ridge_peel_is_the_naive_fixpoint(case):
     kx, l, _, _ = case
-    row_labels, _, rows, plan = _facet_ridge_layout(kx, l)
+    row_labels, _, columns, fills, plan = _facet_ridge_layout(kx, l)
     ridges = sorted({frozenset(f) - {v} for f in row_labels for v in f}, key=sorted)
-    row_blocks = [{ridges.index(frozenset(f) - {v}) for v in f} for f in row_labels]
-    assert_a_valid_peel(plan, [cols for cols, _ in rows], [l] * len(ridges), row_blocks)
+    # a facet row meets the ridge without each of its vertices, filled by
+    # that vertex's l-vector; vectors are numbered color by color
+    row_blocks = [[ridges.index(frozenset(f) - {v}) for v in f] for f in row_labels]
+    first = [sum(kx.color_sizes[:c]) for c in range(kx.n_colors)]
+    assert fills == tuple(tuple(first[c - 1] + i - 1 for c, i in f) for f in row_labels)
+    assert_a_valid_peel(plan, columns, fills, [l] * len(ridges), row_blocks)
 
 
 def _min_degree_input(monkeypatch, g, k, l) -> set:
@@ -221,7 +235,7 @@ def test_the_minimum_degree_order_sees_only_core_vertices(monkeypatch):
     tree = fam.random_tree(10, 27, seed=5)
     assert _min_degree_input(monkeypatch, tree, 1, 1) == set()
     quad = fam.random_quadrangulation(64, seed=0)
-    row_labels, _, _, plan = _rigidity_layout(quad, 2, 2)
+    row_labels, *_, plan = _rigidity_layout(quad, 2, 2)
     ends = [(a - 1, quad.a_size + b - 1) for a, b in row_labels]
     core_ends = {v for i in plan.in_order for v in ends[i]}
     assert len(plan.in_order) == 22
@@ -234,14 +248,16 @@ def test_the_minimum_degree_order_sees_only_core_vertices(monkeypatch):
 )
 def test_peeled_blocks_come_first_then_the_core(g, k, l):
     # the columns hold the peeled blocks in peel order, then the vertices
-    # of the core rows, which reach no other column
-    _, _, rows, plan = _rigidity_layout(g, k, l)
+    # of the core rows, which reach no other column. A row's columns are
+    # its A-vertex's block, filled by its first vector, then its B-vertex's
+    _, _, columns, fills, plan = _rigidity_layout(g, k, l)
     at = 0
-    for width, block_rows in plan.blocks:
-        for i, start in block_rows:
-            assert rows[i][0][start : start + width] == tuple(range(at, at + width))
-        at += width
-    core_columns = {c for i in plan.in_order for c in rows[i][0]}
+    for block in plan.blocks:
+        for i, v in block:
+            in_block = columns[i][:l] if fills[i][0] == v else columns[i][l:]
+            assert in_block == tuple(range(at, at + len(in_block)))
+        at += len(in_block)
+    core_columns = {c for i in plan.in_order for c in columns[i]}
     assert core_columns == set(range(at, at + len(core_columns)))
 
 
@@ -298,3 +314,82 @@ def test_builders_refuse_blocks_with_too_few_rows():
     theta = sample_theta(DEFAULT_PRIME, 0, kx.color_sizes, rows=(2, 1, 2))
     with pytest.raises(InputError, match="rows"):
         build_M(kx, 2, theta, DEFAULT_PRIME)
+
+
+def test_builders_refuse_blocks_with_too_few_columns():
+    # the vectors are numbered vertex by vertex, so a block narrower than
+    # its side or color would hand a row another vertex's vector; a wider
+    # block is read up to its side's size
+    g = fam.random_tree(3, 4, seed=0)
+    for sizes in [(2, 4), (3, 3)]:
+        theta = sample_theta(DEFAULT_PRIME, 0, sizes, rows=(1, 1))
+        with pytest.raises(InputError, match="column per vertex"):
+            build_rigidity_matrix(g, 1, 1, theta, DEFAULT_PRIME)
+    theta = sample_theta(DEFAULT_PRIME, 0, (4, 5), rows=(1, 1))
+    assert build_rigidity_matrix(g, 1, 1, theta, DEFAULT_PRIME).rank() == 6
+    kx = fam.cross_polytope_boundary(3)
+    theta = sample_theta(DEFAULT_PRIME, 0, (2, 1, 2), rows=(2, 2, 2))
+    with pytest.raises(InputError, match="column per vertex"):
+        build_M(kx, 2, theta, DEFAULT_PRIME)
+
+
+def _built_rows(monkeypatch) -> list:
+    """The index of every row that a matrix builds from now on."""
+    built = []
+    values = GenericMatrix._values
+
+    def watching(self, i):
+        built.append(i)
+        return values(self, i)
+
+    monkeypatch.setattr(GenericMatrix, "_values", watching)
+    return built
+
+
+def test_a_tree_builds_no_row_in_any_trial(monkeypatch):
+    built = _built_rows(monkeypatch)
+    tree = fam.random_tree(10, 27, seed=5)
+    report = rigidity.analyze(tree, 1, 1)
+    assert report.rank == tree.n_edges == 36 and report.meta.trials == 3
+    assert built == []
+
+
+def test_a_quadrangulation_builds_only_its_core_rows(monkeypatch):
+    quad = fam.random_quadrangulation(64, seed=0)
+    theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
+    m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
+    built = _built_rows(monkeypatch)
+    assert m.rank() == 128
+    assert built == list(m.plan.by_lead) and len(built) == 22
+    built.clear()
+    assert m.left_kernel() == []
+    assert built == list(m.plan.in_order)
+
+
+@pytest.mark.parametrize("builder", ["rigidity", "facet-ridge"])
+def test_a_failing_block_builds_its_rows_and_all_later_ones(monkeypatch, builder):
+    # at p = 2 blocks fail often; the rows built are every row but those of
+    # the blocks that pass before the first failing one, and the rank is
+    # the unpeeled elimination's
+    fallbacks = 0
+    for seed in range(12):
+        if builder == "rigidity":
+            g = fam.random_tree(6, 7, seed=2)
+            theta = sample_theta(2, seed, (6, 7), rows=(1, 1))
+            m = build_rigidity_matrix(g, 1, 1, theta, 2)
+        else:
+            kx = fam.glued_cross_polytopes(3).complex
+            theta = sample_theta(2, seed, kx.color_sizes, rows=(2,) * kx.n_colors)
+            m = build_M(kx, 2, theta, 2)
+        oracle = unpeeled(m).rank()
+        passed = set()
+        for block in m.plan.blocks:
+            if not independent_by_search(2, [m.vectors[v] for _, v in block]):
+                fallbacks += bool(passed)
+                break
+            passed |= {i for i, _ in block}
+        built = _built_rows(monkeypatch)
+        assert m.rank() == oracle
+        assert sorted(built) == sorted(set(range(m.n_rows)) - passed)
+        monkeypatch.undo()
+    assert fallbacks
