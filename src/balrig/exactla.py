@@ -20,36 +20,39 @@ columns); the field is given by its prime p, and arithmetic uses plain
 Python integers.
 
 The kernel does only the modular work a verdict reads. A row is reduced mod
-p once, when it is finished, and a pivot is not scaled: the inverse of its
-leading entry is computed the first time the pivot reduces a row, and many
-pivots never do. Entries are drawn by a rejection loop on ``getrandbits``
-that yields exactly the stream of ``randrange(p)``.
+p once, when it is finished, and a pivot is not scaled. No leading entry is
+inverted before some pivot reduces a row; then the leads of every pivot
+still waiting are inverted together, with one ``pow`` and three
+multiplications each (Montgomery's simultaneous inversion, 1987). Entries
+are drawn by a rejection loop on ``getrandbits`` that yields exactly the
+stream of ``randrange(p)``.
 
-Rows that settle nothing are not eliminated, nor built. A matrix row is
-its column tuple and the ids of the drawn vectors whose concatenation fills
-it; a builder hands ``GenericMatrix`` the trial's vectors once, and an
-explicit row of ``(column, value)`` pairs is the case of one vector per
-row. A builder may also hand it a ``PeelPlan``, fixed before any draw:
-blocks of columns that at most their width of the remaining rows meet, in
-peel order, naming per row the vector that fills the row in the block.
-``peel`` finds them from the block structure alone, each block's width and
-the blocks each row meets, before a builder lays out a single column, so
-the builder can order only the core. Such rows are independent of every
-other row exactly when their vectors in the block are independent, which
-``rank`` and ``left_kernel`` check at each draw on the vectors themselves,
-without an inverse; they count those rows and build and eliminate only the
-rest, the core. The first block that fails its check sends its rows and
-all later ones to the core, so every draw gets its matrix's exact rank
-and kernel.
+Rows that settle nothing are not eliminated, nor built. A matrix is a
+``Layout``, fixed before any draw and cached by its builder, and the
+trial's drawn vectors: a row is its column tuple and the ids of the
+vectors whose concatenation fills it, and an explicit row of ``(column,
+value)`` pairs is the case of one vector per row. The layout also fixes
+the peel: blocks of columns that at most their width of the remaining rows
+meet, in peel order, with the ids of the vectors that fill their rows
+there. ``peel`` finds them from the block structure alone, each block's
+width and the blocks each row meets, before a builder lays out a single
+column, so the builder can order only the core. Such rows are independent
+of every other row exactly when their vectors in the block are
+independent, which ``rank`` and ``left_kernel`` check at each draw on the
+vectors themselves, without an inverse; they count those rows and build
+and eliminate only the rest, the core. The first block that fails its
+check sends its rows and all later ones to the core, so every draw gets
+its matrix's exact rank and kernel. A layout keeps only what these read;
+its column labels are derived when they are read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, InvariantError, TrialDisagreementError, check_cap
@@ -102,27 +105,33 @@ class Echelon:
     Rows are ``{column: value}`` dicts. A pivot row is kept under its
     leading column as the list ``[tail, lead, inverse]``: its later columns
     (its tail) as nonzero residues, the residue of its leading entry, and
-    the inverse of that entry, which is None until the pivot first reduces a
-    row. Pivots are not scaled, so a stored row is the finished row reduced
-    mod p. A new row is reduced by clearing its pivot columns in increasing
-    order; each step creates entries in later columns only. Values are
-    reduced mod p only where a decision needs them, so a row may carry
-    unreduced integers and entries that are 0 mod p while it is being
+    the inverse of that entry, or None while the pivot waits in
+    ``waiting``. Pivots are not scaled, so a stored row is the finished row
+    reduced mod p. A new row is reduced by clearing its pivot columns in
+    increasing order; each step creates entries in later columns only.
+    Values are reduced mod p only where a decision needs them, so a row may
+    carry unreduced integers and entries that are 0 mod p while it is being
     reduced.
+
+    Leads are inverted in batches: when a reduction first needs the inverse
+    of a waiting pivot, every waiting pivot is inverted at once, with one
+    ``pow`` and three multiplications each (Montgomery 1987); a lone waiting
+    pivot takes one ``pow``. A pivot that is dropped (``drop``) leaves
+    ``waiting`` with it.
     """
 
-    __slots__ = ("p", "pivots")
+    __slots__ = ("p", "pivots", "waiting")
 
     def __init__(self, p: int):
         self.p = p
         self.pivots: dict[int, list] = {}
+        self.waiting: dict[int, list] = {}
 
     def insert(self, row: dict[int, int]) -> int | None:
         """Reduce ``row`` against the pivots and keep what is left as a new
         pivot row. Returns the new pivot's leading column, or None when the
         row reduces to zero. ``row`` is consumed."""
-        p = self.p
-        pivots = self.pivots
+        p, pivots, waiting = self.p, self.pivots, self.waiting
         todo = [c for c in row if c in pivots]
         heapify(todo)
         while todo:
@@ -130,10 +139,13 @@ class Echelon:
             f = row.pop(c, 0) % p
             if not f:
                 continue  # a column pushed twice, or one that cancelled
-            pivot = pivots[c]
-            tail, lead, inv = pivot
+            tail, lead, inv = pivot = pivots[c]
             if inv is None:
-                inv = pivot[2] = pow(lead, -1, p)
+                if len(waiting) == 1:  # a lone waiting pivot, most batches
+                    waiting.clear()
+                    inv = pivot[2] = pow(lead, -1, p)
+                else:
+                    inv = self._invert_waiting(pivot)
             f = f * inv % p
             for j, v in tail.items():
                 x = row.get(j)
@@ -147,78 +159,118 @@ class Echelon:
         if not tail:
             return None
         lead = min(tail)
-        pivots[lead] = [tail, tail.pop(lead), None]
+        pivots[lead] = waiting[lead] = [tail, tail.pop(lead), None]
         return lead
+
+    def drop(self, lead: int) -> list:
+        """Remove the pivot that leads at column ``lead`` and return it."""
+        self.waiting.pop(lead, None)
+        return self.pivots.pop(lead)
+
+    def _invert_waiting(self, pivot: list) -> int:
+        """Invert the lead of every waiting pivot, and return the inverse
+        of ``pivot``'s: invert the product of the leads, and peel each
+        inverse off it from the last pivot back."""
+        p, waiting = self.p, [*self.waiting.values()]
+        self.waiting.clear()
+        # products[j]: the product of the leads before pivot j; the last, of all
+        products = list(accumulate([q[1] for q in waiting], lambda x, y: x * y % p, initial=1))
+        inv = pow(products.pop(), -1, p)
+        for q in reversed(waiting):
+            q[2] = inv * products.pop() % p
+            inv = inv * q[1] % p
+        return pivot[2]
 
 
 @dataclass(frozen=True)
-class PeelPlan:
-    """The rows of a matrix layout that peel off before elimination.
+class Layout:
+    """What a matrix lays out before any value is drawn, and what ``rank``,
+    ``left_kernel`` and the peel's fallback read of it; a builder caches it
+    for every trial of a verdict.
 
-    ``blocks`` lists the blocks that peel, in peel order, each as the
-    ``(i, v)`` of its rows: row i, and the id of the vector that fills row
-    i's entries in the block's columns. ``by_lead`` and ``in_order`` are the
-    core rows, the rows of no block, in ``rank``'s order (``_lead_key``) and
-    by index.
+    Row i is labeled ``row_labels[i]``, has its entries in the columns
+    ``columns[i]``, and is filled by the drawn vectors ``fills[i]``,
+    concatenated. The columns come in blocks: block b has ``widths[b]``
+    columns and the label ``block_labels[b]``, and ``col_order`` lists the
+    blocks in column order.
+
+    The peel (``peel``) is fixed here too. ``peeled`` holds the rows of the
+    blocks that peel, block by block in peel order, the t-th block's from
+    ``starts[t]`` on, and ``checks[t]`` the ids of the vectors that fill
+    them in that block, which its check reads. ``core`` is the other rows
+    by index, and ``core_by_lead`` the same rows in ``rank``'s order
+    (``_lead_key``).
     """
 
-    blocks: tuple[tuple[tuple[int, int], ...], ...]
-    by_lead: tuple[int, ...]
-    in_order: tuple[int, ...]
+    row_labels: tuple
+    columns: tuple[tuple[int, ...], ...]
+    fills: tuple[tuple[int, ...], ...]
+    widths: Sequence[int]
+    col_order: Sequence[int]
+    block_labels: Sequence
+    checks: Sequence[tuple[int, ...]]
+    peeled: Sequence[int]
+    starts: Sequence[int]
+    core: Sequence[int]
+    core_by_lead: tuple[int, ...] = field(init=False)
 
-    @classmethod
-    def of(
-        cls, blocks, core: Sequence[int], columns: Sequence[Sequence[int]], fills
-    ) -> PeelPlan:
-        """The plan of a layout's ``peel``, once its columns are laid out:
-        row i has its entries in the columns ``columns[i]``, filled by the
-        vectors ``fills[i]``, one per block the row meets, in ``peel``'s
-        order."""
-        blocks = tuple(tuple((i, fills[i][j]) for i, j in rows) for rows in blocks)
-        by_lead = sorted(core, key=lambda i: _lead_key(columns[i]))
-        return cls(blocks, tuple(by_lead), tuple(core))
+    def __post_init__(self):
+        if not len(self.columns) == len(self.fills) == len(self.row_labels):
+            raise InputError("row count does not match row labels")
+        keys = {i: _lead_key(self.columns[i]) for i in self.core}
+        object.__setattr__(self, "core_by_lead", tuple(sorted(keys, key=keys.__getitem__)))
+
+    @cached_property
+    def by_lead(self) -> tuple[int, ...]:
+        """Every row in ``rank``'s order, which the peel's fallback filters;
+        sorted on the first fallback and kept."""
+        return tuple(sorted(range(len(self.columns)), key=lambda i: _lead_key(self.columns[i])))
 
 
 def peel(
-    widths: Sequence[int], row_blocks: Sequence[Sequence[int]]
-) -> tuple[list[int], list[tuple[tuple[int, int], ...]], list[int]]:
+    widths: Sequence[int], row_blocks: Sequence[Sequence[int]], fills: Sequence[Sequence[int]]
+) -> tuple[list[int], list[tuple[int, ...]], list[int], list[int], list[int]]:
     """Which blocks of a layout peel, from its block structure alone.
 
     Block b has ``widths[b]`` columns, and ``row_blocks[i]`` lists the
-    blocks row i meets, in the order of the vectors that fill the row: its
-    j-th vector fills its entries in block ``row_blocks[i][j]``. A block
-    that at most its width of the remaining rows meet peels: those rows
-    leave, and the blocks they also meet may peel next. Which rows peel
-    does not depend on the order, as in k-core peeling; one queue pass
+    blocks row i meets, filled by the vectors ``fills[i]``, in order. A
+    block that at most its width of the remaining rows meet peels: those
+    rows leave, and the blocks they also meet may peel next. Which rows
+    peel does not depend on the order, as in k-core peeling; one queue pass
     takes the blocks first come, first served, from block 0 on. Returns the
-    blocks that peel, in peel order, as block indices and as the ``(i, j)``
-    of their rows, and the core rows by index. A row that meets a block
-    twice is refused.
+    blocks that peel, in peel order, and the peel as ``Layout`` keeps it:
+    per block the vectors that fill its rows there, its rows, block by
+    block, where each block's rows start among them, and the core rows by
+    index. A row that meets a block twice is refused.
     """
-    rows_of: list[list[tuple[int, int]]] = [[] for _ in widths]
+    rows_of: list[list[int]] = [[] for _ in widths]
     for i, blocks in enumerate(row_blocks):
-        for j, b in enumerate(blocks):
+        for b in blocks:
             rows = rows_of[b]
-            if rows and rows[-1][0] == i:
+            if rows and rows[-1] == i:
                 raise InputError("a row meets a block twice")
-            rows.append((i, j))
-    count = [len(rows) for rows in rows_of]
-    queue = [b for b, width in enumerate(widths) if count[b] <= width]
-    peeled = [False] * len(row_blocks)
-    order, blocks = [], []
+            rows.append(i)
+    slack = [len(rows) - width for rows, width in zip(rows_of, widths)]  # rows past the width
+    queue = [b for b, extra in enumerate(slack) if extra <= 0]
+    done = [False] * len(row_blocks)
+    order, checks, peeled, starts = [], [], [], []
     for b in queue:  # the queue grows while it is read
-        rows = tuple((i, j) for i, j in rows_of[b] if not peeled[i])
+        rows = [i for i in rows_of[b] if not done[i]]
         if not rows:
             continue
         order.append(b)
-        blocks.append(rows)
-        for i, _ in rows:
-            peeled[i] = True
+        starts.append(len(peeled))
+        peeled += rows
+        check = []
+        for i in rows:
+            done[i] = True
+            check.append(fills[i][row_blocks[i].index(b)])
             for other in row_blocks[i]:
-                count[other] -= 1
-                if count[other] == widths[other]:
+                slack[other] -= 1
+                if not slack[other]:
                     queue.append(other)
-    return order, blocks, [i for i, done in enumerate(peeled) if not done]
+        checks.append(tuple(check))
+    return order, checks, peeled, starts, [i for i, gone in enumerate(done) if not gone]
 
 
 def _lead_key(columns: Sequence[int]) -> tuple[int, int]:
@@ -227,7 +279,7 @@ def _lead_key(columns: Sequence[int]) -> tuple[int, int]:
     the pivot; what it fills in lies late, so each later row soon leads at
     a column of its own (a K_{n,n} in index order reduces several times
     as much)."""
-    return min(columns, default=-1), -max(columns, default=-1)
+    return (min(columns), -max(columns)) if columns else (-1, 1)
 
 
 def _independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
@@ -254,77 +306,68 @@ def _independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GenericMatrix:
     """A sparse matrix over F_p with combinatorially labeled rows and columns.
 
-    Row i has its entries in the columns ``columns[i]``, and their values
-    are the drawn vectors ``vectors[v]`` for v in ``fills[i]``, concatenated;
-    zero values may be left out of a row. ``from_entries`` makes each row a
-    vector of its own. A row is built only when ``rank`` or ``left_kernel``
-    eliminates it; ``entries`` and ``rows`` build every row, and two
-    matrices are equal when their entries and labels are. ``plan``, when a
-    builder gives one, is the ``PeelPlan`` of the builder's layout; without
-    one every row is a core row.
+    ``layout`` places the rows and labels them (``Layout``), and row i's
+    values are the drawn vectors ``vectors[v]`` for v in ``layout.fills[i]``,
+    concatenated; zero values may be left out of a row. ``from_entries``
+    makes each row a vector of its own. A row is built only when ``rank``
+    or ``left_kernel`` eliminates it; ``entries`` and ``rows`` build every
+    row. Two matrices are equal when their primes, layouts and vectors are.
     """
 
     p: int
-    columns: Sequence[Sequence[int]]
-    fills: Sequence[Sequence[int]]
+    layout: Layout
     vectors: Sequence[Sequence[int]]
-    row_labels: tuple
-    col_labels: tuple
-    plan: PeelPlan | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not len(self.columns) == len(self.fills) == len(self.row_labels):
-            raise InputError("row count does not match row labels")
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
     @classmethod
-    def from_entries(cls, p: int, entries, row_labels, col_labels) -> GenericMatrix:
+    def from_entries(cls, p: int, entries, row_labels, n_cols: int) -> GenericMatrix:
         """The matrix whose row i is the ``(column, value)`` pairs
-        ``entries[i]``."""
+        ``entries[i]``, with ``n_cols`` columns in one block labeled None,
+        and nothing peeled."""
         columns = tuple(tuple(c for c, _ in entry) for entry in entries)
         vectors = [tuple(v for _, v in entry) for entry in entries]
-        fills = tuple((i,) for i in range(len(vectors)))
-        return cls(p, columns, fills, vectors, row_labels, col_labels)
+        rows = tuple(range(len(vectors)))
+        fills = tuple(zip(rows))  # row i is filled by vector i alone
+        layout = Layout(row_labels, columns, fills, (n_cols,), (0,), (None,), (), (), (), rows)
+        return cls(p, layout, vectors)
 
-    def __eq__(self, other):
-        if not isinstance(other, GenericMatrix):
-            return NotImplemented
-        return (self.p, self.row_labels, self.col_labels, self.entries) == (
-            other.p,
-            other.row_labels,
-            other.col_labels,
-            other.entries,
-        )
+    @property
+    def row_labels(self) -> tuple:
+        return self.layout.row_labels
+
+    @property
+    def col_labels(self) -> tuple:
+        """``(block label, slot)`` for each column, slots from 1, derived on
+        read from the layout's blocks in column order."""
+        labels, widths, order = self.layout.block_labels, self.layout.widths, self.layout.col_order
+        return tuple((labels[b], s) for b in order for s in range(1, widths[b] + 1))
 
     @property
     def n_rows(self) -> int:
-        return len(self.columns)
+        return len(self.layout.columns)
 
     @property
     def n_cols(self) -> int:
-        return len(self.col_labels)
+        return sum(self.layout.widths)
 
     def _values(self, i: int) -> Iterator[int]:
         """Row i's values, in the order of its columns."""
-        vectors = self.vectors
-        return chain.from_iterable([vectors[v] for v in self.fills[i]])
+        return chain.from_iterable(map(self.vectors.__getitem__, self.layout.fills[i]))
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Every row as ``(column, value)`` pairs, built on each read."""
-        return tuple(tuple(zip(cols, self._values(i))) for i, cols in enumerate(self.columns))
+        return tuple(tuple(zip(c, self._values(i))) for i, c in enumerate(self.layout.columns))
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The rows as dense tuples of residues."""
-        dense = []
+        dense, n_cols = [], self.n_cols
         for entry in self.entries:
-            row = [0] * self.n_cols
+            row = [0] * n_cols
             for c, v in entry:
                 row[c] = v
             dense.append(tuple(row))
@@ -334,25 +377,17 @@ class GenericMatrix:
         """How many rows peel at this draw, and the core rows, in ``rank``'s
         order or by index.
 
-        Each planned block is checked in peel order, on the vectors that
+        Each peeled block is checked in peel order, on the vectors that
         fill its rows there. The first one whose vectors are dependent ends
         the peel: its rows and all later ones join the core.
         """
-        plan, vectors = self.plan, self.vectors
-        gone = ()
-        if plan is not None:
-            for done, block in enumerate(plan.blocks):
-                if not _independent(self.p, [vectors[v] for _, v in block]):
-                    gone = {i for block in plan.blocks[:done] for i, _ in block}
-                    break
-            else:
-                core = plan.by_lead if by_lead else plan.in_order
-                return self.n_rows - len(core), core
-        core = [i for i in range(self.n_rows) if i not in gone]
-        if by_lead:
-            columns = self.columns
-            core.sort(key=lambda i: _lead_key(columns[i]))
-        return len(gone), core
+        layout, vector, p = self.layout, self.vectors.__getitem__, self.p
+        for t, check in enumerate(layout.checks):
+            if not _independent(p, list(map(vector, check))):
+                gone = set(layout.peeled[: layout.starts[t]])
+                rows = layout.by_lead if by_lead else range(self.n_rows)
+                return len(gone), [i for i in rows if i not in gone]
+        return len(layout.peeled), layout.core_by_lead if by_lead else layout.core
 
     def rank(self) -> int:
         """The peeled rows, plus the rank of the core. Only core rows are
@@ -360,7 +395,7 @@ class GenericMatrix:
         which the rank does not depend on; a row then mostly meets pivots
         that lead before it."""
         peeled, core = self._peel(by_lead=True)
-        columns, values = self.columns, self._values
+        columns, values = self.layout.columns, self._values
         echelon = Echelon(self.p)
         return peeled + sum(
             echelon.insert(dict(zip(columns[i], values(i)))) is not None for i in core
@@ -378,25 +413,24 @@ class GenericMatrix:
         in. Checks rank-nullity before returning.
         """
         n, m = self.n_rows, self.n_cols
-        columns, values = self.columns, self._values
+        columns, values = self.layout.columns, self._values
         if any(c >= m for cols in columns for c in cols):
             raise InputError("an entry lies past the last column")
         peeled, core = self._peel(by_lead=False)
         echelon = Echelon(self.p)
-        pivots = echelon.pivots
         basis = []
         for i in core:
             row = dict(zip(columns[i], values(i)))
             row[m + i] = 1
             lead = echelon.insert(row)
             if lead >= m:
-                tail, value, _ = pivots.pop(lead)
+                tail, value, _ = echelon.drop(lead)
                 w = [0] * n
                 w[lead - m] = value
                 for j, v in tail.items():
                     w[j - m] = v
                 basis.append(tuple(w))
-        if len(basis) != n - peeled - len(pivots):
+        if len(basis) != n - peeled - len(echelon.pivots):
             raise InvariantError("rank-nullity violated in the left kernel")
         return basis
 

@@ -32,12 +32,13 @@ or ridge that at most its block width of the remaining rows meet (l edges
 at an A-vertex, k at a B-vertex, l facets at a ridge) owns columns no
 other row reaches: the bipartite analogue of undoing a Henneberg
 0-extension. Both builders find these blocks with ``exactla.peel`` before
-laying out any column, and their cached layouts carry the peel plan. A
-builder draws nothing per row: it hands ``GenericMatrix`` the trial's
-vertex vectors once, and each row is its columns and the vectors that
-fill it. The block checks read those vectors, and rank and left kernel
-build and eliminate only the rows that remain; a tree at (1,1) and the
-facet-ridge matrix of a sphere at l = 2 peel whole and build no row.
+laying out any column, and their cached layouts (``exactla.Layout``) fix
+the peel. A builder draws nothing per row: it hands ``GenericMatrix`` its
+layout and the trial's vertex vectors, and each row is its columns and the
+vectors that fill it. The block checks read those vectors, and rank and
+left kernel build and eliminate only the rows that remain; a tree at (1,1)
+and the facet-ridge matrix of a sphere at l = 2 peel whole and build no
+row.
 
 The drawn rows are the leading rows of a unit upper triangular block. A
 generic set of rows is an invertible T times such rows, and T, applied to
@@ -52,7 +53,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable
 
 from .combinat import (
@@ -65,7 +66,7 @@ from .errors import InputError, InvariantError, check_cap
 from .exactla import (
     DEFAULT_POLICY,
     GenericMatrix,
-    PeelPlan,
+    Layout,
     TrialMeta,
     TrialPolicy,
     peel,
@@ -127,45 +128,41 @@ def _elimination_order(edges: Iterable[tuple]) -> list:
         order.append(v)
         for u in nbrs:
             fill = adj[u]
-            fill.discard(v)
-            fill.update(w for w in nbrs if w != u)
+            fill |= nbrs
+            fill -= {u, v}
             heappush(heap, (len(fill), u))
     return order
 
 
 @lru_cache(maxsize=8)
-def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> tuple:
-    """What the (k,l)-rigidity matrix of g lays out before any value is
-    drawn: the row labels (the edges, sorted), the column labels, per row
-    the columns of its A-vertex's block and then of its B-vertex's, per row
-    the vectors that fill them, the B-vertex's and then the A-vertex's, and
-    the peel plan. Cached, bounded, so that every trial of a verdict call
+def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> Layout:
+    """The ``Layout`` of the (k,l)-rigidity matrix of g: the rows are the
+    edges, sorted, each with the columns of its A-vertex's block and then
+    of its B-vertex's, filled by the B-vertex's vector and then the
+    A-vertex's. Cached, bounded, so that every trial of a verdict call
     reads one layout.
 
     Blocks and vectors are numbered in vertex order (a - 1 for the
     A-vertex a, |A| + b - 1 for the B-vertex b), and the peel comes first,
-    on the blocks. The columns then hold the peeled blocks in peel order,
-    the core rows' vertices in minimum-degree order of the core edges,
-    which meet no other vertex, and the rest.
+    on the blocks; an edge row's check in one endpoint's block reads the
+    other endpoint's vector. The columns then hold the peeled blocks in
+    peel order, the core rows' vertices in minimum-degree order of the core
+    edges, which meet no other vertex, and the rest.
     """
     n = g.a_size
     row_labels = tuple(g.edge_list())
     ends = [(a - 1, n + b - 1) for a, b in row_labels]
+    fills = tuple([(v, u) for u, v in ends])
     widths = [l] * n + [k] * g.b_size
-    order, blocks, core = peel(widths, ends)
-    order += _elimination_order(ends[i] for i in core)
-    placed = set(order)
-    order += [b for b in range(len(widths)) if b not in placed]
-    columns = [()] * len(widths)  # the columns of each block
-    col_labels = []
-    for b in order:
-        columns[b] = tuple(range(len(col_labels), len(col_labels) + widths[b]))
-        v = ("A", b + 1) if b < n else ("B", b - n + 1)
-        col_labels += [(v, s) for s in range(1, widths[b] + 1)]
-    row_columns = tuple(columns[u] + columns[v] for u, v in ends)
-    fills = tuple((v, u) for u, v in ends)
-    plan = PeelPlan.of(blocks, core, row_columns, fills)
-    return row_labels, tuple(col_labels), row_columns, fills, plan
+    order, *peeling = peel(widths, ends, fills)
+    order += _elimination_order([ends[i] for i in peeling[-1]])  # the core's
+    order += sorted(set(range(len(widths))).difference(order))
+    every = tuple(range(sum(widths)))
+    first = dict(zip(order, accumulate([widths[b] for b in order], initial=0)))
+    columns = [every[first[b] : first[b] + w] for b, w in enumerate(widths)]  # per block
+    row_columns = tuple([columns[u] + columns[v] for u, v in ends])
+    labels = [*zip(repeat("A"), range(1, n + 1)), *zip(repeat("B"), range(1, g.b_size + 1))]
+    return Layout(row_labels, row_columns, fills, widths, order, labels, *peeling)
 
 
 def build_rigidity_matrix(
@@ -179,17 +176,16 @@ def build_rigidity_matrix(
     minimum-degree elimination order (``_elimination_order``), so that
     eliminating them in order fills in little; rows are edges in sorted
     order. Only the vertex vectors are read here, and no row is built; the
-    layout and its peel plan come from ``_rigidity_layout``.
+    layout, with its peel, comes from ``_rigidity_layout``.
     """
     if len(theta[0]) < k or len(theta[1]) < l:
         raise InputError("the rigidity matrix needs k rows of the A-block and l of the B-block")
-    row_labels, col_labels, columns, fills, plan = _rigidity_layout(g, k, l)
     # the k-vector of each A-vertex and the l-vector of each B-vertex
     at_a = list(zip(*theta[0][:k]))[: g.a_size]
     at_b = list(zip(*theta[1][:l]))[: g.b_size]
     if len(at_a) != g.a_size or len(at_b) != g.b_size:
         raise InputError("the rigidity matrix needs a block column per vertex of its side")
-    return GenericMatrix(p, columns, fills, at_a + at_b, row_labels, col_labels, plan)
+    return GenericMatrix(p, _rigidity_layout(g, k, l), at_a + at_b)
 
 
 @dataclass(frozen=True)
@@ -460,28 +456,26 @@ def laman_check(g: BipartiteGraph, k: int, l: int) -> LamanReport:
 
 
 @lru_cache(maxsize=8)
-def _facet_ridge_layout(kx: BalancedComplex, l: int) -> tuple:
-    """What the facet-ridge matrix of kx lays out before any value is
-    drawn: the row labels (the facets, sorted), the column labels (the
-    ridges, sorted, with l slots each), per row the columns of the ridge
-    the facet has without each of its vertices, in order, per row the
-    vectors of those vertices that fill them (the vertices numbered color
-    by color), and the peel plan, from ``peel`` on the ridge blocks (ridge
-    r is block r). Cached, bounded, so that every trial of a verdict call
-    reads one layout."""
+def _facet_ridge_layout(kx: BalancedComplex, l: int) -> Layout:
+    """The ``Layout`` of the facet-ridge matrix of kx: the rows are the
+    facets, sorted, and the columns the ridges, sorted, l slots each; a
+    facet row has the columns of the ridge the facet has without each of
+    its vertices, in order, filled by the vectors of those vertices (the
+    vertices numbered color by color). The peel runs on the ridge blocks
+    (ridge r is block r). Cached, bounded, so that every trial of a verdict
+    call reads one layout."""
     if not kx.is_pure():
         raise InputError("the facet-ridge matrix needs a pure complex")
     row_labels = tuple(kx.sorted_facets())
     ridge_list = sorted(tuple(sorted(r)) for r in complex_ridges(kx))
     ridge_index = {frozenset(r): idx for idx, r in enumerate(ridge_list)}
-    col_labels = tuple((r, s) for r in ridge_list for s in range(1, l + 1))
     row_ridges = [[ridge_index[frozenset(f) - {v}] for v in f] for f in row_labels]
     columns = tuple(tuple(r * l + s for r in ridges for s in range(l)) for ridges in row_ridges)
     first = [0, *accumulate(kx.color_sizes)]  # the first vector of each color
     fills = tuple(tuple(first[c - 1] + i - 1 for c, i in f) for f in row_labels)
-    _, blocks, core = peel([l] * len(ridge_list), row_ridges)
-    plan = PeelPlan.of(blocks, core, columns, fills)
-    return row_labels, col_labels, columns, fills, plan
+    widths = [l] * len(ridge_list)
+    peeling = peel(widths, row_ridges, fills)[1:]
+    return Layout(row_labels, columns, fills, widths, range(len(widths)), ridge_list, *peeling)
 
 
 def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
@@ -491,19 +485,16 @@ def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
     sizes, with at least l rows); the l-vector of vertex (c, i) is column i
     of the first l rows of block c. The block of facet F at ridge G is that
     vector for the vertex F - G when G is contained in F, else zero. Only
-    the vertex vectors are read here, and no row is built; the layout and
-    its peel plan come from ``_facet_ridge_layout``.
+    the vertex vectors are read here, and no row is built; the layout, with
+    its peel, comes from ``_facet_ridge_layout``.
     """
     if any(len(block) < l for block in theta):
         raise InputError("the facet-ridge matrix needs l rows of every color block")
-    row_labels, col_labels, columns, fills, plan = _facet_ridge_layout(kx, l)
     sizes = kx.color_sizes
     vectors = [list(zip(*block[:l]))[:size] for block, size in zip(theta, sizes)]
     if [len(v) for v in vectors] != list(sizes):
         raise InputError("the facet-ridge matrix needs a block column per vertex of its color")
-    return GenericMatrix(
-        p, columns, fills, list(chain.from_iterable(vectors)), row_labels, col_labels, plan
-    )
+    return GenericMatrix(p, _facet_ridge_layout(kx, l), list(chain.from_iterable(vectors)))
 
 
 @dataclass(frozen=True)

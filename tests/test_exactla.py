@@ -27,7 +27,7 @@ def make_matrix(rows, p=P, row_labels=None):
         p,
         [tuple((c, x) for c, v in enumerate(row) if (x := v % p)) for row in rows],
         tuple(range(len(rows))) if row_labels is None else row_labels,
-        tuple(range(len(rows[0]) if rows else 0)),
+        len(rows[0]) if rows else 0,
     )
 
 
@@ -182,9 +182,9 @@ def test_trial_policy_validation():
 
 def test_matrix_label_validation():
     with pytest.raises(InputError):
-        GenericMatrix.from_entries(P, (((0, 1),),), row_labels=(), col_labels=(0,))
+        GenericMatrix.from_entries(P, (((0, 1),),), row_labels=(), n_cols=1)
     # a left kernel keeps its row combinations in the columns past the last
-    past = GenericMatrix.from_entries(P, (((0, 1),), ((1, 1),)), (0, 1), (0,))
+    past = GenericMatrix.from_entries(P, (((0, 1),), ((1, 1),)), (0, 1), 1)
     with pytest.raises(InputError, match="past the last column"):
         past.left_kernel()
 

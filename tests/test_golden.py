@@ -37,7 +37,13 @@ STRESS_CASES = {
     "half-dense 8x9": lambda: (half_dense_8x9(), 2, 2),
 }
 
-#: (case, policy seed): (dimension, sha256 of the vectors as JSON)
+#: The policies by key: the default policy at seeds 0 and 1, and one trial at
+#: p = 5, where some quadrangulation blocks pass before one fails, so the
+#: peel's fallback and the echelon's inverses both run
+POLICIES = {seed: TrialPolicy(seed=seed) for seed in (0, 1)}
+POLICIES.update({("p5", seed): TrialPolicy(prime=5, trials=1, seed=seed) for seed in (0, 1)})
+
+#: (case, policy key): (dimension, sha256 of the vectors as JSON)
 STRESS_DIGESTS = {
     ("K_4,4", 0): (4, "4a7f68fe0e991e085c3e7ca4d01f9c353555fe0e80ece326b36a3d3306bdf925"),
     ("K_4,4", 1): (4, "5a61e1c1ee161c417c51eca38a70d375c838ade589a2f44cb1598047afc6cee2"),
@@ -47,25 +53,29 @@ STRESS_DIGESTS = {
     ("quad64", 1): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     ("half-dense 8x9", 0): (8, "02de156536cf7f6a90df1b0f7b405e627713d7031744bba8242380c3e9be17e4"),
     ("half-dense 8x9", 1): (8, "0fc1b6b82ea965f4fb71fb3361865b675a77bbad1db772c3632ee0cf90aad93c"),
+    ("quad64", ("p5", 0)): (8, "e7bb4686bd664525d29a6ccc0d6377294e77990fd736d2337a238641383e8d0a"),
+    ("quad64", ("p5", 1)): (15, "3c17628649c5f6e1eed126e8f870498a35de7e9203bb6bf36a7ab53cdb10fe44"),
 }
 
 
 @pytest.mark.parametrize("case, seed", list(STRESS_DIGESTS))
 def test_stress_bases_keep_their_digests(case, seed):
     g, k, l = STRESS_CASES[case]()
-    basis = stress_space(g, k, l, TrialPolicy(seed=seed))
+    basis = stress_space(g, k, l, POLICIES[seed])
     assert (basis.dim, sha256(json.dumps(basis.vectors))) == STRESS_DIGESTS[(case, seed)]
 
 
 INPUTS = {
     "quad.json": ["generate", "quadrangulation", "--faces", "16", "--seed", "3"],
+    "quad64.json": ["generate", "quadrangulation", "--faces", "64", "--seed", "0"],
     "tree.json": ["generate", "tree", "--n", "6", "--m", "7", "--seed", "2"],
     "banana.json": ["generate", "double-banana"],
     "glued.json": ["generate", "glued-cross-polytopes", "--d", "3"],
     "cp4.json": ["generate", "cross-polytope", "--d", "4"],
 }
 
-#: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout
+#: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout.
+#: At p = 5, 22 blocks of the 64-face quadrangulation pass before the 23rd fails
 CLI_DIGESTS = {
     "analyze --graph quad.json -k 2 -l 2 --prime 2 --trials 1":
         "ca1e6f75fabf244851f90cd0e0bf88347a125625d3a8a39165bed415ccb2af2c",
@@ -77,6 +87,8 @@ CLI_DIGESTS = {
         "0e634bc9b1ad072949dc76560aca7e83bfeb72a89a57b114f447048d1e7f05fa",
     "mcheck --complex cp4.json -l 2 --prime 2 --trials 1":
         "e6e35c67d626204a08a27ec4350f30f2f017146f7f133acac55789a0a126e207",
+    "analyze --graph quad64.json -k 2 -l 2 --prime 5 --trials 1":
+        "0040d6a8d39321dc31c570c80c8879ee0de712183d6cd92459372be2e8740579",
 }
 
 

@@ -17,6 +17,7 @@ import sys
 import textwrap
 from heapq import heappop
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -144,7 +145,7 @@ def as_matrix(p, rows, ncols):
         p,
         [tuple((c, v) for c, v in enumerate(r) if v) for r in rows],
         tuple(range(len(rows))),
-        tuple(range(ncols)),
+        ncols,
     )
 
 
@@ -405,15 +406,16 @@ def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
     monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
     assert m.rank() == g.n_edges == 36
     assert inserted == []
-    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.col_labels)
+    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.n_cols)
     assert unpeeled.rank() == 36
     assert len(inserted) == 36 and steps == []
 
 
 def test_pivots_are_inverted_only_when_they_reduce_a_row(monkeypatch):
-    # a pivot's leading entry is inverted the first time the pivot reduces
-    # a row; unpeeled, a quadrangulation leaves many of its 128 pivots
-    # unused, and peeled, only the 22 pivots of its core can be inverted
+    # no lead is inverted before some pivot reduces a row, and then every
+    # waiting lead is inverted with one pow; unpeeled, a quadrangulation
+    # needs far fewer than its 128 pivots, and peeled, only the 22 pivots
+    # of its core can wait
     inversions = []
 
     def counting_pow(base, exp, mod=None):
@@ -424,9 +426,74 @@ def test_pivots_are_inverted_only_when_they_reduce_a_row(monkeypatch):
     quad = random_quadrangulation(64, seed=0)
     theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
     m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
-    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.col_labels)
+    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.n_cols)
     assert unpeeled.rank() == 128
     assert 0 < sum(inversions) < 128
     inversions.clear()
     assert m.rank() == 128
-    assert 0 < sum(inversions) <= len(m.plan.by_lead) == 22
+    assert 0 < sum(inversions) <= len(m.layout.core) == 22
+
+
+def test_one_pow_inverts_every_waiting_pivot(monkeypatch):
+    # three pivots wait until a row needs one of them; then all three are
+    # inverted with a single pow, and no pivot waits any more
+    powers = []
+
+    def counting_pow(base, exp, mod=None):
+        powers.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(exactla, "pow", counting_pow, raising=False)
+    echelon = exactla.Echelon(101)
+    for lead, value in ((0, 2), (1, 3), (2, 7)):
+        assert echelon.insert({lead: value, 3: 1}) == lead
+    assert powers == [] and sorted(echelon.waiting) == [0, 1, 2]
+    assert echelon.insert({0: 1, 1: 1, 2: 1, 3: 5}) == 3
+    assert powers == [-1] and list(echelon.waiting) == [3]
+    for lead, (_, value, inv) in echelon.pivots.items():
+        assert (inv is None) == (lead == 3) and (inv is None or value * inv % 101 == 1)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, rows, ncols) at a small prime, with zeros enough that several
+    pivots often wait before one reduces a row."""
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(1, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
+    return p, rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+@example((5, [[1, 0, 0, 1], [0, 2, 0, 1], [0, 0, 3, 1], [1, 1, 1, 1], [4, 0, 0, 4]], 4))
+def test_batched_inverses_are_inverses_and_drop_with_their_pivots(case):
+    p, rows, ncols = case
+    echelons, dropped = [], []
+    init, drop = exactla.Echelon.__init__, exactla.Echelon.drop
+
+    def watching_init(self, p):
+        echelons.append(self)
+        init(self, p)
+
+    def watching_drop(self, lead):
+        dropped.append(drop(self, lead))
+        return dropped[-1]
+
+    m = as_matrix(p, rows, ncols)
+    with patch.object(exactla.Echelon, "__init__", watching_init), patch.object(
+        exactla.Echelon, "drop", watching_drop
+    ):
+        assert m.rank() == dense_rank(rows, p, ncols)
+        assert m.left_kernel() == dense_left_kernel(rows, p, ncols)
+    assert len(dropped) == len(rows) - dense_rank(rows, p, ncols)
+    for echelon in echelons:
+        kept = echelon.pivots.values()
+        for _, lead, inv in [*kept, *dropped]:
+            assert inv is None or lead * inv % p == 1
+        # a pivot waits exactly while its lead is not inverted, and a
+        # dropped pivot is referenced no more
+        assert {c for c, pivot in echelon.pivots.items() if pivot[2] is None} == set(echelon.waiting)
+        assert all(echelon.pivots[c] is pivot for c, pivot in echelon.waiting.items())
+        assert not any(pivot is gone for pivot in kept for gone in dropped)

@@ -1,7 +1,7 @@
 """Peeling private blocks before elimination, against the unpeeled route.
 
-A matrix builder hands ``GenericMatrix`` a peel plan; ``unpeeled`` is the
-same entries without one, so every row goes through the echelon kernel.
+A matrix builder hands ``GenericMatrix`` a layout that fixes its peel;
+``unpeeled`` is the same entries with nothing peeled, so every row goes through the echelon kernel.
 Rank and left kernel must agree at every draw, at small primes too, where
 blocks often fail their check and the peel falls back to the core. The
 peel itself is checked against a naive fixpoint on the block structure.
@@ -18,14 +18,14 @@ from balrig import exactla, rigidity
 from balrig import families as fam
 from balrig.combinat import BalancedComplex, BipartiteGraph
 from balrig.errors import InputError
-from balrig.exactla import DEFAULT_PRIME, GenericMatrix, PeelPlan, peel, sample_theta
+from balrig.exactla import DEFAULT_PRIME, GenericMatrix, Layout, peel, sample_theta
 from balrig.rigidity import _facet_ridge_layout, _rigidity_layout, build_M, build_rigidity_matrix
 
 SMALL_PRIMES = (2, 3, 5)
 
 
 def unpeeled(m: GenericMatrix) -> GenericMatrix:
-    return GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.col_labels)
+    return GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.n_cols)
 
 
 def assert_same_as_unpeeled(m: GenericMatrix) -> None:
@@ -132,25 +132,38 @@ def test_the_block_check_is_linear_independence(case):
     assert exactla._independent(p, rows) == independent_by_search(p, rows)
 
 
-def test_a_plan_peels_blocks_in_turn_and_names_their_vectors():
+def peeled_blocks(layout: Layout) -> list:
+    """The blocks a layout peels, in peel order, each as its rows and the
+    vectors its check reads."""
+    ends = [*layout.starts[1:], len(layout.peeled)]
+    return [(layout.peeled[s:e], check) for s, e, check in zip(layout.starts, ends, layout.checks)]
+
+
+def test_a_plan_peels_blocks_in_turn_and_names_their_vectors(monkeypatch):
     # block 0 (width 2, the columns 0 and 2) meets row 0 alone; block 1
     # (column 1) has two rows for one column until block 0 has peeled row
-    # 0. Row 0 is filled by the vectors 5 (in block 0) and 6 (in block 1),
-    # row 1 by the vector 7
-    order, blocks, core = peel((2, 1), [(0, 1), (1,)])
-    plan = PeelPlan.of(blocks, core, [(0, 2, 1), (1,)], [(5, 6), (7,)])
-    assert order == [0, 1]
-    assert plan.blocks == (((0, 5),), ((1, 7),))
-    assert plan.by_lead == plan.in_order == ()
-    order, blocks, core = peel((2, 1, 1), [(0, 1, 2), (1, 2), (1, 2)])
-    plan = PeelPlan.of(blocks, core, [(0, 2, 1, 3), (1, 3), (1, 3)], [(0, 1, 2), (3, 4), (5, 6)])
-    assert order == [0]
-    assert plan.blocks == (((0, 0),),)
-    assert plan.by_lead == plan.in_order == (1, 2)
+    # 0. Row 0 is filled by the vectors 0 (in block 0) and 1 (in block 1),
+    # row 1 by the vector 2
+    order, *peeling = peel((2, 1), [(0, 1), (1,)], [(0, 1), (2,)])
+    assert order == [0, 1] and peeling == [[(0,), (2,)], [0, 1], [0, 1], []]
+    # the matrix checks each block, in peel order, on the vectors it names
+    layout = Layout((0, 1), ((0, 2, 1), (1,)), ((0, 1), (2,)), (2, 1), (0, 1), "ab", *peeling)
+    assert layout.core == [] and layout.core_by_lead == ()
+    checked = []
+    independent = exactla._independent
+    monkeypatch.setattr(exactla, "_independent", lambda p, v: checked.append(v) or independent(p, v))
+    m = GenericMatrix(5, layout, [(1, 2), (3,), (4,)])
+    assert m.n_cols == 3 and m.col_labels == (("a", 1), ("a", 2), ("b", 1))
+    assert m.rank() == 2 and checked == [[(1, 2)], [(4,)]]
+    order, *peeling = peel((2, 1, 1), [(0, 1, 2), (1, 2), (1, 2)], [(0, 1, 2), (3, 4), (5, 6)])
+    assert order == [0] and peeling == [[(0,)], [0], [0], [1, 2]]
+    columns = ((0, 2, 1, 3), (1, 3), (1, 3))
+    layout = Layout((0, 1, 2), columns, ((0, 1, 2), (3, 4), (5, 6)), (2, 1, 1), (0, 1, 2), "abc", *peeling)
+    assert layout.core == [1, 2] and layout.core_by_lead == (1, 2)
     # a row that meets a block twice is refused
     for bad in [(0, 0), (0, 1, 0)]:
         with pytest.raises(InputError, match="twice"):
-            peel((2, 1), [bad])
+            peel((2, 1), [bad], [range(len(bad))])
 
 
 def naive_peeled_rows(widths, row_blocks) -> set:
@@ -165,25 +178,27 @@ def naive_peeled_rows(widths, row_blocks) -> set:
         remaining -= drop
 
 
-def assert_a_valid_peel(plan, columns, fills, widths, row_blocks) -> None:
-    """The plan peels the fixpoint's rows, and replayed in peel order each
+def assert_a_valid_peel(layout, widths, row_blocks) -> None:
+    """The layout peels the fixpoint's rows, and replayed in peel order each
     block takes every remaining row that meets it, at most its width, and
     names per row the vector that fills the row in the block. Row i meets
-    the blocks ``row_blocks[i]``, in the order of its vectors ``fills[i]``
-    and of its columns."""
-    n = len(row_blocks)
-    peeled = {i for block in plan.blocks for i, _ in block}
+    the blocks ``row_blocks[i]``, in the order of its vectors
+    ``layout.fills[i]`` and of its columns."""
+    n, columns, fills = len(row_blocks), layout.columns, layout.fills
+    peeled = set(layout.peeled)
+    assert len(peeled) == len(layout.peeled)
     assert peeled == naive_peeled_rows(widths, row_blocks)
-    assert sorted(plan.in_order) == list(plan.in_order) == sorted(set(range(n)) - peeled)
-    assert sorted(plan.by_lead) == list(plan.in_order)
+    assert list(layout.core) == sorted(set(range(n)) - peeled)
+    assert sorted(layout.core_by_lead) == list(layout.core)
     remaining = set(range(n))
-    for block in plan.blocks:
-        (b,) = {row_blocks[i][fills[i].index(v)] for i, v in block}
-        i, v = block[0]
+    for rows, check in peeled_blocks(layout):
+        assert len(rows) == len(check) > 0
+        (b,) = {row_blocks[i][fills[i].index(v)] for i, v in zip(rows, check)}
+        i, v = rows[0], check[0]
         start = sum(widths[c] for c in row_blocks[i][: fills[i].index(v)])
         block_columns = set(columns[i][start : start + widths[b]])
         meeting = {j for j in remaining if block_columns & set(columns[j])}
-        assert {j for j, _ in block} == meeting and len(meeting) <= widths[b]
+        assert set(rows) == meeting and len(meeting) <= widths[b]
         remaining -= meeting
 
 
@@ -191,28 +206,29 @@ def assert_a_valid_peel(plan, columns, fills, widths, row_blocks) -> None:
 @given(graph_cases())
 def test_the_graph_peel_is_the_naive_fixpoint(case):
     g, k, l, _, _ = case
-    row_labels, _, columns, fills, plan = _rigidity_layout(g, k, l)
+    layout = _rigidity_layout(g, k, l)
     widths = [l] * g.a_size + [k] * g.b_size
     # an edge row meets its A-vertex's block, filled by the l-vector of its
     # B-vertex, and then its B-vertex's, filled by the k-vector of its
     # A-vertex; vectors are numbered A-vertices first
-    row_blocks = [(a - 1, g.a_size + b - 1) for a, b in row_labels]
-    assert fills == tuple((v, u) for u, v in row_blocks)
-    assert_a_valid_peel(plan, columns, fills, widths, row_blocks)
+    row_blocks = [(a - 1, g.a_size + b - 1) for a, b in layout.row_labels]
+    assert layout.fills == tuple((v, u) for u, v in row_blocks)
+    assert_a_valid_peel(layout, widths, row_blocks)
 
 
 @settings(max_examples=200, deadline=None)
 @given(complex_cases())
 def test_the_facet_ridge_peel_is_the_naive_fixpoint(case):
     kx, l, _, _ = case
-    row_labels, _, columns, fills, plan = _facet_ridge_layout(kx, l)
+    layout = _facet_ridge_layout(kx, l)
+    row_labels = layout.row_labels
     ridges = sorted({frozenset(f) - {v} for f in row_labels for v in f}, key=sorted)
     # a facet row meets the ridge without each of its vertices, filled by
     # that vertex's l-vector; vectors are numbered color by color
     row_blocks = [[ridges.index(frozenset(f) - {v}) for v in f] for f in row_labels]
     first = [sum(kx.color_sizes[:c]) for c in range(kx.n_colors)]
-    assert fills == tuple(tuple(first[c - 1] + i - 1 for c, i in f) for f in row_labels)
-    assert_a_valid_peel(plan, columns, fills, [l] * len(ridges), row_blocks)
+    assert layout.fills == tuple(tuple(first[c - 1] + i - 1 for c, i in f) for f in row_labels)
+    assert_a_valid_peel(layout, [l] * len(ridges), row_blocks)
 
 
 def _min_degree_input(monkeypatch, g, k, l) -> set:
@@ -235,10 +251,10 @@ def test_the_minimum_degree_order_sees_only_core_vertices(monkeypatch):
     tree = fam.random_tree(10, 27, seed=5)
     assert _min_degree_input(monkeypatch, tree, 1, 1) == set()
     quad = fam.random_quadrangulation(64, seed=0)
-    row_labels, *_, plan = _rigidity_layout(quad, 2, 2)
-    ends = [(a - 1, quad.a_size + b - 1) for a, b in row_labels]
-    core_ends = {v for i in plan.in_order for v in ends[i]}
-    assert len(plan.in_order) == 22
+    layout = _rigidity_layout(quad, 2, 2)
+    ends = [(a - 1, quad.a_size + b - 1) for a, b in layout.row_labels]
+    core_ends = {v for i in layout.core for v in ends[i]}
+    assert len(layout.core) == 22
     assert _min_degree_input(monkeypatch, quad, 2, 2) == core_ends
 
 
@@ -250,14 +266,15 @@ def test_peeled_blocks_come_first_then_the_core(g, k, l):
     # the columns hold the peeled blocks in peel order, then the vertices
     # of the core rows, which reach no other column. A row's columns are
     # its A-vertex's block, filled by its first vector, then its B-vertex's
-    _, _, columns, fills, plan = _rigidity_layout(g, k, l)
+    layout = _rigidity_layout(g, k, l)
+    columns, fills = layout.columns, layout.fills
     at = 0
-    for block in plan.blocks:
-        for i, v in block:
+    for rows, check in peeled_blocks(layout):
+        for i, v in zip(rows, check):
             in_block = columns[i][:l] if fills[i][0] == v else columns[i][l:]
             assert in_block == tuple(range(at, at + len(in_block)))
         at += len(in_block)
-    core_columns = {c for i in plan.in_order for c in columns[i]}
+    core_columns = {c for i in layout.core for c in columns[i]}
     assert core_columns == set(range(at, at + len(core_columns)))
 
 
@@ -297,7 +314,7 @@ def test_a_quadrangulation_sends_only_its_core(monkeypatch):
     quad = fam.random_quadrangulation(64, seed=0)
     theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
     m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
-    core = [frozenset(m.entries[i]) for i in m.plan.by_lead]
+    core = [frozenset(m.entries[i]) for i in m.layout.core_by_lead]
     assert len(core) == 22
     inserted = _inserted_rows(monkeypatch)
     assert m.rank() == 128
@@ -360,10 +377,10 @@ def test_a_quadrangulation_builds_only_its_core_rows(monkeypatch):
     m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
     built = _built_rows(monkeypatch)
     assert m.rank() == 128
-    assert built == list(m.plan.by_lead) and len(built) == 22
+    assert built == list(m.layout.core_by_lead) and len(built) == 22
     built.clear()
     assert m.left_kernel() == []
-    assert built == list(m.plan.in_order)
+    assert built == list(m.layout.core)
 
 
 @pytest.mark.parametrize("builder", ["rigidity", "facet-ridge"])
@@ -383,11 +400,11 @@ def test_a_failing_block_builds_its_rows_and_all_later_ones(monkeypatch, builder
             m = build_M(kx, 2, theta, 2)
         oracle = unpeeled(m).rank()
         passed = set()
-        for block in m.plan.blocks:
-            if not independent_by_search(2, [m.vectors[v] for _, v in block]):
+        for rows, check in peeled_blocks(m.layout):
+            if not independent_by_search(2, [m.vectors[v] for v in check]):
                 fallbacks += bool(passed)
                 break
-            passed |= {i for i, _ in block}
+            passed |= set(rows)
         built = _built_rows(monkeypatch)
         assert m.rank() == oracle
         assert sorted(built) == sorted(set(range(m.n_rows)) - passed)
