@@ -27,12 +27,27 @@ at random is a random evaluation of the same conditions, of no higher
 degree. The payoff is sparsity: row i of a block is zero before column i, so
 the candidate ij' touches only the edges pq' with p >= i and q >= j, and a
 candidate of a complex only the faces at or above its pick in every color.
-The columns list the edges sorted and the faces by lex key, both linear
-extensions of that coordinatewise order, so a candidate whose pick is an
-edge or face leads at its own column with the entry 1. On a complete
-bipartite graph, and on any input that is already shifted, the candidate
-rows then arrive in echelon form and none meets a pivot. Each candidate row
-is built from the block rows over the edges or faces present only.
+The columns list the edges and faces by lex key, a linear extension of
+that coordinatewise order, so a candidate whose pick is an edge or face
+leads at its own column with the entry 1. Each candidate row is built from
+the block rows over the edges or faces present only.
+
+A color component that is already shifted needs no elimination at all.
+Call it settled when its faces are down-closed: each stays a face when any
+one vertex is replaced by the next smaller vertex of its color, the
+one-step rule below applied inside the component. On unit upper triangular
+blocks such a component selects exactly its faces, for every draw and every
+p, p = 2 included: a face's candidate row is 1 at its own column and zero
+on every face not above it, so the face rows are triangular and
+independent, while a candidate that is no face has no face at or above it
+and its row is zero. The premise is checked at every draw: each block the
+component reads must be upper triangular with a nonzero diagonal on its
+leading rows and columns up to the component's largest vertex of that color
+(``_triangular_extent``); a component whose blocks fail runs the greedy.
+Every draw of ``prefix_stream`` passes, so a complete bipartite graph, a
+shifted complex and the shifted color sets of any complex build no
+candidate row, and the greedy runs only on the components that are not
+down-closed (``_trial`` gives the full argument).
 
 Graphs have a second route, the prefix walk, which reads the shifted edge
 set off ranks of prefixes, since balanced shifting of a graph is bipartite
@@ -49,9 +64,9 @@ since Delta is shifted those are the first ones. The walk inserts the star
 rows into one greedy basis step by step, drawing one row of the prefix
 stream per step, and stops when the rank reaches E. No E×E candidate
 elimination runs, and a sparse graph is done after a few steps; K_{n,n}
-needs all 2n steps, where the greedy's candidate rows arrive in echelon
-form. The route rule (``_walk_is_short``) takes the walk when a lower bound
-on its steps, computed from the sizes, E and the order, is at most 2V/5 + 1.
+needs all 2n steps, while the greedy settles it without elimination. The
+route rule (``_walk_is_short``) takes the walk when a lower bound on its
+steps, computed from the sizes, E and the order, is at most 2V/5 + 1.
 
 The walk reads the rows the greedy reads, so for every draw its counts are
 the greedy's, and it names the same cells when the greedy's set is shifted.
@@ -82,6 +97,7 @@ from a degenerate draw, which a small prime makes likely, so they raise
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -143,26 +159,27 @@ class ShiftedComplex:
     meta: TrialMeta
 
 
-def _face_index(faces, colors) -> tuple[object, list[dict[int, int]]]:
+def _face_index(columns) -> tuple[object, list[dict[int, int]]]:
     """Where each face's column sits, for expanding candidates by color.
 
-    Returns ``(index, slots)``. ``index`` is nested dicts keyed by a face's
-    vertex of every color but the last, as a 0-based block row, ending in a
-    slot number; with a single color it is just the slot number 0, and
-    without faces it is empty. ``slots[s]`` maps the face's vertex of the
-    last color to its column.
+    ``columns`` lists the faces as picks, in column order. Returns
+    ``(index, slots)``. ``index`` is nested dicts keyed by a face's vertex
+    of every color but the last, as a 0-based block row, ending in a slot
+    number; with a single color it is just the slot number 0, and without
+    faces it is empty. ``slots[s]`` maps the face's vertex of the last color
+    to its column.
     """
     root: dict = {}
     slots: list[dict[int, int]] = []
-    for col, face in enumerate(faces):
+    for col, pick in enumerate(columns):
         node, key = root, ()
-        for c in colors[:-1]:
+        for v in pick[:-1]:
             node = node.setdefault(key, {})
-            key = face[c] - 1
+            key = v - 1
         if key not in node:
             node[key] = len(slots)
             slots.append({})
-        slots[node[key]][face[colors[-1]] - 1] = col
+        slots[node[key]][pick[-1] - 1] = col
     return root.get((), {}), slots
 
 
@@ -197,40 +214,107 @@ def _expansion(index, leads, pick, last, p: int) -> dict[int, int]:
     return out
 
 
-def _trial(sizes, components):
+def _down_closed_tops(picks) -> list[int] | None:
+    """The largest vertex of each color among ``picks`` when every pick stays
+    one as any of its vertices is replaced by the next smaller vertex of its
+    color (``check_shifted``'s one-step rule inside one color set), else
+    None. By induction such a set holds every pick below one of its picks
+    in every color."""
+    tops = [0] * len(next(iter(picks)))
+    for pick in picks:
+        for i, v in enumerate(pick):
+            if v > 1 and pick[:i] + (v - 1,) + pick[i + 1 :] not in picks:
+                return None
+            tops[i] = max(tops[i], v)
+    return tops
+
+
+def _triangular_extent(block) -> int:
+    """The largest m such that the leading m rows and columns of ``block``
+    are upper triangular with a nonzero diagonal, the entries being residues
+    in [0, p): a component whose largest vertex of the block's color is at
+    most m may be settled on it. A unit upper triangular block has the
+    extent of its size."""
+    for r, row in enumerate(block):
+        if not row[r] or any(row[:r]):
+            return r
+    return len(block)
+
+
+def _trial(sizes, components, lex_key, tag):
     """One shifting trial, as a function of (p, seed), over parameter blocks
     of the given sizes, one per color.
 
-    ``components`` lists ``(t, faces, candidates)`` per color set t: the
-    faces with color support t as ``{color: vertex}`` dicts, and the
-    candidate ``(pick, tag)`` pairs in lex order, a pick being one vertex
-    per color of t. The trial returns the tags of the selected picks. The
-    face index and the candidate order do not depend on the draw, so they
-    are built once and shared by all trials.
+    ``components`` lists ``(t, faces)`` per color set t: the faces with
+    color support t, as a dict from each face's pick, one vertex per color
+    of t, to its tag. The candidates are all picks of t, offered in the
+    order of ``lex_key(t, pick)`` and tagged ``tag(t, pick)``; the columns
+    list the faces in the same order. The trial returns the tags of the
+    selected picks.
+
+    A component whose faces are down-closed (``_down_closed_tops``) is
+    settled: it selects exactly its faces, for every draw and every p, as
+    long as each block it reads is upper triangular with a nonzero diagonal
+    on its leading rows and columns up to the component's largest vertex of
+    that color. A candidate's entry on a face is a product of one block
+    entry per color. For a candidate within those vertices it is zero
+    unless the face lies at or above the pick in every color. A face's own
+    candidate then has a nonzero entry at its own column and none on the
+    earlier faces of any linear extension of that coordinatewise order, so
+    the face candidates are independent; any other candidate has no face
+    at or above it, since the faces are down-closed, and its row is zero.
+    A candidate past the largest vertex m of a color reads its row of that
+    block on the faces' columns, all at most m, where it is a combination
+    of the rows up to m; so the candidate's row is a combination of those
+    of candidates below it in that color, which the lex order offers
+    earlier, and it is rejected. A settled component adds its faces' tags
+    and builds no candidate, index or basis. The guard
+    (``_triangular_extent``) checks that premise at every draw; the draws
+    of ``prefix_stream`` are unit upper triangular and always pass, and a
+    component whose blocks fail runs the greedy.
+
+    The other components run the greedy basis. Their face index and
+    candidates do not depend on the draw, so each is built once, when the
+    component first eliminates, and shared by all trials.
     """
-    prepared = [
-        (t[:-1], t[-1], *_face_index(faces, t), len(faces), candidates)
-        for t, faces, candidates in components
-        if faces
-    ]
+    prepared = [(t, faces, _down_closed_tops(faces)) for t, faces in components if faces]
+    built: dict[tuple, tuple] = {}
+
+    def greedy_input(t, faces) -> tuple:
+        """The face index and the tagged candidates of color set t, built
+        when its component first eliminates."""
+        if t not in built:
+            key = functools.partial(lex_key, t)
+            picks = sorted(itertools.product(*[range(1, sizes[c - 1] + 1) for c in t]), key=key)
+            candidates = [(pick, tag(t, pick)) for pick in picks]
+            built[t] = (*_face_index(sorted(faces, key=key)), candidates)
+        return built[t]
 
     def trial(p: int, seed: int) -> frozenset:
         if not prepared:
             return frozenset()
-        blocks = [
-            [{j: x for j, x in enumerate(row) if x} for row in block]
-            for block in sample_theta(p, seed, sizes)
-        ]
+        theta = sample_theta(p, seed, sizes)
+        extents = [_triangular_extent(block) for block in theta]
+        blocks = None
         selected: set = set()
-        for lead_colors, last_color, index, slots, size, candidates in prepared:
-            leads = [blocks[c - 1] for c in lead_colors]
-            last = _slot_rows(slots, blocks[last_color - 1])
+        for t, faces, tops in prepared:
+            if tops is not None and all(top <= extents[c - 1] for c, top in zip(t, tops)):
+                selected.update(faces.values())
+                continue
+            if blocks is None:
+                blocks = [
+                    [{j: x for j, x in enumerate(row) if x} for row in block]
+                    for block in theta
+                ]
+            index, slots, candidates = greedy_input(t, faces)
+            leads = [blocks[c - 1] for c in t[:-1]]
+            last = _slot_rows(slots, blocks[t[-1] - 1])
             greedy = GreedyBasis(p)
-            for pick, tag in candidates:
-                greedy.offer(tag, _expansion(index, leads, pick, last[pick[-1] - 1], p))
-                if greedy.rank == size:
+            for pick, face in candidates:
+                greedy.offer(face, _expansion(index, leads, pick, last[pick[-1] - 1], p))
+                if greedy.rank == len(faces):
                     break
-            if greedy.rank != size:
+            if greedy.rank != len(faces):
                 raise InvariantError(
                     "candidate monomials failed to span a color component"
                 )
@@ -244,13 +328,12 @@ def _edge_trial(g: BipartiteGraph, order: VertexOrder):
     """One shifting trial of g's edges: the complex trial on the color set
     (1, 2), side A as color 1 and side B as color 2, each candidate tagged
     by its pair (i, j)."""
-    candidates = sorted(
-        itertools.product(range(1, g.a_size + 1), range(1, g.b_size + 1)),
-        key=lambda e: order.lex_key((("A", e[0]), ("B", e[1]))),
+    return _trial(
+        (g.a_size, g.b_size),
+        [((1, 2), {e: e for e in g.edges})],
+        lambda _t, e: order.lex_key((("A", e[0]), ("B", e[1]))),
+        lambda _t, e: e,
     )
-    faces = [{1: i, 2: j} for i, j in g.edge_list()]
-    tagged = [(e, e) for e in candidates]
-    return _trial((g.a_size, g.b_size), [((1, 2), faces, tagged)])
 
 
 def _walk_is_short(g: BipartiteGraph, order: VertexOrder) -> bool:
@@ -378,21 +461,18 @@ def shift_graph(
 
 def _face_trial(k: BalancedComplex, order: VertexOrder):
     """One shifting trial of k's faces, one component per color support
-    that k's faces use, each candidate tagged by its face. The faces, the
-    component's columns, are listed by their lex keys, the order the
-    candidates are offered in; no column order changes a rank."""
-    components = []
-    for t, faces in k.face_set.by_colors.items():
-        if not t:
-            continue  # the empty face, which every complex has
-        picks = sorted(
-            itertools.product(*[range(1, k.color_sizes[c - 1] + 1) for c in t]),
-            key=lambda pick: order.lex_key(zip(t, pick)),
-        )
-        tagged = [(pick, frozenset(zip(t, pick))) for pick in picks]
-        columns = sorted(faces, key=order.lex_key)
-        components.append((t, [dict(f) for f in columns], tagged))
-    return _trial(k.color_sizes, components)
+    that k's faces use, each candidate tagged by its face."""
+    components = [
+        (t, {tuple(v for _, v in sorted(f)): f for f in faces})
+        for t, faces in k.face_set.by_colors.items()
+        if t  # not the empty face, which every complex has
+    ]
+    return _trial(
+        k.color_sizes,
+        components,
+        lambda t, pick: order.lex_key(zip(t, pick)),
+        lambda t, pick: frozenset(zip(t, pick)),
+    )
 
 
 def shift_complex(

@@ -4,10 +4,12 @@ The digests were recorded before the rigidity rows were built from drawn
 vertex vectors, and every later change that claims the same outputs must
 keep them: the sha256 of each stress basis, as JSON, and of the stdout of
 the CLI's small-prime, one-trial commands, which take the peel's fallback
-and the echelon's degenerate draws.
+and the echelon's degenerate draws. The shift digests were recorded before
+already-shifted components were settled without elimination.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -15,7 +17,7 @@ import pytest
 
 from balrig import families as fam
 from balrig.cli import main
-from balrig.combinat import BipartiteGraph
+from balrig.combinat import BalancedComplex, BipartiteGraph
 from balrig.exactla import TrialPolicy
 from balrig.rigidity import stress_space
 
@@ -28,6 +30,23 @@ def half_dense_8x9() -> BipartiteGraph:
     rng = random.Random(7)
     pairs = [(i, j) for i in range(1, 9) for j in range(1, 10)]
     return BipartiteGraph(8, 9, frozenset(e for e in pairs if rng.random() < 0.5))
+
+
+def half_dense_6x6() -> BipartiteGraph:
+    """A half-dense graph, not shifted, that the route rule sends to the
+    greedy shifting trial."""
+    rng = random.Random(1)
+    pairs = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+    return BipartiteGraph(6, 6, frozenset(e for e in pairs if rng.random() < 0.5))
+
+
+def random_complex_334() -> BalancedComplex:
+    """A random pure 3-color complex: 45% of the colorful picks of sizes
+    (3, 3, 4) as facets."""
+    rng = random.Random(1)
+    picks = list(itertools.product(range(1, 4), range(1, 4), range(1, 5)))
+    chosen = rng.sample(picks, round(0.45 * len(picks)))
+    return BalancedComplex((3, 3, 4), frozenset(frozenset(enumerate(p, start=1)) for p in chosen))
 
 
 STRESS_CASES = {
@@ -72,6 +91,14 @@ INPUTS = {
     "banana.json": ["generate", "double-banana"],
     "glued.json": ["generate", "glued-cross-polytopes", "--d", "3"],
     "cp4.json": ["generate", "cross-polytope", "--d", "4"],
+    "gamma334.json": ["generate", "gamma", "--d", "2", "--sizes", "3,3,4"],
+    "k43.json": ["generate", "complete", "--n", "4", "--m", "3"],
+}
+
+#: inputs no ``generate`` command builds, written from their JSON form
+WRITTEN = {
+    "random334.json": random_complex_334,
+    "half6.json": half_dense_6x6,
 }
 
 #: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout.
@@ -91,12 +118,49 @@ CLI_DIGESTS = {
         "0040d6a8d39321dc31c570c80c8879ee0de712183d6cd92459372be2e8740579",
 }
 
+#: shift outputs, recorded before already-shifted components were settled
+#: without elimination: (exit code, sha256 of stdout). cp4, gamma and K_{4,3}
+#: are shifted; the glued complex is not, and its one trial at p = 2 agrees
+#: on a non-shifted face set (exit 3); the random complex and the half-dense
+#: graph, on the greedy route, are not shifted either
+SHIFT_DIGESTS = {
+    "shift --complex cp4.json --prime 2 --trials 1":
+        (0, "308fff2320554bde900f902f8bdf1e124ac558f12d09e025e6b30b7c81ab6620"),
+    "shift --complex gamma334.json --prime 2 --trials 1":
+        (0, "927c1758b1569258bcd207e4c1da4546b02e37440179a3f82c0ccfb34a9de893"),
+    "shift --complex glued.json --prime 2 --trials 1":
+        (3, "2278b0d63b5284d7acf7b9891baef4fb7032a3e670fc7f7faa9d74e91b104ed2"),
+    "shift --complex random334.json --prime 3 --trials 1":
+        (0, "1c20c402fb2d707c0ac39bfdb0dd2f0ae705f48e2a1036da8e9b41fecb2cdc1d"),
+    "shift --complex random334.json":
+        (0, "d62a7716e2d8fdb5692958fa25dae2a04cb79ec73ad0e5af9bb65daf911bdaba"),
+    "shift --graph k43.json --prime 2 --trials 1":
+        (0, "f44364355261027fecb38fb6b626f47cec01b634542bff77e2584a3c6f315e80"),
+    "shift --graph half6.json":
+        (0, "6265af3618dc8837a8ee1648a319c97f6bb26d0fd33486bf44f1cf1561cd174d"),
+}
 
-@pytest.mark.parametrize("command", list(CLI_DIGESTS))
-def test_small_prime_cli_outputs_keep_their_digests(tmp_path, capsys, command):
+
+def run_cli(tmp_path, capsys, command) -> tuple[int, str]:
+    """The exit code and stdout of ``command``, its ``.json`` arguments read
+    from the inputs written under ``tmp_path``."""
     for name, argv in INPUTS.items():
         assert main(argv) == 0
         (tmp_path / name).write_text(capsys.readouterr().out)
+    for name, build in WRITTEN.items():
+        (tmp_path / name).write_text(json.dumps(build().to_json_dict()))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command.split()]
-    assert main(argv) == 0
-    assert sha256(capsys.readouterr().out) == CLI_DIGESTS[command]
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_small_prime_cli_outputs_keep_their_digests(tmp_path, capsys, command):
+    code, out = run_cli(tmp_path, capsys, command)
+    assert (code, sha256(out)) == (0, CLI_DIGESTS[command])
+
+
+@pytest.mark.parametrize("command", list(SHIFT_DIGESTS))
+def test_shift_outputs_keep_their_digests(tmp_path, capsys, command):
+    code, out = run_cli(tmp_path, capsys, command)
+    assert (code, sha256(out)) == SHIFT_DIGESTS[command]

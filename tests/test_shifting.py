@@ -26,10 +26,18 @@ from balrig.shifting import (
     shift_complex,
     shift_graph,
 )
+from test_shift_oracle import dense_shift_faces
 
 
 def K(n, m):
     return BipartiteGraph(n, m, complete_edges(n, m))
+
+
+def half_dense_6x6():
+    # not shifted, and the route rule sends it to the greedy
+    rng = random.Random(1)
+    pairs = sorted(complete_edges(6, 6))
+    return BipartiteGraph(6, 6, frozenset(e for e in pairs if rng.random() < 0.5))
 
 
 def k33_minus():
@@ -98,8 +106,9 @@ def test_greedy_expansion_rows_select_all_but_last_pair():
 
 
 def test_a_trial_eliminates_no_parameter_block(monkeypatch):
-    # the draw is unit upper triangular already, so one shifting trial
-    # builds one echelon, the greedy basis, and inserts only candidates
+    # the draw is unit upper triangular already, so one shifting trial of a
+    # graph that is not shifted builds one echelon, the greedy basis, and
+    # inserts only candidates; a complete graph settles and builds none
     created, inserted = [], []
     init, insert = exactla.Echelon.__init__, exactla.Echelon.insert
 
@@ -113,11 +122,16 @@ def test_a_trial_eliminates_no_parameter_block(monkeypatch):
 
     monkeypatch.setattr(exactla.Echelon, "__init__", counting_init)
     monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
-    g = K(4, 3)
-    assert not shifting._walk_is_short(g, _default_order(g))
+    g = half_dense_6x6()
+    assert not check_shifted(g) and not shifting._walk_is_short(g, _default_order(g))
     shift_graph(g, policy=TrialPolicy(trials=1))
     assert len(created) == 1
     assert inserted == created * len(inserted) and len(inserted) >= g.n_edges
+    created.clear()
+    g = K(4, 3)
+    assert not shifting._walk_is_short(g, _default_order(g))
+    assert shift_graph(g, policy=TrialPolicy(trials=1)).graph == g
+    assert created == []
 
 
 def test_check_shifted_examples():
@@ -183,22 +197,24 @@ def test_cross_polytope_is_fixpoint():
 )
 @pytest.mark.parametrize("p", [2, exactla.DEFAULT_PRIME])
 def test_candidates_of_a_shifted_complex_meet_no_pivot(monkeypatch, k, p):
-    # every pick of a shifted complex is a face, and the face columns follow
-    # the candidates' lex order, so each row leads at its own pick's column
-    # (a candidate that is no face touches no face at all)
+    # every component of a shifted complex is down-closed, so it settles on
+    # the unit upper triangular draw: no candidate is offered, and the dense
+    # oracle, which offers them all, picks every face on the same draw
     assert check_shifted(k)
-    offered, met = [], []
+    offered = []
     insert = exactla.Echelon.insert
 
     def watching_insert(self, row):
         offered.append(row)
-        met.extend(c for c in row if c in self.pivots)
         return insert(self, row)
 
     monkeypatch.setattr(exactla.Echelon, "insert", watching_insert)
     order = VertexOrder.interleaved_complex(k.color_sizes)
-    assert shifting._face_trial(k, order)(p, 0) == all_faces(k) - {frozenset()}
-    assert offered and not met
+    faces = all_faces(k) - {frozenset()}
+    assert shifting._face_trial(k, order)(p, 0) == faces
+    assert offered == []
+    monkeypatch.setattr(exactla.Echelon, "insert", insert)
+    assert dense_shift_faces(k, order, p, sample_theta(p, 0, k.color_sizes)) == faces
 
 
 def test_a_complex_shift_reads_its_facets_off_the_checked_faces(monkeypatch):
