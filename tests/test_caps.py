@@ -199,6 +199,16 @@ def test_generate_builds_up_to_the_caps():
     assert fam.complete_bipartite(512, 512).n_edges == GRAPH_EDGE_CAP
 
 
+def test_a_quadrangulation_at_its_cap_builds_in_a_capped_process():
+    # each split reads only the faces around its vertex, so the build at the
+    # cap takes a fraction of a second, far inside the memory limit
+    faces = str(QUADRANGULATION_FACE_CAP)
+    out = run_capped(["-m", "balrig.cli", "generate", "quadrangulation", "--faces", faces])
+    assert out.returncode == 0, out.stderr
+    g = json.loads(out.stdout)
+    assert len(g["edges"]) == 2 * (g["a_size"] + g["b_size"]) - 4 == 2 * QUADRANGULATION_FACE_CAP
+
+
 def test_an_explicit_order_is_checked_without_listing_a_huge_side(tmp_path):
     graph = {"a_size": 10**8, "b_size": 1, "edges": [[1, 1]]}
     path = tmp_path / "input.json"

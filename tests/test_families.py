@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -201,6 +202,52 @@ def test_quadrangulation_edge_count_always_tight():
 def test_quadrangulation_reaches_the_cube():
     g = fam.random_quadrangulation(6, seed=87)
     assert are_isomorphic(g, fam.cube_graph(3))
+
+
+def quadratic_quadrangulation(n_faces: int, seed: int) -> BipartiteGraph:
+    """``random_quadrangulation`` as it was before each vertex kept its face
+    ids: every split finds u's rotation by scanning all faces, so a build
+    takes time quadratic in the faces. It stays here as the oracle."""
+    rng = random.Random(seed)
+    sides = ["A", "A", "B", "B"]
+    faces = [(0, 2, 1, 3), (0, 3, 1, 2)]
+    for _ in range(n_faces - 2):
+        u = rng.randrange(len(sides))
+        step = {}
+        for fi, f in enumerate(faces):
+            for pos, w in enumerate(f):
+                if w == u:
+                    step[f[pos - 1]] = (f[(pos + 1) % 4], fi)
+        nbrs, fids = [min(step)], []
+        while True:
+            w, fi = step[nbrs[-1]]
+            fids.append(fi)
+            if w == nbrs[0]:
+                break
+            nbrs.append(w)
+        deg = len(nbrs)
+        i = rng.randrange(deg)
+        j = (i + rng.randrange(1, deg)) % deg
+        z = len(sides)
+        sides.append(sides[u])
+        pos = i
+        while pos != j:
+            faces[fids[pos]] = tuple(z if w == u else w for w in faces[fids[pos]])
+            pos = (pos + 1) % deg
+        faces.append((z, nbrs[i], u, nbrs[j]))
+    b = fam._Builder()
+    b.sides = sides
+    for f in faces:
+        for pos in range(4):
+            b.add_edge(f[pos], f[(pos + 1) % 4])
+    return b.finish()[0]
+
+
+def test_quadrangulations_match_the_quadratic_builder():
+    cases = [(n, seed) for n in range(2, 70) for seed in range(3)]
+    cases += [(256, 0), (256, 1), (1024, 0)]
+    for n, seed in cases:
+        assert fam.random_quadrangulation(n, seed) == quadratic_quadrangulation(n, seed)
 
 
 def test_quadrangulation_rejects_tiny_face_counts():

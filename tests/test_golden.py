@@ -5,7 +5,8 @@ vertex vectors, and every later change that claims the same outputs must
 keep them: the sha256 of each stress basis, as JSON, and of the stdout of
 the CLI's small-prime, one-trial commands, which take the peel's fallback
 and the echelon's degenerate draws. The shift digests were recorded before
-already-shifted components were settled without elimination.
+already-shifted components were settled without elimination, and the
+prefix walk's digests before a walk step stopped at its rank cap.
 """
 
 import hashlib
@@ -17,9 +18,10 @@ import pytest
 
 from balrig import families as fam
 from balrig.cli import main
-from balrig.combinat import BalancedComplex, BipartiteGraph
+from balrig.combinat import BalancedComplex, BipartiteGraph, VertexOrder
 from balrig.exactla import TrialPolicy
 from balrig.rigidity import stress_space
+from balrig.shifting import _prefix_trial
 
 
 def sha256(text: str) -> str:
@@ -99,6 +101,7 @@ INPUTS = {
 WRITTEN = {
     "random334.json": random_complex_334,
     "half6.json": half_dense_6x6,
+    "half8x9.json": half_dense_8x9,
 }
 
 #: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout.
@@ -138,6 +141,15 @@ SHIFT_DIGESTS = {
         (0, "f44364355261027fecb38fb6b626f47cec01b634542bff77e2584a3c6f315e80"),
     "shift --graph half6.json":
         (0, "6265af3618dc8837a8ee1648a319c97f6bb26d0fd33486bf44f1cf1561cd174d"),
+    # on the prefix walk, recorded before its steps stopped at the rank cap
+    "shift --graph quad64.json":
+        (0, "86a9e8949fbe395a67f0111d4aa4446de00f7b15fbfed345aea796b04e96545d"),
+    "shift --graph quad64.json --prime 3 --trials 1":
+        (0, "ac35276de060982d7aa22f72d3798f107c2f6ce06152aa42c6623908a545bf57"),
+    "shift --graph half8x9.json":
+        (0, "65e614cf87d4a3919a28bb57429406a16501df8a90aa2981b2406f14ba6f03e7"),
+    "shift --graph half8x9.json --prime 3 --trials 1":
+        (0, "0ed060ec4b03aa6e3eb1304055fd7581b4bb27c65ff49fc1b38a541b1b62b2e3"),
 }
 
 
@@ -164,3 +176,21 @@ def test_small_prime_cli_outputs_keep_their_digests(tmp_path, capsys, command):
 def test_shift_outputs_keep_their_digests(tmp_path, capsys, command):
     code, out = run_cli(tmp_path, capsys, command)
     assert (code, sha256(out)) == SHIFT_DIGESTS[command]
+
+
+#: sha256 of the prefix walk's edge sets, as JSON, over the graphs and orders
+#: below, p in (2, 3, 5) and seeds 0-19, recorded before a walk step stopped
+#: at its rank cap. Small primes give the degenerate draws a wrong cap would
+#: change, and the CLI would hide most of them behind exit 3
+WALK_DIGEST = "4baa322822654af150aa6e390c86afafa450b6df5a5bdbfba3ffa8b8c7183280"
+
+
+def test_prefix_walks_keep_their_digest():
+    out = []
+    for g in (fam.random_tree(6, 7, 2), fam.random_quadrangulation(16, 3), half_dense_8x9()):
+        a_first = [("A", i) for i in range(1, g.a_size + 1)]
+        a_first += [("B", j) for j in range(1, g.b_size + 1)]
+        for order in (VertexOrder.interleaved_graph(g.a_size, g.b_size), VertexOrder(a_first)):
+            walk = _prefix_trial(g, order)
+            out.append([[sorted(walk(p, seed)) for seed in range(20)] for p in (2, 3, 5)])
+    assert sha256(json.dumps(out)) == WALK_DIGEST
