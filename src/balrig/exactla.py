@@ -44,6 +44,17 @@ and eliminate only the rest, the core. The first block that fails its
 check sends its rows and all later ones to the core, so every draw gets
 its matrix's exact rank and kernel. A layout keeps only what these read;
 its column labels are derived when they are read.
+
+A rank stops at a bound every draw obeys. A layout keeps a ``rank_bound``:
+its row or column count, or a smaller bound its builder knows, such as
+l|A| + k|B| - kl for a (k,l)-rigidity matrix with k <= |A| and l <= |B|,
+the rank of the complete graph's. Peeled rows that pass their checks are
+independent of all others, so once the core's rank reaches the bound less
+them, every later core row is dependent at that draw, at every prime, and
+``rank`` builds none of them. When the bound lies below the core's row
+count, the core goes in with the rows that can be charged to free slots of
+their blocks first (after the pebble games of Lee and Streinu, 2008), so
+the rank reaches the bound sooner. A left kernel reads every row.
 """
 
 from __future__ import annotations
@@ -198,8 +209,17 @@ class Layout:
     blocks that peel, block by block in peel order, the t-th block's from
     ``starts[t]`` on, and ``checks[t]`` the ids of the vectors that fill
     them in that block, which its check reads. ``core`` is the other rows
-    by index, and ``core_by_lead`` the same rows in ``rank``'s order
-    (``_lead_key``).
+    by index, and ``core_by_lead`` the same rows in ``rank``'s order.
+
+    ``rank_bound`` bounds the rank at every draw: the least of the row
+    count, the column count and a bound the builder knows, such as the
+    rank of the complete graph's rigidity matrix. ``core_by_lead`` is the
+    core sorted by ``_lead_key``; when the bound lies below the core's row
+    count, ``rank`` stops before the last core rows, so the rows that can
+    be charged to free block slots come first (``_charged_first``). The
+    column bound holds because each row names distinct columns in range: a
+    builder's row is whole blocks of its own layout, and
+    ``GenericMatrix.from_entries`` checks explicit rows.
     """
 
     row_labels: tuple
@@ -212,13 +232,40 @@ class Layout:
     peeled: Sequence[int]
     starts: Sequence[int]
     core: Sequence[int]
+    rank_bound: int | None = None
     core_by_lead: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not len(self.columns) == len(self.fills) == len(self.row_labels):
+        columns = self.columns
+        if not len(columns) == len(self.fills) == len(self.row_labels):
             raise InputError("row count does not match row labels")
-        keys = {i: _lead_key(self.columns[i]) for i in self.core}
-        object.__setattr__(self, "core_by_lead", tuple(sorted(keys, key=keys.__getitem__)))
+        bound = min(len(columns), sum(self.widths))
+        if self.rank_bound is not None:
+            bound = min(bound, self.rank_bound)
+        object.__setattr__(self, "rank_bound", bound)
+        keys = {i: _lead_key(columns[i]) for i in self.core}
+        by_lead = sorted(keys, key=keys.__getitem__)
+        if bound < len(by_lead):
+            by_lead = self._charged_first(by_lead)
+        object.__setattr__(self, "core_by_lead", tuple(by_lead))
+
+    def _charged_first(self, rows: list[int]) -> list[int]:
+        """``rows`` with those that, scanned in order, can be charged to a
+        free slot of one of their blocks first, and the rest after them,
+        each part in order. A block has its width in slots, and a row is
+        charged to its block with the most slots left, as pebbles are in
+        the pebble games of Lee and Streinu (2008); an empty row meets no
+        block."""
+        block_of = [b for b in self.col_order for _ in range(self.widths[b])]
+        slots, charged, rest = list(self.widths), [], []
+        for i in rows:
+            b = max(map(block_of.__getitem__, self.columns[i]), key=slots.__getitem__, default=None)
+            if b is not None and slots[b]:
+                slots[b] -= 1
+                charged.append(i)
+            else:
+                rest.append(i)
+        return charged + rest
 
     @cached_property
     def by_lead(self) -> tuple[int, ...]:
@@ -326,8 +373,14 @@ class GenericMatrix:
     def from_entries(cls, p: int, entries, row_labels, n_cols: int) -> GenericMatrix:
         """The matrix whose row i is the ``(column, value)`` pairs
         ``entries[i]``, with ``n_cols`` columns in one block labeled None,
-        and nothing peeled."""
+        and nothing peeled. A column outside the ``n_cols`` columns, or
+        one that a row names twice, is refused, once, here."""
         columns = tuple(tuple(c for c, _ in entry) for entry in entries)
+        every = list(chain.from_iterable(columns))
+        if every and not 0 <= min(every) <= max(every) < n_cols:
+            raise InputError("an entry lies outside the columns")
+        if sum(map(len, map(set, columns))) != len(every):
+            raise InputError("a row names a column twice")
         vectors = [tuple(v for _, v in entry) for entry in entries]
         rows = tuple(range(len(vectors)))
         fills = tuple(zip(rows))  # row i is filled by vector i alone
@@ -393,13 +446,20 @@ class GenericMatrix:
         """The peeled rows, plus the rank of the core. Only core rows are
         built, and they go in sorted by their leading column (``_lead_key``),
         which the rank does not depend on; a row then mostly meets pivots
-        that lead before it."""
+        that lead before it. Once the core's rank reaches the layout's
+        ``rank_bound`` less the peeled rows, which are independent of all
+        others, every later row is dependent at this draw, and none is
+        built; the rows that are likely to reach it first go in first
+        (``Layout``)."""
         peeled, core = self._peel(by_lead=True)
         columns, values = self.layout.columns, self._values
         echelon = Echelon(self.p)
-        return peeled + sum(
-            echelon.insert(dict(zip(columns[i], values(i)))) is not None for i in core
-        )
+        pivots, cap = echelon.pivots, self.layout.rank_bound - peeled
+        for i in core:
+            if len(pivots) >= cap:
+                break
+            echelon.insert(dict(zip(columns[i], values(i))))
+        return peeled + len(pivots)
 
     def left_kernel(self) -> list[tuple[int, ...]]:
         """Basis of row dependencies: vectors w with w * M = 0.
@@ -414,8 +474,6 @@ class GenericMatrix:
         """
         n, m = self.n_rows, self.n_cols
         columns, values = self.layout.columns, self._values
-        if any(c >= m for cols in columns for c in cols):
-            raise InputError("an entry lies past the last column")
         peeled, core = self._peel(by_lead=False)
         echelon = Echelon(self.p)
         basis = []

@@ -147,7 +147,9 @@ def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> Layout:
     on the blocks; an edge row's check in one endpoint's block reads the
     other endpoint's vector. The columns then hold the peeled blocks in
     peel order, the core rows' vertices in minimum-degree order of the core
-    edges, which meet no other vertex, and the rest.
+    edges, which meet no other vertex, and the rest. When k <= |A| and
+    l <= |B|, the rank is at most ``max_rank`` at every draw, which the
+    layout keeps as its ``rank_bound``.
     """
     n = g.a_size
     row_labels = tuple(g.edge_list())
@@ -162,7 +164,8 @@ def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> Layout:
     columns = [every[first[b] : first[b] + w] for b, w in enumerate(widths)]  # per block
     row_columns = tuple([columns[u] + columns[v] for u, v in ends])
     labels = [*zip(repeat("A"), range(1, n + 1)), *zip(repeat("B"), range(1, g.b_size + 1))]
-    return Layout(row_labels, row_columns, fills, widths, order, labels, *peeling)
+    bound = max_rank(g, k, l) if k <= n and l <= g.b_size else None
+    return Layout(row_labels, row_columns, fills, widths, order, labels, *peeling, bound)
 
 
 def build_rigidity_matrix(

@@ -183,10 +183,15 @@ def test_trial_policy_validation():
 def test_matrix_label_validation():
     with pytest.raises(InputError):
         GenericMatrix.from_entries(P, (((0, 1),),), row_labels=(), n_cols=1)
-    # a left kernel keeps its row combinations in the columns past the last
-    past = GenericMatrix.from_entries(P, (((0, 1),), ((1, 1),)), (0, 1), 1)
-    with pytest.raises(InputError, match="past the last column"):
-        past.left_kernel()
+    # a left kernel keeps its row combinations in the columns past the last,
+    # and a rank stops at the column count, so a column out of range is
+    # refused when the matrix is made, before either runs
+    for entries in [(((0, 1),), ((1, 1),)), (((0, 1),), ((-1, 1),))]:
+        with pytest.raises(InputError, match="outside the columns"):
+            GenericMatrix.from_entries(P, entries, (0, 1), 1)
+    # a row that names one column twice would keep only its last value
+    with pytest.raises(InputError, match="twice"):
+        GenericMatrix.from_entries(101, [[(0, 1), (0, 100)], [(1, 2)]], ["r", "s"], 2)
 
 
 def test_sample_theta_prefix_streams():

@@ -5,8 +5,9 @@ vertex vectors, and every later change that claims the same outputs must
 keep them: the sha256 of each stress basis, as JSON, and of the stdout of
 the CLI's small-prime, one-trial commands, which take the peel's fallback
 and the echelon's degenerate draws. The shift digests were recorded before
-already-shifted components were settled without elimination, and the
-prefix walk's digests before a walk step stopped at its rank cap.
+already-shifted components were settled without elimination, the prefix
+walk's digests before a walk step stopped at its rank cap, and the rank
+digests of dense graphs before a rank stopped at its layout's bound.
 """
 
 import hashlib
@@ -40,6 +41,14 @@ def half_dense_6x6() -> BipartiteGraph:
     rng = random.Random(1)
     pairs = [(i, j) for i in range(1, 7) for j in range(1, 7)]
     return BipartiteGraph(6, 6, frozenset(e for e in pairs if rng.random() < 0.5))
+
+
+def half_dense_10x11() -> BipartiteGraph:
+    """Half of the 110 edges of K_{10,11}, rigid at (3,2): its layout's
+    rank bound, 47, lies below its 53 core rows."""
+    rng = random.Random(11)
+    pairs = [(i, j) for i in range(1, 11) for j in range(1, 12)]
+    return BipartiteGraph(10, 11, frozenset(rng.sample(pairs, len(pairs) // 2)))
 
 
 def random_complex_334() -> BalancedComplex:
@@ -95,6 +104,7 @@ INPUTS = {
     "cp4.json": ["generate", "cross-polytope", "--d", "4"],
     "gamma334.json": ["generate", "gamma", "--d", "2", "--sizes", "3,3,4"],
     "k43.json": ["generate", "complete", "--n", "4", "--m", "3"],
+    "k88.json": ["generate", "complete", "--n", "8", "--m", "8"],
 }
 
 #: inputs no ``generate`` command builds, written from their JSON form
@@ -102,6 +112,7 @@ WRITTEN = {
     "random334.json": random_complex_334,
     "half6.json": half_dense_6x6,
     "half8x9.json": half_dense_8x9,
+    "half10x11.json": half_dense_10x11,
 }
 
 #: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout.
@@ -153,6 +164,20 @@ SHIFT_DIGESTS = {
 }
 
 
+#: ranks whose layout's bound lies below their core rows, recorded before a
+#: rank stopped at that bound: sha256 of stdout. K_{8,8} at (4,4) has 64
+#: rows and rank 48; the half-dense graph's one trial at p = 2 ends below
+#: the bound, so every row goes in
+RANK_BOUND_DIGESTS = {
+    "analyze --graph k88.json -k 4 -l 4":
+        "866871119cefcc1a7f3affb2206a03c521f6cce0daacce92304175f0c9f259e3",
+    "analyze --graph half10x11.json -k 3 -l 2":
+        "626032c62e9da99f628d1bbc1c6257df827080e4fa0ed1b3d3e7271a0dcef0da",
+    "analyze --graph half10x11.json -k 3 -l 2 --prime 2 --trials 1":
+        "9299bb8b832cc08cc7c5e532a8aa8eb7c45187a227f91c06c7be8d95eee10b3b",
+}
+
+
 def run_cli(tmp_path, capsys, command) -> tuple[int, str]:
     """The exit code and stdout of ``command``, its ``.json`` arguments read
     from the inputs written under ``tmp_path``."""
@@ -170,6 +195,12 @@ def run_cli(tmp_path, capsys, command) -> tuple[int, str]:
 def test_small_prime_cli_outputs_keep_their_digests(tmp_path, capsys, command):
     code, out = run_cli(tmp_path, capsys, command)
     assert (code, sha256(out)) == (0, CLI_DIGESTS[command])
+
+
+@pytest.mark.parametrize("command", list(RANK_BOUND_DIGESTS))
+def test_capped_ranks_keep_their_digests(tmp_path, capsys, command):
+    code, out = run_cli(tmp_path, capsys, command)
+    assert (code, sha256(out)) == (0, RANK_BOUND_DIGESTS[command])
 
 
 @pytest.mark.parametrize("command", list(SHIFT_DIGESTS))
