@@ -51,10 +51,11 @@ l|A| + k|B| - kl for a (k,l)-rigidity matrix with k <= |A| and l <= |B|,
 the rank of the complete graph's. Peeled rows that pass their checks are
 independent of all others, so once the core's rank reaches the bound less
 them, every later core row is dependent at that draw, at every prime, and
-``rank`` builds none of them. When the bound lies below the core's row
-count, the core goes in with the rows that can be charged to free slots of
-their blocks first (after the pebble games of Lee and Streinu, 2008), so
-the rank reaches the bound sooner. A left kernel reads every row.
+``rank`` builds none of them. When the bound less the peeled rows lies
+below the core's row count, the core goes in with the rows that can be
+charged to free slots of their blocks first (after the pebble games of Lee
+and Streinu, 2008), so the rank reaches the bound sooner; any other core
+goes in by lead alone. A left kernel reads every row.
 """
 
 from __future__ import annotations
@@ -214,12 +215,14 @@ class Layout:
     ``rank_bound`` bounds the rank at every draw: the least of the row
     count, the column count and a bound the builder knows, such as the
     rank of the complete graph's rigidity matrix. ``core_by_lead`` is the
-    core sorted by ``_lead_key``; when the bound lies below the core's row
-    count, ``rank`` stops before the last core rows, so the rows that can
-    be charged to free block slots come first (``_charged_first``). The
-    column bound holds because each row names distinct columns in range: a
-    builder's row is whole blocks of its own layout, and
-    ``GenericMatrix.from_entries`` checks explicit rows.
+    core sorted by ``_lead_key``; when the bound less the peeled rows lies
+    below the core's row count, ``rank`` stops before the last core rows,
+    so the rows that can be charged to free block slots come first
+    (``_charged_first``). A core that ``rank`` reads to its end keeps the
+    lead order, as charging it too gains nothing and slowed sparse graphs
+    (sparse-graphs calls/s -1.6%). The column bound holds because each row
+    names distinct columns in range: a builder's row is whole blocks of its
+    own layout, and ``GenericMatrix.from_entries`` checks explicit rows.
     """
 
     row_labels: tuple
@@ -245,7 +248,7 @@ class Layout:
         object.__setattr__(self, "rank_bound", bound)
         keys = {i: _lead_key(columns[i]) for i in self.core}
         by_lead = sorted(keys, key=keys.__getitem__)
-        if bound < len(by_lead):
+        if bound - len(self.peeled) < len(by_lead):
             by_lead = self._charged_first(by_lead)
         object.__setattr__(self, "core_by_lead", tuple(by_lead))
 

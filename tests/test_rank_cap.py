@@ -143,6 +143,20 @@ def test_dense_ranks_insert_fewer_rows(monkeypatch, name, g, k, l, bound):
     assert len(counts) == bound - peeled < PARENT_INSERTS[name]
 
 
+def test_the_charge_order_follows_the_cap_not_the_bound(monkeypatch):
+    # K_{4,4} with four more B vertices, each joined to A1 and A2, at (2,2):
+    # the bound, 20, covers the 16 core rows, but the 8 peeled rows leave a
+    # cap of 12 below them, so the core goes in charged first and the rank
+    # inserts 12 rows, none dependent; by lead alone it inserts 14
+    edges = complete_edges(4, 4) | {(a, b) for a in (1, 2) for b in range(5, 9)}
+    m = matrix(BipartiteGraph(4, 8, frozenset(edges)), 2, 2, DEFAULT_PRIME, 0)
+    layout = m.layout
+    assert len(layout.peeled) == 8 and layout.rank_bound == 20 >= len(layout.core) == 16
+    counts = _watch_inserts(monkeypatch)
+    assert m.rank() == 20
+    assert len(counts) == 12
+
+
 def _write(tmp_path, g: BipartiteGraph) -> str:
     path = tmp_path / "g.json"
     path.write_text(json.dumps(g.to_json_dict()))
