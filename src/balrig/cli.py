@@ -56,13 +56,16 @@ def _load_complex(path: str) -> BalancedComplex:
 
 def _parse_graph_order(spec: str) -> VertexOrder:
     """Explicit order tokens look like A1,B1,A2,...; coverage of the graph
-    is ``shift_graph``'s check."""
+    is ``shift_graph``'s check. Indices are ASCII decimals: ``str.isdigit``
+    also holds for superscripts, which ``int`` refuses, and for other
+    scripts' digits, which ``int`` reads."""
     seq = []
     for token in spec.split(","):
         token = token.strip()
-        if len(token) < 2 or token[0] not in "AB" or not token[1:].isdigit():
+        index = token[1:]
+        if len(token) < 2 or token[0] not in "AB" or not (index.isascii() and index.isdigit()):
             raise InputError(f"bad order token {token!r}; expected like A1 or B2")
-        seq.append((token[0], int(token[1:])))
+        seq.append((token[0], int(index)))
     return VertexOrder(seq)
 
 

@@ -63,10 +63,10 @@ number of cells picked among the pairs whose earlier vertex is the t-th, and
 since Delta is shifted those are the first ones. The walk inserts the star
 rows into one greedy basis step by step, drawing one row of the prefix
 stream per step, and stops when the rank reaches E. No E×E candidate
-elimination runs, and a sparse graph is done after a few steps; K_{n,n}
-needs all 2n steps, while the greedy settles it without elimination. The
-route rule (``_walk_is_short``) takes the walk when a lower bound on its
-steps, computed from the sizes, E and the order, is at most 2V/5 + 1.
+elimination runs, and a sparse graph is done after a few steps. A graph
+that is already shifted is its own shift, and the greedy settles it
+without elimination, so such a graph takes the greedy trial and every
+other graph the walk.
 
 The walk reads the rows the greedy reads, so for every draw its counts are
 the greedy's, and it names the same cells when the greedy's set is shifted.
@@ -139,8 +139,9 @@ _TOO_SMALL = (
 )
 
 
-#: Largest side or color a shift accepts: on the greedy route a graph offers
-#: up to |A||B| candidates, each expanded over the edges it touches.
+#: Largest side or color a shift accepts: a graph's prefix walk offers at
+#: each of its |A| + |B| steps one star row per vertex of the other side,
+#: each over that vertex's edges.
 SHIFT_SIDE_CAP = 256
 #: Most candidates a complex shift may offer, bounded before any face is
 #: derived by the sum over the facets' color sets T of prod(1 + s_c), c in T:
@@ -346,27 +347,6 @@ def _edge_trial(g: BipartiteGraph, order: VertexOrder):
     )
 
 
-def _walk_is_short(g: BipartiteGraph, order: VertexOrder) -> bool:
-    """The route rule: whether the prefix walk, rather than the greedy,
-    runs the trials. After a A-vertices and b B-vertices of the order at
-    most a|B| + b|A| - ab candidates have been offered, so the walk takes at
-    least s steps, s the first step at which that count reaches E. The walk
-    is taken when s <= 2V/5 + 1, V = |A| + |B|; this depends on the sizes, E
-    and the order only, never on a draw. Edge density does not predict the
-    crossover: the walk is the faster route on trees, quadrangulations and
-    K_{2,n}, and the slower one on K_{n,n}, which needs all 2n steps."""
-    n, m, e = g.a_size, g.b_size, g.n_edges
-    a = b = 0
-    for step, (side, _) in enumerate(order.sequence, start=1):
-        if side == "A":
-            a += 1
-        else:
-            b += 1
-        if a * m + b * n - a * b >= e:
-            return 5 * (step - 1) <= 2 * (n + m)
-    return True  # no vertices, no edges
-
-
 def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
     """One shifting trial of g's edges by the prefix walk, as a function of
     (p, seed) that returns the shifted edge set.
@@ -452,9 +432,9 @@ def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
 
 
 def _graph_trial(g: BipartiteGraph, order: VertexOrder):
-    """The trial ``shift_graph`` runs: the prefix walk where the route rule
-    takes it, the greedy trial elsewhere."""
-    return (_prefix_trial if _walk_is_short(g, order) else _edge_trial)(g, order)
+    """The trial ``shift_graph`` runs: the greedy trial, which settles it,
+    when g is already shifted, the prefix walk otherwise."""
+    return (_edge_trial if check_shifted(g) else _prefix_trial)(g, order)
 
 
 def shift_graph(
@@ -466,9 +446,10 @@ def shift_graph(
 
     Defaults to the interleaved order. The result has the same number of
     edges, is balanced-shifted, and is reproducible from (seed, prime, order).
-    The trials take the prefix walk or the greedy by the route rule
-    (``_graph_trial``). An order that does not list every vertex, then sides
-    over ``SHIFT_SIDE_CAP``, are refused before anything is drawn.
+    A shifted g is settled by the greedy trial, any other g takes the
+    prefix walk (``_graph_trial``). An order that does not list every
+    vertex, then sides over ``SHIFT_SIDE_CAP``, are refused before anything
+    is drawn.
     """
     if order is not None and not order.covers_graph(g):
         raise InputError("vertex order does not list every vertex of the graph exactly once")

@@ -110,6 +110,17 @@ def test_shift_with_explicit_order(capsys, tmp_path):
     assert len(json.loads(out)["edges"]) == 4
 
 
+@pytest.mark.parametrize("order", ["A\u00b2,A1,B1,B2", "A1,A\u0662,B1,B2", "A1,A2,B\uff11,B2"])
+def test_shift_refuses_order_indices_that_are_not_ascii_decimals(capsys, tmp_path, order):
+    # a superscript two passes str.isdigit but not int; an Arabic-Indic or a
+    # fullwidth digit passes both and would be read as a plain index
+    path = write_graph(tmp_path, fam.complete_bipartite(2, 2))
+    rc, out = run_cli(capsys, "shift", "--graph", path, "--order", order)
+    assert rc == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InputError" and "bad order token" in err["message"]
+
+
 def test_shift_complex(capsys, tmp_path):
     path = write_complex(tmp_path, fam.cross_polytope_boundary(3))
     rc, out = run_cli(capsys, "shift", "--complex", path)

@@ -6,8 +6,10 @@ keep them: the sha256 of each stress basis, as JSON, and of the stdout of
 the CLI's small-prime, one-trial commands, which take the peel's fallback
 and the echelon's degenerate draws. The shift digests were recorded before
 already-shifted components were settled without elimination, the prefix
-walk's digests before a walk step stopped at its rank cap, and the rank
-digests of dense graphs before a rank stopped at its layout's bound.
+walk's digests before a walk step stopped at its rank cap, the rank
+digests of dense graphs before a rank stopped at its layout's bound, and
+the last three shift digests before a graph's route turned on whether it is
+shifted.
 """
 
 import hashlib
@@ -36,8 +38,8 @@ def half_dense_8x9() -> BipartiteGraph:
 
 
 def half_dense_6x6() -> BipartiteGraph:
-    """A half-dense graph, not shifted, that the route rule sends to the
-    greedy shifting trial."""
+    """A half-dense graph, not shifted: recorded on the greedy shifting
+    trial, it now takes the prefix walk."""
     rng = random.Random(1)
     pairs = [(i, j) for i in range(1, 7) for j in range(1, 7)]
     return BipartiteGraph(6, 6, frozenset(e for e in pairs if rng.random() < 0.5))
@@ -49,6 +51,15 @@ def half_dense_10x11() -> BipartiteGraph:
     rng = random.Random(11)
     pairs = [(i, j) for i in range(1, 11) for j in range(1, 12)]
     return BipartiteGraph(10, 11, frozenset(rng.sample(pairs, len(pairs) // 2)))
+
+
+def dense_8x8() -> BipartiteGraph:
+    """58 of the 64 edges of K_{8,8}: not shifted, recorded on the greedy
+    shifting trial before the route turned on shiftedness; it now takes the
+    prefix walk."""
+    rng = random.Random(8)
+    pairs = [(i, j) for i in range(1, 9) for j in range(1, 9)]
+    return BipartiteGraph(8, 8, frozenset(rng.sample(pairs, 58)))
 
 
 def random_complex_334() -> BalancedComplex:
@@ -105,6 +116,7 @@ INPUTS = {
     "gamma334.json": ["generate", "gamma", "--d", "2", "--sizes", "3,3,4"],
     "k43.json": ["generate", "complete", "--n", "4", "--m", "3"],
     "k88.json": ["generate", "complete", "--n", "8", "--m", "8"],
+    "k29.json": ["generate", "complete", "--n", "2", "--m", "9"],
 }
 
 #: inputs no ``generate`` command builds, written from their JSON form
@@ -113,6 +125,7 @@ WRITTEN = {
     "half6.json": half_dense_6x6,
     "half8x9.json": half_dense_8x9,
     "half10x11.json": half_dense_10x11,
+    "dense8.json": dense_8x8,
 }
 
 #: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout.
@@ -136,7 +149,7 @@ CLI_DIGESTS = {
 #: without elimination: (exit code, sha256 of stdout). cp4, gamma and K_{4,3}
 #: are shifted; the glued complex is not, and its one trial at p = 2 agrees
 #: on a non-shifted face set (exit 3); the random complex and the half-dense
-#: graph, on the greedy route, are not shifted either
+#: graph, which now takes the prefix walk, are not shifted either
 SHIFT_DIGESTS = {
     "shift --complex cp4.json --prime 2 --trials 1":
         (0, "308fff2320554bde900f902f8bdf1e124ac558f12d09e025e6b30b7c81ab6620"),
@@ -161,6 +174,14 @@ SHIFT_DIGESTS = {
         (0, "65e614cf87d4a3919a28bb57429406a16501df8a90aa2981b2406f14ba6f03e7"),
     "shift --graph half8x9.json --prime 3 --trials 1":
         (0, "0ed060ec4b03aa6e3eb1304055fd7581b4bb27c65ff49fc1b38a541b1b62b2e3"),
+    # recorded before the route turned on shiftedness: K_{2,9} took the walk
+    # and is now settled; the dense graph took the greedy and now walks
+    "shift --graph k29.json":
+        (0, "6eda1b9749e18f1c0fb4b8f6a843ff858f5316d01078de7b2140d4145d03a1f4"),
+    "shift --graph k29.json --prime 2 --trials 1":
+        (0, "55f487d08cd35edcf65d9913699c850c2aafa4667056f9a35bbc9346c24f336b"),
+    "shift --graph dense8.json":
+        (0, "23df0882c3ec2dd02c3ce1bae95bbf574c552ed3b4e0f2ca3fc44b4f753c1cc6"),
 }
 
 

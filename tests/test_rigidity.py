@@ -486,8 +486,8 @@ def _record_draws(monkeypatch, module):
 
 def test_analyze_rows_lead_shift_blocks(monkeypatch):
     g = fam.complete_bipartite(5, 6)
-    # the route rule sends this graph to the greedy, which draws full blocks
-    assert not shifting._walk_is_short(g, VertexOrder.interleaved_graph(5, 6))
+    # a shifted graph takes the greedy trial, which draws full blocks
+    assert shifting.check_shifted(g)
     analyze_draws = _record_draws(monkeypatch, rigidity)
     shift_draws = _record_draws(monkeypatch, shifting)
     analyze(g, 2, 2, POLICY)

@@ -34,7 +34,7 @@ def K(n, m):
 
 
 def half_dense_6x6():
-    # not shifted, and the route rule sends it to the greedy
+    # not shifted, so shift_graph takes the prefix walk
     rng = random.Random(1)
     pairs = sorted(complete_edges(6, 6))
     return BipartiteGraph(6, 6, frozenset(e for e in pairs if rng.random() < 0.5))
@@ -42,6 +42,11 @@ def half_dense_6x6():
 
 def k33_minus():
     return BipartiteGraph(3, 3, complete_edges(3, 3) - {(3, 3)})
+
+
+def k33_minus_first():
+    # K_{3,3} less its first edge: dense, and not shifted
+    return BipartiteGraph(3, 3, complete_edges(3, 3) - {(1, 1)})
 
 
 def test_complete_graphs_are_fixpoints():
@@ -106,9 +111,10 @@ def test_greedy_expansion_rows_select_all_but_last_pair():
 
 
 def test_a_trial_eliminates_no_parameter_block(monkeypatch):
-    # the draw is unit upper triangular already, so one shifting trial of a
-    # graph that is not shifted builds one echelon, the greedy basis, and
-    # inserts only candidates; a complete graph settles and builds none
+    # the draw is unit upper triangular already, so one greedy shifting
+    # trial of a graph that is not shifted builds one echelon, the greedy
+    # basis, and inserts only candidates; a complete graph settles and
+    # builds none
     created, inserted = [], []
     init, insert = exactla.Echelon.__init__, exactla.Echelon.insert
 
@@ -122,15 +128,15 @@ def test_a_trial_eliminates_no_parameter_block(monkeypatch):
 
     monkeypatch.setattr(exactla.Echelon, "__init__", counting_init)
     monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
+    p = TrialPolicy().prime
     g = half_dense_6x6()
-    assert not check_shifted(g) and not shifting._walk_is_short(g, _default_order(g))
-    shift_graph(g, policy=TrialPolicy(trials=1))
+    assert not check_shifted(g)
+    assert len(shifting._edge_trial(g, _default_order(g))(p, 0)) == g.n_edges
     assert len(created) == 1
     assert inserted == created * len(inserted) and len(inserted) >= g.n_edges
     created.clear()
     g = K(4, 3)
-    assert not shifting._walk_is_short(g, _default_order(g))
-    assert shift_graph(g, policy=TrialPolicy(trials=1)).graph == g
+    assert shifting._edge_trial(g, _default_order(g))(p, 0) == g.edges
     assert created == []
 
 
@@ -345,20 +351,29 @@ def _refuse(*args):
     raise AssertionError("this route must not run")
 
 
-def test_the_route_rule_sends_complete_graphs_to_the_greedy(monkeypatch):
+def _staircase(n):
+    # the shifted graph whose A-vertex i is joined to B-vertices 1..n+1-i
+    edges = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i))
+    return BipartiteGraph(n, n, edges)
+
+
+def test_the_route_rule_sends_shifted_graphs_to_the_greedy(monkeypatch):
     monkeypatch.setattr(shifting, "_prefix_trial", _refuse)
-    for g in [K(n, n) for n in range(3, 9)] + [K(3, 4)]:
-        assert not shifting._walk_is_short(g, _default_order(g))
-        assert shift_graph(g).graph == g
-
-
-def test_the_route_rule_sends_sparse_and_thin_graphs_to_the_walk(monkeypatch):
-    monkeypatch.setattr(shifting, "_edge_trial", _refuse)
-    graphs = [fam.random_quadrangulation(f, seed=f) for f in (8, 16, 64)]
-    graphs += [fam.random_tree(n, m, seed=n) for n, m in ((3, 4), (10, 10), (40, 25))]
-    graphs.append(K(2, 20))
+    graphs = [K(n, n) for n in range(3, 9)] + [K(3, 4), K(2, 20), _staircase(20)]
+    graphs.append(fam.random_quadrangulation(8, seed=8))  # K_{8,2}
     for g in graphs:
-        assert shifting._walk_is_short(g, _default_order(g))
+        assert check_shifted(g)
+        for order in (_default_order(g), VertexOrder.admissible_graph(g.a_size, g.b_size, 2, 1)):
+            assert shift_graph(g, order).graph == g
+
+
+def test_the_route_rule_sends_graphs_that_are_not_shifted_to_the_walk(monkeypatch):
+    monkeypatch.setattr(shifting, "_edge_trial", _refuse)
+    graphs = [fam.random_quadrangulation(f, seed=1) for f in (8, 16, 64)]
+    graphs += [fam.random_tree(n, m, seed=n) for n, m in ((3, 4), (10, 10), (40, 25))]
+    graphs += [half_dense_6x6(), k33_minus_first()]
+    for g in graphs:
+        assert not check_shifted(g)
         sg = shift_graph(g).graph
         assert sg.n_edges == g.n_edges and check_shifted(sg)
 
