@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import cache
 
@@ -54,39 +55,43 @@ def _load_complex(path: str) -> BalancedComplex:
     return BalancedComplex.from_json_dict(_load_json(path))
 
 
-def _parse_graph_order(spec: str) -> VertexOrder:
-    """Explicit order tokens look like A1,B1,A2,...; coverage of the graph
-    is ``shift_graph``'s check. Indices are ASCII decimals: ``str.isdigit``
-    also holds for superscripts, which ``int`` refuses, and for other
-    scripts' digits, which ``int`` reads."""
-    seq = []
+#: An index on the command line: a non-empty run of ASCII digits. ``int``
+#: also reads signs, underscores, spaces and other scripts' digits.
+_INDEX = "([0-9]+)"
+
+
+def _read_tokens(spec: str, pattern: str, message: str) -> list[tuple[str, ...]]:
+    """The groups of each comma-separated token of ``spec``, stripped, that
+    ``pattern`` matches whole; any other token raises ``InputError`` with
+    ``message`` formatted for the token and the spec."""
+    groups = []
     for token in spec.split(","):
         token = token.strip()
-        index = token[1:]
-        if len(token) < 2 or token[0] not in "AB" or not (index.isascii() and index.isdigit()):
-            raise InputError(f"bad order token {token!r}; expected like A1 or B2")
-        seq.append((token[0], int(index)))
-    return VertexOrder(seq)
+        match = re.fullmatch(pattern, token)
+        if match is None:
+            raise InputError(message.format(token=token, spec=spec))
+        groups.append(match.groups())
+    return groups
+
+
+def _parse_graph_order(spec: str) -> VertexOrder:
+    """Explicit order tokens look like A1,B1,A2,...; coverage of the graph
+    is ``shift_graph``'s check."""
+    message = "bad order token {token!r}; expected like A1 or B2"
+    tokens = _read_tokens(spec, "([AB])" + _INDEX, message)
+    return VertexOrder((side, int(i)) for side, i in tokens)
 
 
 def _parse_complex_order(spec: str) -> VertexOrder:
     """Explicit order tokens look like 1.1,2.1,... as color.index pairs."""
-    seq = []
-    for token in spec.split(","):
-        token = token.strip()
-        try:
-            color, idx = token.split(".")
-            seq.append((int(color), int(idx)))
-        except ValueError as exc:
-            raise InputError(f"bad order token {token!r}; expected color.index") from exc
-    return VertexOrder(seq)
+    message = "bad order token {token!r}; expected color.index"
+    tokens = _read_tokens(spec, _INDEX + r"\." + _INDEX, message)
+    return VertexOrder((int(c), int(i)) for c, i in tokens)
 
 
 def _parse_sizes(spec: str) -> list[int]:
-    try:
-        return [int(s) for s in spec.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad --sizes {spec!r}; expected integers like 3,3,4") from exc
+    message = "bad --sizes {spec!r}; expected integers like 3,3,4"
+    return [int(s) for (s,) in _read_tokens(spec, _INDEX, message)]
 
 
 def _jsonable(verdict):

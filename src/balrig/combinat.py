@@ -8,7 +8,9 @@ closure is derived once, on first use, and kept on the complex together with
 its faces grouped by color support; face queries, face counts and shifting
 all read that one face set. Transforms return
 new values together with explicit old-to-new vertex maps so callers can track
-vertices across operations.
+vertices across operations. The graph operations (deletion, contraction,
+cones, induced subgraphs and gluing) each build only their vertex map, plus
+any new edges, and go through one relabelling, ``_relabel``.
 """
 
 from __future__ import annotations
@@ -158,34 +160,52 @@ class Gluing(NamedTuple):
     map2: dict[Vertex, Vertex]
 
 
-def _dense_map(size: int, removed: set[int]) -> dict[int, int]:
-    """Old index -> new index after deleting ``removed``, order preserved."""
-    out = {}
-    new = 0
-    for old in range(1, size + 1):
-        if old not in removed:
-            new += 1
-            out[old] = new
-    return out
+def _relabel(
+    g: BipartiteGraph,
+    vmap: dict[Vertex, Vertex],
+    a_size: int,
+    b_size: int,
+    extra: Iterable[tuple[int, int]] = (),
+) -> GraphTransform:
+    """g's edges carried through ``vmap`` onto sides of sizes ``a_size`` and
+    ``b_size``, with the ``extra`` edges added: an edge at a vertex that
+    ``vmap`` leaves out is dropped, and edges that land together merge."""
+    edges = {
+        (vmap[("A", i)][1], vmap[("B", j)][1])
+        for i, j in g.edges
+        if ("A", i) in vmap and ("B", j) in vmap
+    }
+    edges.update(extra)
+    return GraphTransform(BipartiteGraph(a_size, b_size, frozenset(edges)), vmap)
+
+
+def induced_subgraph(
+    g: BipartiteGraph, a_subset: Iterable[int], b_subset: Iterable[int]
+) -> GraphTransform:
+    """Restriction of g to the chosen side-A and side-B indices."""
+    a_keep = sorted(set(a_subset))
+    b_keep = sorted(set(b_subset))
+    for i in a_keep:
+        if not 1 <= i <= g.a_size:
+            raise InputError(f"A-index {i} out of range")
+    for j in b_keep:
+        if not 1 <= j <= g.b_size:
+            raise InputError(f"B-index {j} out of range")
+    vmap = {
+        (side, old): (side, new)
+        for side, keep in (("A", a_keep), ("B", b_keep))
+        for new, old in enumerate(keep, start=1)
+    }
+    return _relabel(g, vmap, len(a_keep), len(b_keep))
 
 
 def delete_vertex(g: BipartiteGraph, v: Vertex) -> GraphTransform:
     """Induced subgraph on all vertices except v; indices reindexed densely."""
     if not g.has_vertex(v):
         raise InputError(f"unknown vertex {v}")
-    side, idx = v
-    amap = _dense_map(g.a_size, {idx} if side == "A" else set())
-    bmap = _dense_map(g.b_size, {idx} if side == "B" else set())
-    if side == "A":
-        kept = [(i, j) for i, j in g.edges if i != idx]
-    else:
-        kept = [(i, j) for i, j in g.edges if j != idx]
-    graph = BipartiteGraph(
-        len(amap), len(bmap), frozenset((amap[i], bmap[j]) for i, j in kept)
-    )
-    vmap: dict[Vertex, Vertex] = {("A", o): ("A", n) for o, n in amap.items()}
-    vmap.update({("B", o): ("B", n) for o, n in bmap.items()})
-    return GraphTransform(graph, vmap)
+    a_keep = [i for i in range(1, g.a_size + 1) if ("A", i) != v]
+    b_keep = [j for j in range(1, g.b_size + 1) if ("B", j) != v]
+    return induced_subgraph(g, a_keep, b_keep)
 
 
 def contract(g: BipartiteGraph, u: Vertex, v: Vertex) -> Contraction:
@@ -202,18 +222,14 @@ def contract(g: BipartiteGraph, u: Vertex, v: Vertex) -> Contraction:
     if not (g.has_vertex(u) and g.has_vertex(v)):
         raise InputError("unknown vertex in contraction")
     common = len(g.neighbors(u) & g.neighbors(v))
-    side = u[0]
-    if side == "A":
-        moved = {(v[1], j) for i, j in g.edges if i == u[1]}
-        kept = {(i, j) for i, j in g.edges if i != u[1]}
-    else:
-        moved = {(i, v[1]) for i, j in g.edges if j == u[1]}
-        kept = {(i, j) for i, j in g.edges if j != u[1]}
-    merged = BipartiteGraph(g.a_size, g.b_size, frozenset(kept | moved))
-    deleted = delete_vertex(merged, u)
-    vmap = dict(deleted.vertex_map)
-    vmap[u] = deleted.vertex_map[v]
-    return Contraction(deleted.graph, common, vmap)
+    side, gone = u
+    # deleting u moves each later vertex of its side down by one
+    vmap = {
+        (s, i): (s, i - (s == side and i > gone)) for s, i in g.vertices() if (s, i) != u
+    }
+    vmap[u] = vmap[v]
+    res = _relabel(g, vmap, g.a_size - (side == "A"), g.b_size - (side == "B"))
+    return Contraction(res.graph, common, vmap)
 
 
 def cone_left(g: BipartiteGraph) -> GraphTransform:
@@ -221,47 +237,16 @@ def cone_left(g: BipartiteGraph) -> GraphTransform:
 
     The new vertex becomes ("A", 1); existing A-indices shift up by one.
     """
-    edges = {(i + 1, j) for i, j in g.edges} | {
-        (1, j) for j in range(1, g.b_size + 1)
-    }
-    graph = BipartiteGraph(g.a_size + 1, g.b_size, frozenset(edges))
-    vmap: dict[Vertex, Vertex] = {("A", i): ("A", i + 1) for i in range(1, g.a_size + 1)}
-    vmap.update({("B", j): ("B", j) for j in range(1, g.b_size + 1)})
-    return GraphTransform(graph, vmap)
+    vmap = {(s, i): (s, i + (s == "A")) for s, i in g.vertices()}
+    cone = [(1, j) for j in range(1, g.b_size + 1)]
+    return _relabel(g, vmap, g.a_size + 1, g.b_size, cone)
 
 
 def cone_right(g: BipartiteGraph) -> GraphTransform:
     """Mirror of cone_left: new B-vertex ("B", 1) joined to every A-vertex."""
-    edges = {(i, j + 1) for i, j in g.edges} | {
-        (i, 1) for i in range(1, g.a_size + 1)
-    }
-    graph = BipartiteGraph(g.a_size, g.b_size + 1, frozenset(edges))
-    vmap: dict[Vertex, Vertex] = {("B", j): ("B", j + 1) for j in range(1, g.b_size + 1)}
-    vmap.update({("A", i): ("A", i) for i in range(1, g.a_size + 1)})
-    return GraphTransform(graph, vmap)
-
-
-def induced_subgraph(
-    g: BipartiteGraph, a_subset: Iterable[int], b_subset: Iterable[int]
-) -> GraphTransform:
-    """Restriction of g to the chosen side-A and side-B indices."""
-    a_keep = sorted(set(a_subset))
-    b_keep = sorted(set(b_subset))
-    for i in a_keep:
-        if not 1 <= i <= g.a_size:
-            raise InputError(f"A-index {i} out of range")
-    for j in b_keep:
-        if not 1 <= j <= g.b_size:
-            raise InputError(f"B-index {j} out of range")
-    amap = {old: new for new, old in enumerate(a_keep, start=1)}
-    bmap = {old: new for new, old in enumerate(b_keep, start=1)}
-    edges = frozenset(
-        (amap[i], bmap[j]) for i, j in g.edges if i in amap and j in bmap
-    )
-    graph = BipartiteGraph(len(a_keep), len(b_keep), edges)
-    vmap: dict[Vertex, Vertex] = {("A", o): ("A", n) for o, n in amap.items()}
-    vmap.update({("B", o): ("B", n) for o, n in bmap.items()})
-    return GraphTransform(graph, vmap)
+    vmap = {(s, i): (s, i + (s == "B")) for s, i in g.vertices()}
+    cone = [(i, 1) for i in range(1, g.a_size + 1)]
+    return _relabel(g, vmap, g.a_size, g.b_size + 1, cone)
 
 
 def glue(
@@ -281,22 +266,16 @@ def glue(
     if len(set(ident.values())) != len(ident):
         raise InputError("identification must be injective")
 
-    map1 = {v: v for v in g1.vertices()}
     map2: dict[Vertex, Vertex] = {}
     sizes = {"A": g1.a_size, "B": g1.b_size}
-    for side, size2 in (("A", g2.a_size), ("B", g2.b_size)):
-        for idx in range(1, size2 + 1):
-            v = (side, idx)
-            if v in ident:
-                map2[v] = ident[v]
-            else:
-                sizes[side] += 1
-                map2[v] = (side, sizes[side])
-    edges = set(g1.edges)
-    for i, j in g2.edges:
-        edges.add((map2[("A", i)][1], map2[("B", j)][1]))
-    graph = BipartiteGraph(sizes["A"], sizes["B"], frozenset(edges))
-    return Gluing(graph, map1, map2)
+    for v in g2.vertices():
+        if v in ident:
+            map2[v] = ident[v]
+        else:
+            sizes[v[0]] += 1
+            map2[v] = (v[0], sizes[v[0]])
+    graph = _relabel(g2, map2, sizes["A"], sizes["B"], g1.edges).graph
+    return Gluing(graph, {v: v for v in g1.vertices()}, map2)
 
 
 # ---------------------------------------------------------------------------
@@ -614,17 +593,11 @@ def join_complexes(k1: BalancedComplex, k2: BalancedComplex) -> BalancedComplex:
 
 def graph_to_complex(g: BipartiteGraph) -> BalancedComplex:
     """The graph as a balanced 1-complex: side A is color 1, side B color 2."""
+    a_ends = {i for i, _ in g.edges}
+    b_ends = {j for _, j in g.edges}
     faces = [frozenset({(1, i), (2, j)}) for i, j in g.edges]
-    faces += [
-        frozenset({(1, i)})
-        for i in range(1, g.a_size + 1)
-        if not g.neighbors(("A", i))
-    ]
-    faces += [
-        frozenset({(2, j)})
-        for j in range(1, g.b_size + 1)
-        if not g.neighbors(("B", j))
-    ]
+    faces += [frozenset({(1, i)}) for i in range(1, g.a_size + 1) if i not in a_ends]
+    faces += [frozenset({(2, j)}) for j in range(1, g.b_size + 1) if j not in b_ends]
     if not faces:
         faces = [frozenset()]
     return BalancedComplex((g.a_size, g.b_size), frozenset(faces))

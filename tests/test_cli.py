@@ -110,15 +110,60 @@ def test_shift_with_explicit_order(capsys, tmp_path):
     assert len(json.loads(out)["edges"]) == 4
 
 
-@pytest.mark.parametrize("order", ["A\u00b2,A1,B1,B2", "A1,A\u0662,B1,B2", "A1,A2,B\uff11,B2"])
+@pytest.mark.parametrize(
+    "order",
+    ["A\u00b2,A1,B1,B2", "A1,A\u0662,B1,B2", "A1,A2,B\uff11,B2"]
+    + [f"A1,A{two},B1,B2" for two in ("+2", "0_2", " 2")],
+)
 def test_shift_refuses_order_indices_that_are_not_ascii_decimals(capsys, tmp_path, order):
     # a superscript two passes str.isdigit but not int; an Arabic-Indic or a
-    # fullwidth digit passes both and would be read as a plain index
+    # fullwidth digit passes both and would be read as a plain index, and so
+    # would a sign, an underscore or an inner space
     path = write_graph(tmp_path, fam.complete_bipartite(2, 2))
     rc, out = run_cli(capsys, "shift", "--graph", path, "--order", order)
     assert rc == 3
     err = json.loads(out)["error"]
     assert err["kind"] == "InputError" and "bad order token" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "token", ["1.\u0662", "1.+2", "1.0_2", "1. 2", "+1.2", "\u0661.2", "0_1.2"]
+)
+def test_shift_refuses_complex_order_indices_that_are_not_ascii_decimals(
+    capsys, tmp_path, token
+):
+    # int reads each of these indices, an Arabic-Indic digit, a sign, an
+    # underscore or an inner space among them, as 1 or 2
+    path = write_complex(tmp_path, fam.cross_polytope_boundary(2))
+    rc, out = run_cli(capsys, "shift", "--complex", path, "--order", f"1.1,2.1,{token},2.2")
+    assert rc == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InputError"
+    assert err["message"] == f"bad order token {token!r}; expected color.index"
+
+
+@pytest.mark.parametrize("sizes", ["3,3_0,3", "3,+3,3", "3,\u0663,3", "3,3 3,3", "3,,3", ""])
+def test_generate_refuses_sizes_that_are_not_ascii_decimals(capsys, sizes):
+    rc, out = run_cli(capsys, "generate", "gamma", "--d", "2", "--sizes", sizes)
+    assert rc == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InputError"
+    assert err["message"] == f"bad --sizes {sizes!r}; expected integers like 3,3,4"
+
+
+def test_tokens_are_read_stripped(capsys, tmp_path):
+    octa = write_complex(tmp_path, fam.cross_polytope_boundary(3))
+    k22 = write_graph(tmp_path, fam.complete_bipartite(2, 2))
+    cases = [
+        (["shift", "--complex", octa, "--order"],
+         "1.1,2.1,3.1,1.2,2.2,3.2", " 1.1, 2.1 ,3.1,1.2,2.2,3.2 "),
+        (["shift", "--graph", k22, "--order"], "A1,B1,A2,B2", "A1 , B1,A2,B2"),
+        (["generate", "gamma", "--d", "2", "--sizes"], "3,3,4", " 3,3 , 4"),
+    ]
+    for argv, spec, padded in cases:
+        rc, out = run_cli(capsys, *argv, spec)
+        assert rc == 0
+        assert run_cli(capsys, *argv, padded) == (0, out)
 
 
 def test_shift_complex(capsys, tmp_path):

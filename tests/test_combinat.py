@@ -406,6 +406,27 @@ def test_graph_complex_roundtrip():
     assert complex_to_graph(graph_to_complex(g)) == g
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_graph_to_complex_follows_the_definition(seed):
+    # edges are the 2-faces, isolated vertices the 1-faces, and a graph with
+    # no vertices has the empty face alone; sides may be empty
+    rng = random.Random(seed)
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    g = BipartiteGraph(n, m, frozenset(e for e in complete_edges(n, m) if rng.random() < 0.3))
+    want = {frozenset({(1, i), (2, j)}) for i, j in g.edges}
+    want |= {frozenset({(1, i)}) for i in range(1, n + 1) if not g.neighbors(("A", i))}
+    want |= {frozenset({(2, j)}) for j in range(1, m + 1) if not g.neighbors(("B", j))}
+    k = graph_to_complex(g)
+    assert k.color_sizes == (n, m)
+    assert k.facets == (want or {frozenset()})
+    assert complex_to_graph(k) == g
+
+
+def test_graph_to_complex_of_no_vertices_is_the_empty_face():
+    assert graph_to_complex(BipartiteGraph(0, 0, frozenset())).facets == {frozenset()}
+
+
 def test_subdivide_edge_of_square_with_path():
     # replace one edge of the square by a path of length 3
     k = graph_to_complex(K(2, 2))

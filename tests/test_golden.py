@@ -7,9 +7,10 @@ the CLI's small-prime, one-trial commands, which take the peel's fallback
 and the echelon's degenerate draws. The shift digests were recorded before
 already-shifted components were settled without elimination, the prefix
 walk's digests before a walk step stopped at its rank cap, the rank
-digests of dense graphs before a rank stopped at its layout's bound, and
-the last three shift digests before a graph's route turned on whether it is
-shifted.
+digests of dense graphs before a rank stopped at its layout's bound, the
+last three shift digests before a graph's route turned on whether it is
+shifted, and the graph operations' digest before they shared one
+relabelling.
 """
 
 import hashlib
@@ -21,7 +22,17 @@ import pytest
 
 from balrig import families as fam
 from balrig.cli import main
-from balrig.combinat import BalancedComplex, BipartiteGraph, VertexOrder
+from balrig.combinat import (
+    BalancedComplex,
+    BipartiteGraph,
+    VertexOrder,
+    cone_left,
+    cone_right,
+    contract,
+    delete_vertex,
+    glue,
+    induced_subgraph,
+)
 from balrig.exactla import TrialPolicy
 from balrig.rigidity import stress_space
 from balrig.shifting import _prefix_trial
@@ -246,3 +257,53 @@ def test_prefix_walks_keep_their_digest():
             walk = _prefix_trial(g, order)
             out.append([[sorted(walk(p, seed)) for seed in range(20)] for p in (2, 3, 5)])
     assert sha256(json.dumps(out)) == WALK_DIGEST
+
+
+def random_graph(rng: random.Random, low: int = 1, high: int = 7) -> BipartiteGraph:
+    n, m = rng.randint(low, high), rng.randint(low, high)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    return BipartiteGraph(n, m, frozenset(e for e in pairs if rng.random() < 0.5))
+
+
+def transform_json(res) -> list:
+    """A transform's graph, vertex maps and, for a contraction, its common
+    neighbors, as canonical JSON data."""
+    out = []
+    for part in res:
+        if isinstance(part, BipartiteGraph):
+            part = part.to_json_dict()
+        elif isinstance(part, dict):
+            part = sorted([list(k), list(v)] for k, v in part.items())
+        out.append(part)
+    return out
+
+
+#: sha256 of every graph operation's graph, maps and common neighbors, as
+#: JSON, over 200 seeded random graphs with sides 1-7: each vertex deletion,
+#: each same-side contraction, both cones, one seeded induced subgraph and
+#: one seeded gluing per graph. Recorded before the operations shared one
+#: relabelling
+TRANSFORM_DIGEST = "128409f32301bb3eb7007df9f942af3b13a503c38f8c064e60ec44f7861602fd"
+
+
+def test_graph_operations_keep_their_digest():
+    rng = random.Random(21)
+    out = []
+    for _ in range(200):
+        g = random_graph(rng)
+        vs = g.vertices()
+        out += [transform_json(delete_vertex(g, v)) for v in vs]
+        out += [transform_json(contract(g, u, v)) for u in vs for v in vs if u != v and u[0] == v[0]]
+        out += [transform_json(cone_left(g)), transform_json(cone_right(g))]
+        a_keep = rng.sample(range(1, g.a_size + 1), rng.randint(0, g.a_size))
+        b_keep = rng.sample(range(1, g.b_size + 1), rng.randint(0, g.b_size))
+        out.append(transform_json(induced_subgraph(g, a_keep, b_keep)))
+        g2 = random_graph(rng)
+        ident = {}
+        for side in "AB":
+            shared = rng.randint(0, min(g.side_size(side), g2.side_size(side)))
+            srcs = rng.sample(range(1, g2.side_size(side) + 1), shared)
+            dsts = rng.sample(range(1, g.side_size(side) + 1), shared)
+            ident.update({(side, s): (side, d) for s, d in zip(srcs, dsts)})
+        out.append(transform_json(glue(g, g2, ident)))
+    assert sha256(json.dumps(out)) == TRANSFORM_DIGEST
