@@ -89,6 +89,14 @@ def _parse_complex_order(spec: str) -> VertexOrder:
     return VertexOrder((int(c), int(i)) for c, i in tokens)
 
 
+def _int(text: str) -> int:
+    """An integer option, or ``BALRIG_SEED``: once stripped, an optional
+    ``-`` and then an index."""
+    if re.fullmatch("-?" + _INDEX, text.strip()) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_sizes(spec: str) -> list[int]:
     message = "bad --sizes {spec!r}; expected integers like 3,3,4"
     return [int(s) for (s,) in _read_tokens(spec, _INDEX, message)]
@@ -108,8 +116,8 @@ def _effective_seed(args) -> int:
     if env is None:
         return args.seed
     try:
-        return int(env)
-    except ValueError as exc:
+        return _int(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError("BALRIG_SEED must be an integer") from exc
 
 
@@ -193,9 +201,9 @@ def _cmd_selftest(args) -> int:
 def _verdict_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
     """A subcommand with the trial policy and output format options."""
     p = sub.add_parser(name, help=summary)
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--prime", type=_int, default=DEFAULT_PRIME)
+    p.add_argument("--trials", type=_int, default=3)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=func)
     return p
@@ -226,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     inputs = {
         "--graph": dict(required=True, help="graph JSON path"),
         "--complex": dict(required=True, help="complex JSON path"),
-        "-k": dict(type=int, required=True),
-        "-l": dict(type=int, required=True),
+        "-k": dict(type=_int, required=True),
+        "-l": dict(type=_int, required=True),
     }
     reports = [
         ("analyze", "rigidity / stress-freeness report", ("--graph", "-k", "-l"),
@@ -245,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit an example family as JSON")
     p.add_argument("family", choices=list(FAMILIES))
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--faces", type=int, default=8)
+    p.add_argument("--n", type=_int, default=3)
+    p.add_argument("--m", type=_int, default=3)
+    p.add_argument("--d", type=_int, default=3)
+    p.add_argument("--t", type=_int, default=2)
+    p.add_argument("--l", type=_int, default=2)
+    p.add_argument("--faces", type=_int, default=8)
     p.add_argument("--sizes", default="3,3,3,3", help="comma list, one per color")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--augment", action="store_true", help="stacked-cubical only")
     p.set_defaults(func=_cmd_generate)
 

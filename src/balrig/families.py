@@ -163,8 +163,8 @@ class CubeFacet(NamedTuple):
 class CubicalGraph:
     """A cubical polytope graph plus its boundary facet registry.
 
-    ``sides`` maps abstract vertex ids to "A"/"B"; ``dense`` maps them to
-    graph vertices. ``coords`` is only present for a plain cube, where it
+    ``dense`` maps abstract vertex ids to graph vertices, which name their
+    side. ``coords`` is only present for a plain cube, where it
     enables the opposite-facet augmentation.
     """
 
@@ -173,9 +173,6 @@ class CubicalGraph:
     facets: list[CubeFacet]
     dense: dict[int, Vertex]
     coords: dict[int, tuple[int, ...]] | None = None
-
-    def side_of(self, vid: int) -> str:
-        return self.dense[vid][0]
 
 
 class _Builder:
@@ -354,11 +351,7 @@ def augment_facet(cg: CubicalGraph, facet: int, mode: str) -> Augmentation:
             if cg.dense[bv][0] == "B"
         }
     elif mode == "laman":
-        new = set()
-        for x, y in laman_extra_edges(cg.d - 1):
-            u, v = f.grid[x], f.grid[y]
-            a, bv = (u, v) if cg.side_of(u) == "A" else (v, u)
-            new.add((cg.dense[a][1], cg.dense[bv][1]))
+        new = _laman_edges(cg, f.grid, cg.d - 1)
     else:
         raise InputError(f"unknown augmentation mode {mode!r}")
     added = frozenset(new) - g.edges
@@ -418,6 +411,13 @@ def laman_extra_edges(m: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     return edges
 
 
+def _laman_edges(cg: CubicalGraph, grid: dict, m: int) -> set[tuple[int, int]]:
+    """``laman_extra_edges(m)`` placed on ``grid`` (0/1 coordinates -> vertex
+    id of ``cg``) as graph edges: the sorted dense ends put the A-end first."""
+    ends = (sorted((cg.dense[grid[x]], cg.dense[grid[y]])) for x, y in laman_extra_edges(m))
+    return {(a, b) for (_, a), (_, b) in ends}
+
+
 def laman_augmented_cube(d: int) -> BipartiteGraph:
     """The (d-1)-cube plus 2^(d-1) - d extra edges, (1, d)-sparsity-tight.
 
@@ -429,13 +429,8 @@ def laman_augmented_cube(d: int) -> BipartiteGraph:
     _check_dimension("cube dimension", d)
     _check_edges((d - 1) * 2 ** (d - 2) + 2 ** (d - 1) - d)
     cg = cube_complex(d - 1)
-    ids = {x: vid for vid, x in cg.coords.items()}
     g = cg.graph
-    new = set()
-    for x, y in laman_extra_edges(d - 1):
-        u, v = ids[x], ids[y]
-        a, bv = (u, v) if cg.dense[u][0] == "A" else (v, u)
-        new.add((cg.dense[a][1], cg.dense[bv][1]))
+    new = _laman_edges(cg, {x: vid for vid, x in cg.coords.items()}, d - 1)
     _check(not new & g.edges, "extra edges are not cube edges")
     return BipartiteGraph(g.a_size, g.b_size, g.edges | new)
 
@@ -447,16 +442,10 @@ def laman_augmented_cube(d: int) -> BipartiteGraph:
 
 def cross_polytope_boundary(d: int) -> BalancedComplex:
     """Boundary of the d-dimensional cross-polytope: two vertices per color,
-    all colorful picks as facets."""
+    all colorful picks as facets, which is the van Kampen complex at l = 1."""
     if d < 2:
         raise InputError("cross-polytope dimension must be at least 2")
-    _check_colors(d)
-    _check_facets(2**d)
-    facets = frozenset(
-        frozenset(zip(range(1, d + 1), pick))
-        for pick in itertools.product((1, 2), repeat=d)
-    )
-    return BalancedComplex((2,) * d, facets)
+    return van_kampen_complex(1, d - 1)
 
 
 class GluedCrossPolytopes(NamedTuple):

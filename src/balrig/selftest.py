@@ -28,6 +28,8 @@ from .combinat import (
     contract,
     delete_vertex,
     facet_ridge_graph,
+    glue,
+    induced_subgraph,
     join_complexes,
     swap_sides,
 )
@@ -201,18 +203,13 @@ def check_trees_outerplanar() -> tuple[bool, str]:
         g = fam.random_tree(n, m, seed=3000 + i)
         if not analyze(g, 1, 1, TrialPolicy(seed=30_000 + i)).is_stress_free:
             return False, f"tree {i} has a stress"
+    edge = BipartiteGraph(1, 1, {(1, 1)})
     for i in range(30):
         g = fam.fan_quadrangulation(rng.randint(2, 6))
         for _ in range(rng.randint(0, 4)):
+            # a pendant edge: the edge's end on the anchor's side is the anchor
             anchor = rng.choice(g.vertices())
-            if anchor[0] == "A":
-                g = BipartiteGraph(
-                    g.a_size, g.b_size + 1, g.edges | {(anchor[1], g.b_size + 1)}
-                )
-            else:
-                g = BipartiteGraph(
-                    g.a_size + 1, g.b_size, g.edges | {(g.a_size + 1, anchor[1])}
-                )
+            g = glue(g, edge, {(anchor[0], 1): anchor}).graph
         if not analyze(g, 2, 1, TrialPolicy(seed=31_000 + i)).is_stress_free:
             return False, f"outerplanar sample {i} has a stress"
     return True, "100 trees + 30 outerplanar"
@@ -245,53 +242,47 @@ def check_cone_commutation() -> tuple[bool, str]:
     return True, "100 graphs, edge sets and predicates"
 
 
+def _lift(g, sub, count, bound, k, l, policy) -> str | None:
+    """The deletion and contraction lemmas: g is (k,l)-stress-free when
+    ``sub`` is and ``count <= bound``, and rigid when ``sub`` is and
+    ``count >= bound``. None when neither premise holds, else the first
+    conclusion that fails ("sf" or "rigid"), or "" when all hold; g is
+    analyzed at most once."""
+    rep_sub = analyze(sub, k, l, policy)
+    claims = []
+    if rep_sub.is_stress_free and count <= bound:
+        claims.append("sf")
+    if rep_sub.is_rigid and count >= bound:
+        claims.append("rigid")
+    if not claims:
+        return None
+    rep = analyze(g, k, l, policy)
+    held = {"sf": rep.is_stress_free, "rigid": rep.is_rigid}
+    return next((claim for claim in claims if not held[claim]), "")
+
+
 def check_deletion_contraction_gluing() -> tuple[bool, str]:
     """Low-degree deletion, low-overlap contraction, and gluing implications."""
     rng = random.Random(707)
     counts = {"deletion": 0, "contraction": 0, "gluing": 0}
 
-    while counts["deletion"] < 200:
-        g = random_bipartite(rng, 5, min_side=2)
-        k, l = rng.randint(1, 2), rng.randint(1, 2)
-        policy = TrialPolicy(seed=5000 + counts["deletion"])
-        v = rng.choice(g.vertices())
-        d = g.degree(v)
-        bound = l if v[0] == "A" else k
-        sub = delete_vertex(g, v).graph
-        rep_sub = analyze(sub, k, l, policy)
-        fired = False
-        if rep_sub.is_stress_free and d <= bound:
-            fired = True
-            if not analyze(g, k, l, policy).is_stress_free:
-                return False, "deletion/sf"
-        if rep_sub.is_rigid and d >= bound:
-            fired = True
-            if not analyze(g, k, l, policy).is_rigid:
-                return False, "deletion/rigid"
-        if fired:
-            counts["deletion"] += 1
-
-    while counts["contraction"] < 200:
-        g = random_bipartite(rng, 5, min_side=2)
-        k, l = rng.randint(1, 2), rng.randint(1, 2)
-        policy = TrialPolicy(seed=6000 + counts["contraction"])
-        side = rng.choice("AB")
-        size = g.side_size(side)
-        u_idx, v_idx = rng.sample(range(1, size + 1), 2)
-        res = contract(g, (side, u_idx), (side, v_idx))
-        bound = l if side == "A" else k
-        rep_sub = analyze(res.graph, k, l, policy)
-        fired = False
-        if rep_sub.is_stress_free and res.common_neighbors <= bound:
-            fired = True
-            if not analyze(g, k, l, policy).is_stress_free:
-                return False, "contraction/sf"
-        if rep_sub.is_rigid and res.common_neighbors >= bound:
-            fired = True
-            if not analyze(g, k, l, policy).is_rigid:
-                return False, "contraction/rigid"
-        if fired:
-            counts["contraction"] += 1
+    for family, seed in (("deletion", 5000), ("contraction", 6000)):
+        while counts[family] < 200:
+            g = random_bipartite(rng, 5, min_side=2)
+            k, l = rng.randint(1, 2), rng.randint(1, 2)
+            policy = TrialPolicy(seed=seed + counts[family])
+            if family == "deletion":
+                v = rng.choice(g.vertices())
+                side, sub, count = v[0], delete_vertex(g, v).graph, g.degree(v)
+            else:
+                side = rng.choice("AB")
+                u_idx, v_idx = rng.sample(range(1, g.side_size(side) + 1), 2)
+                res = contract(g, (side, u_idx), (side, v_idx))
+                sub, count = res.graph, res.common_neighbors
+            failed = _lift(g, sub, count, l if side == "A" else k, k, l, policy)
+            if failed:
+                return False, f"{family}/{failed}"
+            counts[family] += failed is not None
 
     attempts = 0
     while counts["gluing"] < 200:
@@ -314,10 +305,8 @@ def check_deletion_contraction_gluing() -> tuple[bool, str]:
             density = 0.4
         a1, b1 = rng.randint(max(oa, 1), 4), rng.randint(max(ob, 1), 4)
         a2, b2 = rng.randint(max(oa, 1), 4), rng.randint(max(ob, 1), 4)
-        a, b = a1 + a2 - oa, b1 + b2 - ob
-        a2_lo, b2_lo = a1 - oa, b1 - ob  # offsets of the second vertex block
         e1 = {e for e in complete_edges(a1, b1) if rng.random() < density}
-        e2_own = {e for e in complete_edges(a2, b2) if rng.random() < density}
+        e2 = {e for e in complete_edges(a2, b2) if rng.random() < density}
         if part == 2:
             # complete overlap block in both, so the intersection is rigid
             e1 |= {
@@ -325,22 +314,22 @@ def check_deletion_contraction_gluing() -> tuple[bool, str]:
                 for i in range(a1 - oa + 1, a1 + 1)
                 for j in range(b1 - ob + 1, b1 + 1)
             }
-            e2_own |= {(i, j) for i in range(1, oa + 1) for j in range(1, ob + 1)}
-        e2 = {(i + a2_lo, j + b2_lo) for i, j in e2_own}
-        g1_own = BipartiteGraph(a1, b1, frozenset(e1))
-        g2_own = BipartiteGraph(a2, b2, frozenset(e2_own))
-        union = BipartiteGraph(a, b, frozenset(e1 | e2))
-        r1 = analyze(g1_own, k, l, policy)
-        r2 = analyze(g2_own, k, l, policy)
+            e2 |= {(i, j) for i in range(1, oa + 1) for j in range(1, ob + 1)}
+        g1 = BipartiteGraph(a1, b1, frozenset(e1))
+        g2 = BipartiteGraph(a2, b2, frozenset(e2))
+        # g2's first oa A- and ob B-vertices are g1's last ones
+        ident = {("A", i): ("A", a1 - oa + i) for i in range(1, oa + 1)}
+        ident.update({("B", j): ("B", b1 - ob + j) for j in range(1, ob + 1)})
+        union = glue(g1, g2, ident).graph
+        r1 = analyze(g1, k, l, policy)
+        r2 = analyze(g2, k, l, policy)
         fired = False
         if part == 1 and r1.is_rigid and r2.is_rigid:
             fired = True
             if not analyze(union, k, l, policy).is_rigid:
                 return False, "gluing/1"
         if part == 2 and r1.is_stress_free and r2.is_stress_free:
-            inter = BipartiteGraph(
-                oa, ob, frozenset((i - a2_lo, j - b2_lo) for i, j in e1 & e2)
-            )
+            inter = induced_subgraph(g2, range(1, oa + 1), range(1, ob + 1)).graph
             # the forced block makes the intersection the complete graph
             if oa >= k and ob >= l and analyze(inter, k, l, policy).is_rigid:
                 fired = True

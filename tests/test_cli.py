@@ -299,6 +299,50 @@ def test_bad_env_seed_exits_3(capsys, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "InputError"
 
 
+#: each integer option, after the other arguments its command needs
+INTEGER_OPTIONS = [
+    (("analyze", "--graph", "{graph}", "-k", "1", "-l", "1"), ("--seed", "--prime", "--trials", "-k", "-l")),
+    (("mcheck", "--complex", "{octahedron}", "-l", "1"), ("-l",)),
+    (("generate", "cube"), ("--n", "--m", "--d", "--t", "--l", "--faces", "--seed")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option", [(argv, o) for argv, options in INTEGER_OPTIONS for o in options]
+)
+@pytest.mark.parametrize("value", ["\u0663", "3_0", "+3", "3.0", "", "- 3"])
+def test_integer_options_take_a_sign_and_ascii_digits_only(capsys, tmp_path, argv, option, value):
+    paths = {
+        "graph": write_graph(tmp_path, fam.complete_bipartite(2, 2)),
+        "octahedron": write_complex(tmp_path, fam.cross_polytope_boundary(3)),
+    }
+    with pytest.raises(SystemExit) as info:
+        main([a.format(**paths) for a in argv] + [option, value])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["\u0663", "3_0", "+3"])
+def test_env_seed_takes_a_sign_and_ascii_digits_only(capsys, monkeypatch, value):
+    monkeypatch.setenv("BALRIG_SEED", value)
+    rc, out = run_cli(capsys, "generate", "tree", "--n", "4", "--m", "5")
+    assert rc == 3
+    assert json.loads(out)["error"]["message"] == "BALRIG_SEED must be an integer"
+
+
+def test_integer_options_read_stripped_signed_digits_as_int_does(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("BALRIG_SEED", raising=False)
+    path = write_graph(tmp_path, fam.random_quadrangulation(8, seed=1))
+    outs = set()
+    for seed in ("-7", " -7 ", "-007"):
+        rc, out = run_cli(capsys, "analyze", "--graph", path, "-k", " 2", "-l", "02", "--seed", seed)
+        assert rc == 0 and json.loads(out)["seed"] == -7
+        outs.add(out)
+    monkeypatch.setenv("BALRIG_SEED", " -7")
+    outs.add(run_cli(capsys, "analyze", "--graph", path, "-k", "2", "-l", "2")[1])
+    assert len(outs) == 1
+
+
 def test_unparsable_sizes_exit_3(capsys):
     rc, out = run_cli(capsys, "generate", "gamma", "--d", "1", "--sizes", "3,x")
     assert rc == 3

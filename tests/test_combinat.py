@@ -28,6 +28,7 @@ from balrig.combinat import (
     is_face,
     join_complexes,
     link,
+    ridges,
     subdivide_star,
     swap_sides,
 )
@@ -177,6 +178,38 @@ def test_glue_errors():
         glue(K(2, 2), K(2, 2), {("A", 1): ("B", 1)})
     with pytest.raises(InputError):
         glue(K(2, 2), K(2, 2), {("A", 1): ("A", 1), ("A", 2): ("A", 1)})
+
+
+@st.composite
+def overlapping_graphs(draw):
+    """g1, g2 and overlaps (oa, ob): g2's first oa A- and ob B-vertices are
+    to be identified with g1's last ones."""
+    oa, ob = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def graph(n, m):
+        pairs = sorted(complete_edges(n, m))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return BipartiteGraph(n, m, frozenset(e for e, kept in zip(pairs, keep) if kept))
+
+    g1, g2 = [graph(draw(st.integers(oa, oa + 3)), draw(st.integers(ob, ob + 3))) for _ in "12"]
+    return g1, g2, oa, ob
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_graphs())
+def test_glue_is_the_offset_union(case):
+    """Oracle: g2 moved past g1 less the overlap, united with g1 as edge sets."""
+    g1, g2, oa, ob = case
+    lo = {"A": g1.a_size - oa, "B": g1.b_size - ob}  # offsets of g2's vertices
+    ident = {("A", i): ("A", lo["A"] + i) for i in range(1, oa + 1)}
+    ident.update({("B", j): ("B", lo["B"] + j) for j in range(1, ob + 1)})
+    res = glue(g1, g2, ident)
+    offset = {(i + lo["A"], j + lo["B"]) for i, j in g2.edges}
+    union = BipartiteGraph(lo["A"] + g2.a_size, lo["B"] + g2.b_size, g1.edges | offset)
+    assert res.graph == union
+    # g2's other vertices follow g1's, in their own order
+    assert res.map2 == {(s, i): (s, lo[s] + i) for s, i in g2.vertices()}
+    assert res.map1 == {v: v for v in g1.vertices()}
 
 
 def test_induced_subgraph_examples():
@@ -511,3 +544,67 @@ def test_complex_json_roundtrip():
     bad["dim"] = 5
     with pytest.raises(InputError):
         BalancedComplex.from_json_dict(bad)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+#: a balanced 2-complex whose facets close an odd cycle of shared ridges
+ODD_CYCLE_FACETS = [(2, 1, 1), (1, 3, 1), (2, 2, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (1, 3, 2)]
+#: the path a1 b1 a2, on the square's palette
+PATH = BalancedComplex((2, 2), {frozenset({(1, 1), (2, 1)}), frozenset({(2, 1), (1, 2)})})
+
+
+def square():
+    return graph_to_complex(K(2, 2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: induced_subgraph(K(2, 2), [1], [3]), "B-index 3 out of range"),
+        (lambda: contract(K(2, 2), ("A", 1), ("A", 3)), "unknown vertex"),
+        (lambda: glue(K(2, 2), K(2, 2), {("A", 3): ("A", 1)}), "out of range"),
+        (lambda: VertexOrder([("A", 1), ("B", 1), ("A", 1)]), "duplicates"),
+        (lambda: BalancedComplex((2, -1), {frozenset()}), "nonnegative"),
+        (lambda: BalancedComplex((2,), {frozenset({(2, 1)})}), "color 2 out of range"),
+        (lambda: ridges(BalancedComplex((1, 1), {frozenset({(1, 1)}), frozenset({(2, 1)})})), "pure"),
+        (lambda: complex_to_graph(octa()), "1-dimensional 2-colored"),
+        (
+            lambda: facet_ridge_graph(
+                BalancedComplex((3, 3, 2), {frozenset(zip((1, 2, 3), p)) for p in ODD_CYCLE_FACETS})
+            ),
+            "odd cycle",
+        ),
+        (lambda: subdivide_star(square(), [(1, 1), (2, 3)], PATH, [(1, 1), (2, 2)]), "not a face"),
+        (
+            lambda: subdivide_star(
+                square(), [(1, 1), (2, 1)], BalancedComplex((2, 2, 1), PATH.facets), [(1, 1), (2, 2)]
+            ),
+            "same palette length",
+        ),
+        (
+            lambda: subdivide_star(
+                square(),
+                [(1, 1), (2, 1)],
+                BalancedComplex((2, 2), {frozenset({(1, 1), (2, 1)}), frozenset({(1, 2)})}),
+                [(1, 1), (2, 2)],
+            ),
+            "pure of the same dimension",
+        ),
+        (lambda: subdivide_star(square(), [(1, 1), (2, 1)], PATH, [(1, 1), (1, 2)]), "sigma's colors"),
+        (lambda: subdivide_star(square(), [(1, 1), (2, 1)], PATH, [(1, 1), (2, 2)]), "missing facet"),
+    ],
+)
+def test_input_checks_refuse(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
+def test_vertex_orders_compare_and_hash_by_sequence():
+    a = VertexOrder.interleaved_graph(2, 3)
+    b = VertexOrder([("A", 1), ("B", 1), ("A", 2), ("B", 2), ("B", 3)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != VertexOrder.admissible_graph(2, 3, 1, 2)
+    assert a != a.sequence

@@ -270,3 +270,8 @@ def test_sample_theta_draws_the_randrange_stream(p):
             full.append(reference_rows(random.Random(f"{seed}:{c}"), p, size, size))
         assert sample_theta(p, seed, sizes, rows=rows) == prefix
         assert sample_theta(p, seed, sizes) == full
+
+
+def test_sample_theta_needs_one_row_count_per_block():
+    with pytest.raises(InputError, match="one row count per block"):
+        sample_theta(DEFAULT_PRIME, 0, (2, 3), rows=(1,))

@@ -288,3 +288,31 @@ def test_generator_self_checks_hold_under_python_O():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.split("\n")[0] == "double-banana 6"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fam.random_tree(0, 3, seed=0), "tree sides must be positive"),
+        (lambda: fam.random_tree(3, 0, seed=0), "tree sides must be positive"),
+        (lambda: fam.cube_complex(0), "cube dimension must be positive"),
+        (lambda: fam.stacked_cubical_graph(3, 0), "at least one cube"),
+        (lambda: fam.augment_facet(fam.cube_complex(3), 6, "two-vertex"), "facet index out of range"),
+        (lambda: fam.augment_facet(fam.cube_complex(3), -1, "laman"), "facet index out of range"),
+        (lambda: fam.augment_facet(fam.cube_complex(2), 0, "two-vertex"), "fewer than two A-vertices"),
+        (lambda: fam.laman_extra_edges(2), "starts at the 3-cube"),
+        (lambda: fam.laman_augmented_cube(3), "starts at d = 4"),
+        (lambda: fam.glued_cross_polytopes(2), "dimension at least 3"),
+        (lambda: fam.glued_cross_polytopes(3, [(1, 1, 2), (1, 1, 2)]), "collide"),
+        (lambda: fam.glued_cross_polytopes(3, [(1, 1, 2), (1, 2, 2)]), "one parity class"),
+        (lambda: fam.glued_cross_polytopes(3, [(1, 1, 3)]), "not a facet"),
+        (lambda: fam.glued_cross_polytopes(3, [(1, 2)]), "not a facet"),
+        (lambda: fam.gamma_complex(2, [3, 3]), "one size per color"),
+        (lambda: fam.gamma_complex(1, [3, 1]), "at least two vertices"),
+        (lambda: fam.van_kampen_complex(0, 2), "need l >= 1 and d >= 0"),
+        (lambda: fam.van_kampen_complex(1, -1), "need l >= 1 and d >= 0"),
+    ],
+)
+def test_generators_refuse_bad_parameters(build, message):
+    with pytest.raises(InputError, match=message):
+        build()

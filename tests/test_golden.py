@@ -9,8 +9,10 @@ already-shifted components were settled without elimination, the prefix
 walk's digests before a walk step stopped at its rank cap, the rank
 digests of dense graphs before a rank stopped at its layout's bound, the
 last three shift digests before a graph's route turned on whether it is
-shifted, and the graph operations' digest before they shared one
-relabelling.
+shifted, the graph operations' digest before they shared one
+relabelling, and the generator digest before the cross-polytope was built
+as a van Kampen complex and the laman augmentations shared one mapping to
+dense edges.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from balrig.combinat import (
     glue,
     induced_subgraph,
 )
+from balrig.errors import InputError
 from balrig.exactla import TrialPolicy
 from balrig.rigidity import stress_space
 from balrig.shifting import _prefix_trial
@@ -307,3 +310,54 @@ def test_graph_operations_keep_their_digest():
             ident.update({(side, s): (side, d) for s, d in zip(srcs, dsts)})
         out.append(transform_json(glue(g, g2, ident)))
     assert sha256(json.dumps(out)) == TRANSFORM_DIGEST
+
+
+#: ``generate`` for every family at its defaults and at one larger setting
+GENERATE_COMMANDS = [
+    ["generate", family] for family in (
+        "complete", "cycle", "tree", "cube", "stacked-cubical", "laman-cube",
+        "double-banana", "fan", "quadrangulation", "cross-polytope",
+        "glued-cross-polytopes", "gamma", "van-kampen",
+    )
+] + [
+    "generate complete --n 5 --m 7".split(),
+    "generate cycle --n 8".split(),
+    "generate tree --n 9 --m 11 --seed 5".split(),
+    "generate cube --d 6".split(),
+    "generate stacked-cubical --d 4 --t 4 --seed 3 --augment".split(),
+    "generate laman-cube --d 7".split(),
+    "generate fan --n 7".split(),
+    "generate quadrangulation --faces 40 --seed 2".split(),
+    "generate cross-polytope --d 6".split(),
+    "generate glued-cross-polytopes --d 5".split(),
+    "generate gamma --d 3 --sizes 3,4,5,3".split(),
+    "generate van-kampen --l 3 --d 3".split(),
+]
+
+#: sha256 of the exit code and stdout of each ``generate`` command above, and
+#: of ``augment_facet`` in every mode at every facet of the d-cube, d = 3..6,
+#: and of a stacked cubical 4-polytope, as JSON. Recorded before the
+#: cross-polytope was built as a van Kampen complex and before the laman
+#: augmentations shared one mapping to dense edges
+GENERATOR_DIGEST = "47a81362a56bdfc6b94c601830614fe632639e12fd81529c88e56e45148a16cd"
+
+
+def augmentation_json(cg, facet: int, mode: str) -> list | str:
+    try:
+        aug = fam.augment_facet(cg, facet, mode)
+    except InputError as exc:
+        return str(exc)
+    return [aug.graph.edge_list(), sorted(aug.added)]
+
+
+def test_generators_keep_their_digest(capsys, monkeypatch):
+    monkeypatch.delenv("BALRIG_SEED", raising=False)
+    out = []
+    for argv in GENERATE_COMMANDS:
+        out.append([main(argv), capsys.readouterr().out])
+    cubes = [fam.cube_complex(d) for d in range(3, 7)] + [fam.stacked_cubical_graph(4, 3, seed=1)]
+    for cg in cubes:
+        for facet in range(len(cg.facets)):
+            for mode in ("two-vertex", "opposite-facets", "laman"):
+                out.append(augmentation_json(cg, facet, mode))
+    assert sha256(json.dumps(out)) == GENERATOR_DIGEST

@@ -591,3 +591,18 @@ def test_k_far_above_side_draws_only_read_rows(monkeypatch):
     for _, _, _, blocks in draws:
         entries = sum(len(row) for block in blocks for row in block)
         assert entries == 200 * tree.a_size + 2 * tree.b_size
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, kx: stress_space(g, 0, 1),
+        lambda g, kx: stress_space(g, 1, 0),
+        lambda g, kx: laman_check(g, 0, 1),
+        lambda g, kx: laman_check(g, 1, 0),
+        lambda g, kx: rows_independent_M(kx, 0),
+    ],
+)
+def test_rigidity_parameters_below_one_are_refused(build):
+    with pytest.raises(InputError, match="must be positive"):
+        build(fam.complete_bipartite(2, 2), fam.cross_polytope_boundary(3))

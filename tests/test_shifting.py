@@ -436,3 +436,18 @@ def test_a_changed_f_vector_breaks_an_invariant(monkeypatch):
     )
     with pytest.raises(InvariantError, match="f-vector"):
         shift_complex(fam.cross_polytope_boundary(3), policy=TrialPolicy(trials=1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda k: shift_complex(k, VertexOrder([(1, 1), (2, 1), (1, 2), (3, 1), (3, 2)])),
+            "does not cover the complex's palette",
+        ),
+        (lambda k: contains_join(k, 0), "join size must be positive"),
+    ],
+)
+def test_complex_input_checks_refuse(build, message):
+    with pytest.raises(InputError, match=message):
+        build(fam.cross_polytope_boundary(3))
