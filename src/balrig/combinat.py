@@ -451,7 +451,8 @@ class BalancedComplex:
 
     def is_pure(self) -> bool:
         """All maximal faces colorful: one vertex of every color."""
-        return all(len(f) == self.n_colors for f in self.facets)
+        n = self.n_colors
+        return all(len(f) == n for f in self.facets)
 
     def sorted_facets(self) -> list[tuple[ColoredVertex, ...]]:
         return sorted(tuple(sorted(f)) for f in self.facets)

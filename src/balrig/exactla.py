@@ -56,6 +56,10 @@ below the core's row count, the core goes in with the rows that can be
 charged to free slots of their blocks first (after the pebble games of Lee
 and Streinu, 2008), so the rank reaches the bound sooner; any other core
 goes in by lead alone. A left kernel reads every row.
+
+A unit upper triangular block has a kernel read off by back substitution
+(``kernel_rows``), which ranks a near-complete matrix through the rows it
+lacks; a block that is not triangular is refused there.
 """
 
 from __future__ import annotations
@@ -354,6 +358,41 @@ def _independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
         x = top[j]
         short = [[(y * x - row[j] * z) % p for y, z in zip(row, top)] for row in short]
     return True
+
+
+def unit_upper(p: int, block: Sequence[Sequence[int]]) -> bool:
+    """Whether the leading min(rows, columns) rows of ``block`` are unit
+    upper triangular mod p, the guard of ``kernel_rows``."""
+    m = min(len(block), len(block[0]))
+    return all(
+        row[r] % p == 1 and not any(x % p for x in row[:r]) for r, row in enumerate(block[:m])
+    )
+
+
+def kernel_rows(p: int, block: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """The leading rows of a basis of the kernel {u : block u = 0} over F_p,
+    when the leading m = min(rows, columns) rows of ``block`` are unit upper
+    triangular; else None.
+
+    With T the leading m columns of those rows and X the rest, the kernel
+    has the basis e_j - T^{-1} X e_j for the columns j >= m. Row a >= m of
+    that basis, as a matrix with one basis vector per column, is a unit
+    vector and is not returned; row a < m is row a of Y = -T^{-1} X, n - m
+    residues, found by back substitution. Rows past the m-th cannot enlarge
+    the kernel, which T already pins down. ``prefix_stream`` blocks always
+    pass the check.
+    """
+    if not unit_upper(p, block):
+        return None
+    m = min(len(block), len(block[0]))
+    ys: list[list[int]] = []  # Y's rows from the last up
+    for row in reversed(block[:m]):
+        acc = list(row[m:])
+        for c, y in zip(reversed(row[m - len(ys) : m]), ys):
+            if c:
+                acc = [x + c * z for x, z in zip(acc, y)]
+        ys.append([-x % p for x in acc])
+    return ys[::-1]
 
 
 @dataclass(frozen=True)

@@ -45,16 +45,35 @@ generic set of rows is an invertible T times such rows, and T, applied to
 one side's or one color's rows, acts on either matrix as an invertible
 change of the columns of each vertex or ridge block that reads them. So
 rank and left kernel are a generic draw's, with the same degree bounds.
+
+A matrix with many rows is ranked through the rows it lacks. With Θ_A the
+|A|×k matrix of the A-vertex vectors and N_A = {u : u^T Θ_A = 0}, the
+stress space of K_{A,B} is N_A ⊗ N_B: each u ⊗ v is a stress, and the
+motions (Θ_A C, -Θ_B C^T), C a k×l matrix, leave no room for more. A
+subgraph G keeps the stresses that vanish on its non-edges. Call a vertex
+near when it is among the first k of A or the first l of B, far otherwise;
+at a unit upper triangular draw the basis row u_a of N_A is a unit vector
+for a far a (``exactla.kernel_rows``), so the far non-edges give distinct
+unit rows, and rank R(G) is E less the far edges plus the rank of the
+products u_a ⊗ v_b of the near non-edges on the far edges. The facet-ridge
+matrix of a pure complex inside the complete join of its color classes is
+the same, color by color. ``_Complement`` ranks those products; a block
+that is not unit upper triangular fails its guard and ranks by
+elimination. ``analyze``, ``rows_independent_M`` and the ranking trials of
+``stress_space`` take this route by one structural rule (``_complement``),
+and both routes meet in ``_rank``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, repeat
-from typing import Iterable
+from itertools import accumulate, chain, combinations, product, repeat
+from math import inf, prod
+from operator import gt, itemgetter, mul
+from typing import Callable, Iterable, Sequence
 
 from .combinat import (
     BalancedComplex,
@@ -65,13 +84,16 @@ from .combinat import (
 from .errors import InputError, InvariantError, check_cap
 from .exactla import (
     DEFAULT_POLICY,
+    Echelon,
     GenericMatrix,
     Layout,
     TrialMeta,
     TrialPolicy,
+    kernel_rows,
     peel,
     run_trials,
     sample_theta,
+    unit_upper,
 )
 from .shifting import contains_join, shift_complex
 
@@ -191,6 +213,161 @@ def build_rigidity_matrix(
     return GenericMatrix(p, _rigidity_layout(g, k, l), at_a + at_b)
 
 
+# ---------------------------------------------------------------------------
+# Ranks through the complement in the complete join
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Complement:
+    """The rank of a rigidity or facet-ridge matrix at a draw, read off the
+    picks of the complete join that are not its rows (module docstring).
+
+    A pick is one vertex per side or color, numbered from 1; a vertex is
+    near when it is among the first ``leads`` of its side or color, and far
+    otherwise. ``base`` is the row count less the far rows. ``rows`` holds
+    each near pick that is not a row and meets a far row, sparsest first,
+    as its product's entries on the far rows: their columns, and per near
+    color c of the pick, ``(c, i, offsets)``, the entries being the
+    products of row i of color c's kernel rows at those offsets.
+    ``n_columns`` counts the far rows that some product meets, which bound
+    the rank of the products.
+    """
+
+    base: int
+    rows: tuple[tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...]], ...]
+    n_columns: int
+
+    def rank(self, p: int, blocks: Sequence[Sequence[Sequence[int]]]) -> int | None:
+        """The rank at the draw ``blocks``, one per side or color with the
+        leading rows its matrix reads: ``base`` plus the rank of the
+        ``rows``. None when a block fails the guard of ``kernel_rows``,
+        whose premise the identity needs; with no rows, only the guard
+        runs."""
+        if not self.rows:
+            return self.base if all(unit_upper(p, block) for block in blocks) else None
+        kernels = [kernel_rows(p, block) for block in blocks]
+        if None in kernels:
+            return None
+        echelon = Echelon(p)
+        pivots = echelon.pivots
+        for columns, ((c, i, offsets), *more) in self.rows:
+            if len(pivots) == self.n_columns:
+                break  # every later row is dependent
+            values = map(kernels[c][i].__getitem__, offsets)
+            for c, i, offsets in more:
+                values = map(mul, values, map(kernels[c][i].__getitem__, offsets))
+            echelon.insert(dict(zip(columns, values)))
+        return self.base + len(pivots)
+
+
+def _near_sets(sizes: Sequence[int], leads: Sequence[int]) -> Iterable[tuple]:
+    """Per set of near colors, most colors first: those colors, a pick's
+    vertices at the other colors, and every pick near at exactly those."""
+    colors = range(len(leads))
+    for size in range(len(leads), 0, -1):
+        for near in combinations(colors, size):
+            off = [c for c in colors if c not in near]
+            ranges = [
+                range(1, m + 1) if c in near else range(m + 1, n + 1)
+                for c, (n, m) in enumerate(zip(sizes, leads))
+            ]
+            yield near, itemgetter(*off) if off else itemgetter(slice(0)), product(*ranges)
+
+
+def _outnumbered(sizes: Sequence[int], leads: Sequence[int], n_rows: int, picks: Iterable) -> bool:
+    """The count in the route rule of ``_complement``: whether the
+    ``n_rows`` rows, listed by ``picks``, outnumber the near picks, which
+    is fewer near non-rows than far rows, or have no far row."""
+    near = prod(sizes) - prod(n - m for n, m in zip(sizes, leads))
+    return n_rows > near or not any(all(map(gt, pick, leads)) for pick in picks)
+
+
+@lru_cache(maxsize=8)
+def _complement(
+    sizes: tuple[int, ...], leads: tuple[int, ...], picks: frozenset, ruled: bool = True
+) -> _Complement | None:
+    """The ``_Complement`` of the matrix whose rows are the set ``picks``
+    in the complete join of the given sizes, ``leads[c] <= sizes[c]``
+    vertices near in each side or color. Cached, bounded, as the layouts
+    are, so that the verdict calls on one input share it.
+
+    When ``ruled``, the input takes this route, and else gets None, when it
+    has no far row, or more rows than near picks, which is fewer near
+    non-rows than far rows, and their products hold at most the entries of
+    its matrix, the rows times the sum of the leads. For a graph within its
+    sides, ``max_rank`` counts the near pairs, so more rows is E > max_rank.
+
+    A near pick's product meets the far rows that agree with it at its far
+    vertices, so the far rows are counted by their vertices off each set of
+    near colors, and every product's count goes into the budget before any
+    row is listed. A near pick near in every color meets every far row. The
+    columns that some product meets go by how many products meet them,
+    fewest first, as a pivot then leads where few rows reach.
+    """
+    if ruled and not _outnumbered(sizes, leads, len(picks), picks):
+        return None
+    far = list(picks)
+    for c, lead in enumerate(leads):  # keep the picks whose every vertex is far
+        far = [pick for pick in far if pick[c] > lead]
+    budget = len(picks) * sum(leads) if ruled else inf
+    sets, entries = {}, 0  # per set of near colors: the projection, the near non-rows by key
+    for near, project, near_picks in _near_sets(sizes, leads) if far else ():
+        absent = defaultdict(list)
+        for pick in near_picks:
+            if pick not in picks:
+                absent[project(pick)].append(pick)
+        if absent:
+            # a pick near in every color meets every far row
+            counts = Counter(map(project, far)) if len(near) < len(leads) else {(): len(far)}
+            entries += sum(counts.get(key, 0) * len(ps) for key, ps in absent.items())
+            if entries > budget:
+                return None
+            sets[near] = project, absent
+    met: dict[tuple, list] = {}  # per near colors and far vertices, the far rows met
+    touched: Counter = Counter()
+    for near, (project, absent) in sets.items():
+        for q in far:
+            key = project(q)
+            if key in absent:
+                met.setdefault((near, key), []).append(q)
+                touched[q] += len(absent[key])
+    column = {q: j for j, q in enumerate(sorted(touched, key=lambda q: (touched[q], q)))}
+    rows = []
+    for (near, key), qs in met.items():
+        qs.sort(key=column.__getitem__)
+        columns = tuple(map(column.__getitem__, qs))
+        offsets = {c: tuple(q[c] - leads[c] - 1 for q in qs) for c in near}
+        rows += [
+            (columns, tuple((c, pick[c] - 1, offsets[c]) for c in near))
+            for pick in sets[near][1][key]
+        ]
+    rows.sort(key=lambda row: len(row[0]))
+    return _Complement(len(picks) - len(far), tuple(rows), len(column))
+
+
+def _graph_complement(g: BipartiteGraph, k: int, l: int) -> _Complement | None:
+    """g's complement in K_{A,B} at (k,l) when g takes that route
+    (``_complement``), with the first min(k, |A|) A- and min(l, |B|)
+    B-vertices near; else None. Above a side, every vertex of that side
+    is near, so no edge is far, and the rank is E."""
+    sizes = (g.a_size, g.b_size)
+    return _complement(sizes, (min(k, sizes[0]), min(l, sizes[1])), g.edges)
+
+
+def _rank(
+    complement: _Complement | None,
+    blocks: Sequence,
+    p: int,
+    build: Callable[[], GenericMatrix],
+) -> int:
+    """The rank at one draw, the dispatch of both routes: through the
+    complement when the input takes that route and the draw passes its
+    guard, else by eliminating the matrix ``build`` returns."""
+    rank = None if complement is None else complement.rank(p, blocks)
+    return build().rank() if rank is None else rank
+
+
 @dataclass(frozen=True)
 class RigidityReport:
     """Verdicts for one graph and one (k, l) pair."""
@@ -228,17 +405,20 @@ def analyze(
 
     k or l exceeding a side size is permitted; the rank and the max-rank
     formula are applied verbatim and a warning is recorded, ahead of the
-    trial meta's warnings. The parameters and rows drawn,
-    k(|A| + 1) + l(|B| + 1), and the columns, l|A| + k|B|, are capped at
-    ``RANK_SIZE_CAP``.
+    trial meta's warnings. Each trial ranks through the complement when g
+    takes that route (``_graph_complement``), else by elimination. The
+    parameters and rows drawn, k(|A| + 1) + l(|B| + 1), and the columns,
+    l|A| + k|B|, are capped at ``RANK_SIZE_CAP``.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
     _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), l * g.a_size + k * g.b_size)
 
+    complement = _graph_complement(g, k, l)
+
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
-        return build_rigidity_matrix(g, k, l, theta, p).rank()
+        return _rank(complement, theta, p, lambda: build_rigidity_matrix(g, k, l, theta, p))
 
     rank, meta = run_trials(
         policy,
@@ -297,11 +477,12 @@ def stress_space(
     the one left kernel, of the first trial, in seed order, with the agreed
     dimension (after an escalation, an earlier trial may have another one).
     The first trial computes its left kernel and reads its dimension off
-    it, and the other trials only rank, so a second kernel runs only when
-    the agreed dimension is not the first trial's. Every basis vector is
-    re-verified against the vertex equilibrium equations of the induced
-    embedding. Capped as ``analyze`` is, and on the entries the basis is
-    sure to hold (``STRESS_OUTPUT_CAP``), before any draw.
+    it, and the other trials only rank, as ``analyze`` does, so a second
+    kernel runs only when the agreed dimension is not the first trial's.
+    Every basis vector is re-verified against the vertex equilibrium
+    equations of the induced embedding. Capped as ``analyze`` is, and on
+    the entries the basis is sure to hold (``STRESS_OUTPUT_CAP``), before
+    any draw.
     """
     if k < 1 or l < 1:
         raise InputError("k and l must be positive")
@@ -310,20 +491,22 @@ def stress_space(
     check_cap(
         "stress basis entries", g.n_edges * max(0, g.n_edges - columns), STRESS_OUTPUT_CAP
     )
-    # per dimension, the first trial's theta and matrix, with its basis
-    # when the trial computed one
+    complement = _graph_complement(g, k, l)
+    # per dimension, the first trial's theta, with its basis when the trial
+    # computed one; a ranking trial builds no matrix
     first_of_dim: dict[int, tuple] = {}
 
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
-        matrix = build_rigidity_matrix(g, k, l, theta, p)
         if first_of_dim:
-            dim = g.n_edges - matrix.rank()
-            first_of_dim.setdefault(dim, (theta, matrix, None))
+            dim = g.n_edges - _rank(
+                complement, theta, p, lambda: build_rigidity_matrix(g, k, l, theta, p)
+            )
+            first_of_dim.setdefault(dim, (theta, None))
         else:
-            basis = matrix.left_kernel()
+            basis = build_rigidity_matrix(g, k, l, theta, p).left_kernel()
             dim = len(basis)
-            first_of_dim[dim] = (theta, matrix, basis)
+            first_of_dim[dim] = (theta, basis)
         return dim
 
     dim, meta = run_trials(
@@ -332,16 +515,17 @@ def stress_space(
         poly_degree=min(g.n_edges, l * g.a_size + k * g.b_size),
         what="stress space dimension",
     )
-    theta, matrix, basis = first_of_dim[dim]
+    theta, basis = first_of_dim[dim]
     if basis is None:
-        basis = matrix.left_kernel()
+        basis = build_rigidity_matrix(g, k, l, theta, policy.prime).left_kernel()
     if len(basis) != dim:
         raise InvariantError(f"a stress basis of {len(basis)} vectors, not the agreed {dim}")
-    _verify_equilibrium(k, l, theta, policy.prime, matrix.row_labels, basis)
+    edges = tuple(g.edge_list())  # the rows, in the order the basis reads them
+    _verify_equilibrium(k, l, theta, policy.prime, edges, basis)
     return StressBasis(
         k=k,
         l=l,
-        edges=matrix.row_labels,
+        edges=edges,
         vectors=tuple(basis),
         meta=meta,
     )
@@ -500,6 +684,23 @@ def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
     return GenericMatrix(p, _facet_ridge_layout(kx, l), list(chain.from_iterable(vectors)))
 
 
+def _complex_complement(kx: BalancedComplex, l: int) -> _Complement | None:
+    """kx's complement in the complete join of its color classes when kx
+    is pure and takes that route (``_complement``), with the first
+    min(l, n_c) vertices of each color near; else None."""
+    if not kx.is_pure():
+        return None
+    sizes, colors = kx.color_sizes, range(1, kx.n_colors + 1)
+    leads = tuple(min(l, n) for n in sizes)
+    # a facet's pick, its vertex of each color in color order
+    at = itemgetter(*colors) if len(colors) > 1 else lambda f: tuple(map(f.__getitem__, colors))
+    # the rule's count first, on the facets as they are read, so that a
+    # complex kept on elimination builds no set of picks
+    if not _outnumbered(sizes, leads, len(kx.facets), map(at, map(dict, kx.facets))):
+        return None
+    return _complement(sizes, leads, frozenset(map(at, map(dict, kx.facets))))
+
+
 @dataclass(frozen=True)
 class MIndependenceReport:
     l: int
@@ -526,17 +727,20 @@ def rows_independent_M(
 
     By the shifting criterion this holds exactly when the shifted complex
     avoids the join of l+1 points per color; the cross-check lives in the
-    test suite. The parameters and rows drawn, l per vertex and color of
-    the palette, and the columns, at most l per vertex of each facet, are
-    capped at ``RANK_SIZE_CAP``.
+    test suite. Each trial ranks through the complement when kx takes that
+    route (``_complex_complement``), else by elimination. The parameters
+    and rows drawn, l per vertex and color of the palette, and the columns,
+    at most l per vertex of each facet, are capped at ``RANK_SIZE_CAP``.
     """
     if l < 1:
         raise InputError("l must be positive")
     _check_rank_size(l * (sum(kx.color_sizes) + kx.n_colors), l * sum(map(len, kx.facets)))
 
+    complement = _complex_complement(kx, l)
+
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, kx.color_sizes, rows=(l,) * kx.n_colors)
-        return build_M(kx, l, theta, p).rank()
+        return _rank(complement, theta, p, lambda: build_M(kx, l, theta, p))
 
     rank, meta = run_trials(
         policy,

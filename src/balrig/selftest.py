@@ -34,8 +34,8 @@ from .combinat import (
     swap_sides,
 )
 from .errors import InputError
-from .exactla import TrialPolicy, run_trials
-from .rigidity import analyze, laman_check, rows_independent_M
+from .exactla import TrialPolicy, run_trials, sample_theta
+from .rigidity import _complement, analyze, build_rigidity_matrix, laman_check, rows_independent_M
 from .shifting import (
     _edge_trial,
     check_shifted,
@@ -114,9 +114,13 @@ def sparse_insertion_graph(
 
 
 def check_rank_law() -> tuple[bool, str]:
-    """rank of the (k,l)-matrix of the complete graph is l n + k m - k l."""
+    """rank of the (k,l)-matrix of the complete graph is l n + k m - k l,
+    and at each draw the complement in K_{n,m}, which reads that rank off
+    the parameters, agrees with elimination on the complete graph and on
+    the complete graph less random edges."""
     policy = TrialPolicy(seed=101)
-    tested = 0
+    rng = random.Random(101)
+    p, tested = policy.prime, 0
     for k in range(1, 4):
         for l in range(1, 4):
             for n in range(k, 7):
@@ -125,8 +129,18 @@ def check_rank_law() -> tuple[bool, str]:
                     rep = analyze(g, k, l, policy)
                     if rep.rank != l * n + k * m - k * l:
                         return False, f"K_{{{n},{m}}} at ({k},{l}): rank {rep.rank}"
+                    cut = rng.sample(sorted(g.edges), rng.randint(1, n * m))
+                    for h in (g, BipartiteGraph(n, m, g.edges.difference(cut))):
+                        complement = _complement((n, m), (k, l), h.edges, ruled=False)
+                        for i in range(policy.trials):
+                            theta = sample_theta(p, policy.trial_seed(i), (n, m), rows=(k, l))
+                            by_complement = complement.rank(p, theta)
+                            by_elimination = build_rigidity_matrix(h, k, l, theta, p).rank()
+                            if by_complement != by_elimination:
+                                less = f"K_{{{n},{m}}} less {n * m - h.n_edges} edges"
+                                return False, f"{less}: {by_complement} != {by_elimination}"
                     tested += 1
-    return True, f"{tested} (k,l,n,m) cases exact"
+    return True, f"{tested} (k,l,n,m) cases exact, both routes agree"
 
 
 def check_shift_conservation() -> tuple[bool, str]:
@@ -285,6 +299,7 @@ def check_deletion_contraction_gluing() -> tuple[bool, str]:
             counts[family] += failed is not None
 
     attempts = 0
+    intersections = [0, 0]  # stress-free pairs whose intersection is not, is rigid
     while counts["gluing"] < 200:
         attempts += 1
         if attempts > 50_000:
@@ -308,13 +323,12 @@ def check_deletion_contraction_gluing() -> tuple[bool, str]:
         e1 = {e for e in complete_edges(a1, b1) if rng.random() < density}
         e2 = {e for e in complete_edges(a2, b2) if rng.random() < density}
         if part == 2:
-            # complete overlap block in both, so the intersection is rigid
-            e1 |= {
-                (i, j)
-                for i in range(a1 - oa + 1, a1 + 1)
-                for j in range(b1 - ob + 1, b1 + 1)
-            }
-            e2 |= {(i, j) for i in range(1, oa + 1) for j in range(1, ob + 1)}
+            # one drawn overlap block in both, so the intersection is that
+            # block, rigid or not as the draw falls
+            block = {e for e in complete_edges(oa, ob) if rng.random() < 0.8}
+            e1 = {(i, j) for i, j in e1 if i <= a1 - oa or j <= b1 - ob}
+            e1 |= {(a1 - oa + i, b1 - ob + j) for i, j in block}
+            e2 = {(i, j) for i, j in e2 if i > oa or j > ob} | block
         g1 = BipartiteGraph(a1, b1, frozenset(e1))
         g2 = BipartiteGraph(a2, b2, frozenset(e2))
         # g2's first oa A- and ob B-vertices are g1's last ones
@@ -330,8 +344,9 @@ def check_deletion_contraction_gluing() -> tuple[bool, str]:
                 return False, "gluing/1"
         if part == 2 and r1.is_stress_free and r2.is_stress_free:
             inter = induced_subgraph(g2, range(1, oa + 1), range(1, ob + 1)).graph
-            # the forced block makes the intersection the complete graph
-            if oa >= k and ob >= l and analyze(inter, k, l, policy).is_rigid:
+            rigid = analyze(inter, k, l, policy).is_rigid
+            intersections[rigid] += 1
+            if rigid:
                 fired = True
                 if not analyze(union, k, l, policy).is_stress_free:
                     return False, "gluing/2"
@@ -342,7 +357,10 @@ def check_deletion_contraction_gluing() -> tuple[bool, str]:
         if fired:
             counts["gluing"] += 1
 
-    return True, "200 instances per implication family"
+    return True, (
+        f"200 instances per implication family; {intersections[True]} of "
+        f"{sum(intersections)} stress-free pairs glued on a rigid intersection"
+    )
 
 
 def check_double_banana() -> tuple[bool, str]:

@@ -272,16 +272,22 @@ def test_shift_disagreement_lists_edge_sets(capsys, tmp_path):
     assert len({tuple(map(tuple, edges)) for edges in verdicts}) > 1
 
 
-def test_invariant_failure_exits_6(capsys, tmp_path, monkeypatch):
-    from balrig.exactla import GenericMatrix
+def test_invariant_failure_exits_6(capsys, tmp_path):
+    from test_complement_route import inject_rank
 
-    # a rank above the edge count breaks a certification invariant
-    monkeypatch.setattr(GenericMatrix, "rank", lambda self: self.n_rows + 1)
-    path = write_graph(tmp_path, fam.complete_bipartite(2, 2))
-    rc, out = run_cli(capsys, "analyze", "--graph", path, "-k", "1", "-l", "1")
-    assert rc == 6
-    err = json.loads(out)["error"]
-    assert err["code"] == 6 and err["kind"] == "InvariantError"
+    # a rank above the edge count breaks a certification invariant, on
+    # either route: K_{2,2} has more edges than its maximal rank at (1,1),
+    # and K_{2,2} less the edge (1,1) does not, and keeps the far edge (2,2)
+    k22 = fam.complete_bipartite(2, 2)
+    less = BipartiteGraph(2, 2, k22.edges - {(1, 1)})
+    for g, route in [(k22, "complement"), (less, "elimination")]:
+        path = write_graph(tmp_path, g)
+        with pytest.MonkeyPatch.context() as mp:
+            routes = inject_rank(mp, lambda rank: g.n_edges + 1)
+            rc, out = run_cli(capsys, "analyze", "--graph", path, "-k", "1", "-l", "1")
+        assert rc == 6 and routes == [route] * 3
+        err = json.loads(out)["error"]
+        assert err["code"] == 6 and err["kind"] == "InvariantError"
 
 
 def test_non_prime_modulus_exits_3(capsys, tmp_path):

@@ -10,9 +10,10 @@ walk's digests before a walk step stopped at its rank cap, the rank
 digests of dense graphs before a rank stopped at its layout's bound, the
 last three shift digests before a graph's route turned on whether it is
 shifted, the graph operations' digest before they shared one
-relabelling, and the generator digest before the cross-polytope was built
+relabelling, the generator digest before the cross-polytope was built
 as a van Kampen complex and the laman augmentations shared one mapping to
-dense edges.
+dense edges, and the complement digest before graphs and complexes were
+ranked through their complement in the complete join.
 """
 
 import hashlib
@@ -35,9 +36,9 @@ from balrig.combinat import (
     glue,
     induced_subgraph,
 )
-from balrig.errors import InputError
-from balrig.exactla import TrialPolicy
-from balrig.rigidity import stress_space
+from balrig.errors import InputError, TrialDisagreementError
+from balrig.exactla import DEFAULT_PRIME, TrialPolicy
+from balrig.rigidity import analyze, max_rank, rows_independent_M, stress_space
 from balrig.shifting import _prefix_trial
 
 
@@ -361,3 +362,77 @@ def test_generators_keep_their_digest(capsys, monkeypatch):
             for mode in ("two-vertex", "opposite-facets", "laman"):
                 out.append(augmentation_json(cg, facet, mode))
     assert sha256(json.dumps(out)) == GENERATOR_DIGEST
+
+
+def complement_graphs() -> list:
+    """(g, k, l): K_{5,6} at (2,3), K_{8,8} at (4,4), and 22 seeded random
+    graphs, sides 1-8, with more edges than their maximal rank."""
+    rng = random.Random(23)
+    cases = [(fam.complete_bipartite(5, 6), 2, 3), (fam.complete_bipartite(8, 8), 4, 4)]
+    while len(cases) < 24:
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        k, l = rng.randint(1, n), rng.randint(1, m)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+        density = rng.choice((0.5, 0.7, 0.9, 1.0))
+        g = BipartiteGraph(n, m, frozenset(e for e in pairs if rng.random() < density))
+        if g.n_edges > max_rank(g, k, l):
+            cases.append((g, k, l))
+    return cases
+
+
+def complement_complexes() -> list:
+    """(kx, l): the 3- and 4-cross-polytopes at l = 1 and 2, the glued
+    3-cross-polytopes at l = 1, and 16 seeded random pure complexes of 2-4
+    color classes of 1-4 vertices."""
+    rng = random.Random(29)
+    cases = [(fam.cross_polytope_boundary(d), l) for d in (3, 4) for l in (1, 2)]
+    cases.append((fam.glued_cross_polytopes(3).complex, 1))
+    for _ in range(16):
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 4)))
+        picks = list(itertools.product(*[range(1, s + 1) for s in sizes]))
+        density = rng.choice((0.3, 0.6, 0.9, 1.0))
+        chosen = [p for p in picks if rng.random() < density] or picks[:1]
+        kx = BalancedComplex(sizes, frozenset(frozenset(enumerate(p, start=1)) for p in chosen))
+        cases.append((kx, rng.randint(1, 3)))
+    return cases
+
+
+def report_json(call) -> dict | list:
+    """A report as JSON data, or the verdicts of trials that disagree."""
+    try:
+        return call().to_json_dict()
+    except TrialDisagreementError as exc:
+        return ["disagree", list(exc.verdicts)]
+
+
+def stress_dim_json(g, k, l, policy) -> list:
+    try:
+        basis = stress_space(g, k, l, policy)
+    except TrialDisagreementError as exc:
+        return ["disagree", list(exc.verdicts)]
+    return [basis.dim, basis.meta.trials, basis.meta.escalated]
+
+
+#: sha256 of the ``analyze`` reports and ``stress_space`` dimensions of the
+#: graphs above and the ``rows_independent_M`` reports of the complexes, as
+#: JSON, at p = 2, 3 and the default, one trial at seed 0 and three at seed
+#: 1. Recorded before they were ranked through their complement; all 24
+#: graphs and 17 of the 21 complexes take that route now
+COMPLEMENT_DIGEST = "6122a69f5213facb2cb70e9c9b9bd31bf3ee7129b842c2f65271209e6872b6a9"
+
+
+def test_complement_route_reports_keep_their_digest():
+    policies = [
+        TrialPolicy(prime=p, trials=trials, seed=seed)
+        for p in (2, 3, DEFAULT_PRIME)
+        for trials, seed in ((1, 0), (3, 1))
+    ]
+    out = []
+    for g, k, l in complement_graphs():
+        for policy in policies:
+            out.append(report_json(lambda: analyze(g, k, l, policy)))
+            out.append(stress_dim_json(g, k, l, policy))
+    for kx, l in complement_complexes():
+        for policy in policies:
+            out.append(report_json(lambda: rows_independent_M(kx, l, policy)))
+    assert sha256(json.dumps(out)) == COMPLEMENT_DIGEST

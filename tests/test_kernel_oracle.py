@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import balrig
-from balrig import exactla
+from balrig import exactla, rigidity
 from balrig.combinat import BipartiteGraph, complete_edges
 from balrig.families import random_quadrangulation, random_tree
 from balrig.errors import InvariantError
@@ -40,8 +40,10 @@ from balrig.rigidity import (
     _verify_equilibrium,
     analyze,
     build_rigidity_matrix,
+    max_rank,
     stress_space,
 )
+from test_complement_route import inject_rank, sheared_draws
 
 PRIMES = (2, 3, 5, 101, DEFAULT_PRIME)
 
@@ -247,13 +249,21 @@ def test_invariant_checks_survive_optimize_flag():
     assert out.stdout.strip() == "caught 6"
 
 
-def test_max_rank_bound_is_checked(monkeypatch):
+def test_max_rank_bound_is_checked():
     # K_{3,3} at (1,1) has 9 edges but a maximal rank of 5; a claimed rank of
-    # 6 passes the edge bound and must fail the max-rank bound
+    # 6 passes the edge bound and must fail the max-rank bound. Every graph
+    # with more edges than its maximal rank takes the complement, so draws
+    # sheared off the triangular form reach elimination; K_{3,3} at (2,2),
+    # 9 edges and a maximal rank of 8, shears
     g = BipartiteGraph(3, 3, complete_edges(3, 3))
-    monkeypatch.setattr(GenericMatrix, "rank", lambda self: 6)
-    with pytest.raises(InvariantError, match="maximal rank"):
-        analyze(g, 1, 1)
+    for k, sheared in [(1, False), (2, False), (2, True)]:
+        with pytest.MonkeyPatch.context() as mp:
+            if sheared:
+                sheared_draws(mp)
+            routes = inject_rank(mp, lambda rank: max_rank(g, k, k) + 1)
+            with pytest.raises(InvariantError, match="maximal rank"):
+                analyze(g, k, k)
+        assert routes == ["elimination" if sheared else "complement"] * 3
 
 
 def natural_rigidity_rows(g, k, l, theta) -> list[list[int]]:
@@ -351,23 +361,26 @@ def test_stress_space_returns_the_natural_layouts_basis():
 )
 def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, policy):
     # the first trial computes its left kernel and reads its dimension off
-    # it, and every other trial ranks; a second kernel runs only when the
-    # agreed dimension is not the first trial's. The basis is the dense
-    # oracle's kernel of the first trial, in seed order, whose rank gives
-    # the agreed dimension
+    # it, and every other trial ranks through the one rank dispatch, by the
+    # complement when g has more edges than its maximal rank; a second
+    # kernel runs only when the agreed dimension is not the first trial's.
+    # The basis is the dense oracle's kernel of the first trial, in seed
+    # order, whose rank gives the agreed dimension
     kernels, ranks = [], []
-    left_kernel, rank = GenericMatrix.left_kernel, GenericMatrix.rank
+    left_kernel = GenericMatrix.left_kernel
 
     def watching_kernel(self):
         kernels.append(self)
         return left_kernel(self)
 
-    def watching_rank(self):
-        ranks.append(self)
-        return rank(self)
-
     monkeypatch.setattr(GenericMatrix, "left_kernel", watching_kernel)
-    monkeypatch.setattr(GenericMatrix, "rank", watching_rank)
+    routes = inject_rank(monkeypatch, lambda rank: rank)
+    dispatch = rigidity._rank
+    def watching_rank(complement, blocks, p, build):
+        ranks.append(build())
+        return dispatch(complement, blocks, p, build)
+
+    monkeypatch.setattr(rigidity, "_rank", watching_rank)
     basis = stress_space(g, k, l, policy)
     p, ncols = policy.prime, l * g.a_size + k * g.b_size
     ran = policy.trials + basis.meta.trials if basis.meta.escalated else policy.trials
@@ -380,6 +393,8 @@ def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, poli
     )
     assert kernels == ([trials[0]] if kept == 0 else [trials[0], trials[kept]])
     assert ranks == trials[1:]
+    route = "complement" if rigidity._graph_complement(g, k, l) else "elimination"
+    assert routes == [route] * (ran - 1)
     assert list(basis.vectors) == dense_left_kernel(trials[kept].rows, p, ncols)
 
 

@@ -23,6 +23,7 @@ from balrig.combinat import BipartiteGraph, complete_edges
 from balrig.errors import InvariantError
 from balrig.exactla import DEFAULT_PRIME, Echelon, GenericMatrix, _lead_key, sample_theta
 from balrig.rigidity import analyze, build_rigidity_matrix, max_rank
+from test_complement_route import inject_rank, sheared_draws
 from test_golden import half_dense_10x11
 
 PRIMES = (2, 3, 5, 101, DEFAULT_PRIME)
@@ -164,14 +165,21 @@ def _write(tmp_path, g: BipartiteGraph) -> str:
 
 
 @pytest.mark.parametrize("past", ["max_rank", "edges"])
-def test_analyze_refuses_a_rank_past_either_bound(monkeypatch, tmp_path, capsys, past):
-    # the capped rank never reaches these checks; a claimed rank does. K_{3,3}
-    # at (1,1) has 9 edges and a maximal rank of 5
+def test_analyze_refuses_a_rank_past_either_bound(tmp_path, capsys, past):
+    # the capped rank never reaches these checks; a claimed rank does, on
+    # either route. K_{3,3} at (2,2) has 9 edges and a maximal rank of 8, so
+    # it takes the complement, and draws sheared off the triangular form
+    # send it to elimination
     g = BipartiteGraph(3, 3, complete_edges(3, 3))
-    claimed = max_rank(g, 1, 1) + 1 if past == "max_rank" else g.n_edges + 1
-    monkeypatch.setattr(GenericMatrix, "rank", lambda self: claimed)
+    claimed = max_rank(g, 2, 2) + 1 if past == "max_rank" else g.n_edges + 1
     match = "maximal rank" if past == "max_rank" else "edge count"
-    with pytest.raises(InvariantError, match=match):
-        analyze(g, 1, 1)
-    assert main(["analyze", "--graph", _write(tmp_path, g), "-k", "1", "-l", "1"]) == 6
-    assert match in json.loads(capsys.readouterr().out)["error"]["message"]
+    for route in ("complement", "elimination"):
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "elimination":
+                sheared_draws(mp)
+            routes = inject_rank(mp, lambda rank: claimed)
+            with pytest.raises(InvariantError, match=match):
+                analyze(g, 2, 2)
+            assert main(["analyze", "--graph", _write(tmp_path, g), "-k", "2", "-l", "2"]) == 6
+        assert match in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert routes == [route] * 6
