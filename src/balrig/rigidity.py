@@ -59,9 +59,12 @@ products u_a ⊗ v_b of the near non-edges on the far edges. The facet-ridge
 matrix of a pure complex inside the complete join of its color classes is
 the same, color by color. ``_Complement`` ranks those products; a block
 that is not unit upper triangular fails its guard and ranks by
-elimination. ``analyze``, ``rows_independent_M`` and the ranking trials of
-``stress_space`` take this route by one structural rule (``_complement``),
-and both routes meet in ``_rank``.
+elimination. ``analyze``, ``rows_independent_M`` and ``stress_space`` take
+this route by one structural rule (``_complement``), and both routes meet
+in ``_rank``, and for stress bases in ``_stresses``. A left kernel returns
+the reverse-reduced basis of the stress space in edge order, which the
+space alone fixes, so ``_complement_stresses`` reads the same vectors off
+N_A ⊗ N_B.
 """
 
 from __future__ import annotations
@@ -105,8 +108,10 @@ RANK_SIZE_CAP = 1 << 18
 
 #: Most entries a stress basis is sure to return: E times the least
 #: dimension, E - (l|A| + k|B|). K_{70,70} at (2,2) returns 22.6 million in
-#: 3.7 s at a peak of 329 MiB (16 bytes an entry; 3 trials, two ranks and
-#: one left kernel), so the cap is about half a GiB.
+#: 1.5 s at a peak of 191 MiB (about 8 bytes an entry, nearly all of them
+#: zeros; 3 trials, two ranks and one basis through the complement), so the
+#: cap is about a quarter of a GiB of such entries, more where a basis is
+#: dense.
 STRESS_OUTPUT_CAP = 1 << 25
 
 
@@ -368,6 +373,75 @@ def _rank(
     return build().rank() if rank is None else rank
 
 
+def _complement_stresses(
+    g: BipartiteGraph, k: int, l: int, theta: Sequence, p: int
+) -> list[tuple[int, ...]] | None:
+    """The stress basis ``left_kernel`` returns at the draw ``theta``, read
+    off N_A ⊗ N_B; None when a block fails the guard of ``kernel_rows``.
+
+    A stress of g is Σ c_ab u_a ⊗ v_b over its far edges ab, with weight
+    c_ab there, that vanishes on every near non-edge xy: the products
+    u_x[a] v_y[b] of the far edges whose box (the near vertices and a, by
+    the near vertices and b) holds xy cancel. The far edges go into one
+    echelon in edge order, each a row of those products with a tag column
+    of its own, as the rows of ``left_kernel`` do, so a far edge that
+    depends on the earlier ones gives the c with 1 there and the rest on
+    earlier independent far edges. The last edge that a nonzero stress
+    weighs is far, so this is the same reverse-reduced basis.
+
+    The near vertices are split as ``_graph_complement`` splits them, but
+    the boxes are listed here, not read off the cached ``_Complement``: its
+    products run per near non-edge across the far edges, in pivot order,
+    and a basis needs their transpose, far edge by far edge in edge order,
+    with each box's edges to expand c on, which no rank reads.
+    """
+    kernels = [kernel_rows(p, block[:n]) for block, n in zip(theta, (k, l))]
+    if None in kernels:
+        return None
+    (ya, yb), edges = kernels, g.edge_list()
+    ka, lb, width = min(k, g.a_size), min(l, g.b_size), g.b_size + 1
+    index = {e: i for i, e in enumerate(edges)}
+    echelon, boxes, basis = Echelon(p), {}, []  # boxes: of the independent far edges
+    for f, (a, b) in enumerate(e for e in edges if e[0] > ka and e[1] > lb):
+        row = {f: 1}  # the products on the near non-edges, the tag at f
+        box = boxes[f] = []
+        for x, u in [*zip(range(1, ka + 1), [y[a - ka - 1] for y in ya]), (a, 1)]:
+            for y, v in [*zip(range(1, lb + 1), [y[b - lb - 1] for y in yb]), (b, 1)]:
+                i = index.get((x, y))
+                if i is None:
+                    row[-x * width - y] = u * v  # below every tag
+                else:
+                    box.append((i, u * v))
+        c = row  # with no product, u_a ⊗ v_b is a stress of g
+        if len(row) > 1:
+            lead = echelon.insert(row)
+            if lead < 0:
+                continue  # independent of the earlier far edges
+            c, value, _ = echelon.drop(lead)
+            c[lead] = value
+        weights = defaultdict(int)
+        for j, cj in c.items():
+            for i, x in boxes[j]:
+                weights[i] += cj * x
+        w = [0] * len(edges)
+        for i, x in weights.items():
+            w[i] = x % p
+        basis.append(tuple(w))
+        del boxes[f]  # a dependent far edge is in no later c
+    return basis
+
+
+def _stresses(
+    routed: bool, g: BipartiteGraph, k: int, l: int, theta: Sequence, p: int
+) -> list[tuple[int, ...]]:
+    """A stress basis at one draw, the kernel's dispatch: read off the
+    complement when g takes that route (``_graph_complement``) and the draw
+    passes its guard, else the left kernel of the matrix. Both give the
+    same vectors."""
+    basis = _complement_stresses(g, k, l, theta, p) if routed else None
+    return build_rigidity_matrix(g, k, l, theta, p).left_kernel() if basis is None else basis
+
+
 @dataclass(frozen=True)
 class RigidityReport:
     """Verdicts for one graph and one (k, l) pair."""
@@ -476,9 +550,11 @@ def stress_space(
     The dimension, E minus the rank, must agree across trials; the basis is
     the one left kernel, of the first trial, in seed order, with the agreed
     dimension (after an escalation, an earlier trial may have another one).
-    The first trial computes its left kernel and reads its dimension off
-    it, and the other trials only rank, as ``analyze`` does, so a second
-    kernel runs only when the agreed dimension is not the first trial's.
+    The first trial computes its basis and reads its dimension off it, and
+    the other trials only rank, as ``analyze`` does, so a second basis is
+    computed only when the agreed dimension is not the first trial's. Each
+    basis and rank is read off the complement when g takes that route
+    (``_stresses``, ``_rank``), with no matrix laid out, else eliminated.
     Every basis vector is re-verified against the vertex equilibrium
     equations of the induced embedding. Capped as ``analyze`` is, and on
     the entries the basis is sure to hold (``STRESS_OUTPUT_CAP``), before
@@ -492,6 +568,7 @@ def stress_space(
         "stress basis entries", g.n_edges * max(0, g.n_edges - columns), STRESS_OUTPUT_CAP
     )
     complement = _graph_complement(g, k, l)
+    routed = complement is not None
     # per dimension, the first trial's theta, with its basis when the trial
     # computed one; a ranking trial builds no matrix
     first_of_dim: dict[int, tuple] = {}
@@ -504,7 +581,7 @@ def stress_space(
             )
             first_of_dim.setdefault(dim, (theta, None))
         else:
-            basis = build_rigidity_matrix(g, k, l, theta, p).left_kernel()
+            basis = _stresses(routed, g, k, l, theta, p)
             dim = len(basis)
             first_of_dim[dim] = (theta, basis)
         return dim
@@ -517,7 +594,7 @@ def stress_space(
     )
     theta, basis = first_of_dim[dim]
     if basis is None:
-        basis = build_rigidity_matrix(g, k, l, theta, policy.prime).left_kernel()
+        basis = _stresses(routed, g, k, l, theta, policy.prime)
     if len(basis) != dim:
         raise InvariantError(f"a stress basis of {len(basis)} vectors, not the agreed {dim}")
     edges = tuple(g.edge_list())  # the rows, in the order the basis reads them

@@ -35,7 +35,14 @@ from .combinat import (
 )
 from .errors import InputError
 from .exactla import TrialPolicy, run_trials, sample_theta
-from .rigidity import _complement, analyze, build_rigidity_matrix, laman_check, rows_independent_M
+from .rigidity import (
+    _complement,
+    _complement_stresses,
+    analyze,
+    build_rigidity_matrix,
+    laman_check,
+    rows_independent_M,
+)
 from .shifting import (
     _edge_trial,
     check_shifted,
@@ -115,12 +122,13 @@ def sparse_insertion_graph(
 
 def check_rank_law() -> tuple[bool, str]:
     """rank of the (k,l)-matrix of the complete graph is l n + k m - k l,
-    and at each draw the complement in K_{n,m}, which reads that rank off
-    the parameters, agrees with elimination on the complete graph and on
-    the complete graph less random edges."""
+    and at each draw the complement in K_{n,m}, which reads that rank and a
+    stress basis off the parameters, agrees with elimination's rank and
+    left kernel on the complete graph and on the complete graph less random
+    edges."""
     policy = TrialPolicy(seed=101)
     rng = random.Random(101)
-    p, tested = policy.prime, 0
+    p, tested, bases = policy.prime, 0, 0
     for k in range(1, 4):
         for l in range(1, 4):
             for n in range(k, 7):
@@ -134,13 +142,17 @@ def check_rank_law() -> tuple[bool, str]:
                         complement = _complement((n, m), (k, l), h.edges, ruled=False)
                         for i in range(policy.trials):
                             theta = sample_theta(p, policy.trial_seed(i), (n, m), rows=(k, l))
+                            matrix = build_rigidity_matrix(h, k, l, theta, p)
                             by_complement = complement.rank(p, theta)
-                            by_elimination = build_rigidity_matrix(h, k, l, theta, p).rank()
+                            by_elimination = matrix.rank()
+                            less = f"K_{{{n},{m}}} less {n * m - h.n_edges} edges"
                             if by_complement != by_elimination:
-                                less = f"K_{{{n},{m}}} less {n * m - h.n_edges} edges"
                                 return False, f"{less}: {by_complement} != {by_elimination}"
+                            if _complement_stresses(h, k, l, theta, p) != matrix.left_kernel():
+                                return False, f"{less}: the stress bases differ"
+                            bases += 1
                     tested += 1
-    return True, f"{tested} (k,l,n,m) cases exact, both routes agree"
+    return True, f"{tested} (k,l,n,m) cases exact, both routes agree on {bases} ranks and bases"
 
 
 def check_shift_conservation() -> tuple[bool, str]:

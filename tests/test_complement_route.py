@@ -1,4 +1,5 @@
-"""Ranks through the complement in the complete join, against elimination.
+"""Ranks and stress bases through the complement in the complete join,
+against elimination.
 
 At every draw whose blocks are unit upper triangular, the stress space of
 K_{A,B} is N_A ⊗ N_B, so the rank of a subgraph G is its edge count less
@@ -7,13 +8,17 @@ its near non-edges on its far edges; a pure subcomplex of the complete join
 of its color classes has the same formula, color by color. The elimination
 of ``GenericMatrix.rank`` shares nothing with that route beyond the echelon
 kernel, and stays here as its oracle, on every draw and prime, small ones
-included, whether or not the input takes the route.
+included, whether or not the input takes the route. A stress basis read
+off the complement is the reverse-reduced basis the left kernel returns,
+and the dense left kernel of the natural layout is its oracle.
 
 ``inject_rank`` corrupts the one rank dispatch both routes share, after it
 has ranked the draw by its own route, and records that route; the other
 test modules use it to reach the invariant checks behind either route.
 ``sheared_draws`` makes every draw fail the complement's guard without
 changing any rank, which sends a graph that takes the route to elimination.
+``watch_left_kernels`` records the matrices whose left kernel runs, so a
+stress basis that records none was read off the complement.
 """
 
 import itertools
@@ -27,12 +32,14 @@ from hypothesis import strategies as st
 from balrig import families as fam
 from balrig import rigidity
 from balrig.combinat import BalancedComplex, BipartiteGraph, complete_edges
-from balrig.exactla import DEFAULT_PRIME, TrialPolicy, kernel_rows, sample_theta
+from balrig.exactla import DEFAULT_PRIME, GenericMatrix, TrialPolicy, kernel_rows, sample_theta
 from balrig.rigidity import (
     _complement,
+    _complement_stresses,
     _complex_complement,
     _graph_complement,
     _rank,
+    _stresses,
     analyze,
     build_M,
     build_rigidity_matrix,
@@ -167,6 +174,54 @@ def test_a_block_that_is_not_triangular_falls_back_and_keeps_the_rank(p):
         assert built == [1]
 
 
+@pytest.fixture(scope="module")
+def oracle():
+    """``test_kernel_oracle``, which imports this module's helpers."""
+    import test_kernel_oracle
+
+    return test_kernel_oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=subgraphs())
+def test_the_complement_reads_the_stress_basis_of_the_natural_layout(oracle, case):
+    g, k, l, p, seed = case
+    theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
+    natural = oracle.natural_rigidity_rows(g, k, l, theta)
+    want = oracle.dense_left_kernel(natural, p, l * g.a_size + k * g.b_size)
+    assert _complement_stresses(g, k, l, theta, p) == want
+    assert _stresses(_graph_complement(g, k, l) is not None, g, k, l, theta, p) == want
+
+
+def watch_left_kernels(monkeypatch) -> list:
+    """The matrices whose left kernel the verdict calls compute."""
+    kernels = []
+    left_kernel = GenericMatrix.left_kernel
+
+    def watching(self):
+        kernels.append(self)
+        return left_kernel(self)
+
+    monkeypatch.setattr(GenericMatrix, "left_kernel", watching)
+    return kernels
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_sheared_draw_falls_back_to_the_left_kernel(monkeypatch, p):
+    g = BipartiteGraph(6, 6, complete_edges(6, 6) - {(1, 1), (2, 5), (6, 1), (4, 4)})
+    assert _graph_complement(g, 2, 2) is not None
+    kernels = watch_left_kernels(monkeypatch)
+    for seed in range(10):
+        theta = sample_theta(p, seed, (6, 6), rows=(2, 2))
+        sheared = [theta[0], shear(theta[1])]
+        assert _complement_stresses(g, 2, 2, sheared, p) is None
+        matrix = build_rigidity_matrix(g, 2, 2, sheared, p)
+        want = matrix.left_kernel()
+        kernels.clear()
+        assert _stresses(True, g, 2, 2, sheared, p) == want
+        assert kernels == [matrix]
+
+
 def test_a_zero_pivot_fails_the_guard():
     # a diagonal entry 0 mod p, or an entry before it, is not unit triangular
     assert kernel_rows(5, [[1, 2, 3], [0, 5, 4]]) is None
@@ -191,15 +246,14 @@ def watch_layouts(monkeypatch) -> list:
 
 def test_routed_verdicts_build_no_layout(monkeypatch):
     built = watch_layouts(monkeypatch)
+    kernels = watch_left_kernels(monkeypatch)
     k88 = fam.complete_bipartite(8, 8)
     assert analyze(k88, 4, 4).rank == max_rank(k88, 4, 4) == 48
     cp6 = fam.cross_polytope_boundary(6)
     assert rows_independent_M(cp6, 1).rank == 2**6 - 1
-    assert built == []
-    # the first trial of a stress space computes its basis on the layout,
-    # and its ranking trials take the complement
+    # a stress space reads its basis off the complement, and ranks there
     assert stress_space(k88, 4, 4, TrialPolicy(trials=3)).dim == 16
-    assert built == ["_rigidity_layout"]
+    assert built == [] and kernels == []
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,10 @@ last three shift digests before a graph's route turned on whether it is
 shifted, the graph operations' digest before they shared one
 relabelling, the generator digest before the cross-polytope was built
 as a van Kampen complex and the laman augmentations shared one mapping to
-dense edges, and the complement digest before graphs and complexes were
-ranked through their complement in the complete join.
+dense edges, the complement digest before graphs and complexes were
+ranked through their complement in the complete join, and the stress
+digests of the graphs that take that route before their bases were read
+off it.
 """
 
 import hashlib
@@ -91,13 +93,24 @@ STRESS_CASES = {
     "double banana": lambda: (fam.double_banana(), 1, 2),
     "quad64": lambda: (fam.random_quadrangulation(64, seed=0), 2, 2),
     "half-dense 8x9": lambda: (half_dense_8x9(), 2, 2),
+    # graphs that take the complement route
+    "K_8,8 at (4,4)": lambda: (fam.complete_bipartite(8, 8), 4, 4),
+    "dense 8x8": lambda: (dense_8x8(), 2, 2),
+    "K_5,5": lambda: (fam.complete_bipartite(5, 5), 2, 2),
+    "half-dense 10x11 at (1,1)": lambda: (half_dense_10x11(), 1, 1),
+    "K_3,3 at (4,4)": lambda: (fam.complete_bipartite(3, 3), 4, 4),  # above a side
 }
 
 #: The policies by key: the default policy at seeds 0 and 1, and one trial at
 #: p = 5, where some quadrangulation blocks pass before one fails, so the
-#: peel's fallback and the echelon's inverses both run
+#: peel's fallback and the echelon's inverses both run; one trial at p = 2;
+#: and three at p = 3 and seed 123, where the dense 8x8 graph's first round
+#: disagrees, and the doubled round agrees on another dimension than the
+#: first trial's
 POLICIES = {seed: TrialPolicy(seed=seed) for seed in (0, 1)}
 POLICIES.update({("p5", seed): TrialPolicy(prime=5, trials=1, seed=seed) for seed in (0, 1)})
+POLICIES[("p2", 0)] = TrialPolicy(prime=2, trials=1, seed=0)
+POLICIES[("p3", 123)] = TrialPolicy(prime=3, trials=3, seed=123)
 
 #: (case, policy key): (dimension, sha256 of the vectors as JSON)
 STRESS_DIGESTS = {
@@ -111,6 +124,16 @@ STRESS_DIGESTS = {
     ("half-dense 8x9", 1): (8, "0fc1b6b82ea965f4fb71fb3361865b675a77bbad1db772c3632ee0cf90aad93c"),
     ("quad64", ("p5", 0)): (8, "e7bb4686bd664525d29a6ccc0d6377294e77990fd736d2337a238641383e8d0a"),
     ("quad64", ("p5", 1)): (15, "3c17628649c5f6e1eed126e8f870498a35de7e9203bb6bf36a7ab53cdb10fe44"),
+    # recorded before a routed graph's basis was read off its complement
+    ("K_8,8 at (4,4)", 0): (16, "78455beafe00e63a3d7b718c36abdf78fc00a09cab2f19e5e55220885be4555d"),
+    ("K_8,8 at (4,4)", 1): (16, "d7df92fdb589907ea78d607ce1edbb875e5bea3c3bef97733ad1ac7fb4430342"),
+    ("dense 8x8", 0): (30, "f24f7c997264eaa574020569f6ab824a26693958cfc1704d9a8e191606bc05c7"),
+    ("dense 8x8", ("p3", 123)):
+        (30, "59c84e00335a0a84e3ce28d550e6ccc34e65a5e842ce7d0e34ba882280fedee9"),
+    ("K_5,5", ("p2", 0)): (9, "d846d530189f731323a9df00b450ae8f0186c2475a88cb76628aba7d351f35e8"),
+    ("half-dense 10x11 at (1,1)", 0):
+        (35, "78f3983a6b5dd58fd5d8ad3ff80f59eb51ab5b692765881f7989061c697936a3"),
+    ("K_3,3 at (4,4)", 0): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
 }
 
 

@@ -43,7 +43,7 @@ from balrig.rigidity import (
     max_rank,
     stress_space,
 )
-from test_complement_route import inject_rank, sheared_draws
+from test_complement_route import inject_rank, sheared_draws, watch_left_kernels
 
 PRIMES = (2, 3, 5, 101, DEFAULT_PRIME)
 
@@ -213,17 +213,24 @@ def test_equilibrium_is_checked_at_both_sides():
 
 
 def test_corrupted_kernel_vector_raises(monkeypatch):
-    original = GenericMatrix.left_kernel
+    # the basis is corrupted at the kernel's dispatch, on both routes: K_{3,3}
+    # reads it off the complement, and the same edges with five isolated
+    # vertices on each side, fewer than the maximal rank, eliminate
+    kernels = watch_left_kernels(monkeypatch)
+    dispatch = rigidity._stresses
 
-    def corrupted(self):
-        basis = original(self)
+    def corrupted(*args):
+        basis = dispatch(*args)
         if basis:
             basis[0] = (basis[0][0] + 1,) + basis[0][1:]
         return basis
 
-    monkeypatch.setattr(GenericMatrix, "left_kernel", corrupted)
-    with pytest.raises(InvariantError):
-        _k33_stresses()
+    monkeypatch.setattr(rigidity, "_stresses", corrupted)
+    for n, route in [(3, "complement"), (8, "elimination")]:
+        kernels.clear()
+        with pytest.raises(InvariantError):
+            stress_space(BipartiteGraph(n, n, complete_edges(3, 3)), 1, 1, TrialPolicy(seed=4))
+        assert ("elimination" if kernels else "complement") == route
 
 
 def test_invariant_checks_survive_optimize_flag():
@@ -360,20 +367,24 @@ def test_stress_space_returns_the_natural_layouts_basis():
     ],
 )
 def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, policy):
-    # the first trial computes its left kernel and reads its dimension off
-    # it, and every other trial ranks through the one rank dispatch, by the
-    # complement when g has more edges than its maximal rank; a second
-    # kernel runs only when the agreed dimension is not the first trial's.
-    # The basis is the dense oracle's kernel of the first trial, in seed
-    # order, whose rank gives the agreed dimension
-    kernels, ranks = [], []
-    left_kernel = GenericMatrix.left_kernel
+    # the first trial computes its stress basis through the one kernel
+    # dispatch and reads its dimension off it, and every other trial ranks
+    # through the one rank dispatch, both by the complement when g takes
+    # that route; a second kernel runs only when the agreed dimension is not
+    # the first trial's. The basis is the dense oracle's kernel of the
+    # first trial, in seed order, whose rank gives the agreed dimension
+    kernels, kernel_routes, ranks = [], [], []
+    left_kernels = watch_left_kernels(monkeypatch)
+    stresses = rigidity._stresses
 
-    def watching_kernel(self):
-        kernels.append(self)
-        return left_kernel(self)
+    def watching_stresses(routed, g, k, l, theta, p):
+        kernels.append(build_rigidity_matrix(g, k, l, theta, p))
+        eliminated = len(left_kernels)
+        basis = stresses(routed, g, k, l, theta, p)
+        kernel_routes.append("elimination" if len(left_kernels) > eliminated else "complement")
+        return basis
 
-    monkeypatch.setattr(GenericMatrix, "left_kernel", watching_kernel)
+    monkeypatch.setattr(rigidity, "_stresses", watching_stresses)
     routes = inject_rank(monkeypatch, lambda rank: rank)
     dispatch = rigidity._rank
     def watching_rank(complement, blocks, p, build):
@@ -394,7 +405,7 @@ def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, poli
     assert kernels == ([trials[0]] if kept == 0 else [trials[0], trials[kept]])
     assert ranks == trials[1:]
     route = "complement" if rigidity._graph_complement(g, k, l) else "elimination"
-    assert routes == [route] * (ran - 1)
+    assert routes == [route] * (ran - 1) and kernel_routes == [route] * len(kernels)
     assert list(basis.vectors) == dense_left_kernel(trials[kept].rows, p, ncols)
 
 
