@@ -40,10 +40,11 @@ column, so the builder can order only the core. Such rows are independent
 of every other row exactly when their vectors in the block are
 independent, which ``rank`` and ``left_kernel`` check at each draw on the
 vectors themselves, without an inverse; they count those rows and build
-and eliminate only the rest, the core. The first block that fails its
-check sends its rows and all later ones to the core, so every draw gets
-its matrix's exact rank and kernel. A layout keeps only what these read;
-its column labels are derived when they are read.
+and eliminate only the rest, the core. A peel is only a shortcut: at a
+draw where some block fails its check, which only a degenerate draw
+makes it, every row goes to the core by index, so every draw gets its
+matrix's exact rank and kernel. A layout keeps only what these read; its
+column labels are derived when they are read.
 
 A rank stops at a bound every draw obeys. A layout keeps a ``rank_bound``:
 its row or column count, or a smaller bound its builder knows, such as
@@ -57,16 +58,23 @@ charged to free slots of their blocks first (after the pebble games of Lee
 and Streinu, 2008), so the rank reaches the bound sooner; any other core
 goes in by lead alone. A left kernel reads every row.
 
-A unit upper triangular block has a kernel read off by back substitution
+Every shortcut that rests on the drawn form checks it at each draw by one
+rule, ``unit_row``: row r is 0 before position r and 1 at it, read on the
+values as drawn, with no reduction mod p. The rows of ``prefix_stream``
+always pass, and a row that fails, which only an injected draw gives,
+sends the work to the plain path. A unit upper triangular block
+(``unit_upper``) has a kernel read off by back substitution
 (``kernel_rows``), which ranks a near-complete matrix through the rows it
-lacks; a block that is not triangular is refused there.
+lacks; shifting reads the same rule for its settled components, through
+how many leading rows of a block pass it (``unit_extent``), and for the
+prefix walk's step cap.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -200,9 +208,9 @@ class Echelon:
 
 @dataclass(frozen=True)
 class Layout:
-    """What a matrix lays out before any value is drawn, and what ``rank``,
-    ``left_kernel`` and the peel's fallback read of it; a builder caches it
-    for every trial of a verdict.
+    """What a matrix lays out before any value is drawn, and what ``rank``
+    and ``left_kernel`` read of it; a builder caches it for every trial of
+    a verdict.
 
     Row i is labeled ``row_labels[i]``, has its entries in the columns
     ``columns[i]``, and is filled by the drawn vectors ``fills[i]``,
@@ -211,10 +219,10 @@ class Layout:
     blocks in column order.
 
     The peel (``peel``) is fixed here too. ``peeled`` holds the rows of the
-    blocks that peel, block by block in peel order, the t-th block's from
-    ``starts[t]`` on, and ``checks[t]`` the ids of the vectors that fill
-    them in that block, which its check reads. ``core`` is the other rows
-    by index, and ``core_by_lead`` the same rows in ``rank``'s order.
+    blocks that peel, block by block in peel order, and ``checks[t]`` the
+    ids of the vectors that fill the t-th block's rows there, which its
+    check reads, one per row. ``core`` is the other rows by index, and
+    ``core_by_lead`` the same rows in ``rank``'s order.
 
     ``rank_bound`` bounds the rank at every draw: the least of the row
     count, the column count and a bound the builder knows, such as the
@@ -237,7 +245,6 @@ class Layout:
     block_labels: Sequence
     checks: Sequence[tuple[int, ...]]
     peeled: Sequence[int]
-    starts: Sequence[int]
     core: Sequence[int]
     rank_bound: int | None = None
     core_by_lead: tuple[int, ...] = field(init=False)
@@ -274,16 +281,10 @@ class Layout:
                 rest.append(i)
         return charged + rest
 
-    @cached_property
-    def by_lead(self) -> tuple[int, ...]:
-        """Every row in ``rank``'s order, which the peel's fallback filters;
-        sorted on the first fallback and kept."""
-        return tuple(sorted(range(len(self.columns)), key=lambda i: _lead_key(self.columns[i])))
-
 
 def peel(
     widths: Sequence[int], row_blocks: Sequence[Sequence[int]], fills: Sequence[Sequence[int]]
-) -> tuple[list[int], list[tuple[int, ...]], list[int], list[int], list[int]]:
+) -> tuple[list[int], list[tuple[int, ...]], list[int], list[int]]:
     """Which blocks of a layout peel, from its block structure alone.
 
     Block b has ``widths[b]`` columns, and ``row_blocks[i]`` lists the
@@ -294,8 +295,8 @@ def peel(
     takes the blocks first come, first served, from block 0 on. Returns the
     blocks that peel, in peel order, and the peel as ``Layout`` keeps it:
     per block the vectors that fill its rows there, its rows, block by
-    block, where each block's rows start among them, and the core rows by
-    index. A row that meets a block twice is refused.
+    block, and the core rows by index. A row that meets a block twice is
+    refused.
     """
     rows_of: list[list[int]] = [[] for _ in widths]
     for i, blocks in enumerate(row_blocks):
@@ -307,13 +308,12 @@ def peel(
     slack = [len(rows) - width for rows, width in zip(rows_of, widths)]  # rows past the width
     queue = [b for b, extra in enumerate(slack) if extra <= 0]
     done = [False] * len(row_blocks)
-    order, checks, peeled, starts = [], [], [], []
+    order, checks, peeled = [], [], []
     for b in queue:  # the queue grows while it is read
         rows = [i for i in rows_of[b] if not done[i]]
         if not rows:
             continue
         order.append(b)
-        starts.append(len(peeled))
         peeled += rows
         check = []
         for i in rows:
@@ -324,7 +324,7 @@ def peel(
                 if not slack[other]:
                     queue.append(other)
         checks.append(tuple(check))
-    return order, checks, peeled, starts, [i for i, gone in enumerate(done) if not gone]
+    return order, checks, peeled, [i for i, gone in enumerate(done) if not gone]
 
 
 def _lead_key(columns: Sequence[int]) -> tuple[int, int]:
@@ -360,13 +360,26 @@ def _independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def unit_upper(p: int, block: Sequence[Sequence[int]]) -> bool:
+def unit_row(row: Sequence[int], r: int) -> bool:
+    """Whether ``row`` is 0 before position r and 1 at it, as row r of a
+    ``prefix_stream`` block is, read on its values as drawn: an entry that
+    is only 0 or 1 mod p fails. Every shortcut that rests on the drawn
+    triangular form checks it here, at each draw, and a row that fails,
+    which only an injected draw gives, sends the work to the plain path."""
+    return row[r] == 1 and not any(row[:r])
+
+
+def unit_extent(block: Sequence[Sequence[int]]) -> int:
+    """How many leading rows of ``block`` pass ``unit_row``: the leading
+    rows and columns of that size are unit upper triangular as drawn."""
+    return next((r for r, row in enumerate(block) if not unit_row(row, r)), len(block))
+
+
+def unit_upper(block: Sequence[Sequence[int]]) -> bool:
     """Whether the leading min(rows, columns) rows of ``block`` are unit
-    upper triangular mod p, the guard of ``kernel_rows``."""
+    upper triangular (``unit_extent``), the guard of ``kernel_rows``."""
     m = min(len(block), len(block[0]))
-    return all(
-        row[r] % p == 1 and not any(x % p for x in row[:r]) for r, row in enumerate(block[:m])
-    )
+    return unit_extent(block[:m]) == m
 
 
 def kernel_rows(p: int, block: Sequence[Sequence[int]]) -> list[list[int]] | None:
@@ -382,7 +395,7 @@ def kernel_rows(p: int, block: Sequence[Sequence[int]]) -> list[list[int]] | Non
     the kernel, which T already pins down. ``prefix_stream`` blocks always
     pass the check.
     """
-    if not unit_upper(p, block):
+    if not unit_upper(block):
         return None
     m = min(len(block), len(block[0]))
     ys: list[list[int]] = []  # Y's rows from the last up
@@ -426,7 +439,7 @@ class GenericMatrix:
         vectors = [tuple(v for _, v in entry) for entry in entries]
         rows = tuple(range(len(vectors)))
         fills = tuple(zip(rows))  # row i is filled by vector i alone
-        layout = Layout(row_labels, columns, fills, (n_cols,), (0,), (None,), (), (), (), rows)
+        layout = Layout(row_labels, columns, fills, (n_cols,), (0,), (None,), (), (), rows)
         return cls(p, layout, vectors)
 
     @property
@@ -473,15 +486,12 @@ class GenericMatrix:
         order or by index.
 
         Each peeled block is checked in peel order, on the vectors that
-        fill its rows there. The first one whose vectors are dependent ends
-        the peel: its rows and all later ones join the core.
+        fill its rows there. When one is dependent, which only a degenerate
+        draw makes it, nothing peels: every row is core, by index.
         """
         layout, vector, p = self.layout, self.vectors.__getitem__, self.p
-        for t, check in enumerate(layout.checks):
-            if not _independent(p, list(map(vector, check))):
-                gone = set(layout.peeled[: layout.starts[t]])
-                rows = layout.by_lead if by_lead else range(self.n_rows)
-                return len(gone), [i for i in rows if i not in gone]
+        if not all(_independent(p, [*map(vector, check)]) for check in layout.checks):
+            return 0, range(self.n_rows)
         return len(layout.peeled), layout.core_by_lead if by_lead else layout.core
 
     def rank(self) -> int:

@@ -150,19 +150,12 @@ def fan_quadrangulation(k: int) -> BipartiteGraph:
 # ---------------------------------------------------------------------------
 
 
-class CubeFacet(NamedTuple):
-    """A boundary (d-1)-cube, addressed by its own 0/1 grid coordinates."""
-
-    grid: dict  # tuple[int, ...] of length d-1 -> abstract vertex id
-
-    def vertex_ids(self) -> set[int]:
-        return set(self.grid.values())
-
-
 @dataclass
 class CubicalGraph:
     """A cubical polytope graph plus its boundary facet registry.
 
+    Each boundary (d-1)-cube in ``facets`` is its grid: a dict from its own
+    0/1 coordinates, tuples of length d - 1, to abstract vertex ids.
     ``dense`` maps abstract vertex ids to graph vertices, which name their
     side. ``coords`` is only present for a plain cube, where it
     enables the opposite-facet augmentation.
@@ -170,7 +163,7 @@ class CubicalGraph:
 
     d: int
     graph: BipartiteGraph
-    facets: list[CubeFacet]
+    facets: list[dict[tuple[int, ...], int]]
     dense: dict[int, Vertex]
     coords: dict[int, tuple[int, ...]] | None = None
 
@@ -233,7 +226,7 @@ def cube_complex(d: int) -> CubicalGraph:
                 y: ids[_insert(y, c, val)]
                 for y in itertools.product((0, 1), repeat=d - 1)
             }
-            facets.append(CubeFacet(grid))
+            facets.append(grid)
     graph, dense = b.finish()
     coords = {vid: x for x, vid in ids.items()}
     return CubicalGraph(d=d, graph=graph, facets=facets, dense=dense, coords=coords)
@@ -269,7 +262,7 @@ def stacked_cubical_graph(d: int, t: int, seed: int = 0) -> CubicalGraph:
     for _ in range(t - 1):
         f = boundary.pop(rng.randrange(len(boundary)))
         tops = {}
-        for y, bottom in f.grid.items():
+        for y, bottom in f.items():
             top = b.add_vertex("B" if b.sides[bottom] == "A" else "A")
             tops[y] = top
             b.add_edge(bottom, top)
@@ -277,15 +270,15 @@ def stacked_cubical_graph(d: int, t: int, seed: int = 0) -> CubicalGraph:
             for c in range(d - 1):
                 if y[c] == 0:
                     b.add_edge(top, tops[y[: c] + (1,) + y[c + 1 :]])
-        boundary.append(CubeFacet(dict(tops)))
+        boundary.append(tops)
         for c in range(d - 1):
             for val in (0, 1):
                 grid = {}
                 for w in itertools.product((0, 1), repeat=d - 2):
                     y = _insert(w, c, val)
-                    grid[w + (0,)] = f.grid[y]
+                    grid[w + (0,)] = f[y]
                     grid[w + (1,)] = tops[y]
-                boundary.append(CubeFacet(grid))
+                boundary.append(grid)
 
     graph, dense = b.finish()
     _check(graph.n_vertices == 2**d + (t - 1) * 2 ** (d - 1), "vertex count")
@@ -316,8 +309,8 @@ def augment_facet(cg: CubicalGraph, facet: int, mode: str) -> Augmentation:
     f = cg.facets[facet]
     g = cg.graph
     if mode == "two-vertex":
-        a_verts = sorted(v for v in f.vertex_ids() if cg.dense[v][0] == "A")
-        b_verts = [v for v in f.vertex_ids() if cg.dense[v][0] == "B"]
+        a_verts = sorted(v for v in f.values() if cg.dense[v][0] == "A")
+        b_verts = [v for v in f.values() if cg.dense[v][0] == "B"]
         if len(a_verts) < 2:
             raise InputError("facet has fewer than two A-vertices")
         new = {
@@ -332,7 +325,7 @@ def augment_facet(cg: CubicalGraph, facet: int, mode: str) -> Augmentation:
         c = facet // 2
         ids = {x: vid for vid, x in cg.coords.items()}
         v_id = min(
-            (vid for vid in f.vertex_ids() if cg.dense[vid][0] == "A"),
+            (vid for vid in f.values() if cg.dense[vid][0] == "A"),
             key=lambda vid: cg.coords[vid],
         )
         c2 = 0 if c != 0 else 1
@@ -342,16 +335,16 @@ def augment_facet(cg: CubicalGraph, facet: int, mode: str) -> Augmentation:
         v_star_id = ids[tuple(x)]
         new = {
             (cg.dense[v_id][1], cg.dense[bv][1])
-            for bv in f.vertex_ids()
+            for bv in f.values()
             if cg.dense[bv][0] == "B"
         }
         new |= {
             (cg.dense[v_star_id][1], cg.dense[bv][1])
-            for bv in f_star.vertex_ids()
+            for bv in f_star.values()
             if cg.dense[bv][0] == "B"
         }
     elif mode == "laman":
-        new = _laman_edges(cg, f.grid, cg.d - 1)
+        new = _laman_edges(cg, f, cg.d - 1)
     else:
         raise InputError(f"unknown augmentation mode {mode!r}")
     added = frozenset(new) - g.edges

@@ -250,7 +250,7 @@ class _Complement:
         whose premise the identity needs; with no rows, only the guard
         runs."""
         if not self.rows:
-            return self.base if all(unit_upper(p, block) for block in blocks) else None
+            return self.base if all(map(unit_upper, blocks)) else None
         kernels = [kernel_rows(p, block) for block in blocks]
         if None in kernels:
             return None

@@ -88,14 +88,18 @@ def random_balanced_complex(
             return BalancedComplex(sizes, facets)
 
 
-def sparse_insertion_graph(
-    rng: random.Random, n_vertices: int, max_degree: int = 7
-) -> BipartiteGraph:
+#: Most neighbours a vertex of ``sparse_insertion_graph`` gets when it is
+#: inserted, and the k = l at which ``check_sparse_min_degree`` analyzes
+#: those graphs.
+INSERTION_DEGREE = 7
+
+
+def sparse_insertion_graph(rng: random.Random, n_vertices: int) -> BipartiteGraph:
     """Grow a graph by inserting vertices of bounded degree.
 
     Every suffix of the insertion order ends with a vertex of degree at most
-    ``max_degree``, which is exactly the hypothesis the deletion argument
-    consumes. Retries until the total stays below 4N.
+    ``INSERTION_DEGREE``, which is exactly the hypothesis the deletion
+    argument consumes. Retries until the total stays below 4N.
     """
     while True:
         sides = {"A": 1, "B": 1}
@@ -106,7 +110,7 @@ def sparse_insertion_graph(
             other = "B" if side == "A" else "A"
             sides[side] += 1
             idx = sides[side]
-            deg = rng.randint(0, min(max_degree, sides[other]))
+            deg = rng.randint(0, min(INSERTION_DEGREE, sides[other]))
             targets = rng.sample(range(1, sides[other] + 1), deg)
             for t in targets:
                 edges.add((idx, t) if side == "A" else (t, idx))
@@ -499,13 +503,15 @@ def check_gamma_maximality() -> tuple[bool, str]:
 
 
 def check_sparse_min_degree() -> tuple[bool, str]:
-    """Graphs grown by degree-at-most-7 insertions are (7,7)-stress-free."""
+    """Graphs grown by insertions of degree at most d = ``INSERTION_DEGREE``
+    are (d,d)-stress-free."""
     rng = random.Random(515)
     for i in range(15):
         g = sparse_insertion_graph(rng, rng.randint(10, 20))
         if g.n_edges >= 4 * g.n_vertices:
             return False, "edge bound violated"
-        if not analyze(g, 7, 7, TrialPolicy(seed=7700 + i)).is_stress_free:
+        policy = TrialPolicy(seed=7700 + i)
+        if not analyze(g, INSERTION_DEGREE, INSERTION_DEGREE, policy).is_stress_free:
             return False, f"graph {i} has a stress"
     return True, "15 graphs, N <= 20, under 4N edges"
 

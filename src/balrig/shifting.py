@@ -41,9 +41,9 @@ p, p = 2 included: a face's candidate row is 1 at its own column and zero
 on every face not above it, so the face rows are triangular and
 independent, while a candidate that is no face has no face at or above it
 and its row is zero. The premise is checked at every draw: each block the
-component reads must be upper triangular with a nonzero diagonal on its
-leading rows and columns up to the component's largest vertex of that color
-(``_triangular_extent``); a component whose blocks fail runs the greedy.
+component reads must hold its drawn form (``exactla.unit_row``: 0 before
+the diagonal, 1 on it) on its leading rows up to the component's largest
+vertex of that color; a component whose blocks fail runs the greedy.
 Every draw of ``prefix_stream`` passes, so a complete bipartite graph, a
 shifted complex and the shifted color sets of any complex build no
 candidate row, and the greedy runs only on the components that are not
@@ -86,10 +86,11 @@ for each j <= b, phi(theta_B[j]) is B-step j's star rows combined with the
 coefficients theta_A[a][p], already in the basis. So when the b B-rows
 read so far are independent, the step's remaining star rows are dependent
 once its increment reaches |B| - b, and they are not offered. The guard
-checks that premise at every draw: each row read must be zero before its
-own position and nonzero at it, and a step is capped only while every row
-read on the other side passed. ``prefix_stream`` rows always pass; a
-stream that fails, which only tests inject, walks uncapped.
+checks a form that implies that premise at every draw: each row read must
+be zero before its own position and 1 at it (``exactla.unit_row``), and a
+step is capped only while every row read on the other side passed.
+``prefix_stream`` rows always pass; a stream that fails, which only tests
+inject, walks uncapped.
 
 The components of a complex are read off its face set, which groups the
 faces by color support once (``BalancedComplex.face_set``); a color set that
@@ -128,6 +129,8 @@ from .exactla import (
     prefix_stream,
     run_trials,
     sample_theta,
+    unit_extent,
+    unit_row,
 )
 
 
@@ -148,6 +151,13 @@ SHIFT_SIDE_CAP = 256
 #: every color support of a face is a subset t of some T, and offers
 #: prod(s_c), c in t, candidates.
 SHIFT_CANDIDATE_CAP = 1 << 18
+#: Most subsets a subgraph search of an input that is not shifted may try:
+#: for K_{r,s} (``contains_complete_bipartite``), the r-subsets of the
+#: A-vertices of degree at least s or the s-subsets of the B-vertices of
+#: degree at least r; for the join (``contains_join``), one m-subset of
+#: every color. A search of 2^20 tries that finds nothing takes about a
+#: second.
+SUBSET_SEARCH_CAP = 1 << 20
 
 
 def _check_shift_size(sizes, color_sets=()) -> None:
@@ -240,18 +250,6 @@ def _down_closed_tops(picks) -> list[int] | None:
     return tops
 
 
-def _triangular_extent(block) -> int:
-    """The largest m such that the leading m rows and columns of ``block``
-    are upper triangular with a nonzero diagonal, the entries being residues
-    in [0, p): a component whose largest vertex of the block's color is at
-    most m may be settled on it. A unit upper triangular block has the
-    extent of its size."""
-    for r, row in enumerate(block):
-        if not row[r] or any(row[:r]):
-            return r
-    return len(block)
-
-
 def _trial(sizes, components, lex_key, tag):
     """One shifting trial, as a function of (p, seed), over parameter blocks
     of the given sizes, one per color.
@@ -267,22 +265,22 @@ def _trial(sizes, components, lex_key, tag):
     settled: it selects exactly its faces, for every draw and every p, as
     long as each block it reads is upper triangular with a nonzero diagonal
     on its leading rows and columns up to the component's largest vertex of
-    that color. A candidate's entry on a face is a product of one block
-    entry per color. For a candidate within those vertices it is zero
-    unless the face lies at or above the pick in every color. A face's own
-    candidate then has a nonzero entry at its own column and none on the
-    earlier faces of any linear extension of that coordinatewise order, so
-    the face candidates are independent; any other candidate has no face
-    at or above it, since the faces are down-closed, and its row is zero.
-    A candidate past the largest vertex m of a color reads its row of that
-    block on the faces' columns, all at most m, where it is a combination
-    of the rows up to m; so the candidate's row is a combination of those
-    of candidates below it in that color, which the lex order offers
-    earlier, and it is rejected. A settled component adds its faces' tags
-    and builds no candidate, index or basis. The guard
-    (``_triangular_extent``) checks that premise at every draw; the draws
-    of ``prefix_stream`` are unit upper triangular and always pass, and a
-    component whose blocks fail runs the greedy.
+    that color, as a unit upper triangular block is. A candidate's entry on
+    a face is a product of one block entry per color. For a candidate within
+    those vertices it is zero unless the face lies at or above the pick in
+    every color. A face's own candidate then has a nonzero entry at its own
+    column and none on the earlier faces of any linear extension of that
+    coordinatewise order, so the face candidates are independent; any other
+    candidate has no face at or above it, since the faces are down-closed,
+    and its row is zero. A candidate past the largest vertex m of a color
+    reads its row of that block on the faces' columns, all at most m, where
+    it is a combination of the rows up to m; so the candidate's row is a
+    combination of those of candidates below it in that color, which the lex
+    order offers earlier, and it is rejected. A settled component adds its
+    faces' tags and builds no candidate, index or basis. The guard checks
+    the drawn form (``exactla.unit_row``) on each block's leading rows at
+    every draw; the draws of ``prefix_stream`` always pass, and a component
+    whose blocks fail runs the greedy.
 
     The other components run the greedy basis. Their face index and
     candidates do not depend on the draw, so each is built once, when the
@@ -305,7 +303,8 @@ def _trial(sizes, components, lex_key, tag):
         if not prepared:
             return frozenset()
         theta = sample_theta(p, seed, sizes)
-        extents = [_triangular_extent(block) for block in theta]
+        # per block, how many leading rows are as drawn: how far it settles
+        extents = [unit_extent(b) for b in theta]
         blocks = None
         selected: set = set()
         for t, faces, tops in prepared:
@@ -366,10 +365,11 @@ def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
     j as coefficients equal B-step j's star rows combined with the entries
     of the A-row, a vector already in the basis; independent B-rows make
     these b relations independent. The cap is used only while every row
-    read on the other side is zero before its position and nonzero at it,
-    which the walk checks as it reads; a row that fails (never one of
-    ``prefix_stream``) leaves the other side's steps uncapped. The cells
-    and both checks are those of the uncapped walk on every draw.
+    read on the other side is zero before its position and 1 at it
+    (``exactla.unit_row``), which the walk checks as it reads; a row that
+    fails (never one of ``prefix_stream``) leaves the other side's steps
+    uncapped. The cells and both checks are those of the uncapped walk on
+    every draw.
 
     Edge columns are ordered by the edges' lex keys, latest first, which
     eliminates up to 2.5 times faster than earliest first on random graphs
@@ -397,14 +397,13 @@ def _prefix_trial(g: BipartiteGraph, order: VertexOrder):
         streams = [prefix_stream(p, seed, c, size) for c, size in enumerate(sizes)]
         basis = GreedyBasis(p)
         seen = [0, 0]
-        # echelon[c]: each row read on side c is zero before its position and
-        # nonzero at it, so the rows read there are independent
+        # echelon[c]: each row read on side c is as drawn (``unit_row``) at
+        # its position, so the rows read there are independent
         echelon = [True, True]
         cells = []
         for c, idx in steps:
             row = next(streams[c])
-            r = seen[c]
-            echelon[c] = echelon[c] and row[r] != 0 and not any(row[:r])
+            echelon[c] = echelon[c] and unit_row(row, seen[c])
             before = basis.rank
             other = seen[1 - c]
             stop = n_edges
@@ -556,8 +555,12 @@ def check_shifted(obj: BipartiteGraph | BalancedComplex) -> bool:
 def contains_complete_bipartite(g: BipartiteGraph, r: int, s: int) -> bool:
     """Whether K_{r,s} (r on side A, s on side B) is a subgraph of g.
 
-    For a balanced-shifted graph this reduces to one edge membership; in
-    general it is a brute-force search over side subsets, fine at desk scale.
+    For a balanced-shifted graph this reduces to one edge membership. In
+    general only the A-vertices of degree at least s can lie in a K_{r,s},
+    and their r-subsets are searched for s common neighbours, or those of
+    the B-vertices of degree at least r for r common neighbours when they
+    are fewer; more than ``SUBSET_SEARCH_CAP`` subsets are refused before
+    the search.
     """
     if r < 1 or s < 1:
         raise InputError("subgraph sides must be positive")
@@ -565,11 +568,17 @@ def contains_complete_bipartite(g: BipartiteGraph, r: int, s: int) -> bool:
         return False
     if check_shifted(g):
         return (r, s) in g.edges
-    for asub in itertools.combinations(range(1, g.a_size + 1), r):
-        for bsub in itertools.combinations(range(1, g.b_size + 1), s):
-            if all((i, j) in g.edges for i in asub for j in bsub):
-                return True
-    return False
+    around_a: dict[int, set[int]] = {}
+    around_b: dict[int, set[int]] = {}
+    for i, j in g.edges:
+        around_a.setdefault(i, set()).add(j)
+        around_b.setdefault(j, set()).add(i)
+    side = [n for n in around_a.values() if len(n) >= s]
+    other = [n for n in around_b.values() if len(n) >= r]
+    if math.comb(len(other), s) < math.comb(len(side), r):
+        side, r, s = other, s, r
+    check_cap("subgraph search side subsets", math.comb(len(side), r), SUBSET_SEARCH_CAP)
+    return any(len(set.intersection(*sub)) >= s for sub in itertools.combinations(side, r))
 
 
 def contains_join(k: BalancedComplex, m: int) -> bool:
@@ -577,7 +586,8 @@ def contains_join(k: BalancedComplex, m: int) -> bool:
 
     For a balanced-shifted complex this is a single facet membership (the
     m-th vertex of every color); in general all ways of picking m vertices
-    per color are searched, with early abort.
+    per color are searched, with early abort, and more than
+    ``SUBSET_SEARCH_CAP`` ways are refused before the search.
     """
     if m < 1:
         raise InputError("join size must be positive")
@@ -586,6 +596,8 @@ def contains_join(k: BalancedComplex, m: int) -> bool:
     colors = range(1, k.n_colors + 1)
     if check_shifted(k):
         return is_face(k, frozenset((c, m) for c in colors))
+    ways = math.prod(math.comb(size, m) for size in k.color_sizes)
+    check_cap("join search color subsets", ways, SUBSET_SEARCH_CAP)
     choices = [
         list(itertools.combinations(range(1, k.color_sizes[c - 1] + 1), m))
         for c in colors

@@ -24,7 +24,7 @@ from balrig.combinat import COMPLEX_COLOR_CAP, COMPLEX_FACET_CAP, GRAPH_EDGE_CAP
 from balrig.exactla import TRIAL_CAP
 from balrig.families import QUADRANGULATION_FACE_CAP
 from balrig.rigidity import RANK_SIZE_CAP, STRESS_OUTPUT_CAP
-from balrig.shifting import SHIFT_CANDIDATE_CAP, SHIFT_SIDE_CAP
+from balrig.shifting import SHIFT_CANDIDATE_CAP, SHIFT_SIDE_CAP, SUBSET_SEARCH_CAP
 
 SRC = str(Path(balrig.__file__).resolve().parents[1])
 MEMORY = 1 << 30
@@ -142,6 +142,42 @@ def test_shift_caps_the_candidates_of_a_complex(tmp_path):
     kx = {"color_sizes": [2] * 12, "facets": [[[c, 1] for c in range(1, 13)]]}
     message = refused(tmp_path, ["shift", "--complex", "INPUT"], kx)
     assert message == f"complex shift candidate bound capped at {SHIFT_CANDIDATE_CAP}; got 531441"
+
+
+def test_the_subgraph_searches_cap_their_subsets():
+    # no input is shifted. A half-dense 40x40 graph has C(40, 20) = 1.4e11
+    # subsets of 20 on either side, but only the vertices of degree at least
+    # 20 are searched, few enough here to answer at once; at density 3/4
+    # every vertex has degree at least 20, and the search is refused. 1,382
+    # random facets on three colors of 30 have C(30, 3)^3 = 6.7e10 picks of
+    # 3 per color.
+    script = (
+        "import itertools, random\n"
+        "from balrig import BalancedComplex, BipartiteGraph, SizeCapError\n"
+        "from balrig import contains_complete_bipartite, contains_join\n"
+        "rng = random.Random(1)\n"
+        "pairs = sorted(itertools.product(range(1, 41), repeat=2))\n"
+        "half = BipartiteGraph(40, 40, frozenset(e for e in pairs if rng.random() < 0.5))\n"
+        "dense = BipartiteGraph(40, 40, frozenset(e for e in pairs if rng.random() < 0.75))\n"
+        "picks = list(itertools.product(range(1, 31), repeat=3))\n"
+        "facets = [frozenset(enumerate(p, 1)) for p in random.Random(2).sample(picks, 1382)]\n"
+        "kx = BalancedComplex((30, 30, 30), frozenset(facets))\n"
+        "for search in (\n"
+        "    lambda: contains_complete_bipartite(half, 20, 20),\n"
+        "    lambda: contains_complete_bipartite(dense, 20, 20),\n"
+        "    lambda: contains_join(kx, 3),\n"
+        "):\n"
+        "    try:\n"
+        "        print(search())\n"
+        "    except SizeCapError as exc:\n"
+        "        print(exc.exit_code, exc)\n"
+    )
+    out = run_capped(["-c", script])
+    assert out.stdout.splitlines() == [
+        "False",
+        f"4 subgraph search side subsets capped at {SUBSET_SEARCH_CAP}; got 137846528820",
+        f"4 join search color subsets capped at {SUBSET_SEARCH_CAP}; got 66923416000",
+    ], out.stderr
 
 
 def test_the_graph_loader_caps_edges(tmp_path):

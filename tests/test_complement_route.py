@@ -226,8 +226,22 @@ def test_a_zero_pivot_fails_the_guard():
     # a diagonal entry 0 mod p, or an entry before it, is not unit triangular
     assert kernel_rows(5, [[1, 2, 3], [0, 5, 4]]) is None
     assert kernel_rows(5, [[1, 2, 3], [3, 1, 4]]) is None
-    # 6 = 1 mod 5 passes: the block maps (0, 1, 1) to (5, 5)
-    assert kernel_rows(5, [[6, 2, 3], [0, 1, 4]]) == [[0], [1]]
+    # the guard reads the values as drawn: a diagonal of 2 is refused, and
+    # so is an unreduced 6, though it is 1 mod 5 ...
+    assert kernel_rows(5, [[2, 2, 3], [0, 1, 4]]) is None
+    assert kernel_rows(5, [[6, 2, 3], [0, 1, 4]]) is None
+    # ... and the draw with a 6 for a 1, the same matrix mod 5, then ranks
+    # by elimination, to the rank the complement reads at the drawn form
+    g = BipartiteGraph(6, 6, complete_edges(6, 6) - {(1, 1), (2, 5), (6, 1), (4, 4)})
+    complement = _graph_complement(g, 2, 2)
+    for seed in range(10):
+        theta = sample_theta(5, seed, (6, 6), rows=(2, 2))
+        unreduced = [[[6, *theta[0][0][1:]], theta[0][1]], theta[1]]
+        assert complement.rank(5, unreduced) is None
+        matrix = build_rigidity_matrix(g, 2, 2, unreduced, 5)
+        want = matrix.rank()
+        assert _rank(complement, unreduced, 5, lambda: matrix) == want
+        assert want == complement.rank(5, theta) == build_rigidity_matrix(g, 2, 2, theta, 5).rank()
 
 
 def watch_layouts(monkeypatch) -> list:

@@ -69,8 +69,8 @@ def test_cube_complex_has_opposite_facet_pairs():
     cg = fam.cube_complex(3)
     assert len(cg.facets) == 6
     for c in range(3):
-        a = cg.facets[2 * c].vertex_ids()
-        b = cg.facets[2 * c + 1].vertex_ids()
+        a = set(cg.facets[2 * c].values())
+        b = set(cg.facets[2 * c + 1].values())
         assert not a & b
 
 

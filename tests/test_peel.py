@@ -134,9 +134,9 @@ def test_the_block_check_is_linear_independence(case):
 
 def peeled_blocks(layout: Layout) -> list:
     """The blocks a layout peels, in peel order, each as its rows and the
-    vectors its check reads."""
-    ends = [*layout.starts[1:], len(layout.peeled)]
-    return [(layout.peeled[s:e], check) for s, e, check in zip(layout.starts, ends, layout.checks)]
+    vectors its check reads, one per row."""
+    ends = itertools.accumulate(map(len, layout.checks))
+    return [(layout.peeled[e - len(check) : e], check) for e, check in zip(ends, layout.checks)]
 
 
 def test_a_plan_peels_blocks_in_turn_and_names_their_vectors(monkeypatch):
@@ -145,7 +145,7 @@ def test_a_plan_peels_blocks_in_turn_and_names_their_vectors(monkeypatch):
     # 0. Row 0 is filled by the vectors 0 (in block 0) and 1 (in block 1),
     # row 1 by the vector 2
     order, *peeling = peel((2, 1), [(0, 1), (1,)], [(0, 1), (2,)])
-    assert order == [0, 1] and peeling == [[(0,), (2,)], [0, 1], [0, 1], []]
+    assert order == [0, 1] and peeling == [[(0,), (2,)], [0, 1], []]
     # the matrix checks each block, in peel order, on the vectors it names
     layout = Layout((0, 1), ((0, 2, 1), (1,)), ((0, 1), (2,)), (2, 1), (0, 1), "ab", *peeling)
     assert layout.core == [] and layout.core_by_lead == ()
@@ -156,7 +156,7 @@ def test_a_plan_peels_blocks_in_turn_and_names_their_vectors(monkeypatch):
     assert m.n_cols == 3 and m.col_labels == (("a", 1), ("a", 2), ("b", 1))
     assert m.rank() == 2 and checked == [[(1, 2)], [(4,)]]
     order, *peeling = peel((2, 1, 1), [(0, 1, 2), (1, 2), (1, 2)], [(0, 1, 2), (3, 4), (5, 6)])
-    assert order == [0] and peeling == [[(0,)], [0], [0], [1, 2]]
+    assert order == [0] and peeling == [[(0,)], [0], [1, 2]]
     columns = ((0, 2, 1, 3), (1, 3), (1, 3))
     layout = Layout((0, 1, 2), columns, ((0, 1, 2), (3, 4), (5, 6)), (2, 1, 1), (0, 1, 2), "abc", *peeling)
     assert layout.core == [1, 2] and layout.core_by_lead == (1, 2)
@@ -384,11 +384,12 @@ def test_a_quadrangulation_builds_only_its_core_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("builder", ["rigidity", "facet-ridge"])
-def test_a_failing_block_builds_its_rows_and_all_later_ones(monkeypatch, builder):
-    # at p = 2 blocks fail often; the rows built are every row but those of
-    # the blocks that pass before the first failing one, and the rank is
-    # the unpeeled elimination's
-    fallbacks = 0
+def test_a_failing_block_builds_every_row(monkeypatch, builder):
+    # at p = 2 blocks fail often; at a draw where some block fails its
+    # check, rank and left kernel build every row, by index, and equal the
+    # unpeeled elimination, and at a draw where every block passes they
+    # build the core alone
+    failing_draws = 0
     for seed in range(12):
         if builder == "rigidity":
             g = fam.random_tree(6, 7, seed=2)
@@ -398,15 +399,16 @@ def test_a_failing_block_builds_its_rows_and_all_later_ones(monkeypatch, builder
             kx = fam.glued_cross_polytopes(3).complex
             theta = sample_theta(2, seed, kx.color_sizes, rows=(2,) * kx.n_colors)
             m = build_M(kx, 2, theta, 2)
-        oracle = unpeeled(m).rank()
-        passed = set()
-        for rows, check in peeled_blocks(m.layout):
-            if not independent_by_search(2, [m.vectors[v] for v in check]):
-                fallbacks += bool(passed)
-                break
-            passed |= set(rows)
+        oracle = unpeeled(m)
+        rank, kernel = oracle.rank(), oracle.left_kernel()
+        checks = m.layout.checks
+        failing = not all(independent_by_search(2, [m.vectors[v] for v in c]) for c in checks)
+        failing_draws += failing
         built = _built_rows(monkeypatch)
-        assert m.rank() == oracle
-        assert sorted(built) == sorted(set(range(m.n_rows)) - passed)
+        assert m.rank() == rank
+        assert built == (list(range(m.n_rows)) if failing else list(m.layout.core_by_lead))
+        built.clear()
+        assert m.left_kernel() == kernel
+        assert built == (list(range(m.n_rows)) if failing else list(m.layout.core))
         monkeypatch.undo()
-    assert fallbacks
+    assert failing_draws

@@ -17,7 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balrig import exactla, shifting
-from balrig.combinat import BalancedComplex, BipartiteGraph, VertexOrder, maximal_faces
+from balrig.combinat import (
+    BalancedComplex,
+    BipartiteGraph,
+    VertexOrder,
+    complete_edges,
+    maximal_faces,
+)
 from balrig.errors import BalrigError, InvariantError
 from balrig.exactla import DEFAULT_PRIME, sample_theta
 from balrig.shifting import _edge_trial, _face_trial
@@ -225,12 +231,42 @@ def test_an_entry_below_the_diagonal_can_break_the_span():
             _edge_trial(g, order)(5, 0)
 
 
+def settles(g: BipartiteGraph, blocks) -> bool:
+    """Whether the greedy trial settles g, down-closed, on the injected
+    blocks: it inserts no candidate row, where the greedy would."""
+    inserted = []
+    insert = exactla.Echelon.insert
+
+    def watching_insert(self, row):
+        inserted.append(row)
+        return insert(self, row)
+
+    order = VertexOrder.interleaved_graph(g.a_size, g.b_size)
+    with mock.patch.object(shifting, "sample_theta", lambda p, seed, sizes: blocks), \
+            mock.patch.object(exactla.Echelon, "insert", watching_insert):
+        outcome(lambda: _edge_trial(g, order)(5, 0))
+    return not inserted
+
+
 def test_the_triangular_extent_stops_at_the_first_failing_row():
-    (tri,) = sample_theta(DEFAULT_PRIME, 3, (4,))
-    assert shifting._triangular_extent(tri) == 4
+    # a component settles on the leading rows of each block that pass
+    # ``exactla.unit_row``, up to the first that fails (``unit_extent``),
+    # so K_{m,4} settles
+    # on a first block with m such rows and not on one with fewer; the
+    # rule reads the values as drawn, so a diagonal of 2 fails, and so
+    # does an unreduced 6, though it is 1 mod 5
+    (tri, other) = sample_theta(5, 3, (4, 4))
     below = [row[:] for row in tri]
     below[2][1] = 7
-    assert shifting._triangular_extent(below) == 2
     flat = [row[:] for row in tri]
     flat[3][3] = 0
-    assert shifting._triangular_extent(flat) == 3
+    doubled = [row[:] for row in tri]
+    doubled[1][1] = 2
+    unreduced = [row[:] for row in tri]
+    unreduced[3][3] = 6
+    for block, extent in [(tri, 4), (below, 2), (flat, 3), (doubled, 1), (unreduced, 3)]:
+        passing = [exactla.unit_row(row, r) for r, row in enumerate(block)]
+        assert exactla.unit_extent(block) == [*passing, False].index(False) == extent
+        for m in range(1, 5):
+            g = BipartiteGraph(4, 4, complete_edges(m, 4))
+            assert settles(g, [block, other]) == (m <= extent)
