@@ -7,38 +7,45 @@ parameters attached to b', and in the block of b', the k parameters attached
 to a; everything else is zero. Rank decides everything: rows independent
 means stress-free, rank l|A| + k|B| - kl means rigid.
 
-Rows are the edges in sorted order. The column blocks put the peeled
-vertices (below) first, then the rest in a minimum-degree elimination
-order of the rows that remain, not side A then side B: that order fills
-in a few entries where the side order fills in one clique per vertex.
-Ranks do not depend on the column order, and neither do stress bases,
-whose vectors each express a dependent edge row through the independent
-rows before it.
+The facet-ridge matrix of a pure balanced complex is the higher-dimensional
+analog: one row per facet, a block of columns per ridge, and the block of
+(F, G) is the vector of the vertex F - G when G is a ridge of F. Give color
+c a width w_c, the leading rows of its random block that are read, and a
+ridge the width of the color it misses. Read a bipartite graph as a 2-color
+complex, side A color 1 and side B color 2: its facets are the edges and
+its ridges the vertices. At widths (k, l) the row of edge ab' carries the
+l-vector of b' in the block of {a} and the k-vector of a in the block of
+{b'}: the facet-ridge matrix of that complex at widths (k, l) is the
+(k,l)-rigidity matrix of the graph, for k ≠ l as for k = l (as Babson and
+Novik's balanced shifting, restricted to graphs, is bipartite rigidity).
+Both builders draw their parameters from the
+same per-color random blocks, so cross-checks against shifting can share
+one draw, and both lay their matrices out with one routine, ``_layout``;
+each supplies only its picks (a facet's vertex of each color), its ridges
+and its labels (``_graph_join``, ``_complex_join``).
+
+Rows are the facets (edges) in sorted order. A ridge that at most its
+block width of the remaining rows meet (l edges at an A-vertex, k at a
+B-vertex, w_c facets at a ridge missing color c) owns columns no other row
+reaches: the bipartite analogue of undoing a Henneberg 0-extension. The
+layout finds these blocks with ``exactla.peel`` before laying out any
+column, and the cached layout (``exactla.Layout``) fixes the peel. A graph's
+column blocks put the peeled vertices first, then the rest in a
+minimum-degree elimination order of the rows that remain, not side A then
+side B: that order fills in a few entries where the side order fills in
+one clique per vertex. A complex keeps its ridges in sorted order, which
+the minimum-degree order does not beat there. Ranks do not depend on the
+column order, and neither do stress bases, whose vectors each express a
+dependent row through the independent rows before it. A builder draws
+nothing per row: it hands ``GenericMatrix`` the layout and the trial's
+vertex vectors, and each row is its columns and the vectors that fill it.
+The block checks read those vectors, and rank and left kernel build and
+eliminate only the rows that remain; a tree at (1,1) and the facet-ridge
+matrix of a sphere at l = 2 peel whole and build no row.
 
 Every rank query is capped on the parameters and rows it draws and on the
 columns of its matrix (``RANK_SIZE_CAP``), before it draws or allocates
 anything.
-
-The facet-ridge matrix of a pure balanced complex is the higher-dimensional
-analog: one row per facet, l columns per ridge, and the block of (F, G) is
-the l-vector of the vertex F - G when G is a ridge of F. For 1-dimensional
-complexes it coincides with the (l,l)-rigidity matrix of the underlying
-graph, and both constructions draw their parameters from the same per-side
-(per-color) random blocks, so cross-checks against shifting can share one
-draw.
-
-Both matrices have one column block per vertex or ridge, and a vertex
-or ridge that at most its block width of the remaining rows meet (l edges
-at an A-vertex, k at a B-vertex, l facets at a ridge) owns columns no
-other row reaches: the bipartite analogue of undoing a Henneberg
-0-extension. Both builders find these blocks with ``exactla.peel`` before
-laying out any column, and their cached layouts (``exactla.Layout``) fix
-the peel. A builder draws nothing per row: it hands ``GenericMatrix`` its
-layout and the trial's vertex vectors, and each row is its columns and the
-vectors that fill it. The block checks read those vectors, and rank and
-left kernel build and eliminate only the rows that remain; a tree at (1,1)
-and the facet-ridge matrix of a sphere at l = 2 peel whole and build no
-row.
 
 The drawn rows are the leading rows of a unit upper triangular block. A
 generic set of rows is an invertible T times such rows, and T, applied to
@@ -57,33 +64,32 @@ for a far a (``exactla.kernel_rows``), so the far non-edges give distinct
 unit rows, and rank R(G) is E less the far edges plus the rank of the
 products u_a ⊗ v_b of the near non-edges on the far edges. The facet-ridge
 matrix of a pure complex inside the complete join of its color classes is
-the same, color by color. ``_Complement`` ranks those products; a block
-that is not unit upper triangular fails its guard and ranks by
-elimination. ``analyze``, ``rows_independent_M`` and ``stress_space`` take
-this route by one structural rule (``_complement``), and both routes meet
-in ``_rank``, and for stress bases in ``_stresses``. A left kernel returns
-the reverse-reduced basis of the stress space in edge order, which the
-space alone fixes, so ``_complement_stresses`` reads the same vectors off
-N_A ⊗ N_B.
+the same, color by color, with left kernel ⊗_c N_c; so its rank is at most
+Π n_c − Π (n_c − min(w_c, n_c)) at every draw, which is ``max_rank`` for a
+graph within its sides, and the layout keeps that bound. ``_Complement``
+ranks those products; a block that is not unit upper triangular fails its
+guard and ranks by elimination. ``analyze``, ``rows_independent_M`` and
+``stress_space`` take this route by one structural rule (``_complement``),
+and both routes meet in ``_rank``, and for stress bases in ``_stresses``.
+A left kernel returns the reverse-reduced basis of the stress space in
+edge order, which the space alone fixes, so ``_complement_stresses`` reads
+the same vectors off N_A ⊗ N_B. Each route hands its basis on as the
+``{edge index: residue}`` entries it holds, the equilibrium check reads
+only those, and ``stress_space`` builds each dense vector once.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, combinations, product, repeat
+from itertools import accumulate, chain, combinations, count, product, repeat
 from math import inf, prod
-from operator import gt, itemgetter, mul
+from operator import add, gt, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
-from .combinat import (
-    BalancedComplex,
-    BipartiteGraph,
-    f_vector,
-    ridges as complex_ridges,
-)
+from .combinat import BalancedComplex, BipartiteGraph, f_vector
 from .errors import InputError, InvariantError, check_cap
 from .exactla import (
     DEFAULT_POLICY,
@@ -127,22 +133,23 @@ def max_rank(g: BipartiteGraph, k: int, l: int) -> int:
     return l * g.a_size + k * g.b_size - k * l
 
 
-def _elimination_order(edges: Iterable[tuple]) -> list:
-    """The endpoints of ``edges``, pairs of comparable vertices, in
-    minimum-degree elimination order (Tinney and Walker 1967; George and
-    Liu 1989), ties broken by vertex.
+def _elimination_order(rows: Iterable[Sequence]) -> list:
+    """The blocks that ``rows`` meet, each row a tuple of comparable
+    blocks, in minimum-degree elimination order (Tinney and Walker 1967;
+    George and Liu 1989), ties broken by block.
 
-    Eliminating a vertex joins its remaining neighbors pairwise, as
-    eliminating its column block joins the blocks its rows reach; the
-    vertex of least degree in that elimination graph goes next. A heap holds
-    one entry per degree change, and an entry whose degree is out of date
-    is skipped when it comes up. ``_rigidity_layout`` calls it on the core
-    edges only.
+    The blocks of a row are pairwise adjacent. Eliminating a block joins
+    its remaining neighbors pairwise, as eliminating its columns joins the
+    blocks its rows reach; the block of least degree in that elimination
+    graph goes next. Each block counts itself among its neighbors, which
+    shifts every degree by one. A heap holds one entry per degree change,
+    and an entry whose degree is out of date is skipped when it comes up.
+    ``_layout`` calls it on the core rows only.
     """
     adj: dict = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    for row in rows:
+        for u in row:
+            adj.setdefault(u, set()).update(row)
     heap = [(len(nbrs), v) for v, nbrs in adj.items()]
     heapify(heap)
     order = []
@@ -153,46 +160,76 @@ def _elimination_order(edges: Iterable[tuple]) -> list:
             continue
         del adj[v]
         order.append(v)
+        nbrs.discard(v)
         for u in nbrs:
             fill = adj[u]
             fill |= nbrs
-            fill -= {u, v}
+            fill.discard(v)
             heappush(heap, (len(fill), u))
     return order
 
 
 @lru_cache(maxsize=8)
-def _rigidity_layout(g: BipartiteGraph, k: int, l: int) -> Layout:
-    """The ``Layout`` of the (k,l)-rigidity matrix of g: the rows are the
-    edges, sorted, each with the columns of its A-vertex's block and then
-    of its B-vertex's, filled by the B-vertex's vector and then the
-    A-vertex's. Cached, bounded, so that every trial of a verdict call
-    reads one layout.
+def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
+    """The ``Layout`` of the facet-ridge matrix of the pure complex that
+    ``join`` reads ``x`` as (``_graph_join``, ``_complex_join``), color c
+    reading the leading ``widths[c]`` rows of its block. Cached, bounded,
+    so that every trial of a verdict call reads one layout.
 
-    Blocks and vectors are numbered in vertex order (a - 1 for the
-    A-vertex a, |A| + b - 1 for the B-vertex b), and the peel comes first,
-    on the blocks; an edge row's check in one endpoint's block reads the
-    other endpoint's vector. The columns then hold the peeled blocks in
-    peel order, the core rows' vertices in minimum-degree order of the core
-    edges, which meet no other vertex, and the rest. When k <= |A| and
-    l <= |B|, the rank is at most ``max_rank`` at every draw, which the
-    layout keeps as its ``rank_bound``.
+    ``join(x)`` gives the color sizes, the facets as sorted picks (one
+    vertex index per color) and their labels, the ridges and their labels,
+    and whether the columns follow the elimination. A ridge is a pick with
+    ``inf`` for the vertex it lacks, so ridges sort as their vertices do;
+    None stands for the ridges the facets meet, sorted and labeled by their
+    vertices. Each ridge is a block with the width of the color it misses.
+    The row of pick q meets the ridge q less its vertex of each color, from
+    the last color back, and that vertex's vector fills it there; the
+    vectors are numbered color by color. The peel runs on the blocks in
+    ridge order. The columns follow the ridges, or the elimination: the
+    peeled blocks in peel order, the core rows' blocks, which no other row
+    meets, in minimum-degree order of the blocks each core row meets, and
+    the rest in ridge order. The rank is at most the join bound
+    Π n_c − Π (n_c − min(w_c, n_c)) at every draw (module docstring),
+    which the layout keeps as its ``rank_bound``.
     """
-    n = g.a_size
-    row_labels = tuple(g.edge_list())
-    ends = [(a - 1, n + b - 1) for a, b in row_labels]
-    fills = tuple([(v, u) for u, v in ends])
-    widths = [l] * n + [k] * g.b_size
-    order, *peeling = peel(widths, ends, fills)
-    order += _elimination_order([ends[i] for i in peeling[-1]])  # the core's
-    order += sorted(set(range(len(widths))).difference(order))
-    every = tuple(range(sum(widths)))
-    first = dict(zip(order, accumulate([widths[b] for b in order], initial=0)))
-    columns = [every[first[b] : first[b] + w] for b, w in enumerate(widths)]  # per block
-    row_columns = tuple([columns[u] + columns[v] for u, v in ends])
-    labels = [*zip(repeat("A"), range(1, n + 1)), *zip(repeat("B"), range(1, g.b_size + 1))]
-    bound = max_rank(g, k, l) if k <= n and l <= g.b_size else None
-    return Layout(row_labels, row_columns, fills, widths, order, labels, *peeling, bound)
+    sizes, picks, row_labels, ridges, labels, by_degree = join(x)
+    if not sizes:  # the one facet of a complex on no color is empty and meets no ridge
+        return Layout(row_labels, ((),), ((),), (), (), (), (), (), [0], 0)
+    at = list(zip(*picks)) or [()] * len(sizes)  # per color, the picks' vertices
+    colors = range(len(sizes) - 1, -1, -1)
+    lacking = [inf] * len(picks)
+    if ridges is None:
+        ridges = sorted({r for c in colors for r in zip(*at[:c], lacking, *at[c + 1 :])})
+        labels = [tuple((c, i) for c, i in enumerate(r, 1) if i != inf) for r in ridges]
+    index = dict(zip(ridges, count()))
+    block_widths = [widths[r.index(inf)] for r in ridges]
+    by_color = [[*map(index.__getitem__, zip(*at[:c], lacking, *at[c + 1 :]))] for c in colors]
+    blocks = list(zip(*by_color))
+    first = [*accumulate(sizes, initial=-1)]  # vector first[c] + i is vertex i of color c
+    fills = tuple(zip(*[map(add, at[c], repeat(first[c])) for c in colors]))
+    order, *peeling = peel(block_widths, blocks, fills)
+    if by_degree:
+        order += _elimination_order([blocks[i] for i in peeling[-1]])  # the core's
+        order += sorted(set(range(len(ridges))).difference(order))
+    else:
+        order = range(len(ridges))
+    every, columns, end = tuple(range(sum(block_widths))), [()] * len(ridges), 0
+    for b in order:  # each block's columns
+        columns[b] = every[end : (end := end + block_widths[b])]
+    row_columns = reduce(partial(map, add), [map(columns.__getitem__, bs) for bs in by_color])
+    bound = prod(sizes) - prod(n - min(w, n) for n, w in zip(sizes, widths))
+    return Layout(row_labels, tuple(row_columns), fills, block_widths, order, labels, *peeling, bound)
+
+
+def _graph_join(g: BipartiteGraph) -> tuple:
+    """g as a 2-color complex for ``_layout``: side A is color 1 and side
+    B color 2, the edges are the picks, and the vertices, isolated ones
+    included, are the ridges, in vertex order and labeled by side."""
+    a, b = range(1, g.a_size + 1), range(1, g.b_size + 1)
+    edges = tuple(g.edge_list())
+    ridges = [*zip(a, repeat(inf)), *zip(repeat(inf), b)]
+    labels = [*zip(repeat("A"), a), *zip(repeat("B"), b)]
+    return (g.a_size, g.b_size), edges, edges, ridges, labels, True
 
 
 def build_rigidity_matrix(
@@ -206,16 +243,23 @@ def build_rigidity_matrix(
     minimum-degree elimination order (``_elimination_order``), so that
     eliminating them in order fills in little; rows are edges in sorted
     order. Only the vertex vectors are read here, and no row is built; the
-    layout, with its peel, comes from ``_rigidity_layout``.
+    layout, with its peel, is the facet-ridge layout of g's 2-color
+    complex at widths (k, l) (``_layout``).
     """
-    if len(theta[0]) < k or len(theta[1]) < l:
-        raise InputError("the rigidity matrix needs k rows of the A-block and l of the B-block")
-    # the k-vector of each A-vertex and the l-vector of each B-vertex
-    at_a = list(zip(*theta[0][:k]))[: g.a_size]
-    at_b = list(zip(*theta[1][:l]))[: g.b_size]
-    if len(at_a) != g.a_size or len(at_b) != g.b_size:
-        raise InputError("the rigidity matrix needs a block column per vertex of its side")
-    return GenericMatrix(p, _rigidity_layout(g, k, l), at_a + at_b)
+    return _matrix(g, (g.a_size, g.b_size), (k, l), _graph_join, theta, p)
+
+
+def _matrix(x, sizes: tuple, widths: tuple, join: Callable, theta: Sequence, p: int) -> GenericMatrix:
+    """The facet-ridge matrix of the ``_layout`` of x at the draw ``theta``,
+    one block per color: the vector of vertex i of color c is column i of
+    the leading ``widths[c]`` rows of block c. Only the vertex vectors are
+    read here, and no row is built."""
+    if any(map(gt, widths, map(len, theta))):
+        raise InputError("the matrix needs the leading rows of every block that it reads")
+    vectors = [list(zip(*block[:w]))[:n] for block, w, n in zip(theta, widths, sizes)]
+    if tuple(map(len, vectors)) != sizes:
+        raise InputError("the matrix needs a block column per vertex of its side or color")
+    return GenericMatrix(p, _layout(x, widths, join), list(chain.from_iterable(vectors)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +324,15 @@ def _near_sets(sizes: Sequence[int], leads: Sequence[int]) -> Iterable[tuple]:
             yield near, itemgetter(*off) if off else itemgetter(slice(0)), product(*ranges)
 
 
-def _outnumbered(sizes: Sequence[int], leads: Sequence[int], n_rows: int, picks: Iterable) -> bool:
-    """The count in the route rule of ``_complement``: whether the
-    ``n_rows`` rows, listed by ``picks``, outnumber the near picks, which
-    is fewer near non-rows than far rows, or have no far row."""
-    near = prod(sizes) - prod(n - m for n, m in zip(sizes, leads))
-    return n_rows > near or not any(all(map(gt, pick, leads)) for pick in picks)
-
-
 @lru_cache(maxsize=8)
 def _complement(
-    sizes: tuple[int, ...], leads: tuple[int, ...], picks: frozenset, ruled: bool = True
+    sizes: tuple[int, ...], widths: tuple[int, ...], picks: frozenset, ruled: bool = True
 ) -> _Complement | None:
     """The ``_Complement`` of the matrix whose rows are the set ``picks``
-    in the complete join of the given sizes, ``leads[c] <= sizes[c]``
-    vertices near in each side or color. Cached, bounded, as the layouts
-    are, so that the verdict calls on one input share it.
+    in the complete join of the given sizes, color c reading ``widths[c]``
+    rows, so that its first min(widths[c], sizes[c]) vertices are near.
+    Above a side or color, every vertex of it is near. Cached, bounded, as
+    the layouts are, so that the verdict calls on one input share it.
 
     When ``ruled``, the input takes this route, and else gets None, when it
     has no far row, or more rows than near picks, which is fewer near
@@ -310,7 +347,9 @@ def _complement(
     columns that some product meets go by how many products meet them,
     fewest first, as a pivot then leads where few rows reach.
     """
-    if ruled and not _outnumbered(sizes, leads, len(picks), picks):
+    leads = tuple(map(min, widths, sizes))
+    n_near = prod(sizes) - prod(n - m for n, m in zip(sizes, leads))
+    if ruled and len(picks) <= n_near and any(all(map(gt, pick, leads)) for pick in picks):
         return None
     far = list(picks)
     for c, lead in enumerate(leads):  # keep the picks whose every vertex is far
@@ -351,15 +390,6 @@ def _complement(
     return _Complement(len(picks) - len(far), tuple(rows), len(column))
 
 
-def _graph_complement(g: BipartiteGraph, k: int, l: int) -> _Complement | None:
-    """g's complement in K_{A,B} at (k,l) when g takes that route
-    (``_complement``), with the first min(k, |A|) A- and min(l, |B|)
-    B-vertices near; else None. Above a side, every vertex of that side
-    is near, so no edge is far, and the rank is E."""
-    sizes = (g.a_size, g.b_size)
-    return _complement(sizes, (min(k, sizes[0]), min(l, sizes[1])), g.edges)
-
-
 def _rank(
     complement: _Complement | None,
     blocks: Sequence,
@@ -375,9 +405,10 @@ def _rank(
 
 def _complement_stresses(
     g: BipartiteGraph, k: int, l: int, theta: Sequence, p: int
-) -> list[tuple[int, ...]] | None:
+) -> list[dict[int, int]] | None:
     """The stress basis ``left_kernel`` returns at the draw ``theta``, read
-    off N_A ⊗ N_B; None when a block fails the guard of ``kernel_rows``.
+    off N_A ⊗ N_B, each vector as ``{edge index: residue}`` on the edges
+    it may weigh; None when a block fails the guard of ``kernel_rows``.
 
     A stress of g is Σ c_ab u_a ⊗ v_b over its far edges ab, with weight
     c_ab there, that vanishes on every near non-edge xy: the products
@@ -389,7 +420,7 @@ def _complement_stresses(
     earlier independent far edges. The last edge that a nonzero stress
     weighs is far, so this is the same reverse-reduced basis.
 
-    The near vertices are split as ``_graph_complement`` splits them, but
+    The near vertices are split as ``_complement`` splits them, but
     the boxes are listed here, not read off the cached ``_Complement``: its
     products run per near non-edge across the far edges, in pivot order,
     and a basis needs their transpose, far edge by far edge in edge order,
@@ -423,23 +454,32 @@ def _complement_stresses(
         for j, cj in c.items():
             for i, x in boxes[j]:
                 weights[i] += cj * x
-        w = [0] * len(edges)
-        for i, x in weights.items():
-            w[i] = x % p
-        basis.append(tuple(w))
+        basis.append({i: x % p for i, x in weights.items()})
         del boxes[f]  # a dependent far edge is in no later c
     return basis
 
 
 def _stresses(
     routed: bool, g: BipartiteGraph, k: int, l: int, theta: Sequence, p: int
-) -> list[tuple[int, ...]]:
+) -> list[dict[int, int]]:
     """A stress basis at one draw, the kernel's dispatch: read off the
-    complement when g takes that route (``_graph_complement``) and the draw
-    passes its guard, else the left kernel of the matrix. Both give the
+    complement when g takes that route (``_complement``) and the draw
+    passes its guard, else the left kernel of the matrix, whose vectors
+    are put in the same ``{edge index: residue}`` form. Both give the
     same vectors."""
     basis = _complement_stresses(g, k, l, theta, p) if routed else None
-    return build_rigidity_matrix(g, k, l, theta, p).left_kernel() if basis is None else basis
+    if basis is None:
+        kernel = build_rigidity_matrix(g, k, l, theta, p).left_kernel()
+        basis = [{i: x for i, x in enumerate(w) if x} for w in kernel]
+    return basis
+
+
+def _dense(support: dict[int, int], n: int) -> tuple[int, ...]:
+    """The vector of length n with the entries ``support``, zero elsewhere."""
+    w = [0] * n
+    for i, x in support.items():
+        w[i] = x
+    return tuple(w)
 
 
 @dataclass(frozen=True)
@@ -480,7 +520,7 @@ def analyze(
     k or l exceeding a side size is permitted; the rank and the max-rank
     formula are applied verbatim and a warning is recorded, ahead of the
     trial meta's warnings. Each trial ranks through the complement when g
-    takes that route (``_graph_complement``), else by elimination. The
+    takes that route (``_complement``), else by elimination. The
     parameters and rows drawn, k(|A| + 1) + l(|B| + 1), and the columns,
     l|A| + k|B|, are capped at ``RANK_SIZE_CAP``.
     """
@@ -488,7 +528,7 @@ def analyze(
         raise InputError("k and l must be positive")
     _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), l * g.a_size + k * g.b_size)
 
-    complement = _graph_complement(g, k, l)
+    complement = _complement((g.a_size, g.b_size), (k, l), g.edges)
 
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
@@ -567,7 +607,7 @@ def stress_space(
     check_cap(
         "stress basis entries", g.n_edges * max(0, g.n_edges - columns), STRESS_OUTPUT_CAP
     )
-    complement = _graph_complement(g, k, l)
+    complement = _complement((g.a_size, g.b_size), (k, l), g.edges)
     routed = complement is not None
     # per dimension, the first trial's theta, with its basis when the trial
     # computed one; a ranking trial builds no matrix
@@ -603,39 +643,36 @@ def stress_space(
         k=k,
         l=l,
         edges=edges,
-        vectors=tuple(basis),
+        vectors=tuple(_dense(w, len(edges)) for w in basis),
         meta=meta,
     )
 
 
-def _verify_equilibrium(k, l, theta, p, edge_labels, basis):
+def _verify_equilibrium(k, l, theta, p, edge_labels, supports):
     """Each stress must cancel at every vertex of the induced embedding.
 
     At an A-vertex a the embedded neighbors are the l-vectors of the incident
     B-vertices, so the condition is sum(w_ab * theta_B[s][b]) = 0 per slot s;
     symmetrically at B-vertices. This recomputes the conditions directly
-    instead of trusting the elimination. A vector's entries are grouped by
-    vertex over its support only: a vertex with no edge in the support has
-    an empty, trivially satisfied sum. So the check of w costs O(E) to find
-    its support and O(|support| * (k + l)) to test it.
+    instead of trusting the elimination. Each stress comes as the
+    ``{edge index: residue}`` entries its producer holds (``_stresses``),
+    every nonzero entry among them, and they are grouped by vertex: a
+    vertex with no edge there has an empty, trivially satisfied sum. So the
+    check of w costs O(|entries| * (k + l)), whatever E is.
     """
     theta_a, theta_b = theta
-    for w in basis:
+    for w in supports:
         at_a: dict[int, list[tuple[int, int]]] = defaultdict(list)
         at_b: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for idx, x in enumerate(w):
-            if x:
-                a, b = edge_labels[idx]
-                at_a[a].append((x, b - 1))
-                at_b[b].append((x, a - 1))
-        for incident in at_a.values():
-            for row in theta_b[:l]:
-                if sum(x * row[b] for x, b in incident) % p:
-                    raise InvariantError("stress fails equilibrium at an A-vertex")
-        for incident in at_b.values():
-            for row in theta_a[:k]:
-                if sum(x * row[a] for x, a in incident) % p:
-                    raise InvariantError("stress fails equilibrium at a B-vertex")
+        for idx, x in w.items():
+            a, b = edge_labels[idx]
+            at_a[a].append((x, b - 1))
+            at_b[b].append((x, a - 1))
+        for at, rows, where in (at_a, theta_b[:l], "an A-vertex"), (at_b, theta_a[:k], "a B-vertex"):
+            for incident in at.values():
+                for row in rows:
+                    if sum(x * row[j] for x, j in incident) % p:
+                        raise InvariantError(f"stress fails equilibrium at {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -719,27 +756,20 @@ def laman_check(g: BipartiteGraph, k: int, l: int) -> LamanReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _facet_ridge_layout(kx: BalancedComplex, l: int) -> Layout:
-    """The ``Layout`` of the facet-ridge matrix of kx: the rows are the
-    facets, sorted, and the columns the ridges, sorted, l slots each; a
-    facet row has the columns of the ridge the facet has without each of
-    its vertices, in order, filled by the vectors of those vertices (the
-    vertices numbered color by color). The peel runs on the ridge blocks
-    (ridge r is block r). Cached, bounded, so that every trial of a verdict
-    call reads one layout."""
+def _picks(kx: BalancedComplex) -> frozenset:
+    """The facets of a pure complex as picks, each its vertex indices in
+    color order."""
+    return frozenset(tuple(i for _, i in sorted(f)) for f in kx.facets)
+
+
+def _complex_join(kx: BalancedComplex) -> tuple:
+    """kx for ``_layout``: its facets as picks, labeled by their vertices,
+    and the ridges they meet, with the columns in ridge order, which a
+    minimum-degree order does not beat on complexes (CHANGES.md)."""
     if not kx.is_pure():
         raise InputError("the facet-ridge matrix needs a pure complex")
-    row_labels = tuple(kx.sorted_facets())
-    ridge_list = sorted(tuple(sorted(r)) for r in complex_ridges(kx))
-    ridge_index = {frozenset(r): idx for idx, r in enumerate(ridge_list)}
-    row_ridges = [[ridge_index[frozenset(f) - {v}] for v in f] for f in row_labels]
-    columns = tuple(tuple(r * l + s for r in ridges for s in range(l)) for ridges in row_ridges)
-    first = [0, *accumulate(kx.color_sizes)]  # the first vector of each color
-    fills = tuple(tuple(first[c - 1] + i - 1 for c, i in f) for f in row_labels)
-    widths = [l] * len(ridge_list)
-    peeling = peel(widths, row_ridges, fills)[1:]
-    return Layout(row_labels, columns, fills, widths, range(len(widths)), ridge_list, *peeling)
+    picks = sorted(_picks(kx))
+    return kx.color_sizes, picks, tuple(tuple(enumerate(q, 1)) for q in picks), None, None, False
 
 
 def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
@@ -749,33 +779,10 @@ def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
     sizes, with at least l rows); the l-vector of vertex (c, i) is column i
     of the first l rows of block c. The block of facet F at ridge G is that
     vector for the vertex F - G when G is contained in F, else zero. Only
-    the vertex vectors are read here, and no row is built; the layout, with
-    its peel, comes from ``_facet_ridge_layout``.
+    the vertex vectors are read here, and no row is built; the layout,
+    with its peel, is kx's at width l in every color (``_layout``).
     """
-    if any(len(block) < l for block in theta):
-        raise InputError("the facet-ridge matrix needs l rows of every color block")
-    sizes = kx.color_sizes
-    vectors = [list(zip(*block[:l]))[:size] for block, size in zip(theta, sizes)]
-    if [len(v) for v in vectors] != list(sizes):
-        raise InputError("the facet-ridge matrix needs a block column per vertex of its color")
-    return GenericMatrix(p, _facet_ridge_layout(kx, l), list(chain.from_iterable(vectors)))
-
-
-def _complex_complement(kx: BalancedComplex, l: int) -> _Complement | None:
-    """kx's complement in the complete join of its color classes when kx
-    is pure and takes that route (``_complement``), with the first
-    min(l, n_c) vertices of each color near; else None."""
-    if not kx.is_pure():
-        return None
-    sizes, colors = kx.color_sizes, range(1, kx.n_colors + 1)
-    leads = tuple(min(l, n) for n in sizes)
-    # a facet's pick, its vertex of each color in color order
-    at = itemgetter(*colors) if len(colors) > 1 else lambda f: tuple(map(f.__getitem__, colors))
-    # the rule's count first, on the facets as they are read, so that a
-    # complex kept on elimination builds no set of picks
-    if not _outnumbered(sizes, leads, len(kx.facets), map(at, map(dict, kx.facets))):
-        return None
-    return _complement(sizes, leads, frozenset(map(at, map(dict, kx.facets))))
+    return _matrix(kx, kx.color_sizes, (l,) * kx.n_colors, _complex_join, theta, p)
 
 
 @dataclass(frozen=True)
@@ -805,7 +812,7 @@ def rows_independent_M(
     By the shifting criterion this holds exactly when the shifted complex
     avoids the join of l+1 points per color; the cross-check lives in the
     test suite. Each trial ranks through the complement when kx takes that
-    route (``_complex_complement``), else by elimination. The parameters
+    route (``_complement``), else by elimination. The parameters
     and rows drawn, l per vertex and color of the palette, and the columns,
     at most l per vertex of each facet, are capped at ``RANK_SIZE_CAP``.
     """
@@ -813,7 +820,7 @@ def rows_independent_M(
         raise InputError("l must be positive")
     _check_rank_size(l * (sum(kx.color_sizes) + kx.n_colors), l * sum(map(len, kx.facets)))
 
-    complement = _complex_complement(kx, l)
+    complement = _complement(kx.color_sizes, (l,) * kx.n_colors, _picks(kx)) if kx.is_pure() else None
 
     def one_trial(p: int, seed: int) -> int:
         theta = sample_theta(p, seed, kx.color_sizes, rows=(l,) * kx.n_colors)

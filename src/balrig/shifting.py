@@ -585,27 +585,36 @@ def contains_join(k: BalancedComplex, m: int) -> bool:
     """Whether the join of m points per color is a subcomplex of k.
 
     For a balanced-shifted complex this is a single facet membership (the
-    m-th vertex of every color); in general all ways of picking m vertices
-    per color are searched, with early abort, and more than
-    ``SUBSET_SEARCH_CAP`` ways are refused before the search.
+    m-th vertex of every color); in general the m-subsets are searched
+    color by color. Given the subsets of the earlier colors, only the
+    vertices of the next color that extend every pick of those subsets to
+    a face can join it, so only their m-subsets are tried, and at the last
+    color they are only counted. More than ``SUBSET_SEARCH_CAP`` ways of
+    picking m vertices per color are refused before the search.
     """
     if m < 1:
         raise InputError("join size must be positive")
-    if any(size < m for size in k.color_sizes):
+    sizes = k.color_sizes
+    if any(size < m for size in sizes):
         return False
-    colors = range(1, k.n_colors + 1)
     if check_shifted(k):
-        return is_face(k, frozenset((c, m) for c in colors))
-    ways = math.prod(math.comb(size, m) for size in k.color_sizes)
+        return is_face(k, frozenset((c, m) for c in range(1, k.n_colors + 1)))
+    ways = math.prod(math.comb(size, m) for size in sizes)
     check_cap("join search color subsets", ways, SUBSET_SEARCH_CAP)
-    choices = [
-        list(itertools.combinations(range(1, k.color_sizes[c - 1] + 1), m))
-        for c in colors
-    ]
-    for picks in itertools.product(*choices):
-        if all(
-            is_face(k, frozenset(zip(colors, combo)))
-            for combo in itertools.product(*picks)
-        ):
+    closure = k.face_set.closure
+
+    def extends(c: int, partial: list[frozenset]) -> bool:
+        """Whether m vertices of each color from c on extend every face in
+        ``partial``, one vertex of each earlier color, to the join."""
+        if c > len(sizes):
             return True
-    return False
+        vertices = range(1, sizes[c - 1] + 1)
+        fits = [i for i in vertices if all(f | {(c, i)} in closure for f in partial)]
+        if c == len(sizes):
+            return len(fits) >= m
+        return any(
+            extends(c + 1, [f | {(c, i)} for f in partial for i in subset])
+            for subset in itertools.combinations(fits, m)
+        )
+
+    return extends(1, [frozenset()])

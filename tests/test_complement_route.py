@@ -36,8 +36,8 @@ from balrig.exactla import DEFAULT_PRIME, GenericMatrix, TrialPolicy, kernel_row
 from balrig.rigidity import (
     _complement,
     _complement_stresses,
-    _complex_complement,
-    _graph_complement,
+    _dense,
+    _picks,
     _rank,
     _stresses,
     analyze,
@@ -107,16 +107,19 @@ def subcomplexes(draw):
     return kx, draw(st.integers(1, 3)), draw(st.sampled_from(PRIMES)), draw(st.integers(0, 99))
 
 
-def graph_complement(g, k, l):
-    """g's complement at (k,l), whether or not g takes the route."""
-    sizes = (g.a_size, g.b_size)
-    return _complement(sizes, (min(k, sizes[0]), min(l, sizes[1])), g.edges, ruled=False)
+def graph_complement(g, k, l, ruled=False):
+    """g's complement at (k,l), whether or not g takes the route; when
+    ``ruled``, as ``analyze`` and ``stress_space`` ask for it, None unless
+    g takes the route."""
+    return _complement((g.a_size, g.b_size), (k, l), g.edges, ruled)
 
 
-def complex_complement(kx, l):
-    """kx's complement at l, whether or not kx takes the route."""
+def complex_complement(kx, l, ruled=False):
+    """kx's complement at l, whether or not kx takes the route; when
+    ``ruled``, as ``rows_independent_M`` asks for it."""
     picks = frozenset(tuple(i for _, i in sorted(f)) for f in kx.facets)
-    return _complement(kx.color_sizes, tuple(min(l, n) for n in kx.color_sizes), picks, ruled=False)
+    assert picks == _picks(kx)
+    return _complement(kx.color_sizes, (l,) * kx.n_colors, picks, ruled)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,7 +129,7 @@ def test_the_graph_complement_ranks_as_elimination_does(case):
     theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
     want = build_rigidity_matrix(g, k, l, theta, p).rank()
     assert graph_complement(g, k, l).rank(p, theta) == want
-    routed = _graph_complement(g, k, l)
+    routed = graph_complement(g, k, l, ruled=True)
     assert _rank(routed, theta, p, lambda: build_rigidity_matrix(g, k, l, theta, p)) == want
 
 
@@ -137,7 +140,8 @@ def test_the_complex_complement_ranks_as_elimination_does(case):
     theta = sample_theta(p, seed, kx.color_sizes, rows=(l,) * kx.n_colors)
     want = build_M(kx, l, theta, p).rank()
     assert complex_complement(kx, l).rank(p, theta) == want
-    assert _rank(_complex_complement(kx, l), theta, p, lambda: build_M(kx, l, theta, p)) == want
+    routed = complex_complement(kx, l, ruled=True)
+    assert _rank(routed, theta, p, lambda: build_M(kx, l, theta, p)) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -157,7 +161,7 @@ def test_kernel_rows_span_the_kernel_of_the_block(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_a_block_that_is_not_triangular_falls_back_and_keeps_the_rank(p):
     g = BipartiteGraph(6, 6, complete_edges(6, 6) - {(1, 1), (2, 5), (6, 1), (4, 4)})
-    complement = _graph_complement(g, 2, 2)
+    complement = graph_complement(g, 2, 2, ruled=True)
     assert complement is not None
     for seed in range(10):
         theta = sample_theta(p, seed, (6, 6), rows=(2, 2))
@@ -189,8 +193,10 @@ def test_the_complement_reads_the_stress_basis_of_the_natural_layout(oracle, cas
     theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
     natural = oracle.natural_rigidity_rows(g, k, l, theta)
     want = oracle.dense_left_kernel(natural, p, l * g.a_size + k * g.b_size)
-    assert _complement_stresses(g, k, l, theta, p) == want
-    assert _stresses(_graph_complement(g, k, l) is not None, g, k, l, theta, p) == want
+    n = g.n_edges
+    assert [_dense(w, n) for w in _complement_stresses(g, k, l, theta, p)] == want
+    routed = graph_complement(g, k, l, ruled=True) is not None
+    assert [_dense(w, n) for w in _stresses(routed, g, k, l, theta, p)] == want
 
 
 def watch_left_kernels(monkeypatch) -> list:
@@ -209,7 +215,7 @@ def watch_left_kernels(monkeypatch) -> list:
 @pytest.mark.parametrize("p", PRIMES)
 def test_a_sheared_draw_falls_back_to_the_left_kernel(monkeypatch, p):
     g = BipartiteGraph(6, 6, complete_edges(6, 6) - {(1, 1), (2, 5), (6, 1), (4, 4)})
-    assert _graph_complement(g, 2, 2) is not None
+    assert graph_complement(g, 2, 2, ruled=True) is not None
     kernels = watch_left_kernels(monkeypatch)
     for seed in range(10):
         theta = sample_theta(p, seed, (6, 6), rows=(2, 2))
@@ -218,7 +224,7 @@ def test_a_sheared_draw_falls_back_to_the_left_kernel(monkeypatch, p):
         matrix = build_rigidity_matrix(g, 2, 2, sheared, p)
         want = matrix.left_kernel()
         kernels.clear()
-        assert _stresses(True, g, 2, 2, sheared, p) == want
+        assert [_dense(w, g.n_edges) for w in _stresses(True, g, 2, 2, sheared, p)] == want
         assert kernels == [matrix]
 
 
@@ -233,7 +239,7 @@ def test_a_zero_pivot_fails_the_guard():
     # ... and the draw with a 6 for a 1, the same matrix mod 5, then ranks
     # by elimination, to the rank the complement reads at the drawn form
     g = BipartiteGraph(6, 6, complete_edges(6, 6) - {(1, 1), (2, 5), (6, 1), (4, 4)})
-    complement = _graph_complement(g, 2, 2)
+    complement = graph_complement(g, 2, 2, ruled=True)
     for seed in range(10):
         theta = sample_theta(5, seed, (6, 6), rows=(2, 2))
         unreduced = [[[6, *theta[0][0][1:]], theta[0][1]], theta[1]]
@@ -245,16 +251,15 @@ def test_a_zero_pivot_fails_the_guard():
 
 
 def watch_layouts(monkeypatch) -> list:
-    """The layouts the verdict calls build, by builder name."""
+    """The inputs whose layouts the verdict calls build."""
     built = []
-    for name in ("_rigidity_layout", "_facet_ridge_layout"):
-        layout = getattr(rigidity, name)
+    layout = rigidity._layout
 
-        def building(*args, layout=layout, name=name):
-            built.append(name)
-            return layout(*args)
+    def building(x, *args):
+        built.append(x)
+        return layout(x, *args)
 
-        monkeypatch.setattr(rigidity, name, building)
+    monkeypatch.setattr(rigidity, "_layout", building)
     return built
 
 
@@ -278,7 +283,7 @@ def test_routed_verdicts_build_no_layout(monkeypatch):
     ],
 )
 def test_graphs_outside_the_rule_stay_on_elimination(monkeypatch, g, k, l):
-    assert _graph_complement(g, k, l) is None
+    assert graph_complement(g, k, l, ruled=True) is None
     routes = inject_rank(monkeypatch, lambda rank: rank)
     analyze(g, k, l)
     assert routes == ["elimination"] * 3
@@ -288,7 +293,7 @@ def test_above_a_side_every_vertex_of_that_side_is_near(monkeypatch):
     # K_{2,2} at (3,3): no edge is far, so the rank is E = 4, above the
     # formula's 3, and no matrix is built
     g = fam.complete_bipartite(2, 2)
-    complement = _graph_complement(g, 3, 3)
+    complement = graph_complement(g, 3, 3, ruled=True)
     assert complement.rows == () and complement.base == 4
     # with no product to rank, the guard still runs
     theta = sample_theta(DEFAULT_PRIME, 0, (2, 2), rows=(3, 3))
@@ -314,7 +319,7 @@ def test_the_graph_rule_counts_the_entries_it_would_list(case):
     far = g.n_edges - free.base
     budget = g.n_edges * (min(k, g.a_size) + min(l, g.b_size))
     takes = not far or (g.n_edges > max_rank(g, k, l) and entries(free) <= budget)
-    routed = _graph_complement(g, k, l)
+    routed = graph_complement(g, k, l, ruled=True)
     assert (routed is not None) == takes
     assert routed is None or routed == free
 
@@ -330,7 +335,7 @@ def test_the_complex_rule_counts_the_entries_it_would_list(case):
     missing = near - free.base
     budget = len(kx.facets) * sum(min(l, n) for n in sizes)
     takes = not far or (missing < far and entries(free) <= budget)
-    routed = _complex_complement(kx, l)
+    routed = complex_complement(kx, l, ruled=True)
     assert (routed is not None) == takes
     assert routed is None or routed == free
 
@@ -343,7 +348,7 @@ def test_a_half_dense_graph_whose_complement_outweighs_its_matrix_stays_on_elimi
     g = BipartiteGraph(24, 30, frozenset(rng.sample(pairs, 360)))
     assert g.n_edges > max_rank(g, 4, 4)
     entries = sum(len(columns) for columns, _ in graph_complement(g, 4, 4).rows)
-    assert entries == 3306 > g.n_edges * 8 and _graph_complement(g, 4, 4) is None
+    assert entries == 3306 > g.n_edges * 8 and graph_complement(g, 4, 4, ruled=True) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,7 +372,7 @@ def test_a_complex_with_no_far_facet_has_independent_rows(case):
     near = [f for f in kx.facets if any(i <= l for _, i in f)]
     assume(near)
     kx = BalancedComplex(kx.color_sizes, near)
-    complement = _complex_complement(kx, l)
+    complement = complex_complement(kx, l, ruled=True)
     assert complement is not None and complement.rows == () and complement.base == len(kx.facets)
     theta = sample_theta(p, seed, kx.color_sizes, rows=(l,) * kx.n_colors)
     assert build_M(kx, l, theta, p).rank() == len(kx.facets)
@@ -377,12 +382,13 @@ def test_the_cross_polytope_ranks_in_closed_form():
     # the cross-polytope is the complete join of 2-vertex classes: at l = 1
     # it has one far facet and no near non-facet
     for d in range(2, 9):
-        complement = _complex_complement(fam.cross_polytope_boundary(d), 1)
+        complement = complex_complement(fam.cross_polytope_boundary(d), 1, ruled=True)
         assert complement.rows == () and complement.base == 2**d - 1
 
 
 def test_the_golden_corpus_takes_the_route():
     from test_golden import complement_complexes, complement_graphs
 
-    assert all(_graph_complement(g, k, l) for g, k, l in complement_graphs())
-    assert sum(_complex_complement(kx, l) is not None for kx, l in complement_complexes()) == 17
+    assert all(graph_complement(g, k, l, ruled=True) for g, k, l in complement_graphs())
+    routed = [complex_complement(kx, l, ruled=True) for kx, l in complement_complexes()]
+    assert sum(complement is not None for complement in routed) == 17

@@ -9,6 +9,11 @@ selection, or on the kernel exposes a bug in one of them.
 before its column blocks followed the elimination order: every A-vertex
 block before every B-vertex block, in index order. Ranks and stress bases
 must not depend on the layout.
+
+``dense_equilibrium`` is the stress check as it ran on the dense vectors,
+finding each support among all E entries; the library checks the entries
+its producers hold, and the dense check stays here as the oracle on every
+vector of the golden stress cases.
 """
 
 import os
@@ -36,6 +41,7 @@ from balrig.exactla import (
     sample_theta,
 )
 from balrig.rigidity import (
+    _dense,
     _elimination_order,
     _verify_equilibrium,
     analyze,
@@ -43,7 +49,7 @@ from balrig.rigidity import (
     max_rank,
     stress_space,
 )
-from test_complement_route import inject_rank, sheared_draws, watch_left_kernels
+from test_complement_route import graph_complement, inject_rank, sheared_draws, watch_left_kernels
 
 PRIMES = (2, 3, 5, 101, DEFAULT_PRIME)
 
@@ -180,8 +186,43 @@ def test_sparse_kernel_matches_dense_oracle(case):
     assert dense_rank(kernel, p, len(rows)) == len(kernel)
 
 
+def dense_equilibrium(k, l, theta, p, edge_labels, basis):
+    """Each dense stress w cancels at every vertex of the induced
+    embedding: at an A-vertex a, sum(w_ab * theta_B[s][b]) = 0 per slot s,
+    and symmetrically at B-vertices, over the support found among all E
+    entries."""
+    theta_a, theta_b = theta
+    for w in basis:
+        at_a: dict[int, list[tuple[int, int]]] = {}
+        at_b: dict[int, list[tuple[int, int]]] = {}
+        for idx, x in enumerate(w):
+            if x:
+                a, b = edge_labels[idx]
+                at_a.setdefault(a, []).append((x, b - 1))
+                at_b.setdefault(b, []).append((x, a - 1))
+        for incident in at_a.values():
+            for row in theta_b[:l]:
+                if sum(x * row[b] for x, b in incident) % p:
+                    raise InvariantError("stress fails equilibrium at an A-vertex")
+        for incident in at_b.values():
+            for row in theta_a[:k]:
+                if sum(x * row[a] for x, a in incident) % p:
+                    raise InvariantError("stress fails equilibrium at a B-vertex")
+
+
+def supports(vectors) -> list[dict[int, int]]:
+    """Dense vectors as the ``{edge index: residue}`` entries the library
+    checks."""
+    return [{i: x for i, x in enumerate(w) if x} for w in vectors]
+
+
 def _k33_stresses():
     return stress_space(BipartiteGraph(3, 3, complete_edges(3, 3)), 1, 1, TrialPolicy(seed=4))
+
+
+#: The library's check on the entries its producers hold, and the dense
+#: oracle, each with the form of the vectors it reads
+CHECKS = [(_verify_equilibrium, supports), (dense_equilibrium, list)]
 
 
 def test_corrupted_stress_fails_equilibrium():
@@ -189,11 +230,12 @@ def test_corrupted_stress_fails_equilibrium():
     assert basis.dim == 4
     p = basis.meta.prime
     theta = sample_theta(p, TrialPolicy(seed=4).trial_seed(0), (3, 3), rows=(1, 1))
-    _verify_equilibrium(1, 1, theta, p, basis.edges, basis.vectors)
     bad = [list(v) for v in basis.vectors]
     bad[0][0] = (bad[0][0] + 1) % p
-    with pytest.raises(InvariantError):
-        _verify_equilibrium(1, 1, theta, p, basis.edges, bad)
+    for verify, as_checked in CHECKS:
+        verify(1, 1, theta, p, basis.edges, as_checked(basis.vectors))
+        with pytest.raises(InvariantError):
+            verify(1, 1, theta, p, basis.edges, as_checked(bad))
 
 
 def test_equilibrium_is_checked_at_both_sides():
@@ -204,12 +246,36 @@ def test_equilibrium_is_checked_at_both_sides():
     (theta_a,), (theta_b,) = theta = sample_theta(p, 4, (3, 3), rows=(1, 1))
     at_a = [0] * 9
     at_a[edges.index((1, 1))], at_a[edges.index((1, 2))] = theta_b[1], -theta_b[0] % p
-    with pytest.raises(InvariantError, match="at a B-vertex"):
-        _verify_equilibrium(1, 1, theta, p, edges, [at_a])
     at_b = [0] * 9
     at_b[edges.index((1, 1))], at_b[edges.index((2, 1))] = theta_a[1], -theta_a[0] % p
-    with pytest.raises(InvariantError, match="at an A-vertex"):
-        _verify_equilibrium(1, 1, theta, p, edges, [at_b])
+    for verify, as_checked in CHECKS:
+        with pytest.raises(InvariantError, match="at a B-vertex"):
+            verify(1, 1, theta, p, edges, as_checked([at_a]))
+        with pytest.raises(InvariantError, match="at an A-vertex"):
+            verify(1, 1, theta, p, edges, as_checked([at_b]))
+
+
+def golden_stress_cases() -> list:
+    from test_golden import STRESS_DIGESTS
+
+    return list(STRESS_DIGESTS)
+
+
+@pytest.mark.parametrize("case, seed", golden_stress_cases())
+def test_golden_stresses_pass_the_dense_check_on_the_entries_checked(monkeypatch, case, seed):
+    # the entries the library checks hold every nonzero entry of the
+    # returned vectors, and every returned vector passes the dense check at
+    # the draw it was checked at
+    from test_golden import POLICIES, STRESS_CASES
+
+    checked = []
+    verify = rigidity._verify_equilibrium
+    monkeypatch.setattr(rigidity, "_verify_equilibrium", lambda *a: checked.append(a) or verify(*a))
+    g, k, l = STRESS_CASES[case]()
+    basis = stress_space(g, k, l, POLICIES[seed])
+    ((_, _, theta, p, edges, entries),) = checked
+    assert edges == basis.edges and [_dense(w, len(edges)) for w in entries] == list(basis.vectors)
+    dense_equilibrium(k, l, theta, p, edges, basis.vectors)
 
 
 def test_corrupted_kernel_vector_raises(monkeypatch):
@@ -222,7 +288,8 @@ def test_corrupted_kernel_vector_raises(monkeypatch):
     def corrupted(*args):
         basis = dispatch(*args)
         if basis:
-            basis[0] = (basis[0][0] + 1,) + basis[0][1:]
+            first = min(basis[0])
+            basis[0] = {**basis[0], first: basis[0][first] + 1}
         return basis
 
     monkeypatch.setattr(rigidity, "_stresses", corrupted)
@@ -404,7 +471,7 @@ def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, poli
     )
     assert kernels == ([trials[0]] if kept == 0 else [trials[0], trials[kept]])
     assert ranks == trials[1:]
-    route = "complement" if rigidity._graph_complement(g, k, l) else "elimination"
+    route = "complement" if graph_complement(g, k, l, ruled=True) else "elimination"
     assert routes == [route] * (ran - 1) and kernel_routes == [route] * len(kernels)
     assert list(basis.vectors) == dense_left_kernel(trials[kept].rows, p, ncols)
 

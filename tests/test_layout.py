@@ -15,13 +15,8 @@ from hypothesis import given, settings
 from balrig import families as fam
 from balrig.combinat import complete_edges
 from balrig.exactla import DEFAULT_PRIME, peel, sample_theta
-from balrig.rigidity import (
-    _elimination_order,
-    _rigidity_layout,
-    build_M,
-    build_rigidity_matrix,
-)
-from test_peel import complex_cases, graph_cases
+from balrig.rigidity import _elimination_order, build_M, build_rigidity_matrix
+from test_peel import complex_cases, graph_cases, graph_layout
 
 
 def oracle_elimination_order(edges) -> list:
@@ -102,7 +97,7 @@ def test_the_set_union_fill_gives_the_oracle_order(case):
 @pytest.mark.parametrize("faces", [16, 48, 64, 96, 128, 256])
 def test_quadrangulation_cores_keep_the_oracle_order(faces):
     g = fam.random_quadrangulation(faces, seed=2)
-    layout = _rigidity_layout(g, 2, 2)
+    layout = graph_layout(g, 2, 2)
     ends = [(a - 1, g.a_size + b - 1) for a, b in layout.row_labels]
     core_ends = [ends[i] for i in layout.core]
     assert core_ends

@@ -19,9 +19,20 @@ from balrig import families as fam
 from balrig.combinat import BalancedComplex, BipartiteGraph
 from balrig.errors import InputError
 from balrig.exactla import DEFAULT_PRIME, GenericMatrix, Layout, peel, sample_theta
-from balrig.rigidity import _facet_ridge_layout, _rigidity_layout, build_M, build_rigidity_matrix
+from balrig.rigidity import _complex_join, _graph_join, _layout, build_M, build_rigidity_matrix
 
 SMALL_PRIMES = (2, 3, 5)
+
+
+def graph_layout(g: BipartiteGraph, k: int, l: int) -> Layout:
+    """The layout ``build_rigidity_matrix`` reads: g's 2-color complex at
+    widths (k, l)."""
+    return _layout(g, (k, l), _graph_join)
+
+
+def complex_layout(kx: BalancedComplex, l: int) -> Layout:
+    """The layout ``build_M`` reads: kx at width l in every color."""
+    return _layout(kx, (l,) * kx.n_colors, _complex_join)
 
 
 def unpeeled(m: GenericMatrix) -> GenericMatrix:
@@ -206,7 +217,7 @@ def assert_a_valid_peel(layout, widths, row_blocks) -> None:
 @given(graph_cases())
 def test_the_graph_peel_is_the_naive_fixpoint(case):
     g, k, l, _, _ = case
-    layout = _rigidity_layout(g, k, l)
+    layout = graph_layout(g, k, l)
     widths = [l] * g.a_size + [k] * g.b_size
     # an edge row meets its A-vertex's block, filled by the l-vector of its
     # B-vertex, and then its B-vertex's, filled by the k-vector of its
@@ -220,20 +231,23 @@ def test_the_graph_peel_is_the_naive_fixpoint(case):
 @given(complex_cases())
 def test_the_facet_ridge_peel_is_the_naive_fixpoint(case):
     kx, l, _, _ = case
-    layout = _facet_ridge_layout(kx, l)
+    layout = complex_layout(kx, l)
     row_labels = layout.row_labels
     ridges = sorted({frozenset(f) - {v} for f in row_labels for v in f}, key=sorted)
-    # a facet row meets the ridge without each of its vertices, filled by
-    # that vertex's l-vector; vectors are numbered color by color
-    row_blocks = [[ridges.index(frozenset(f) - {v}) for v in f] for f in row_labels]
+    # a facet row meets the ridge without each of its vertices, from the
+    # last color back, filled by that vertex's l-vector; vectors are
+    # numbered color by color
+    row_blocks = [[ridges.index(frozenset(f) - {v}) for v in reversed(f)] for f in row_labels]
     first = [sum(kx.color_sizes[:c]) for c in range(kx.n_colors)]
-    assert layout.fills == tuple(tuple(first[c - 1] + i - 1 for c, i in f) for f in row_labels)
+    assert layout.fills == tuple(
+        tuple(first[c - 1] + i - 1 for c, i in reversed(f)) for f in row_labels
+    )
     assert_a_valid_peel(layout, [l] * len(ridges), row_blocks)
 
 
 def _min_degree_input(monkeypatch, g, k, l) -> set:
-    """The vertices, as blocks, that ``_rigidity_layout`` hands the
-    minimum-degree order when it lays out g afresh."""
+    """The vertices, as blocks, that ``_layout`` hands the minimum-degree
+    order when it lays out g afresh."""
     seen = set()
     order = rigidity._elimination_order
 
@@ -243,7 +257,7 @@ def _min_degree_input(monkeypatch, g, k, l) -> set:
         return order(edges)
 
     monkeypatch.setattr(rigidity, "_elimination_order", watching)
-    _rigidity_layout.__wrapped__(g, k, l)
+    _layout.__wrapped__(g, (k, l), _graph_join)
     return seen
 
 
@@ -251,7 +265,7 @@ def test_the_minimum_degree_order_sees_only_core_vertices(monkeypatch):
     tree = fam.random_tree(10, 27, seed=5)
     assert _min_degree_input(monkeypatch, tree, 1, 1) == set()
     quad = fam.random_quadrangulation(64, seed=0)
-    layout = _rigidity_layout(quad, 2, 2)
+    layout = graph_layout(quad, 2, 2)
     ends = [(a - 1, quad.a_size + b - 1) for a, b in layout.row_labels]
     core_ends = {v for i in layout.core for v in ends[i]}
     assert len(layout.core) == 22
@@ -266,7 +280,7 @@ def test_peeled_blocks_come_first_then_the_core(g, k, l):
     # the columns hold the peeled blocks in peel order, then the vertices
     # of the core rows, which reach no other column. A row's columns are
     # its A-vertex's block, filled by its first vector, then its B-vertex's
-    layout = _rigidity_layout(g, k, l)
+    layout = graph_layout(g, k, l)
     columns, fills = layout.columns, layout.fills
     at = 0
     for rows, check in peeled_blocks(layout):

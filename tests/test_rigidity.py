@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -30,7 +31,7 @@ from balrig.rigidity import (
     rows_independent_M,
     stress_space,
 )
-from test_kernel_oracle import dense_rank
+from test_kernel_oracle import dense_left_kernel, dense_rank
 
 POLICY = TrialPolicy(trials=2, seed=55)
 P = POLICY.prime
@@ -52,6 +53,45 @@ def test_single_edge_matrix():
     assert m.n_rows == 1 and m.n_cols == 2
     assert m.rows[0] == (theta[1][0][0], theta[0][0][0])
     assert m.rank() == 1
+
+
+def definition_rows(g, k, l, theta) -> list[list[int]]:
+    """The (k,l)-rigidity matrix of g as the paper defines it, dense: one
+    row per edge, sorted, and a block per vertex, l columns for an A-vertex
+    and k for a B-vertex. The row of edge ab holds column b of the first l
+    rows of the B-block in the block of a, column a of the first k rows of
+    the A-block in the block of b, and zeros elsewhere."""
+    theta_a, theta_b = theta
+    blocks = [("A", a, s) for a in range(1, g.a_size + 1) for s in range(l)]
+    blocks += [("B", b, s) for b in range(1, g.b_size + 1) for s in range(k)]
+    column = {label: j for j, label in enumerate(blocks)}
+    rows = []
+    for a, b in sorted(g.edges):
+        row = [0] * len(blocks)
+        for s in range(l):
+            row[column["A", a, s]] = theta_b[s][b - 1]
+        for s in range(k):
+            row[column["B", b, s]] = theta_a[s][a - 1]
+        rows.append(row)
+    return rows
+
+
+def test_the_rigidity_matrix_is_the_papers_definition():
+    # the builder lays the matrix out as the facet-ridge matrix of the
+    # graph's 2-color complex; its rank and stress basis must be those of
+    # the matrix written from the definition, with k and l apart and at
+    # times above a side
+    rng = random.Random(26)
+    for p, seed in itertools.product([2, 3, 5, P], range(40)):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        g = BipartiteGraph(n, m, frozenset(e for e in complete_edges(n, m) if rng.random() < 0.6))
+        k, l = rng.randint(1, 4), rng.randint(1, 4)
+        theta = sample_theta(p, seed, (n, m), rows=(k, l))
+        rows, ncols = definition_rows(g, k, l, theta), l * n + k * m
+        matrix = build_rigidity_matrix(g, k, l, theta, p)
+        assert matrix.n_cols == ncols and matrix.row_labels == tuple(sorted(g.edges))
+        assert matrix.rank() == dense_rank(rows, p, ncols)
+        assert matrix.left_kernel() == dense_left_kernel(rows, p, ncols)
 
 
 def test_matrix_dimensions():
@@ -257,17 +297,6 @@ def test_k_1_laman_graphs_are_tight():
 # ---------------------------------------------------------------------------
 # facet-ridge matrices
 # ---------------------------------------------------------------------------
-
-
-def test_one_dimensional_M_equals_rigidity_matrix():
-    g = BipartiteGraph(3, 3, complete_edges(3, 3) - {(3, 3)})
-    k = graph_to_complex(g)
-    theta = sample_theta(P, 9, (3, 3), rows=(2, 2))
-    m_complex = build_M(k, 2, theta, P)
-    m_graph = build_rigidity_matrix(g, 2, 2, theta, P)
-    assert m_complex.n_rows == m_graph.n_rows
-    assert m_complex.n_cols == m_graph.n_cols
-    assert m_complex.rank() == m_graph.rank()
 
 
 def test_single_facet_M():
