@@ -30,21 +30,20 @@ stream of ``randrange(p)``.
 Rows that settle nothing are not eliminated, nor built. A matrix is a
 ``Layout``, fixed before any draw and cached by its builder, and the
 trial's drawn vectors: a row is its column tuple and the ids of the
-vectors whose concatenation fills it, and an explicit row of ``(column,
-value)`` pairs is the case of one vector per row. The layout also fixes
-the peel: blocks of columns that at most their width of the remaining rows
-meet, in peel order, with the ids of the vectors that fill their rows
-there. ``peel`` finds them from the block structure alone, each block's
-width and the blocks each row meets, before a builder lays out a single
-column, so the builder can order only the core. Such rows are independent
-of every other row exactly when their vectors in the block are
-independent, which ``rank`` and ``left_kernel`` check at each draw on the
-vectors themselves, without an inverse; they count those rows and build
-and eliminate only the rest, the core. A peel is only a shortcut: at a
-draw where some block fails its check, which only a degenerate draw
-makes it, every row goes to the core by index, so every draw gets its
-matrix's exact rank and kernel. A layout keeps only what these read; its
-column labels are derived when they are read.
+vectors whose concatenation fills it. The layout also fixes the peel:
+blocks of columns that at most their width of the remaining rows meet, in
+peel order, with the ids of the vectors that fill their rows there.
+``peel`` finds them from the block structure alone, each block's width and
+the blocks each row meets, before a builder lays out a single column, so
+the builder can order only the core. Such rows are independent of every
+other row exactly when their vectors in the block are independent, which
+``rank`` and ``left_kernel`` check at each draw on the vectors themselves,
+without an inverse; they count those rows and build and eliminate only the
+rest, the core. A peel is only a shortcut: at a draw where some block
+fails its check, which only a degenerate draw makes it, every row goes to
+the core by index, so every draw gets its matrix's exact rank and kernel.
+A layout keeps only what these read, and no label: its builder says what
+its rows and column blocks stand for.
 
 A rank stops at a bound every draw obeys. A layout keeps a ``rank_bound``:
 its row or column count, or a smaller bound its builder knows, such as
@@ -212,11 +211,11 @@ class Layout:
     and ``left_kernel`` read of it; a builder caches it for every trial of
     a verdict.
 
-    Row i is labeled ``row_labels[i]``, has its entries in the columns
-    ``columns[i]``, and is filled by the drawn vectors ``fills[i]``,
-    concatenated. The columns come in blocks: block b has ``widths[b]``
-    columns and the label ``block_labels[b]``, and ``col_order`` lists the
-    blocks in column order.
+    Row i has its entries in the columns ``columns[i]`` and is filled by
+    the drawn vectors ``fills[i]``, concatenated. The columns come in
+    blocks: block b has ``widths[b]`` columns, and ``col_order`` lists the
+    blocks in column order. Rows and blocks carry no labels; what they
+    stand for is the builder's to say.
 
     The peel (``peel``) is fixed here too. ``peeled`` holds the rows of the
     blocks that peel, block by block in peel order, and ``checks[t]`` the
@@ -233,16 +232,14 @@ class Layout:
     (``_charged_first``). A core that ``rank`` reads to its end keeps the
     lead order, as charging it too gains nothing and slowed sparse graphs
     (sparse-graphs calls/s -1.6%). The column bound holds because each row
-    names distinct columns in range: a builder's row is whole blocks of its
-    own layout, and ``GenericMatrix.from_entries`` checks explicit rows.
+    names distinct columns in range, as a builder's row is whole blocks of
+    its own layout.
     """
 
-    row_labels: tuple
     columns: tuple[tuple[int, ...], ...]
     fills: tuple[tuple[int, ...], ...]
     widths: Sequence[int]
     col_order: Sequence[int]
-    block_labels: Sequence
     checks: Sequence[tuple[int, ...]]
     peeled: Sequence[int]
     core: Sequence[int]
@@ -251,8 +248,8 @@ class Layout:
 
     def __post_init__(self):
         columns = self.columns
-        if not len(columns) == len(self.fills) == len(self.row_labels):
-            raise InputError("row count does not match row labels")
+        if len(columns) != len(self.fills):
+            raise InputError("row count does not match fills")
         bound = min(len(columns), sum(self.widths))
         if self.rank_bound is not None:
             bound = min(bound, self.rank_bound)
@@ -410,12 +407,11 @@ def kernel_rows(p: int, block: Sequence[Sequence[int]]) -> list[list[int]] | Non
 
 @dataclass(frozen=True)
 class GenericMatrix:
-    """A sparse matrix over F_p with combinatorially labeled rows and columns.
+    """A sparse matrix over F_p, its rows and columns numbered from 0.
 
-    ``layout`` places the rows and labels them (``Layout``), and row i's
-    values are the drawn vectors ``vectors[v]`` for v in ``layout.fills[i]``,
-    concatenated; zero values may be left out of a row. ``from_entries``
-    makes each row a vector of its own. A row is built only when ``rank``
+    ``layout`` places the rows (``Layout``), and row i's values are the
+    drawn vectors ``vectors[v]`` for v in ``layout.fills[i]``, concatenated;
+    zero values may be left out of a row. A row is built only when ``rank``
     or ``left_kernel`` eliminates it; ``entries`` and ``rows`` build every
     row. Two matrices are equal when their primes, layouts and vectors are.
     """
@@ -423,35 +419,6 @@ class GenericMatrix:
     p: int
     layout: Layout
     vectors: Sequence[Sequence[int]]
-
-    @classmethod
-    def from_entries(cls, p: int, entries, row_labels, n_cols: int) -> GenericMatrix:
-        """The matrix whose row i is the ``(column, value)`` pairs
-        ``entries[i]``, with ``n_cols`` columns in one block labeled None,
-        and nothing peeled. A column outside the ``n_cols`` columns, or
-        one that a row names twice, is refused, once, here."""
-        columns = tuple(tuple(c for c, _ in entry) for entry in entries)
-        every = list(chain.from_iterable(columns))
-        if every and not 0 <= min(every) <= max(every) < n_cols:
-            raise InputError("an entry lies outside the columns")
-        if sum(map(len, map(set, columns))) != len(every):
-            raise InputError("a row names a column twice")
-        vectors = [tuple(v for _, v in entry) for entry in entries]
-        rows = tuple(range(len(vectors)))
-        fills = tuple(zip(rows))  # row i is filled by vector i alone
-        layout = Layout(row_labels, columns, fills, (n_cols,), (0,), (None,), (), (), rows)
-        return cls(p, layout, vectors)
-
-    @property
-    def row_labels(self) -> tuple:
-        return self.layout.row_labels
-
-    @property
-    def col_labels(self) -> tuple:
-        """``(block label, slot)`` for each column, slots from 1, derived on
-        read from the layout's blocks in column order."""
-        labels, widths, order = self.layout.block_labels, self.layout.widths, self.layout.col_order
-        return tuple((labels[b], s) for b in order for s in range(1, widths[b] + 1))
 
     @property
     def n_rows(self) -> int:

@@ -21,27 +21,34 @@ Novik's balanced shifting, restricted to graphs, is bipartite rigidity).
 Both builders draw their parameters from the
 same per-color random blocks, so cross-checks against shifting can share
 one draw, and both lay their matrices out with one routine, ``_layout``;
-each supplies only its picks (a facet's vertex of each color), its ridges
-and its labels (``_graph_join``, ``_complex_join``).
+each supplies only its picks (a facet's vertex of each color) and its
+ridges (``_graph_join``, ``_complex_join``).
 
-Rows are the facets (edges) in sorted order. A ridge that at most its
-block width of the remaining rows meet (l edges at an A-vertex, k at a
-B-vertex, w_c facets at a ridge missing color c) owns columns no other row
-reaches: the bipartite analogue of undoing a Henneberg 0-extension. The
-layout finds these blocks with ``exactla.peel`` before laying out any
-column, and the cached layout (``exactla.Layout``) fixes the peel. A graph's
-column blocks put the peeled vertices first, then the rest in a
-minimum-degree elimination order of the rows that remain, not side A then
-side B: that order fills in a few entries where the side order fills in
-one clique per vertex. A complex keeps its ridges in sorted order, which
-the minimum-degree order does not beat there. Ranks do not depend on the
-column order, and neither do stress bases, whose vectors each express a
-dependent row through the independent rows before it. A builder draws
-nothing per row: it hands ``GenericMatrix`` the layout and the trial's
-vertex vectors, and each row is its columns and the vectors that fill it.
-The block checks read those vectors, and rank and left kernel build and
-eliminate only the rows that remain; a tree at (1,1) and the facet-ridge
-matrix of a sphere at l = 2 peel whole and build no row.
+The matrices carry no labels; this is their shape. Rows are the facets in
+sorted order: a graph's edges as ``sorted(g.edges)``, a complex's facets
+as sorted picks. Columns come in whole blocks, a vertex block of width l
+for an A-vertex or k for a B-vertex, or a ridge block of width l, in an
+order internal to the layout. ``StressBasis.edges`` names the rows that a
+stress vector weighs.
+
+A ridge that at most its block width of the remaining rows meet (l edges
+at an A-vertex, k at a B-vertex, w_c facets at a ridge missing color c)
+owns columns no other row reaches: the bipartite analogue of undoing a
+Henneberg 0-extension. The layout finds these blocks with ``exactla.peel``
+before laying out any column, and the cached layout (``exactla.Layout``)
+fixes the peel. A graph's column blocks put the peeled vertices first,
+then the rest in a minimum-degree elimination order of the rows that
+remain, not side A then side B: that order fills in a few entries where
+the side order fills in one clique per vertex. A complex keeps its ridges
+in sorted order, which the minimum-degree order does not beat there. Ranks
+do not depend on the column order, and neither do stress bases, whose
+vectors each express a dependent row through the independent rows before
+it. A builder draws nothing per row: it hands ``GenericMatrix`` the layout
+and the trial's vertex vectors, and each row is its columns and the
+vectors that fill it. The block checks read those vectors, and rank and
+left kernel build and eliminate only the rows that remain; a tree at (1,1)
+and the facet-ridge matrix of a sphere at l = 2 peel whole and build no
+row.
 
 Every rank query is capped on the parameters and rows it draws and on the
 columns of its matrix (``RANK_SIZE_CAP``), before it draws or allocates
@@ -177,11 +184,11 @@ def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
     so that every trial of a verdict call reads one layout.
 
     ``join(x)`` gives the color sizes, the facets as sorted picks (one
-    vertex index per color) and their labels, the ridges and their labels,
-    and whether the columns follow the elimination. A ridge is a pick with
-    ``inf`` for the vertex it lacks, so ridges sort as their vertices do;
-    None stands for the ridges the facets meet, sorted and labeled by their
-    vertices. Each ridge is a block with the width of the color it misses.
+    vertex index per color), the ridges, and whether the columns follow
+    the elimination. A ridge is a pick with ``inf`` for the vertex it
+    lacks, so ridges sort as their vertices do; None stands for the ridges
+    the facets meet, sorted. Each ridge is a block with the width of the
+    color it misses, and blocks are numbered in ridge order.
     The row of pick q meets the ridge q less its vertex of each color, from
     the last color back, and that vertex's vector fills it there; the
     vectors are numbered color by color. The peel runs on the blocks in
@@ -192,15 +199,14 @@ def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
     Π n_c − Π (n_c − min(w_c, n_c)) at every draw (module docstring),
     which the layout keeps as its ``rank_bound``.
     """
-    sizes, picks, row_labels, ridges, labels, by_degree = join(x)
+    sizes, picks, ridges, by_degree = join(x)
     if not sizes:  # the one facet of a complex on no color is empty and meets no ridge
-        return Layout(row_labels, ((),), ((),), (), (), (), (), (), [0], 0)
+        return Layout(((),), ((),), (), (), (), (), [0], 0)
     at = list(zip(*picks)) or [()] * len(sizes)  # per color, the picks' vertices
     colors = range(len(sizes) - 1, -1, -1)
     lacking = [inf] * len(picks)
     if ridges is None:
         ridges = sorted({r for c in colors for r in zip(*at[:c], lacking, *at[c + 1 :])})
-        labels = [tuple((c, i) for c, i in enumerate(r, 1) if i != inf) for r in ridges]
     index = dict(zip(ridges, count()))
     block_widths = [widths[r.index(inf)] for r in ridges]
     by_color = [[*map(index.__getitem__, zip(*at[:c], lacking, *at[c + 1 :]))] for c in colors]
@@ -218,18 +224,17 @@ def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
         columns[b] = every[end : (end := end + block_widths[b])]
     row_columns = reduce(partial(map, add), [map(columns.__getitem__, bs) for bs in by_color])
     bound = prod(sizes) - prod(n - min(w, n) for n, w in zip(sizes, widths))
-    return Layout(row_labels, tuple(row_columns), fills, block_widths, order, labels, *peeling, bound)
+    return Layout(tuple(row_columns), fills, block_widths, order, *peeling, bound)
 
 
 def _graph_join(g: BipartiteGraph) -> tuple:
     """g as a 2-color complex for ``_layout``: side A is color 1 and side
     B color 2, the edges are the picks, and the vertices, isolated ones
-    included, are the ridges, in vertex order and labeled by side."""
+    included, are the ridges, so A-vertex a is block a - 1 and B-vertex b
+    block |A| + b - 1."""
     a, b = range(1, g.a_size + 1), range(1, g.b_size + 1)
-    edges = tuple(g.edge_list())
     ridges = [*zip(a, repeat(inf)), *zip(repeat(inf), b)]
-    labels = [*zip(repeat("A"), a), *zip(repeat("B"), b)]
-    return (g.a_size, g.b_size), edges, edges, ridges, labels, True
+    return (g.a_size, g.b_size), tuple(g.edge_list()), ridges, True
 
 
 def build_rigidity_matrix(
@@ -238,13 +243,14 @@ def build_rigidity_matrix(
     """The (k,l)-rigidity matrix of g for the given per-side blocks.
 
     ``theta`` is the pair (A-block, B-block) as produced by sample_theta for
-    the side sizes of g, with at least k and l rows. Column labels are
-    (vertex, slot) pairs, slots 1-based, with the core's vertex blocks in
-    minimum-degree elimination order (``_elimination_order``), so that
-    eliminating them in order fills in little; rows are edges in sorted
-    order. Only the vertex vectors are read here, and no row is built; the
-    layout, with its peel, is the facet-ridge layout of g's 2-color
-    complex at widths (k, l) (``_layout``).
+    the side sizes of g, with at least k and l rows. Rows are the edges in
+    sorted order. The columns of edge ab' are the l of the block of a, then
+    the k of the block of b'. The order of the blocks is internal; the
+    core's follow a minimum-degree elimination order
+    (``_elimination_order``), so that eliminating them in order fills in
+    little. Only the vertex vectors are read here, and no row is built; the
+    layout, with its peel, is the facet-ridge layout of g's 2-color complex
+    at widths (k, l) (``_layout``).
     """
     return _matrix(g, (g.a_size, g.b_size), (k, l), _graph_join, theta, p)
 
@@ -763,13 +769,12 @@ def _picks(kx: BalancedComplex) -> frozenset:
 
 
 def _complex_join(kx: BalancedComplex) -> tuple:
-    """kx for ``_layout``: its facets as picks, labeled by their vertices,
-    and the ridges they meet, with the columns in ridge order, which a
-    minimum-degree order does not beat on complexes (CHANGES.md)."""
+    """kx for ``_layout``: its facets as sorted picks, and the ridges they
+    meet, with the columns in ridge order, which a minimum-degree order
+    does not beat on complexes (CHANGES.md)."""
     if not kx.is_pure():
         raise InputError("the facet-ridge matrix needs a pure complex")
-    picks = sorted(_picks(kx))
-    return kx.color_sizes, picks, tuple(tuple(enumerate(q, 1)) for q in picks), None, None, False
+    return kx.color_sizes, sorted(_picks(kx)), None, False
 
 
 def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
@@ -778,9 +783,11 @@ def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
     ``theta`` holds one block per color (as from sample_theta on the color
     sizes, with at least l rows); the l-vector of vertex (c, i) is column i
     of the first l rows of block c. The block of facet F at ridge G is that
-    vector for the vertex F - G when G is contained in F, else zero. Only
-    the vertex vectors are read here, and no row is built; the layout,
-    with its peel, is kx's at width l in every color (``_layout``).
+    vector for the vertex F - G when G is contained in F, else zero. Rows
+    are the facets as sorted picks, and the columns are one block of l per
+    ridge the facets meet, in an internal order. Only the vertex vectors
+    are read here, and no row is built; the layout, with its peel, is kx's
+    at width l in every color (``_layout``).
     """
     return _matrix(kx, kx.color_sizes, (l,) * kx.n_colors, _complex_join, theta, p)
 

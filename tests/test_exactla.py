@@ -11,22 +11,22 @@ from balrig.exactla import (
     PRIME_LIMIT,
     TRIAL_CAP,
     Echelon,
-    GenericMatrix,
+    Layout,
     TrialPolicy,
     greedy_independent_rows,
     is_prime,
     run_trials,
     sample_theta,
 )
+from explicit_rows import from_entries
 
 P = DEFAULT_PRIME
 
 
-def make_matrix(rows, p=P, row_labels=None):
-    return GenericMatrix.from_entries(
+def make_matrix(rows, p=P):
+    return from_entries(
         p,
         [tuple((c, x) for c, v in enumerate(row) if (x := v % p)) for row in rows],
-        tuple(range(len(rows))) if row_labels is None else row_labels,
         len(rows[0]) if rows else 0,
     )
 
@@ -124,7 +124,7 @@ def test_greedy_selection_is_lex_minimal_basis():
         selected = greedy_independent_rows(101, list(enumerate(rows)))
         assert len(selected) == rank
         for subset in itertools.combinations(range(5), rank):
-            sub = make_matrix([rows[i] for i in subset], 101, subset)
+            sub = make_matrix([rows[i] for i in subset], 101)
             if sub.rank() == rank:
                 assert list(subset) == selected
                 break
@@ -181,17 +181,18 @@ def test_trial_policy_validation():
 
 
 def test_matrix_label_validation():
-    with pytest.raises(InputError):
-        GenericMatrix.from_entries(P, (((0, 1),),), row_labels=(), n_cols=1)
+    # a layout fills each of its rows
+    with pytest.raises(InputError, match="fills"):
+        Layout(((0,),), (), (1,), (0,), (), (), (0,))
     # a left kernel keeps its row combinations in the columns past the last,
     # and a rank stops at the column count, so a column out of range is
     # refused when the matrix is made, before either runs
     for entries in [(((0, 1),), ((1, 1),)), (((0, 1),), ((-1, 1),))]:
         with pytest.raises(InputError, match="outside the columns"):
-            GenericMatrix.from_entries(P, entries, (0, 1), 1)
+            from_entries(P, entries, 1)
     # a row that names one column twice would keep only its last value
     with pytest.raises(InputError, match="twice"):
-        GenericMatrix.from_entries(101, [[(0, 1), (0, 100)], [(1, 2)]], ["r", "s"], 2)
+        from_entries(101, [[(0, 1), (0, 100)], [(1, 2)]], 2)
 
 
 def test_sample_theta_prefix_streams():

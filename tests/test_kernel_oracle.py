@@ -35,7 +35,6 @@ from balrig.families import random_quadrangulation, random_tree
 from balrig.errors import InvariantError
 from balrig.exactla import (
     DEFAULT_PRIME,
-    GenericMatrix,
     GreedyBasis,
     TrialPolicy,
     sample_theta,
@@ -49,6 +48,7 @@ from balrig.rigidity import (
     max_rank,
     stress_space,
 )
+from explicit_rows import from_entries, unpeeled
 from test_complement_route import graph_complement, inject_rank, sheared_draws, watch_left_kernels
 
 PRIMES = (2, 3, 5, 101, DEFAULT_PRIME)
@@ -149,12 +149,7 @@ def matrices(draw):
 
 
 def as_matrix(p, rows, ncols):
-    return GenericMatrix.from_entries(
-        p,
-        [tuple((c, v) for c, v in enumerate(r) if v) for r in rows],
-        tuple(range(len(rows))),
-        ncols,
-    )
+    return from_entries(p, [tuple((c, v) for c, v in enumerate(r) if v) for r in rows], ncols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -376,7 +371,10 @@ def test_elimination_layout_keeps_ranks_and_stress_bases(case):
     natural = natural_rigidity_rows(g, k, l, theta)
     ncols = l * g.a_size + k * g.b_size
     m = build_rigidity_matrix(g, k, l, theta, p)
-    assert m.n_cols == ncols and m.row_labels == tuple(sorted(g.edges))
+    # row i is the i-th edge in sorted order, filled by its B-vertex's and
+    # then its A-vertex's vector
+    assert m.n_cols == ncols
+    assert m.layout.fills == tuple((g.a_size + b - 1, a - 1) for a, b in sorted(g.edges))
     assert m.rank() == dense_rank(natural, p, ncols)
     assert m.left_kernel() == as_matrix(p, natural, ncols).left_kernel()
 
@@ -499,8 +497,7 @@ def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
     monkeypatch.setattr(exactla.Echelon, "insert", counting_insert)
     assert m.rank() == g.n_edges == 36
     assert inserted == []
-    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.n_cols)
-    assert unpeeled.rank() == 36
+    assert unpeeled(m).rank() == 36
     assert len(inserted) == 36 and steps == []
 
 
@@ -519,8 +516,7 @@ def test_pivots_are_inverted_only_when_they_reduce_a_row(monkeypatch):
     quad = random_quadrangulation(64, seed=0)
     theta = sample_theta(DEFAULT_PRIME, 0, (quad.a_size, quad.b_size), rows=(2, 2))
     m = build_rigidity_matrix(quad, 2, 2, theta, DEFAULT_PRIME)
-    unpeeled = GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.n_cols)
-    assert unpeeled.rank() == 128
+    assert unpeeled(m).rank() == 128
     assert 0 < sum(inversions) < 128
     inversions.clear()
     assert m.rank() == 128

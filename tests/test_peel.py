@@ -1,7 +1,8 @@
 """Peeling private blocks before elimination, against the unpeeled route.
 
 A matrix builder hands ``GenericMatrix`` a layout that fixes its peel;
-``unpeeled`` is the same entries with nothing peeled, so every row goes through the echelon kernel.
+``unpeeled`` (``explicit_rows``) is the same entries with nothing peeled,
+so every row goes through the echelon kernel.
 Rank and left kernel must agree at every draw, at small primes too, where
 blocks often fail their check and the peel falls back to the core. The
 peel itself is checked against a naive fixpoint on the block structure.
@@ -20,6 +21,7 @@ from balrig.combinat import BalancedComplex, BipartiteGraph
 from balrig.errors import InputError
 from balrig.exactla import DEFAULT_PRIME, GenericMatrix, Layout, peel, sample_theta
 from balrig.rigidity import _complex_join, _graph_join, _layout, build_M, build_rigidity_matrix
+from explicit_rows import unpeeled
 
 SMALL_PRIMES = (2, 3, 5)
 
@@ -33,10 +35,6 @@ def graph_layout(g: BipartiteGraph, k: int, l: int) -> Layout:
 def complex_layout(kx: BalancedComplex, l: int) -> Layout:
     """The layout ``build_M`` reads: kx at width l in every color."""
     return _layout(kx, (l,) * kx.n_colors, _complex_join)
-
-
-def unpeeled(m: GenericMatrix) -> GenericMatrix:
-    return GenericMatrix.from_entries(m.p, m.entries, m.row_labels, m.n_cols)
 
 
 def assert_same_as_unpeeled(m: GenericMatrix) -> None:
@@ -158,18 +156,18 @@ def test_a_plan_peels_blocks_in_turn_and_names_their_vectors(monkeypatch):
     order, *peeling = peel((2, 1), [(0, 1), (1,)], [(0, 1), (2,)])
     assert order == [0, 1] and peeling == [[(0,), (2,)], [0, 1], []]
     # the matrix checks each block, in peel order, on the vectors it names
-    layout = Layout((0, 1), ((0, 2, 1), (1,)), ((0, 1), (2,)), (2, 1), (0, 1), "ab", *peeling)
+    layout = Layout(((0, 2, 1), (1,)), ((0, 1), (2,)), (2, 1), (0, 1), *peeling)
     assert layout.core == [] and layout.core_by_lead == ()
     checked = []
     independent = exactla._independent
     monkeypatch.setattr(exactla, "_independent", lambda p, v: checked.append(v) or independent(p, v))
     m = GenericMatrix(5, layout, [(1, 2), (3,), (4,)])
-    assert m.n_cols == 3 and m.col_labels == (("a", 1), ("a", 2), ("b", 1))
+    assert m.n_cols == 3 and m.rows == ((1, 3, 2), (0, 4, 0))
     assert m.rank() == 2 and checked == [[(1, 2)], [(4,)]]
     order, *peeling = peel((2, 1, 1), [(0, 1, 2), (1, 2), (1, 2)], [(0, 1, 2), (3, 4), (5, 6)])
     assert order == [0] and peeling == [[(0,)], [0], [1, 2]]
     columns = ((0, 2, 1, 3), (1, 3), (1, 3))
-    layout = Layout((0, 1, 2), columns, ((0, 1, 2), (3, 4), (5, 6)), (2, 1, 1), (0, 1, 2), "abc", *peeling)
+    layout = Layout(columns, ((0, 1, 2), (3, 4), (5, 6)), (2, 1, 1), (0, 1, 2), *peeling)
     assert layout.core == [1, 2] and layout.core_by_lead == (1, 2)
     # a row that meets a block twice is refused
     for bad in [(0, 0), (0, 1, 0)]:
@@ -222,7 +220,7 @@ def test_the_graph_peel_is_the_naive_fixpoint(case):
     # an edge row meets its A-vertex's block, filled by the l-vector of its
     # B-vertex, and then its B-vertex's, filled by the k-vector of its
     # A-vertex; vectors are numbered A-vertices first
-    row_blocks = [(a - 1, g.a_size + b - 1) for a, b in layout.row_labels]
+    row_blocks = [(a - 1, g.a_size + b - 1) for a, b in sorted(g.edges)]
     assert layout.fills == tuple((v, u) for u, v in row_blocks)
     assert_a_valid_peel(layout, widths, row_blocks)
 
@@ -232,15 +230,15 @@ def test_the_graph_peel_is_the_naive_fixpoint(case):
 def test_the_facet_ridge_peel_is_the_naive_fixpoint(case):
     kx, l, _, _ = case
     layout = complex_layout(kx, l)
-    row_labels = layout.row_labels
-    ridges = sorted({frozenset(f) - {v} for f in row_labels for v in f}, key=sorted)
+    facets = sorted(tuple(sorted(f)) for f in kx.facets)  # the rows, as sorted picks
+    ridges = sorted({frozenset(f) - {v} for f in facets for v in f}, key=sorted)
     # a facet row meets the ridge without each of its vertices, from the
     # last color back, filled by that vertex's l-vector; vectors are
     # numbered color by color
-    row_blocks = [[ridges.index(frozenset(f) - {v}) for v in reversed(f)] for f in row_labels]
+    row_blocks = [[ridges.index(frozenset(f) - {v}) for v in reversed(f)] for f in facets]
     first = [sum(kx.color_sizes[:c]) for c in range(kx.n_colors)]
     assert layout.fills == tuple(
-        tuple(first[c - 1] + i - 1 for c, i in reversed(f)) for f in row_labels
+        tuple(first[c - 1] + i - 1 for c, i in reversed(f)) for f in facets
     )
     assert_a_valid_peel(layout, [l] * len(ridges), row_blocks)
 
@@ -266,7 +264,7 @@ def test_the_minimum_degree_order_sees_only_core_vertices(monkeypatch):
     assert _min_degree_input(monkeypatch, tree, 1, 1) == set()
     quad = fam.random_quadrangulation(64, seed=0)
     layout = graph_layout(quad, 2, 2)
-    ends = [(a - 1, quad.a_size + b - 1) for a, b in layout.row_labels]
+    ends = [(a - 1, quad.a_size + b - 1) for a, b in sorted(quad.edges)]
     core_ends = {v for i in layout.core for v in ends[i]}
     assert len(layout.core) == 22
     assert _min_degree_input(monkeypatch, quad, 2, 2) == core_ends

@@ -23,6 +23,7 @@ from balrig.combinat import BipartiteGraph, complete_edges
 from balrig.errors import InvariantError
 from balrig.exactla import DEFAULT_PRIME, Echelon, GenericMatrix, _lead_key, sample_theta
 from balrig.rigidity import analyze, build_rigidity_matrix, max_rank
+from explicit_rows import from_entries
 from test_complement_route import inject_rank, sheared_draws
 from test_golden import half_dense_10x11
 
@@ -91,8 +92,8 @@ def test_the_bound_is_the_complete_graphs_rank_only_within_the_sides():
         mat = matrix(fam.complete_bipartite(n, m), k, l, DEFAULT_PRIME, 0)
         assert mat.layout.rank_bound == bound == mat.rank() == uncapped_rank(mat)
     # an explicit matrix's bound is its row or its column count
-    assert GenericMatrix.from_entries(5, [[(0, 1)], [(1, 1)]], "rs", 3).layout.rank_bound == 2
-    assert GenericMatrix.from_entries(5, [[(0, 1)]] * 3, "rst", 2).layout.rank_bound == 2
+    assert from_entries(5, [[(0, 1)], [(1, 1)]], 3).layout.rank_bound == 2
+    assert from_entries(5, [[(0, 1)]] * 3, 2).layout.rank_bound == 2
 
 
 def _watch_inserts(monkeypatch) -> list:

@@ -89,7 +89,9 @@ def test_the_rigidity_matrix_is_the_papers_definition():
         theta = sample_theta(p, seed, (n, m), rows=(k, l))
         rows, ncols = definition_rows(g, k, l, theta), l * n + k * m
         matrix = build_rigidity_matrix(g, k, l, theta, p)
-        assert matrix.n_cols == ncols and matrix.row_labels == tuple(sorted(g.edges))
+        assert matrix.n_cols == ncols
+        # row i is the i-th edge in sorted order, as the definition's rows
+        assert matrix.layout.fills == tuple((n + b - 1, a - 1) for a, b in sorted(g.edges))
         assert matrix.rank() == dense_rank(rows, p, ncols)
         assert matrix.left_kernel() == dense_left_kernel(rows, p, ncols)
 
