@@ -294,6 +294,9 @@ class VertexOrder:
 
     def __init__(self, sequence: Iterable[tuple]):
         self.sequence: tuple = tuple(sequence)
+        for v in self.sequence:
+            if not (isinstance(v, tuple) and len(v) == 2 and type(v[1]) is int):
+                raise InputError(f"vertex order entry {v!r} is not a (side or color, int) pair")
         if len(set(self.sequence)) != len(self.sequence):
             raise InputError("vertex order contains duplicates")
         self._pos = {v: i for i, v in enumerate(self.sequence)}

@@ -34,9 +34,10 @@ vectors whose concatenation fills it. The layout also fixes the peel:
 blocks of columns that at most their width of the remaining rows meet, in
 peel order, with the ids of the vectors that fill their rows there.
 ``peel`` finds them from the block structure alone, each block's width and
-the blocks each row meets, before a builder lays out a single column, so
-the builder can order only the core. Such rows are independent of every
-other row exactly when their vectors in the block are independent, which
+the blocks each row meets, before a builder lays out a single column, and
+gives the column order too: the peeled blocks first, then the core's, by
+how many core rows meet them. Such rows are independent of every other
+row exactly when their vectors in the block are independent, which
 ``rank`` and ``left_kernel`` check at each draw on the vectors themselves,
 without an inverse; they count those rows and build and eliminate only the
 rest, the core. A peel is only a shortcut: at a draw where some block
@@ -214,8 +215,8 @@ class Layout:
     Row i has its entries in the columns ``columns[i]`` and is filled by
     the drawn vectors ``fills[i]``, concatenated. The columns come in
     blocks: block b has ``widths[b]`` columns, and ``col_order`` lists the
-    blocks in column order. Rows and blocks carry no labels; what they
-    stand for is the builder's to say.
+    blocks in column order, the order ``peel`` returns. Rows and blocks
+    carry no labels; what they stand for is the builder's to say.
 
     The peel (``peel``) is fixed here too. ``peeled`` holds the rows of the
     blocks that peel, block by block in peel order, and ``checks[t]`` the
@@ -289,11 +290,15 @@ def peel(
     block that at most its width of the remaining rows meet peels: those
     rows leave, and the blocks they also meet may peel next. Which rows
     peel does not depend on the order, as in k-core peeling; one queue pass
-    takes the blocks first come, first served, from block 0 on. Returns the
-    blocks that peel, in peel order, and the peel as ``Layout`` keeps it:
-    per block the vectors that fill its rows there, its rows, block by
-    block, and the core rows by index. A row that meets a block twice is
-    refused.
+    takes the blocks first come, first served, from block 0 on.
+
+    Returns every block in column order, and the peel as ``Layout`` keeps
+    it: per peeled block the vectors that fill its rows there, its rows,
+    block by block, and the core rows by index. The column order is the
+    blocks that peel, in peel order, then the blocks the core rows meet,
+    those that fewest core rows meet first, then the rest; ties go by
+    block. A core block that few rows meet is eliminated early, while
+    little has filled in. A row that meets a block twice is refused.
     """
     rows_of: list[list[int]] = [[] for _ in widths]
     for i, blocks in enumerate(row_blocks):
@@ -321,6 +326,8 @@ def peel(
                 if not slack[other]:
                     queue.append(other)
         checks.append(tuple(check))
+    met = [extra + width for extra, width in zip(slack, widths)]  # core rows, if not peeled
+    order += sorted({*range(len(widths))}.difference(order), key=lambda b: (not met[b], met[b], b))
     return order, checks, peeled, [i for i, gone in enumerate(done) if not gone]
 
 
@@ -623,6 +630,9 @@ class TrialPolicy:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "prime", "seed"):  # a bool or a float is refused
+            if type(getattr(self, name)) is not int:
+                raise InputError(f"trial policy {name} must be an integer")
         if self.trials < 1:
             raise InputError("trial count must be at least 1")
         check_cap("trial count", self.trials, TRIAL_CAP)

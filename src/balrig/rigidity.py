@@ -36,19 +36,19 @@ at an A-vertex, k at a B-vertex, w_c facets at a ridge missing color c)
 owns columns no other row reaches: the bipartite analogue of undoing a
 Henneberg 0-extension. The layout finds these blocks with ``exactla.peel``
 before laying out any column, and the cached layout (``exactla.Layout``)
-fixes the peel. A graph's column blocks put the peeled vertices first,
-then the rest in a minimum-degree elimination order of the rows that
-remain, not side A then side B: that order fills in a few entries where
-the side order fills in one clique per vertex. A complex keeps its ridges
-in sorted order, which the minimum-degree order does not beat there. Ranks
-do not depend on the column order, and neither do stress bases, whose
-vectors each express a dependent row through the independent rows before
-it. A builder draws nothing per row: it hands ``GenericMatrix`` the layout
-and the trial's vertex vectors, and each row is its columns and the
-vectors that fill it. The block checks read those vectors, and rank and
-left kernel build and eliminate only the rows that remain; a tree at (1,1)
-and the facet-ridge matrix of a sphere at l = 2 peel whole and build no
-row.
+fixes the peel and the column order that ``peel`` returns, for graphs and
+complexes alike: the peeled blocks in peel order, then the blocks the
+remaining rows meet, those that fewest of them meet first, then the rest.
+Side A first, then side B, would fill in one clique per vertex; this
+order, which stores no fill to find, ranks a sphere quadrangulation's core
+as fast as a minimum-degree order did (CHANGES.md). Ranks do not depend on
+the column order, and neither do stress bases, whose vectors each express
+a dependent row through the independent rows before it. A builder draws
+nothing per row: it hands ``GenericMatrix`` the layout and the trial's
+vertex vectors, and each row is its columns and the vectors that fill it.
+The block checks read those vectors, and rank and left kernel build and
+eliminate only the rows that remain; a tree at (1,1) and the facet-ridge
+matrix of a sphere at l = 2 peel whole and build no row.
 
 Every rank query is capped on the parameters and rows it draws and on the
 columns of its matrix (``RANK_SIZE_CAP``), before it draws or allocates
@@ -90,7 +90,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, combinations, count, product, repeat
 from math import inf, prod
 from operator import add, gt, itemgetter, mul
@@ -140,42 +139,6 @@ def max_rank(g: BipartiteGraph, k: int, l: int) -> int:
     return l * g.a_size + k * g.b_size - k * l
 
 
-def _elimination_order(rows: Iterable[Sequence]) -> list:
-    """The blocks that ``rows`` meet, each row a tuple of comparable
-    blocks, in minimum-degree elimination order (Tinney and Walker 1967;
-    George and Liu 1989), ties broken by block.
-
-    The blocks of a row are pairwise adjacent. Eliminating a block joins
-    its remaining neighbors pairwise, as eliminating its columns joins the
-    blocks its rows reach; the block of least degree in that elimination
-    graph goes next. Each block counts itself among its neighbors, which
-    shifts every degree by one. A heap holds one entry per degree change,
-    and an entry whose degree is out of date is skipped when it comes up.
-    ``_layout`` calls it on the core rows only.
-    """
-    adj: dict = {}
-    for row in rows:
-        for u in row:
-            adj.setdefault(u, set()).update(row)
-    heap = [(len(nbrs), v) for v, nbrs in adj.items()]
-    heapify(heap)
-    order = []
-    while heap:
-        degree, v = heappop(heap)
-        nbrs = adj.get(v)
-        if nbrs is None or len(nbrs) != degree:
-            continue
-        del adj[v]
-        order.append(v)
-        nbrs.discard(v)
-        for u in nbrs:
-            fill = adj[u]
-            fill |= nbrs
-            fill.discard(v)
-            heappush(heap, (len(fill), u))
-    return order
-
-
 @lru_cache(maxsize=8)
 def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
     """The ``Layout`` of the facet-ridge matrix of the pure complex that
@@ -184,22 +147,21 @@ def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
     so that every trial of a verdict call reads one layout.
 
     ``join(x)`` gives the color sizes, the facets as sorted picks (one
-    vertex index per color), the ridges, and whether the columns follow
-    the elimination. A ridge is a pick with ``inf`` for the vertex it
-    lacks, so ridges sort as their vertices do; None stands for the ridges
-    the facets meet, sorted. Each ridge is a block with the width of the
-    color it misses, and blocks are numbered in ridge order.
-    The row of pick q meets the ridge q less its vertex of each color, from
+    vertex index per color) and the ridges. A ridge is a pick with ``inf``
+    for the vertex it lacks, so ridges sort as their vertices do; None
+    stands for the ridges the facets meet, sorted. Each ridge is a block
+    with the width of the color it misses, and blocks are numbered in ridge
+    order. The row of pick q meets the ridge q less its vertex of each color, from
     the last color back, and that vertex's vector fills it there; the
     vectors are numbered color by color. The peel runs on the blocks in
-    ridge order. The columns follow the ridges, or the elimination: the
-    peeled blocks in peel order, the core rows' blocks, which no other row
-    meets, in minimum-degree order of the blocks each core row meets, and
-    the rest in ridge order. The rank is at most the join bound
-    Π n_c − Π (n_c − min(w_c, n_c)) at every draw (module docstring),
-    which the layout keeps as its ``rank_bound``.
+    ridge order, and the columns follow the order it returns: the peeled
+    blocks in peel order, the core rows' blocks, which no other row meets,
+    by how many core rows meet them, and the rest in ridge order. The rank
+    is at most the join bound Π n_c − Π (n_c − min(w_c, n_c)) at every
+    draw (module docstring), which the layout keeps as its
+    ``rank_bound``.
     """
-    sizes, picks, ridges, by_degree = join(x)
+    sizes, picks, ridges = join(x)
     if not sizes:  # the one facet of a complex on no color is empty and meets no ridge
         return Layout(((),), ((),), (), (), (), (), [0], 0)
     at = list(zip(*picks)) or [()] * len(sizes)  # per color, the picks' vertices
@@ -214,11 +176,6 @@ def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
     first = [*accumulate(sizes, initial=-1)]  # vector first[c] + i is vertex i of color c
     fills = tuple(zip(*[map(add, at[c], repeat(first[c])) for c in colors]))
     order, *peeling = peel(block_widths, blocks, fills)
-    if by_degree:
-        order += _elimination_order([blocks[i] for i in peeling[-1]])  # the core's
-        order += sorted(set(range(len(ridges))).difference(order))
-    else:
-        order = range(len(ridges))
     every, columns, end = tuple(range(sum(block_widths))), [()] * len(ridges), 0
     for b in order:  # each block's columns
         columns[b] = every[end : (end := end + block_widths[b])]
@@ -234,7 +191,7 @@ def _graph_join(g: BipartiteGraph) -> tuple:
     block |A| + b - 1."""
     a, b = range(1, g.a_size + 1), range(1, g.b_size + 1)
     ridges = [*zip(a, repeat(inf)), *zip(repeat(inf), b)]
-    return (g.a_size, g.b_size), tuple(g.edge_list()), ridges, True
+    return (g.a_size, g.b_size), tuple(g.edge_list()), ridges
 
 
 def build_rigidity_matrix(
@@ -245,12 +202,11 @@ def build_rigidity_matrix(
     ``theta`` is the pair (A-block, B-block) as produced by sample_theta for
     the side sizes of g, with at least k and l rows. Rows are the edges in
     sorted order. The columns of edge ab' are the l of the block of a, then
-    the k of the block of b'. The order of the blocks is internal; the
-    core's follow a minimum-degree elimination order
-    (``_elimination_order``), so that eliminating them in order fills in
-    little. Only the vertex vectors are read here, and no row is built; the
-    layout, with its peel, is the facet-ridge layout of g's 2-color complex
-    at widths (k, l) (``_layout``).
+    the k of the block of b'. The order of the blocks is internal, the one
+    ``exactla.peel`` returns. Only the vertex vectors are read here, and no
+    row is built; the layout, with its peel and column order, is the
+    facet-ridge layout of g's 2-color complex at widths (k, l)
+    (``_layout``).
     """
     return _matrix(g, (g.a_size, g.b_size), (k, l), _graph_join, theta, p)
 
@@ -770,11 +726,10 @@ def _picks(kx: BalancedComplex) -> frozenset:
 
 def _complex_join(kx: BalancedComplex) -> tuple:
     """kx for ``_layout``: its facets as sorted picks, and the ridges they
-    meet, with the columns in ridge order, which a minimum-degree order
-    does not beat on complexes (CHANGES.md)."""
+    meet, which ``_layout`` lists."""
     if not kx.is_pure():
         raise InputError("the facet-ridge matrix needs a pure complex")
-    return kx.color_sizes, sorted(_picks(kx)), None, False
+    return kx.color_sizes, sorted(_picks(kx)), None
 
 
 def build_M(kx: BalancedComplex, l: int, theta: list, p: int) -> GenericMatrix:
@@ -856,14 +811,6 @@ class HeawoodReport:
     inequality_holds: bool
     f_top: int
     f_ridge: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "avoids_triple_join": self.avoids_triple_join,
-            "inequality_holds": self.inequality_holds,
-            "f_top": self.f_top,
-            "f_ridge": self.f_ridge,
-        }
 
 
 def heawood_check(

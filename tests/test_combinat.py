@@ -271,6 +271,15 @@ def test_order_must_extend_side_orders():
     VertexOrder([("A", 1), ("B", 1), ("A", 2)])
 
 
+@pytest.mark.parametrize(
+    "entry", [("A", 1, 2), 1, ("A",), ["A", 1], ("A", "1"), ("A", True), ("A", 1.0)]
+)
+def test_order_refuses_entries_that_are_not_pairs_with_int_indices(entry):
+    # shift_graph and shift_complex take these orders from library callers
+    with pytest.raises(InputError, match="not a \\(side or color, int\\) pair"):
+        VertexOrder([("A", 1), entry])
+
+
 def test_interleaved_admissibility():
     order = VertexOrder.interleaved_graph(3, 3)
     assert order.is_admissible(1, 1)

@@ -180,6 +180,21 @@ def test_trial_policy_validation():
         TrialPolicy(trials=TRIAL_CAP + 1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("prime", 5.0),  # is_prime(5.0) holds, but a draw needs int.bit_length
+        ("trials", 2.5),  # run_trials ranges over the trials
+        ("seed", "7"),  # trial_seed would repeat the string a million times
+        ("seed", 1.5),  # would run, and reach the report's meta
+        ("trials", True),  # would run, and reach the report's meta
+    ],
+)
+def test_trial_policy_refuses_fields_that_are_not_integers(field, value):
+    with pytest.raises(InputError, match=f"trial policy {field} must be an integer"):
+        TrialPolicy(**{field: value})
+
+
 def test_matrix_label_validation():
     # a layout fills each of its rows
     with pytest.raises(InputError, match="fills"):

@@ -6,7 +6,7 @@ two routes share no code, so a disagreement on rank, on the greedy
 selection, or on the kernel exposes a bug in one of them.
 
 ``natural_rigidity_rows`` is the rigidity matrix in the layout it had
-before its column blocks followed the elimination order: every A-vertex
+before its column blocks were reordered by the layout: every A-vertex
 block before every B-vertex block, in index order. Ranks and stress bases
 must not depend on the layout.
 
@@ -41,7 +41,6 @@ from balrig.exactla import (
 )
 from balrig.rigidity import (
     _dense,
-    _elimination_order,
     _verify_equilibrium,
     analyze,
     build_rigidity_matrix,
@@ -379,36 +378,6 @@ def test_elimination_layout_keeps_ranks_and_stress_bases(case):
     assert m.left_kernel() == as_matrix(p, natural, ncols).left_kernel()
 
 
-def scan_min_degree_order(g) -> list:
-    """Minimum-degree order by a full scan per step: the vertex of least
-    degree in the elimination graph, ties broken by vertex, goes next, and
-    its neighbors become pairwise adjacent."""
-    adj = {v: {("B", j) if v[0] == "A" else ("A", j) for j in g.neighbors(v)} for v in g.vertices()}
-    order = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            adj[u] = (adj[u] | nbrs) - {u, v}
-        order.append(v)
-    return order
-
-
-@settings(max_examples=100, deadline=None)
-@given(rigidity_cases())
-def test_elimination_order_is_a_deterministic_permutation(case):
-    # the order covers the vertices with an edge; an isolated vertex,
-    # which the scan takes whenever it is least, changes no other pick
-    g = case[0]
-    edges = [(("A", a), ("B", b)) for a, b in sorted(g.edges)]
-    order = _elimination_order(edges)
-    ends = {v for e in edges for v in e}
-    assert sorted(order) == sorted(ends)
-    assert order == [v for v in scan_min_degree_order(g) if v in ends]
-    # a fresh computation, the edges in another order, gives the same order
-    assert _elimination_order(reversed(edges)) == order
-
-
 def test_stress_space_returns_the_natural_layouts_basis():
     g = BipartiteGraph(4, 4, complete_edges(4, 4) - {(1, 1), (2, 3)})
     policy = TrialPolicy(seed=8)
@@ -476,8 +445,8 @@ def test_stress_space_computes_one_kernel_per_verdict(monkeypatch, g, k, l, poli
 
 def test_a_tree_eliminates_without_a_pivot_reduction(monkeypatch):
     # a tree peels whole, so its rank sends no row to the echelon; even
-    # unpeeled, in minimum-degree order each edge row leads at its leaf
-    # end, a column no earlier row reaches, so no row is reduced; the
+    # unpeeled, with the blocks in peel order each edge row leads at its
+    # leaf end, a column no earlier row reaches, so no row is reduced; the
     # layout with every A-vertex first needs 61 reductions here
     g = random_tree(10, 27, seed=5)
     theta = sample_theta(DEFAULT_PRIME, 0, (10, 27), rows=(1, 1))

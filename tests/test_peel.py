@@ -10,6 +10,7 @@ peel itself is checked against a naive fixpoint on the block structure.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -165,7 +166,7 @@ def test_a_plan_peels_blocks_in_turn_and_names_their_vectors(monkeypatch):
     assert m.n_cols == 3 and m.rows == ((1, 3, 2), (0, 4, 0))
     assert m.rank() == 2 and checked == [[(1, 2)], [(4,)]]
     order, *peeling = peel((2, 1, 1), [(0, 1, 2), (1, 2), (1, 2)], [(0, 1, 2), (3, 4), (5, 6)])
-    assert order == [0] and peeling == [[(0,)], [0], [1, 2]]
+    assert order == [0, 1, 2] and peeling == [[(0,)], [0], [1, 2]]
     columns = ((0, 2, 1, 3), (1, 3), (1, 3))
     layout = Layout(columns, ((0, 1, 2), (3, 4), (5, 6)), (2, 1, 1), (0, 1, 2), *peeling)
     assert layout.core == [1, 2] and layout.core_by_lead == (1, 2)
@@ -243,31 +244,18 @@ def test_the_facet_ridge_peel_is_the_naive_fixpoint(case):
     assert_a_valid_peel(layout, [l] * len(ridges), row_blocks)
 
 
-def _min_degree_input(monkeypatch, g, k, l) -> set:
-    """The vertices, as blocks, that ``_layout`` hands the minimum-degree
-    order when it lays out g afresh."""
-    seen = set()
-    order = rigidity._elimination_order
-
-    def watching(edges):
-        edges = list(edges)
-        seen.update(v for e in edges for v in e)
-        return order(edges)
-
-    monkeypatch.setattr(rigidity, "_elimination_order", watching)
-    _layout.__wrapped__(g, (k, l), _graph_join)
-    return seen
-
-
-def test_the_minimum_degree_order_sees_only_core_vertices(monkeypatch):
-    tree = fam.random_tree(10, 27, seed=5)
-    assert _min_degree_input(monkeypatch, tree, 1, 1) == set()
-    quad = fam.random_quadrangulation(64, seed=0)
-    layout = graph_layout(quad, 2, 2)
-    ends = [(a - 1, quad.a_size + b - 1) for a, b in sorted(quad.edges)]
-    core_ends = {v for i in layout.core for v in ends[i]}
-    assert len(layout.core) == 22
-    assert _min_degree_input(monkeypatch, quad, 2, 2) == core_ends
+def test_the_core_blocks_follow_the_peeled_ones_by_core_rows():
+    # after the peeled blocks come exactly the blocks the core rows meet,
+    # those that fewest core rows meet first, ties by block: none for a
+    # tree at (1,1), the vertices of the 22 core rows of a quadrangulation
+    tree, quad = fam.random_tree(10, 27, seed=5), fam.random_quadrangulation(64, seed=0)
+    for g, k, l, n_core in [(tree, 1, 1, 0), (quad, 2, 2, 22)]:
+        layout = graph_layout(g, k, l)
+        ends = [(a - 1, g.a_size + b - 1) for a, b in sorted(g.edges)]
+        met = Counter(b for i in layout.core for b in ends[i])
+        assert len(layout.core) == n_core
+        after = list(layout.col_order[len(layout.checks) :])
+        assert after[: len(met)] == sorted(met, key=lambda b: (met[b], b))
 
 
 @pytest.mark.parametrize(
