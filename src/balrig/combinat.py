@@ -297,7 +297,11 @@ class VertexOrder:
         for v in self.sequence:
             if not (isinstance(v, tuple) and len(v) == 2 and type(v[1]) is int):
                 raise InputError(f"vertex order entry {v!r} is not a (side or color, int) pair")
-        if len(set(self.sequence)) != len(self.sequence):
+        try:
+            distinct = len(set(self.sequence))
+        except TypeError:  # a side or color that is a list, say
+            raise InputError("vertex order entries must be hashable") from None
+        if distinct != len(self.sequence):
             raise InputError("vertex order contains duplicates")
         self._pos = {v: i for i, v in enumerate(self.sequence)}
         last: dict = {}

@@ -30,13 +30,14 @@ stream of ``randrange(p)``.
 Rows that settle nothing are not eliminated, nor built. A matrix is a
 ``Layout``, fixed before any draw and cached by its builder, and the
 trial's drawn vectors: a row is its column tuple and the ids of the
-vectors whose concatenation fills it. The layout also fixes the peel:
-blocks of columns that at most their width of the remaining rows meet, in
-peel order, with the ids of the vectors that fill their rows there.
-``peel`` finds them from the block structure alone, each block's width and
-the blocks each row meets, before a builder lays out a single column, and
-gives the column order too: the peeled blocks first, then the core's, by
-how many core rows meet them. Such rows are independent of every other
+vectors whose concatenation fills it. ``lay_out`` builds the whole layout
+from the block structure alone: each block's width, per color the block
+each row meets, the vectors that fill each row, and a rank bound; a
+builder names no column. The layout fixes the peel: blocks of columns
+that at most their width of the remaining rows meet, in peel order, with
+the ids of the vectors that fill their rows there. It fixes the column
+order too, in whole blocks: the peeled blocks first, then the core's, by
+how many core rows meet them. Peeled rows are independent of every other
 row exactly when their vectors in the block are independent, which
 ``rank`` and ``left_kernel`` check at each draw on the vectors themselves,
 without an inverse; they count those rows and build and eliminate only the
@@ -73,10 +74,11 @@ prefix walk's step cap.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, islice, repeat
+from operator import add
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, InvariantError, TrialDisagreementError, check_cap
@@ -209,107 +211,76 @@ class Echelon:
 @dataclass(frozen=True)
 class Layout:
     """What a matrix lays out before any value is drawn, and what ``rank``
-    and ``left_kernel`` read of it; a builder caches it for every trial of
-    a verdict.
+    and ``left_kernel`` read of it; ``lay_out`` builds it, and a builder
+    caches it for every trial of a verdict.
 
-    Row i has its entries in the columns ``columns[i]`` and is filled by
-    the drawn vectors ``fills[i]``, concatenated. The columns come in
-    blocks: block b has ``widths[b]`` columns, and ``col_order`` lists the
-    blocks in column order, the order ``peel`` returns. Rows and blocks
-    carry no labels; what they stand for is the builder's to say.
+    Row i has its entries in the columns ``columns[i]``, among ``n_cols``,
+    and is filled by the drawn vectors ``fills[i]``, concatenated. Rows and
+    columns carry no labels; what they stand for is the builder's to say.
 
-    The peel (``peel``) is fixed here too. ``peeled`` holds the rows of the
-    blocks that peel, block by block in peel order, and ``checks[t]`` the
-    ids of the vectors that fill the t-th block's rows there, which its
-    check reads, one per row. ``core`` is the other rows by index, and
-    ``core_by_lead`` the same rows in ``rank``'s order.
-
-    ``rank_bound`` bounds the rank at every draw: the least of the row
-    count, the column count and a bound the builder knows, such as the
-    rank of the complete graph's rigidity matrix. ``core_by_lead`` is the
-    core sorted by ``_lead_key``; when the bound less the peeled rows lies
-    below the core's row count, ``rank`` stops before the last core rows,
-    so the rows that can be charged to free block slots come first
-    (``_charged_first``). A core that ``rank`` reads to its end keeps the
-    lead order, as charging it too gains nothing and slowed sparse graphs
-    (sparse-graphs calls/s -1.6%). The column bound holds because each row
-    names distinct columns in range, as a builder's row is whole blocks of
-    its own layout.
+    The peel is fixed here too. ``peeled`` holds the rows of the blocks
+    that peel, block by block in peel order, and ``checks[t]`` the ids of
+    the vectors that fill the t-th block's rows there, which its check
+    reads, one per row. ``core`` is the other rows by index, and
+    ``core_by_lead`` the same rows in ``rank``'s order. ``rank_bound``
+    bounds the rank at every draw.
     """
 
     columns: tuple[tuple[int, ...], ...]
     fills: tuple[tuple[int, ...], ...]
-    widths: Sequence[int]
-    col_order: Sequence[int]
-    checks: Sequence[tuple[int, ...]]
+    n_cols: int
+    checks: Sequence[Sequence[int]]
     peeled: Sequence[int]
     core: Sequence[int]
-    rank_bound: int | None = None
-    core_by_lead: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        columns = self.columns
-        if len(columns) != len(self.fills):
-            raise InputError("row count does not match fills")
-        bound = min(len(columns), sum(self.widths))
-        if self.rank_bound is not None:
-            bound = min(bound, self.rank_bound)
-        object.__setattr__(self, "rank_bound", bound)
-        keys = {i: _lead_key(columns[i]) for i in self.core}
-        by_lead = sorted(keys, key=keys.__getitem__)
-        if bound - len(self.peeled) < len(by_lead):
-            by_lead = self._charged_first(by_lead)
-        object.__setattr__(self, "core_by_lead", tuple(by_lead))
-
-    def _charged_first(self, rows: list[int]) -> list[int]:
-        """``rows`` with those that, scanned in order, can be charged to a
-        free slot of one of their blocks first, and the rest after them,
-        each part in order. A block has its width in slots, and a row is
-        charged to its block with the most slots left, as pebbles are in
-        the pebble games of Lee and Streinu (2008); an empty row meets no
-        block."""
-        block_of = [b for b in self.col_order for _ in range(self.widths[b])]
-        slots, charged, rest = list(self.widths), [], []
-        for i in rows:
-            b = max(map(block_of.__getitem__, self.columns[i]), key=slots.__getitem__, default=None)
-            if b is not None and slots[b]:
-                slots[b] -= 1
-                charged.append(i)
-            else:
-                rest.append(i)
-        return charged + rest
+    core_by_lead: tuple[int, ...]
+    rank_bound: int
 
 
-def peel(
-    widths: Sequence[int], row_blocks: Sequence[Sequence[int]], fills: Sequence[Sequence[int]]
-) -> tuple[list[int], list[tuple[int, ...]], list[int], list[int]]:
-    """Which blocks of a layout peel, from its block structure alone.
+def lay_out(
+    widths: Sequence[int], by_color: Sequence[Sequence[int]], fills: Sequence, rank_bound: int
+) -> Layout:
+    """The ``Layout`` of a matrix, from its block structure alone.
 
-    Block b has ``widths[b]`` columns, and ``row_blocks[i]`` lists the
-    blocks row i meets, filled by the vectors ``fills[i]``, in order. A
-    block that at most its width of the remaining rows meet peels: those
+    Block b has ``widths[b]`` columns. Row i meets the block
+    ``by_color[c][i]`` of each color c, in that order, and is filled there
+    by the vector ``fills[i][c]``; ``fills`` has one entry per row, which
+    counts the rows where there is no color. ``rank_bound`` is a bound on
+    the rank that the builder knows, such as the rank of the complete
+    graph's rigidity matrix; the layout keeps the least of it, the row
+    count and the column count. The column bound holds because each row
+    meets distinct blocks; a row that meets a block twice is refused.
+
+    A block that at most its width of the remaining rows meet peels: those
     rows leave, and the blocks they also meet may peel next. Which rows
     peel does not depend on the order, as in k-core peeling; one queue pass
     takes the blocks first come, first served, from block 0 on.
 
-    Returns every block in column order, and the peel as ``Layout`` keeps
-    it: per peeled block the vectors that fill its rows there, its rows,
-    block by block, and the core rows by index. The column order is the
-    blocks that peel, in peel order, then the blocks the core rows meet,
-    those that fewest core rows meet first, then the rest; ties go by
-    block. A core block that few rows meet is eliminated early, while
-    little has filled in. A row that meets a block twice is refused.
+    The columns come in whole blocks: the blocks that peel, in peel order,
+    then the blocks the core rows meet, those that fewest core rows meet
+    first, then the rest; ties go by block. A core block that few rows meet
+    is eliminated early, while little has filled in. A row's columns are
+    those of its blocks, color by color.
+
+    ``core_by_lead`` is the core sorted by ``_lead_key``. When the bound
+    less the peeled rows lies below the core's row count, ``rank`` stops
+    before the last core rows, so the rows that can be charged to free
+    block slots come first (``_charged_first``). A core that ``rank`` reads
+    to its end keeps the lead order, as charging it too gains nothing and
+    slowed sparse graphs (sparse-graphs calls/s -1.6%).
     """
+    blocks = [*zip(*by_color)] if by_color else [()] * len(fills)  # per row, the blocks it meets
+    if len(blocks) != len(fills):
+        raise InputError("row count does not match fills")
     rows_of: list[list[int]] = [[] for _ in widths]
-    for i, blocks in enumerate(row_blocks):
-        for b in blocks:
+    for i, meets in enumerate(blocks):
+        for b in meets:
             rows = rows_of[b]
             if rows and rows[-1] == i:
                 raise InputError("a row meets a block twice")
             rows.append(i)
     slack = [len(rows) - width for rows, width in zip(rows_of, widths)]  # rows past the width
     queue = [b for b, extra in enumerate(slack) if extra <= 0]
-    done = [False] * len(row_blocks)
+    done = [False] * len(blocks)
     order, checks, peeled = [], [], []
     for b in queue:  # the queue grows while it is read
         rows = [i for i in rows_of[b] if not done[i]]
@@ -317,18 +288,45 @@ def peel(
             continue
         order.append(b)
         peeled += rows
-        check = []
+        checks.append(check := [])
         for i in rows:
             done[i] = True
-            check.append(fills[i][row_blocks[i].index(b)])
-            for other in row_blocks[i]:
+            check.append(fills[i][blocks[i].index(b)])
+            for other in blocks[i]:
                 slack[other] -= 1
                 if not slack[other]:
                     queue.append(other)
-        checks.append(tuple(check))
     met = [extra + width for extra, width in zip(slack, widths)]  # core rows, if not peeled
     order += sorted({*range(len(widths))}.difference(order), key=lambda b: (not met[b], met[b], b))
-    return order, checks, peeled, [i for i, gone in enumerate(done) if not gone]
+    every, at, n_cols = tuple(range(sum(widths))), [()] * len(widths), 0
+    for b in order:  # each block's columns
+        at[b] = every[n_cols : (n_cols := n_cols + widths[b])]
+    per_color = [map(at.__getitem__, bs) for bs in by_color]  # each row's columns there
+    columns = tuple(reduce(partial(map, add), per_color, repeat((), len(blocks))))
+    core = [i for i, gone in enumerate(done) if not gone]
+    bound = min(len(blocks), n_cols, rank_bound)
+    by_lead = sorted(core, key=lambda i: _lead_key(columns[i]))
+    if bound - len(peeled) < len(by_lead):
+        by_lead = _charged_first(by_lead, blocks, widths)
+    return Layout(columns, tuple(fills), n_cols, checks, peeled, core, tuple(by_lead), bound)
+
+
+def _charged_first(rows: list[int], blocks: Sequence, widths: Sequence[int]) -> list[int]:
+    """``rows`` with those that, scanned in order, can be charged to a free
+    slot of one of their blocks ``blocks[i]`` first, and the rest after
+    them, each part in order. A block has its width in slots, and a row is
+    charged to its block with the most slots left, as pebbles are in the
+    pebble games of Lee and Streinu (2008); a row that meets no block goes
+    to the rest."""
+    slots, charged, rest = list(widths), [], []
+    for i in rows:
+        b = max(blocks[i], key=slots.__getitem__, default=None)
+        if b is not None and slots[b]:
+            slots[b] -= 1
+            charged.append(i)
+        else:
+            rest.append(i)
+    return charged + rest
 
 
 def _lead_key(columns: Sequence[int]) -> tuple[int, int]:
@@ -433,7 +431,7 @@ class GenericMatrix:
 
     @property
     def n_cols(self) -> int:
-        return sum(self.layout.widths)
+        return self.layout.n_cols
 
     def _values(self, i: int) -> Iterator[int]:
         """Row i's values, in the order of its columns."""

@@ -22,7 +22,9 @@ Both builders draw their parameters from the
 same per-color random blocks, so cross-checks against shifting can share
 one draw, and both lay their matrices out with one routine, ``_layout``;
 each supplies only its picks (a facet's vertex of each color) and its
-ridges (``_graph_join``, ``_complex_join``).
+ridges (``_graph_join``, ``_complex_join``). ``_layout`` reads them as
+blocks, the ridges each row meets and the vectors that fill it, and
+``exactla.lay_out`` places every column.
 
 The matrices carry no labels; this is their shape. Rows are the facets in
 sorted order: a graph's edges as ``sorted(g.edges)``, a complex's facets
@@ -34,9 +36,9 @@ stress vector weighs.
 A ridge that at most its block width of the remaining rows meet (l edges
 at an A-vertex, k at a B-vertex, w_c facets at a ridge missing color c)
 owns columns no other row reaches: the bipartite analogue of undoing a
-Henneberg 0-extension. The layout finds these blocks with ``exactla.peel``
-before laying out any column, and the cached layout (``exactla.Layout``)
-fixes the peel and the column order that ``peel`` returns, for graphs and
+Henneberg 0-extension. ``exactla.lay_out`` finds these blocks from the
+block structure before it places any column, and the cached layout
+(``exactla.Layout``) fixes the peel and the column order, for graphs and
 complexes alike: the peeled blocks in peel order, then the blocks the
 remaining rows meet, those that fewest of them meet first, then the rest.
 Side A first, then side B, would fill in one clique per vertex; this
@@ -89,7 +91,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, count, product, repeat
 from math import inf, prod
 from operator import add, gt, itemgetter, mul
@@ -101,11 +103,10 @@ from .exactla import (
     DEFAULT_POLICY,
     Echelon,
     GenericMatrix,
-    Layout,
     TrialMeta,
     TrialPolicy,
     kernel_rows,
-    peel,
+    lay_out,
     run_trials,
     sample_theta,
     unit_upper,
@@ -134,54 +135,54 @@ def _check_rank_size(drawn: int, columns: int) -> None:
     check_cap("rank query columns", columns, RANK_SIZE_CAP)
 
 
+def _check_parameters(**values) -> None:
+    """Refuse a k or l, named by its keyword, that is not an int (a bool or
+    a float included) or is below 1, before any cap or draw reads it."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer, not {type(value).__name__}")
+    if min(values.values()) < 1:
+        raise InputError(f"{' and '.join(values)} must be positive")
+
+
 def max_rank(g: BipartiteGraph, k: int, l: int) -> int:
     """l|A| + k|B| - kl, the rank of the complete graph on the same sides."""
     return l * g.a_size + k * g.b_size - k * l
 
 
 @lru_cache(maxsize=8)
-def _layout(x, widths: tuple[int, ...], join: Callable) -> Layout:
-    """The ``Layout`` of the facet-ridge matrix of the pure complex that
-    ``join`` reads ``x`` as (``_graph_join``, ``_complex_join``), color c
-    reading the leading ``widths[c]`` rows of its block. Cached, bounded,
-    so that every trial of a verdict call reads one layout.
+def _layout(x, widths: tuple[int, ...], join: Callable):
+    """The ``exactla.Layout`` of the facet-ridge matrix of the pure complex
+    that ``join`` reads ``x`` as (``_graph_join``, ``_complex_join``),
+    color c reading the leading ``widths[c]`` rows of its block. Cached,
+    bounded, so that every trial of a verdict call reads one layout.
 
     ``join(x)`` gives the color sizes, the facets as sorted picks (one
     vertex index per color) and the ridges. A ridge is a pick with ``inf``
     for the vertex it lacks, so ridges sort as their vertices do; None
     stands for the ridges the facets meet, sorted. Each ridge is a block
     with the width of the color it misses, and blocks are numbered in ridge
-    order. The row of pick q meets the ridge q less its vertex of each color, from
-    the last color back, and that vertex's vector fills it there; the
-    vectors are numbered color by color. The peel runs on the blocks in
-    ridge order, and the columns follow the order it returns: the peeled
-    blocks in peel order, the core rows' blocks, which no other row meets,
-    by how many core rows meet them, and the rest in ridge order. The rank
-    is at most the join bound Π n_c − Π (n_c − min(w_c, n_c)) at every
-    draw (module docstring), which the layout keeps as its
+    order. The row of pick q meets the ridge q less its vertex of each
+    color, from the last color back, and that vertex's vector fills it
+    there; the vectors are numbered color by color. ``exactla.lay_out``
+    peels, orders and places the columns from that block structure alone.
+    The rank is at most the join bound Π n_c − Π (n_c − min(w_c, n_c)) at
+    every draw (module docstring), which the layout keeps as its
     ``rank_bound``.
     """
     sizes, picks, ridges = join(x)
-    if not sizes:  # the one facet of a complex on no color is empty and meets no ridge
-        return Layout(((),), ((),), (), (), (), (), [0], 0)
     at = list(zip(*picks)) or [()] * len(sizes)  # per color, the picks' vertices
     colors = range(len(sizes) - 1, -1, -1)
     lacking = [inf] * len(picks)
     if ridges is None:
         ridges = sorted({r for c in colors for r in zip(*at[:c], lacking, *at[c + 1 :])})
     index = dict(zip(ridges, count()))
-    block_widths = [widths[r.index(inf)] for r in ridges]
     by_color = [[*map(index.__getitem__, zip(*at[:c], lacking, *at[c + 1 :]))] for c in colors]
-    blocks = list(zip(*by_color))
     first = [*accumulate(sizes, initial=-1)]  # vector first[c] + i is vertex i of color c
-    fills = tuple(zip(*[map(add, at[c], repeat(first[c])) for c in colors]))
-    order, *peeling = peel(block_widths, blocks, fills)
-    every, columns, end = tuple(range(sum(block_widths))), [()] * len(ridges), 0
-    for b in order:  # each block's columns
-        columns[b] = every[end : (end := end + block_widths[b])]
-    row_columns = reduce(partial(map, add), [map(columns.__getitem__, bs) for bs in by_color])
+    # on no color, each pick is one empty row
+    fills = tuple(zip(*[map(add, at[c], repeat(first[c])) for c in colors])) or ((),) * len(picks)
     bound = prod(sizes) - prod(n - min(w, n) for n, w in zip(sizes, widths))
-    return Layout(tuple(row_columns), fills, block_widths, order, *peeling, bound)
+    return lay_out([widths[r.index(inf)] for r in ridges], by_color, fills, bound)
 
 
 def _graph_join(g: BipartiteGraph) -> tuple:
@@ -203,7 +204,7 @@ def build_rigidity_matrix(
     the side sizes of g, with at least k and l rows. Rows are the edges in
     sorted order. The columns of edge ab' are the l of the block of a, then
     the k of the block of b'. The order of the blocks is internal, the one
-    ``exactla.peel`` returns. Only the vertex vectors are read here, and no
+    ``exactla.lay_out`` gives. Only the vertex vectors are read here, and no
     row is built; the layout, with its peel and column order, is the
     facet-ridge layout of g's 2-color complex at widths (k, l)
     (``_layout``).
@@ -486,8 +487,7 @@ def analyze(
     parameters and rows drawn, k(|A| + 1) + l(|B| + 1), and the columns,
     l|A| + k|B|, are capped at ``RANK_SIZE_CAP``.
     """
-    if k < 1 or l < 1:
-        raise InputError("k and l must be positive")
+    _check_parameters(k=k, l=l)
     _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), l * g.a_size + k * g.b_size)
 
     complement = _complement((g.a_size, g.b_size), (k, l), g.edges)
@@ -562,8 +562,7 @@ def stress_space(
     the entries the basis is sure to hold (``STRESS_OUTPUT_CAP``), before
     any draw.
     """
-    if k < 1 or l < 1:
-        raise InputError("k and l must be positive")
+    _check_parameters(k=k, l=l)
     columns = l * g.a_size + k * g.b_size
     _check_rank_size(k * (g.a_size + 1) + l * (g.b_size + 1), columns)
     check_cap(
@@ -680,8 +679,7 @@ def laman_check(g: BipartiteGraph, k: int, l: int) -> LamanReport:
     ascending numeric order (colex), stopping at the first violator. Inputs
     beyond the documented size cap are rejected.
     """
-    if k < 1 or l < 1:
-        raise InputError("k and l must be positive")
+    _check_parameters(k=k, l=l)
     if g.a_size < k or g.b_size < l:
         raise InputError("sparsity check needs |A| >= k and |B| >= l")
     check_cap("sparsity brute force vertices", g.n_vertices, LAMAN_SIZE_CAP)
@@ -778,8 +776,7 @@ def rows_independent_M(
     and rows drawn, l per vertex and color of the palette, and the columns,
     at most l per vertex of each facet, are capped at ``RANK_SIZE_CAP``.
     """
-    if l < 1:
-        raise InputError("l must be positive")
+    _check_parameters(l=l)
     _check_rank_size(l * (sum(kx.color_sizes) + kx.n_colors), l * sum(map(len, kx.facets)))
 
     complement = _complement(kx.color_sizes, (l,) * kx.n_colors, _picks(kx)) if kx.is_pure() else None

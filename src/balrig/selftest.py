@@ -105,7 +105,6 @@ def sparse_insertion_graph(rng: random.Random, n_vertices: int) -> BipartiteGrap
     while True:
         sides = {"A": 1, "B": 1}
         edges: set[tuple[int, int]] = set()
-        order: list[tuple[str, int]] = [("A", 1), ("B", 1)]
         for _ in range(n_vertices - 2):
             side = rng.choice("AB")
             other = "B" if side == "A" else "A"
@@ -115,7 +114,6 @@ def sparse_insertion_graph(rng: random.Random, n_vertices: int) -> BipartiteGrap
             targets = rng.sample(range(1, sides[other] + 1), deg)
             for t in targets:
                 edges.add((idx, t) if side == "A" else (t, idx))
-            order.append((side, idx))
         if len(edges) < 4 * n_vertices:
             return BipartiteGraph(sides["A"], sides["B"], frozenset(edges))
 

@@ -4,13 +4,14 @@ builder's matrix with the plain elimination of the same entries."""
 from itertools import chain
 
 from balrig.errors import InputError
-from balrig.exactla import GenericMatrix, Layout
+from balrig.exactla import GenericMatrix, Layout, _lead_key
 
 
 def from_entries(p: int, entries, n_cols: int) -> GenericMatrix:
     """The matrix whose row i is the ``(column, value)`` pairs
-    ``entries[i]``, with ``n_cols`` columns in one block, each row filled by
-    a vector of its own, and nothing peeled.
+    ``entries[i]``, with ``n_cols`` columns, each row filled by a vector of
+    its own, and nothing peeled. The ``Layout`` is set here field by field,
+    as ``exactla.lay_out`` places whole blocks and these columns are given.
 
     A column outside the ``n_cols`` columns is refused, as a left kernel
     keeps its row combinations in the columns past the last and a rank
@@ -26,7 +27,11 @@ def from_entries(p: int, entries, n_cols: int) -> GenericMatrix:
     vectors = [tuple(v for _, v in entry) for entry in entries]
     rows = tuple(range(len(vectors)))
     fills = tuple(zip(rows))  # row i is filled by vector i alone
-    return GenericMatrix(p, Layout(columns, fills, (n_cols,), (0,), (), (), rows), vectors)
+    # every row is core, in rank's lead order, and the rank is at most the
+    # row or the column count
+    by_lead = tuple(sorted(rows, key=lambda i: _lead_key(columns[i])))
+    layout = Layout(columns, fills, n_cols, (), (), rows, by_lead, min(len(rows), n_cols))
+    return GenericMatrix(p, layout, vectors)
 
 
 def unpeeled(m: GenericMatrix) -> GenericMatrix:

@@ -576,6 +576,9 @@ def square():
         (lambda: contract(K(2, 2), ("A", 1), ("A", 3)), "unknown vertex"),
         (lambda: glue(K(2, 2), K(2, 2), {("A", 3): ("A", 1)}), "out of range"),
         (lambda: VertexOrder([("A", 1), ("B", 1), ("A", 1)]), "duplicates"),
+        # a side or color that cannot be hashed, as the duplicate check needs
+        (lambda: VertexOrder([(["A"], 1)]), "hashable"),
+        (lambda: VertexOrder([("A", 1), ((["B"],), 1)]), "entries must be hashable"),
         (lambda: BalancedComplex((2, -1), {frozenset()}), "nonnegative"),
         (lambda: BalancedComplex((2,), {frozenset({(2, 1)})}), "color 2 out of range"),
         (lambda: ridges(BalancedComplex((1, 1), {frozenset({(1, 1)}), frozenset({(2, 1)})})), "pure"),

@@ -11,10 +11,10 @@ from balrig.exactla import (
     PRIME_LIMIT,
     TRIAL_CAP,
     Echelon,
-    Layout,
     TrialPolicy,
     greedy_independent_rows,
     is_prime,
+    lay_out,
     run_trials,
     sample_theta,
 )
@@ -196,9 +196,10 @@ def test_trial_policy_refuses_fields_that_are_not_integers(field, value):
 
 
 def test_matrix_label_validation():
-    # a layout fills each of its rows
+    # a layout fills each of its rows: one row meets block 0, and no
+    # vectors fill it
     with pytest.raises(InputError, match="fills"):
-        Layout(((0,),), (), (1,), (0,), (), (), (0,))
+        lay_out((1,), [(0,)], (), 1)
     # a left kernel keeps its row combinations in the columns past the last,
     # and a rank stops at the column count, so a column out of range is
     # refused when the matrix is made, before either runs

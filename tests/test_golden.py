@@ -13,9 +13,10 @@ shifted, the graph operations' digest before they shared one
 relabelling, the generator digest before the cross-polytope was built
 as a van Kampen complex and the laman augmentations shared one mapping to
 dense edges, the complement digest before graphs and complexes were
-ranked through their complement in the complete join, and the stress
+ranked through their complement in the complete join, the stress
 digests of the graphs that take that route before their bases were read
-off it.
+off it, and the empty complex's digest before its layout lost a branch of
+its own.
 """
 
 import hashlib
@@ -164,6 +165,7 @@ WRITTEN = {
     "half8x9.json": half_dense_8x9,
     "half10x11.json": half_dense_10x11,
     "dense8.json": dense_8x8,
+    "empty.json": lambda: BalancedComplex((), frozenset({frozenset()})),
 }
 
 #: the small-prime, one-trial commands of CI's hash-seed list: sha256 of stdout.
@@ -237,6 +239,11 @@ RANK_BOUND_DIGESTS = {
 }
 
 
+#: the complex on no colors, whose one facet is empty and meets no ridge,
+#: recorded before its layout lost a branch of its own: sha256 of stdout
+EMPTY_COMPLEX_DIGEST = "0e0d4e1ba624a674ea9951d456975468580620e3cc5490557079cb75c09b1b17"
+
+
 def run_cli(tmp_path, capsys, command) -> tuple[int, str]:
     """The exit code and stdout of ``command``, its ``.json`` arguments read
     from the inputs written under ``tmp_path``."""
@@ -266,6 +273,11 @@ def test_capped_ranks_keep_their_digests(tmp_path, capsys, command):
 def test_shift_outputs_keep_their_digests(tmp_path, capsys, command):
     code, out = run_cli(tmp_path, capsys, command)
     assert (code, sha256(out)) == SHIFT_DIGESTS[command]
+
+
+def test_the_empty_complex_keeps_its_digest(tmp_path, capsys):
+    code, out = run_cli(tmp_path, capsys, "mcheck --complex empty.json -l 2")
+    assert (code, sha256(out)) == (0, EMPTY_COMPLEX_DIGEST)
 
 
 #: sha256 of the prefix walk's edge sets, as JSON, over the graphs and orders

@@ -4,7 +4,10 @@
 definition: the peeled blocks in peel order, then the blocks the core rows
 meet, those that fewest core rows meet first, then the rest, ties by
 block. The matrices carry no labels, but the order fixes the columns and so
-the work elimination does. Blocks are numbered as ``_layout`` numbers them:
+the work elimination does. A layout keeps no block order, so the order of
+the blocks that rows meet is read off its columns (``met_block_order``);
+the columns themselves are checked against the oracle's, block by block,
+unmet blocks included. Blocks are numbered as ``_layout`` numbers them:
 A-vertex a is block a - 1 and B-vertex b block |A| + b - 1, and a
 complex's ridges are blocks in sorted order.
 """
@@ -16,27 +19,35 @@ import pytest
 from hypothesis import given, settings
 
 from balrig import families as fam
-from balrig.exactla import DEFAULT_PRIME, peel, sample_theta
+from balrig.exactla import DEFAULT_PRIME, lay_out, sample_theta
 from balrig.rigidity import build_M, build_rigidity_matrix
-from test_peel import complex_cases, graph_cases, graph_layout
+from test_peel import complex_cases, graph_cases, graph_layout, met_block_order
 
 
 def oracle_block_order(widths, row_blocks) -> list:
     """The blocks of a layout in column order, block b ``widths[b]`` wide
     and row i meeting the blocks ``row_blocks[i]``: the peeled blocks in
-    the order ``peel`` peels them, then the core's by how many core rows
-    meet them, then the rest, ties by block."""
-    order, checks, _, core = peel(widths, row_blocks, row_blocks)
-    peeled = order[: len(checks)]
-    met = Counter(b for i in core for b in row_blocks[i])
+    the order ``lay_out`` peels them, then the core's by how many core rows
+    meet them, then the rest, ties by block. Each row is filled here by the
+    ids of its blocks, so each check names the block it peels."""
+    layout = lay_out(widths, [*zip(*row_blocks)], row_blocks, len(row_blocks))
+    peeled = [check[0] for check in layout.checks]
+    met = Counter(b for i in layout.core for b in row_blocks[i])
     rest = [b for b in range(len(widths)) if b not in met and b not in peeled]
     return peeled + sorted(met, key=lambda b: (met[b], b)) + rest
 
 
-def graph_block_order(g, k, l) -> list:
-    """``oracle_block_order`` of g's (k,l)-rigidity matrix."""
-    ends = [(a - 1, g.a_size + b - 1) for a, b in sorted(g.edges)]
-    return oracle_block_order([l] * g.a_size + [k] * g.b_size, ends)
+def graph_blocks(g, k, l) -> tuple:
+    """The block widths of g's (k,l)-rigidity matrix, and per row, the
+    blocks it meets."""
+    return [l] * g.a_size + [k] * g.b_size, [(a - 1, g.a_size + b - 1) for a, b in sorted(g.edges)]
+
+
+def assert_met_blocks_follow_the_oracle(layout, widths, row_blocks) -> None:
+    """The blocks that rows meet come in the oracle's order."""
+    met = {b for blocks in row_blocks for b in blocks}
+    order = [b for b in oracle_block_order(widths, row_blocks) if b in met]
+    assert met_block_order(layout, widths, row_blocks) == order
 
 
 def block_columns(order, widths) -> list:
@@ -52,10 +63,10 @@ def test_rigidity_blocks_follow_the_oracle_order(case):
     g, k, l, p, seed = case
     theta = sample_theta(p, seed, (g.a_size, g.b_size), rows=(k, l))
     m = build_rigidity_matrix(g, k, l, theta, p)
-    widths = [l] * g.a_size + [k] * g.b_size
-    order = graph_block_order(g, k, l)
-    assert list(m.layout.col_order) == order and list(m.layout.widths) == widths
+    widths, row_blocks = graph_blocks(g, k, l)
+    order = oracle_block_order(widths, row_blocks)
     assert m.n_cols == l * g.a_size + k * g.b_size
+    assert_met_blocks_follow_the_oracle(m.layout, widths, row_blocks)
     # the columns of edge ab', the edges in sorted order, are the l of the
     # block of a, then the k of the block of b'
     blocks = block_columns(order, widths)
@@ -77,8 +88,8 @@ def test_facet_ridge_blocks_follow_the_oracle_order(case):
     row_blocks = [[index[tuple(sorted(set(f) - {v}))] for v in reversed(f)] for f in facets]
     widths = [l] * len(ridges)
     order = oracle_block_order(widths, row_blocks)
-    assert list(m.layout.col_order) == order
-    assert list(m.layout.widths) == widths and m.n_cols == l * len(ridges)
+    assert m.n_cols == l * len(ridges)
+    assert_met_blocks_follow_the_oracle(m.layout, widths, row_blocks)
     # the columns of a facet are the blocks of its ridges, in that order
     blocks = block_columns(order, widths)
     expected = [sum((blocks[b] for b in bs), ()) for bs in row_blocks]
@@ -90,7 +101,7 @@ def test_quadrangulation_cores_keep_the_oracle_order(faces):
     g = fam.random_quadrangulation(faces, seed=2)
     layout = graph_layout(g, 2, 2)
     assert layout.core
-    assert list(layout.col_order) == graph_block_order(g, 2, 2)
+    assert_met_blocks_follow_the_oracle(layout, *graph_blocks(g, 2, 2))
 
 
 def test_complete_graphs_keep_the_oracle_order():
@@ -99,5 +110,5 @@ def test_complete_graphs_keep_the_oracle_order():
         g = fam.complete_bipartite(n, n)
         theta = sample_theta(DEFAULT_PRIME, 0, (n, n), rows=(2, 2))
         m = build_rigidity_matrix(g, 2, 2, theta, DEFAULT_PRIME)
-        assert list(m.layout.col_order) == graph_block_order(g, 2, 2)
+        assert_met_blocks_follow_the_oracle(m.layout, *graph_blocks(g, 2, 2))
         assert len(m.layout.core) == (0 if n <= 2 else n * n)

@@ -20,7 +20,7 @@ from balrig import exactla, rigidity
 from balrig import families as fam
 from balrig.combinat import BalancedComplex, BipartiteGraph
 from balrig.errors import InputError
-from balrig.exactla import DEFAULT_PRIME, GenericMatrix, Layout, peel, sample_theta
+from balrig.exactla import DEFAULT_PRIME, GenericMatrix, Layout, lay_out, sample_theta
 from balrig.rigidity import _complex_join, _graph_join, _layout, build_M, build_rigidity_matrix
 from explicit_rows import unpeeled
 
@@ -150,30 +150,53 @@ def peeled_blocks(layout: Layout) -> list:
 
 
 def test_a_plan_peels_blocks_in_turn_and_names_their_vectors(monkeypatch):
-    # block 0 (width 2, the columns 0 and 2) meets row 0 alone; block 1
-    # (column 1) has two rows for one column until block 0 has peeled row
-    # 0. Row 0 is filled by the vectors 0 (in block 0) and 1 (in block 1),
-    # row 1 by the vector 2
-    order, *peeling = peel((2, 1), [(0, 1), (1,)], [(0, 1), (2,)])
-    assert order == [0, 1] and peeling == [[(0,), (2,)], [0, 1], []]
+    # rows 0, 1, 2 meet the blocks (0, 2), (1, 2) and (1, 3), filled by the
+    # vectors (0, 1), (2, 3) and (4, 5); block 0 is 2 wide, the others 1.
+    # Blocks 0 and 3 meet one row each and peel first; block 2 (two rows)
+    # peels once block 0 has taken row 0, and block 1, whose rows 1 and 2
+    # have both gone, peels nothing and comes last
+    layout = lay_out((2, 1, 1, 1), [(0, 1, 1), (2, 2, 3)], [(0, 1), (2, 3), (4, 5)], 3)
+    assert (layout.checks, layout.peeled, layout.core, layout.core_by_lead) == (
+        [[0], [5], [3]], [0, 2, 1], [], ()
+    )
+    # the columns hold the blocks in the order 0, 3, 2, 1
+    assert layout.columns == ((0, 1, 3), (4, 3), (4, 2)) and layout.n_cols == 5
     # the matrix checks each block, in peel order, on the vectors it names
-    layout = Layout(((0, 2, 1), (1,)), ((0, 1), (2,)), (2, 1), (0, 1), *peeling)
-    assert layout.core == [] and layout.core_by_lead == ()
     checked = []
     independent = exactla._independent
     monkeypatch.setattr(exactla, "_independent", lambda p, v: checked.append(v) or independent(p, v))
-    m = GenericMatrix(5, layout, [(1, 2), (3,), (4,)])
-    assert m.n_cols == 3 and m.rows == ((1, 3, 2), (0, 4, 0))
-    assert m.rank() == 2 and checked == [[(1, 2)], [(4,)]]
-    order, *peeling = peel((2, 1, 1), [(0, 1, 2), (1, 2), (1, 2)], [(0, 1, 2), (3, 4), (5, 6)])
-    assert order == [0, 1, 2] and peeling == [[(0,)], [0], [1, 2]]
-    columns = ((0, 2, 1, 3), (1, 3), (1, 3))
-    layout = Layout(columns, ((0, 1, 2), (3, 4), (5, 6)), (2, 1, 1), (0, 1, 2), *peeling)
-    assert layout.core == [1, 2] and layout.core_by_lead == (1, 2)
+    m = GenericMatrix(5, layout, [(1, 2), (3,), (4,), (1,), (2,), (3,)])
+    assert m.n_cols == 5 and m.rows == ((1, 2, 0, 3, 0), (0, 0, 0, 1, 4), (0, 0, 3, 0, 2))
+    assert m.rank() == 3 and checked == [[(1, 2)], [(3,)], [(1,)]]
+    # block 0 peels row 0; blocks 1 and 2, one column each, keep rows 1
+    # and 2, which are the core and follow it, tied, by block
+    layout = lay_out((2, 1, 1), [(0, 1, 1), (1, 2, 2)], [(0, 1), (2, 3), (4, 5)], 3)
+    assert (layout.checks, layout.peeled, layout.core, layout.core_by_lead) == (
+        [[0]], [0], [1, 2], (1, 2)
+    )
+    assert layout.columns == ((0, 1, 2), (2, 3), (2, 3))
     # a row that meets a block twice is refused
-    for bad in [(0, 0), (0, 1, 0)]:
+    for by_color in [[(0,), (0,)], [(0,), (1,), (0,)]]:
         with pytest.raises(InputError, match="twice"):
-            peel((2, 1), [bad], [range(len(bad))])
+            lay_out((2, 1), by_color, [range(len(by_color))], 1)
+
+
+def met_block_order(layout: Layout, widths, row_blocks) -> list:
+    """The blocks that some row meets, in column order, read off the
+    layout's columns: row i meets the blocks ``row_blocks[i]``, and its
+    columns are theirs, ``widths[b]`` for block b, in that order. Each such
+    block holds one run of consecutive columns, the same in every row that
+    meets it, and no two runs overlap; a block that no row meets holds no
+    entry, so its place is not read."""
+    runs = {}
+    for blocks, columns in zip(row_blocks, layout.columns):
+        ends = itertools.accumulate((widths[b] for b in blocks), initial=0)
+        for b, (start, end) in zip(blocks, itertools.pairwise(ends)):
+            run = columns[start:end]
+            assert runs.setdefault(b, run) == run == tuple(range(run[0], run[0] + widths[b]))
+    order = sorted(runs, key=runs.__getitem__)
+    assert all(runs[b][-1] < runs[c][0] for b, c in zip(order, order[1:]))
+    return order
 
 
 def naive_peeled_rows(widths, row_blocks) -> set:
@@ -254,7 +277,8 @@ def test_the_core_blocks_follow_the_peeled_ones_by_core_rows():
         ends = [(a - 1, g.a_size + b - 1) for a, b in sorted(g.edges)]
         met = Counter(b for i in layout.core for b in ends[i])
         assert len(layout.core) == n_core
-        after = list(layout.col_order[len(layout.checks) :])
+        order = met_block_order(layout, [l] * g.a_size + [k] * g.b_size, ends)
+        after = order[len(layout.checks) :]
         assert after[: len(met)] == sorted(met, key=lambda b: (met[b], b))
 
 

@@ -310,6 +310,16 @@ def test_single_facet_M():
     assert m.rank() == 1
 
 
+def test_the_complex_on_no_colors_has_one_empty_row():
+    # its one facet is empty: a row with no column, which no ridge meets, so
+    # the rank is 0 and the row is its own dependency
+    kx = BalancedComplex.from_json_dict({"color_sizes": [], "facets": [[]]})
+    m = build_M(kx, 2, [], P)
+    assert (m.n_rows, m.n_cols, m.rank(), m.left_kernel()) == (1, 0, 0, [(1,)])
+    rep = rows_independent_M(kx, 2, POLICY)
+    assert (rep.rank, rep.independent, rep.n_facets) == (0, False, 1)
+
+
 def test_octahedron_rows_independent_at_2():
     rep = rows_independent_M(fam.cross_polytope_boundary(3), 2, POLICY)
     assert rep.independent
@@ -637,3 +647,21 @@ def test_k_far_above_side_draws_only_read_rows(monkeypatch):
 def test_rigidity_parameters_below_one_are_refused(build):
     with pytest.raises(InputError, match="must be positive"):
         build(fam.complete_bipartite(2, 2), fam.cross_polytope_boundary(3))
+
+
+@pytest.mark.parametrize("value", [2.0, True, 10.0**9])
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        pytest.param(lambda g, kx, v: analyze(g, v, 2), id="analyze"),
+        pytest.param(lambda g, kx, v: stress_space(g, 2, v), id="stress_space"),
+        pytest.param(lambda g, kx, v: rows_independent_M(kx, v), id="rows_independent_M"),
+        pytest.param(lambda g, kx, v: laman_check(g, v, 2), id="laman_check"),
+    ],
+)
+def test_rigidity_parameters_that_are_not_ints_are_refused(verdict, value):
+    # one check refuses a float or a bool before the caps read it, so a
+    # float past a cap is refused as a float, not as a size
+    with pytest.raises(InputError, match="must be an integer, not (float|bool)") as refused:
+        verdict(fam.complete_bipartite(3, 3), fam.cross_polytope_boundary(3), value)
+    assert refused.value.exit_code == 3
