@@ -198,12 +198,25 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def _verdict_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
-    """A subcommand with the trial policy and output format options."""
+#: The options a verdict subcommand may take besides ``--format``. Only the
+#: subcommands that draw take the trial policy's three: ``laman`` draws nothing.
+OPTIONS = {
+    "--graph": dict(required=True, help="graph JSON path"),
+    "--complex": dict(required=True, help="complex JSON path"),
+    "-k": dict(type=_int, required=True),
+    "-l": dict(type=_int, required=True),
+    "--prime": dict(type=_int, default=DEFAULT_PRIME),
+    "--trials": dict(type=_int, default=3),
+    "--seed": dict(type=_int, default=0),
+}
+POLICY_FLAGS = ("--prime", "--trials", "--seed")
+
+
+def _verdict_parser(sub, name: str, summary: str, func, flags) -> argparse.ArgumentParser:
+    """A subcommand with the output format option and ``flags``, named in OPTIONS."""
     p = sub.add_parser(name, help=summary)
-    p.add_argument("--prime", type=_int, default=DEFAULT_PRIME)
-    p.add_argument("--trials", type=_int, default=3)
-    p.add_argument("--seed", type=_int, default=0)
+    for flag in flags:
+        p.add_argument(flag, **OPTIONS[flag])
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=func)
     return p
@@ -220,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _verdict_parser(sub, "shift", "balanced shifting of a graph or complex", _cmd_shift)
+    p = _verdict_parser(
+        sub, "shift", "balanced shifting of a graph or complex", _cmd_shift, POLICY_FLAGS
+    )
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--graph", help="graph JSON path ('-' for stdin)")
     grp.add_argument("--complex", help="complex JSON path ('-' for stdin)")
@@ -231,24 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
         "or 1.1,2.1,... (complexes)",
     )
 
-    inputs = {
-        "--graph": dict(required=True, help="graph JSON path"),
-        "--complex": dict(required=True, help="complex JSON path"),
-        "-k": dict(type=_int, required=True),
-        "-l": dict(type=_int, required=True),
-    }
     reports = [
-        ("analyze", "rigidity / stress-freeness report", ("--graph", "-k", "-l"),
+        ("analyze", "rigidity / stress-freeness report", ("--graph", "-k", "-l", *POLICY_FLAGS),
          lambda a: analyze(_load_graph(a.graph), a.k, a.l, _policy(a))),
         ("laman", "hereditary sparsity count check", ("--graph", "-k", "-l"),
          lambda a: laman_check(_load_graph(a.graph), a.k, a.l)),
-        ("mcheck", "facet-ridge matrix row independence", ("--complex", "-l"),
+        ("mcheck", "facet-ridge matrix row independence", ("--complex", "-l", *POLICY_FLAGS),
          lambda a: rows_independent_M(_load_complex(a.complex), a.l, _policy(a))),
     ]
     for name, summary, flags, report in reports:
-        p = _verdict_parser(sub, name, summary, _cmd_report)
-        for flag in flags:
-            p.add_argument(flag, **inputs[flag])
+        p = _verdict_parser(sub, name, summary, _cmd_report, flags)
         p.set_defaults(report=report)
 
     p = sub.add_parser("generate", help="emit an example family as JSON")

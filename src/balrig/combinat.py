@@ -10,7 +10,9 @@ all read that one face set. Transforms return
 new values together with explicit old-to-new vertex maps so callers can track
 vertices across operations. The graph operations (deletion, contraction,
 cones, induced subgraphs and gluing) each build only their vertex map, plus
-any new edges, and go through one relabelling, ``_relabel``.
+any new edges, and go through one relabelling, ``_relabel``. The
+facet-ridge graph 2-colors the facets breadth-first and then numbers each
+facet once, in lexicographic order within its side.
 """
 
 from __future__ import annotations
@@ -341,13 +343,7 @@ class VertexOrder:
     @classmethod
     def interleaved_graph(cls, a_size: int, b_size: int) -> "VertexOrder":
         """1 < 1' < 2 < 2' < ...; admissible for every (k, k) and (k+1, k)."""
-        seq: list[tuple] = []
-        for i in range(1, max(a_size, b_size) + 1):
-            if i <= a_size:
-                seq.append(("A", i))
-            if i <= b_size:
-                seq.append(("B", i))
-        return cls(seq)
+        return cls.admissible_graph(a_size, b_size, 0, 0)
 
     @classmethod
     def admissible_graph(
@@ -641,7 +637,7 @@ def facet_ridge_graph(k: BalancedComplex) -> FacetRidgeGraph:
         fset = frozenset(f)
         for v in f:
             by_ridge.setdefault(fset - {v}, []).append(fi)
-    adj: dict[int, set[int]] = {fi: set() for fi in range(len(facets))}
+    adj: list[list[int]] = [[] for _ in facets]
     for ridge, members in by_ridge.items():
         if len(members) > 2:
             raise InputError(
@@ -650,43 +646,39 @@ def facet_ridge_graph(k: BalancedComplex) -> FacetRidgeGraph:
             )
         if len(members) == 2:
             a, b = members
-            adj[a].add(b)
-            adj[b].add(a)
-    side: dict[int, str] = {}
+            adj[a].append(b)
+            adj[b].append(a)
+    # a breadth-first 2-coloring from each component's least facet
+    sides: list[str | None] = [None] * len(facets)
     for start in range(len(facets)):
-        if start in side:
+        if sides[start] is not None:
             continue
-        side[start] = "A"
+        sides[start] = "A"
         queue = [start]
-        while queue:
-            cur = queue.pop(0)
-            for nb in sorted(adj[cur]):
-                want = "B" if side[cur] == "A" else "A"
-                if nb not in side:
-                    side[nb] = want
+        for cur in queue:
+            want = "B" if sides[cur] == "A" else "A"
+            for nb in adj[cur]:
+                if sides[nb] is None:
+                    sides[nb] = want
                     queue.append(nb)
-                elif side[nb] != want:
+                elif sides[nb] != want:
                     raise InputError(
                         "facet adjacency contains an odd cycle; "
                         "cannot 2-color the facet-ridge graph"
                     )
-    a_facets = [fi for fi in range(len(facets)) if side[fi] == "A"]
-    b_facets = [fi for fi in range(len(facets)) if side[fi] == "B"]
-    vertex_of: dict[Face, Vertex] = {
-        frozenset(facets[fi]): ("A", n) for n, fi in enumerate(a_facets, 1)
-    }
-    vertex_of.update(
-        {frozenset(facets[fi]): ("B", n) for n, fi in enumerate(b_facets, 1)}
+    sizes = {"A": 0, "B": 0}
+    vertices: list[Vertex] = []
+    for side in sides:
+        sizes[side] += 1
+        vertices.append((side, sizes[side]))
+    edges = frozenset(
+        (vertices[fi][1], vertices[nb][1])
+        for fi, nbs in enumerate(adj)
+        if sides[fi] == "A"
+        for nb in nbs
     )
-    edges = set()
-    for fi, nbs in adj.items():
-        va = vertex_of[frozenset(facets[fi])]
-        if va[0] != "A":
-            continue
-        for nb in nbs:
-            vb = vertex_of[frozenset(facets[nb])]
-            edges.add((va[1], vb[1]))
-    graph = BipartiteGraph(len(a_facets), len(b_facets), frozenset(edges))
+    graph = BipartiteGraph(sizes["A"], sizes["B"], edges)
+    vertex_of = {frozenset(f): v for f, v in zip(facets, vertices)}
     facet_of = {v: f for f, v in vertex_of.items()}
     return FacetRidgeGraph(graph, facet_of, vertex_of)
 

@@ -74,7 +74,7 @@ prefix walk's step cap.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, islice, repeat
@@ -692,16 +692,13 @@ def run_trials(
             f"per-trial failure bound {bound} is at least 1, so the verdict is not "
             "certified; use a larger prime",
         )
-    meta = TrialMeta(p, policy.seed, policy.trials, failure_bound=bound, warnings=warnings)
-    verdicts = [compute(p, policy.trial_seed(i)) for i in range(policy.trials)]
-    if all(v == verdicts[0] for v in verdicts):
-        return verdicts[0], meta
-    start = policy.trials
-    verdicts = [
-        compute(p, policy.trial_seed(start + i)) for i in range(2 * policy.trials)
-    ]
-    if all(v == verdicts[0] for v in verdicts):
-        return verdicts[0], replace(meta, trials=2 * policy.trials, escalated=True)
+    # the first batch, then on disagreement one of twice as many fresh seeds
+    batch = range(policy.trials)
+    for escalated in (False, True):
+        verdicts = [compute(p, policy.trial_seed(i)) for i in batch]
+        if all(v == verdicts[0] for v in verdicts):
+            return verdicts[0], TrialMeta(p, policy.seed, len(batch), escalated, bound, warnings)
+        batch = range(policy.trials, 3 * policy.trials)
     raise TrialDisagreementError(
         f"random trials disagree on {what} even after escalation "
         f"(prime={policy.prime}, seed={policy.seed}); "

@@ -5,6 +5,9 @@ are tracked through a registry of boundary facets (each facet stored with its
 own cube-grid coordinates so later gluings and augmentations can navigate
 it), cross-polytope gluings identify same-color vertices facet by facet, and
 quadrangulations grow by vertex splitting inside an explicit rotation system.
+The cubical and quadrangulation builders name each vertex once: ``_Builder``
+hands out graph vertices, numbered per side in the order they are made, so
+facet grids, coordinates and rotation systems all hold graph vertices.
 Every generator checks its own structural counts before returning, with
 ``InvariantError`` rather than ``assert``, so the checks also run under
 ``python -O``.
@@ -155,46 +158,59 @@ class CubicalGraph:
     """A cubical polytope graph plus its boundary facet registry.
 
     Each boundary (d-1)-cube in ``facets`` is its grid: a dict from its own
-    0/1 coordinates, tuples of length d - 1, to abstract vertex ids.
-    ``dense`` maps abstract vertex ids to graph vertices, which name their
-    side. ``coords`` is only present for a plain cube, where it
-    enables the opposite-facet augmentation.
+    0/1 coordinates, tuples of length d - 1, to graph vertices. ``coords``
+    maps each graph vertex to its 0/1 coordinates; it is only present for a
+    plain cube, where it enables the opposite-facet augmentation.
     """
 
     d: int
     graph: BipartiteGraph
-    facets: list[dict[tuple[int, ...], int]]
-    dense: dict[int, Vertex]
-    coords: dict[int, tuple[int, ...]] | None = None
+    facets: list[dict[tuple[int, ...], Vertex]]
+    coords: dict[Vertex, tuple[int, ...]] | None = None
 
 
 class _Builder:
-    """Accumulates abstract vertices and edges, then densifies per side."""
+    """Hands out graph vertices, numbered per side in the order they are
+    added, and accumulates the edges between them."""
 
     def __init__(self):
-        self.sides: list[str] = []
+        self.sizes = {"A": 0, "B": 0}
         self.edges: set[tuple[int, int]] = set()
 
-    def add_vertex(self, side: str) -> int:
-        self.sides.append(side)
-        return len(self.sides) - 1
+    def add_vertex(self, side: str) -> Vertex:
+        self.sizes[side] += 1
+        return side, self.sizes[side]
 
-    def add_edge(self, u: int, v: int) -> None:
-        if self.sides[u] == self.sides[v]:
+    def add_edge(self, u: Vertex, v: Vertex) -> None:
+        if u[0] == v[0]:
             raise InputError("edge within one side")
-        self.edges.add((min(u, v), max(u, v)))
+        self.edges.add((u[1], v[1]) if u[0] == "A" else (v[1], u[1]))
 
-    def finish(self) -> tuple[BipartiteGraph, dict[int, Vertex]]:
-        dense: dict[int, Vertex] = {}
-        counts = {"A": 0, "B": 0}
-        for vid, side in enumerate(self.sides):
-            counts[side] += 1
-            dense[vid] = (side, counts[side])
-        edges = set()
-        for u, v in self.edges:
-            a, b = (u, v) if self.sides[u] == "A" else (v, u)
-            edges.add((dense[a][1], dense[b][1]))
-        return BipartiteGraph(counts["A"], counts["B"], frozenset(edges)), dense
+    def add_grid_edges(self, grid: dict[tuple[int, ...], Vertex]) -> None:
+        """Join the vertices of a 0/1 grid whose coordinates differ in one place."""
+        for y, v in grid.items():
+            for c, bit in enumerate(y):
+                if not bit:
+                    self.add_edge(v, grid[y[:c] + (1,) + y[c + 1 :]])
+
+    def add_cube(self, d: int) -> tuple[dict[tuple[int, ...], Vertex], list[dict]]:
+        """Add the d-cube: 0/1 vectors, sides by coordinate-sum parity, edges
+        by Hamming distance one. Returns the vertex of each vector and the 2d
+        facet grids, in opposite pairs (2c, 2c+1)."""
+        ids = {
+            x: self.add_vertex("A" if sum(x) % 2 == 0 else "B")
+            for x in itertools.product((0, 1), repeat=d)
+        }
+        self.add_grid_edges(ids)
+        facets = [
+            {y: ids[_insert(y, c, val)] for y in itertools.product((0, 1), repeat=d - 1)}
+            for c in range(d)
+            for val in (0, 1)
+        ]
+        return ids, facets
+
+    def finish(self) -> BipartiteGraph:
+        return BipartiteGraph(self.sizes["A"], self.sizes["B"], frozenset(self.edges))
 
 
 def _insert(partial: tuple[int, ...], pos: int, val: int) -> tuple[int, ...]:
@@ -202,34 +218,16 @@ def _insert(partial: tuple[int, ...], pos: int, val: int) -> tuple[int, ...]:
 
 
 def cube_complex(d: int) -> CubicalGraph:
-    """The d-cube graph with all 2d facets registered.
-
-    Vertices are 0/1 vectors; sides by coordinate-sum parity, edges by Hamming
-    distance one. Facets come in opposite pairs (2c, 2c+1).
-    """
+    """The d-cube graph with all 2d facets registered, in opposite pairs
+    (2c, 2c+1)."""
     if d < 1:
         raise InputError("cube dimension must be positive")
     _check_dimension("cube dimension", d)
     _check_edges(d * 2 ** (d - 1))
     b = _Builder()
-    ids: dict[tuple[int, ...], int] = {}
-    for x in itertools.product((0, 1), repeat=d):
-        ids[x] = b.add_vertex("A" if sum(x) % 2 == 0 else "B")
-    for x, vid in ids.items():
-        for c in range(d):
-            if x[c] == 0:
-                b.add_edge(vid, ids[x[:c] + (1,) + x[c + 1 :]])
-    facets = []
-    for c in range(d):
-        for val in (0, 1):
-            grid = {
-                y: ids[_insert(y, c, val)]
-                for y in itertools.product((0, 1), repeat=d - 1)
-            }
-            facets.append(grid)
-    graph, dense = b.finish()
-    coords = {vid: x for x, vid in ids.items()}
-    return CubicalGraph(d=d, graph=graph, facets=facets, dense=dense, coords=coords)
+    ids, facets = b.add_cube(d)
+    coords = {v: x for x, v in ids.items()}
+    return CubicalGraph(d=d, graph=b.finish(), facets=facets, coords=coords)
 
 
 def cube_graph(d: int) -> BipartiteGraph:
@@ -251,25 +249,17 @@ def stacked_cubical_graph(d: int, t: int, seed: int = 0) -> CubicalGraph:
     _check_dimension("cube dimension", d)
     _check_edges((d + 1) * (t + 1) * 2 ** (d - 2) - 2 ** (d - 1))
     rng = random.Random(seed)
-    base = cube_complex(d)
     b = _Builder()
-    b.sides = [base.dense[v][0] for v in range(len(base.dense))]
-    inv = {v: k for k, v in base.dense.items()}
-    for i, j in base.graph.edges:
-        b.add_edge(inv[("A", i)], inv[("B", j)])
-    boundary = list(base.facets)
+    _, boundary = b.add_cube(d)
 
     for _ in range(t - 1):
         f = boundary.pop(rng.randrange(len(boundary)))
         tops = {}
         for y, bottom in f.items():
-            top = b.add_vertex("B" if b.sides[bottom] == "A" else "A")
+            top = b.add_vertex("B" if bottom[0] == "A" else "A")
             tops[y] = top
             b.add_edge(bottom, top)
-        for y, top in tops.items():
-            for c in range(d - 1):
-                if y[c] == 0:
-                    b.add_edge(top, tops[y[: c] + (1,) + y[c + 1 :]])
+        b.add_grid_edges(tops)
         boundary.append(tops)
         for c in range(d - 1):
             for val in (0, 1):
@@ -280,11 +270,11 @@ def stacked_cubical_graph(d: int, t: int, seed: int = 0) -> CubicalGraph:
                     grid[w + (1,)] = tops[y]
                 boundary.append(grid)
 
-    graph, dense = b.finish()
+    graph = b.finish()
     _check(graph.n_vertices == 2**d + (t - 1) * 2 ** (d - 1), "vertex count")
     _check(graph.n_edges == (d + 1) * (t + 1) * 2 ** (d - 2) - 2 ** (d - 1), "edge count")
     _check(len(boundary) == 2 * d + (t - 1) * (2 * d - 2), "boundary facet count")
-    return CubicalGraph(d=d, graph=graph, facets=boundary, dense=dense)
+    return CubicalGraph(d=d, graph=graph, facets=boundary)
 
 
 class Augmentation(NamedTuple):
@@ -309,42 +299,27 @@ def augment_facet(cg: CubicalGraph, facet: int, mode: str) -> Augmentation:
     f = cg.facets[facet]
     g = cg.graph
     if mode == "two-vertex":
-        a_verts = sorted(v for v in f.values() if cg.dense[v][0] == "A")
-        b_verts = [v for v in f.values() if cg.dense[v][0] == "B"]
+        a_verts = sorted(i for side, i in f.values() if side == "A")
+        b_verts = [j for side, j in f.values() if side == "B"]
         if len(a_verts) < 2:
             raise InputError("facet has fewer than two A-vertices")
-        new = {
-            (cg.dense[u][1], cg.dense[bv][1])
-            for u in a_verts[:2]
-            for bv in b_verts
-        }
+        new = {(i, j) for i in a_verts[:2] for j in b_verts}
     elif mode == "opposite-facets":
         if cg.coords is None:
             raise InputError("opposite-facet augmentation needs a plain cube")
         f_star = cg.facets[facet ^ 1]
         c = facet // 2
-        ids = {x: vid for vid, x in cg.coords.items()}
-        v_id = min(
-            (vid for vid in f.values() if cg.dense[vid][0] == "A"),
-            key=lambda vid: cg.coords[vid],
-        )
+        ids = {x: v for v, x in cg.coords.items()}
+        v = min((v for v in f.values() if v[0] == "A"), key=cg.coords.__getitem__)
         c2 = 0 if c != 0 else 1
-        x = list(cg.coords[v_id])
+        x = list(cg.coords[v])
         x[c] ^= 1
         x[c2] ^= 1
-        v_star_id = ids[tuple(x)]
-        new = {
-            (cg.dense[v_id][1], cg.dense[bv][1])
-            for bv in f.values()
-            if cg.dense[bv][0] == "B"
-        }
-        new |= {
-            (cg.dense[v_star_id][1], cg.dense[bv][1])
-            for bv in f_star.values()
-            if cg.dense[bv][0] == "B"
-        }
+        v_star = ids[tuple(x)]
+        new = {(v[1], j) for side, j in f.values() if side == "B"}
+        new |= {(v_star[1], j) for side, j in f_star.values() if side == "B"}
     elif mode == "laman":
-        new = _laman_edges(cg, f, cg.d - 1)
+        new = _laman_edges(f, cg.d - 1)
     else:
         raise InputError(f"unknown augmentation mode {mode!r}")
     added = frozenset(new) - g.edges
@@ -404,10 +379,10 @@ def laman_extra_edges(m: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     return edges
 
 
-def _laman_edges(cg: CubicalGraph, grid: dict, m: int) -> set[tuple[int, int]]:
-    """``laman_extra_edges(m)`` placed on ``grid`` (0/1 coordinates -> vertex
-    id of ``cg``) as graph edges: the sorted dense ends put the A-end first."""
-    ends = (sorted((cg.dense[grid[x]], cg.dense[grid[y]])) for x, y in laman_extra_edges(m))
+def _laman_edges(grid: dict[tuple[int, ...], Vertex], m: int) -> set[tuple[int, int]]:
+    """``laman_extra_edges(m)`` placed on ``grid`` (0/1 coordinates -> graph
+    vertex) as graph edges: the sorted ends put the A-end first."""
+    ends = (sorted((grid[x], grid[y])) for x, y in laman_extra_edges(m))
     return {(a, b) for (_, a), (_, b) in ends}
 
 
@@ -421,9 +396,10 @@ def laman_augmented_cube(d: int) -> BipartiteGraph:
         raise InputError("the augmented cube construction starts at d = 4")
     _check_dimension("cube dimension", d)
     _check_edges((d - 1) * 2 ** (d - 2) + 2 ** (d - 1) - d)
-    cg = cube_complex(d - 1)
-    g = cg.graph
-    new = _laman_edges(cg, {x: vid for vid, x in cg.coords.items()}, d - 1)
+    b = _Builder()
+    ids, _ = b.add_cube(d - 1)
+    g = b.finish()
+    new = _laman_edges(ids, d - 1)
     _check(not new & g.edges, "extra edges are not cube edges")
     return BipartiteGraph(g.a_size, g.b_size, g.edges | new)
 
@@ -550,7 +526,7 @@ def van_kampen_complex(l: int, d: int) -> BalancedComplex:
 # ---------------------------------------------------------------------------
 
 
-def _rotation(faces: list[tuple], around: set[int], u: int) -> tuple[list[int], list[int]]:
+def _rotation(faces: list[tuple], around: set[int], u: Vertex) -> tuple[list[Vertex], list[int]]:
     """Neighbors of u in rotation order, with the face between each pair.
 
     Faces are oriented 4-gons with every directed edge in exactly one face;
@@ -559,7 +535,7 @@ def _rotation(faces: list[tuple], around: set[int], u: int) -> tuple[list[int], 
     Returns (nbrs, fids) where faces[fids[t]] contains (nbrs[t], u,
     nbrs[(t+1) % deg]).
     """
-    step: dict[int, tuple[int, int]] = {}
+    step: dict[Vertex, tuple[Vertex, int]] = {}
     for fi in around:
         f = faces[fi]
         for pos, w in enumerate(f):
@@ -595,17 +571,19 @@ def random_quadrangulation(n_faces: int, seed: int = 0) -> BipartiteGraph:
         raise InputError("a sphere quadrangulation has at least 2 faces")
     check_cap("quadrangulation faces", n_faces, QUADRANGULATION_FACE_CAP)
     rng = random.Random(seed)
-    sides = ["A", "A", "B", "B"]
-    faces: list[tuple] = [(0, 2, 1, 3), (0, 3, 1, 2)]
-    around: list[set[int]] = [{0, 1} for _ in range(4)]
+    b = _Builder()
+    vertices = [b.add_vertex(side) for side in "AABB"]
+    a1, a2, b1, b2 = vertices
+    faces: list[tuple] = [(a1, b1, a2, b2), (a1, b2, a2, b1)]
+    around = {v: {0, 1} for v in vertices}
     for _ in range(n_faces - 2):
-        u = rng.randrange(len(sides))
+        u = vertices[rng.randrange(len(vertices))]
         nbrs, fids = _rotation(faces, around[u], u)
         deg = len(nbrs)
         i = rng.randrange(deg)
         j = (i + rng.randrange(1, deg)) % deg
-        z = len(sides)
-        sides.append(sides[u])
+        z = b.add_vertex(u[0])
+        vertices.append(z)
         moved = set()
         pos = i
         while pos != j:
@@ -616,12 +594,10 @@ def random_quadrangulation(n_faces: int, seed: int = 0) -> BipartiteGraph:
         new = len(faces)
         faces.append((z, nbrs[i], u, nbrs[j]))
         around[u] -= moved
-        around.append(moved)
+        around[z] = moved
         for v in faces[new]:
             around[v].add(new)
     _check(len(faces) == n_faces, "the requested number of 2-cells")
-    b = _Builder()
-    b.sides = sides
     directed = set()
     for f in faces:
         _check(len(set(f)) == 4, "a 2-cell has 4 distinct vertices")
@@ -632,6 +608,6 @@ def random_quadrangulation(n_faces: int, seed: int = 0) -> BipartiteGraph:
     # an orientable sphere map: every directed edge bounds exactly one face
     _check(len(directed) == 4 * n_faces, "every directed edge bounds one face")
     _check(all((v, u) in directed for u, v in directed), "an orientable sphere map")
-    graph, _ = b.finish()
+    graph = b.finish()
     _check(graph.n_edges == 2 * graph.n_vertices - 4, "2N - 4 edges")
     return graph

@@ -184,6 +184,20 @@ def test_laman_reports_witness(capsys, tmp_path):
     assert data["witness"] == {"a": [1, 2, 3], "b": [1, 2, 3]}
 
 
+@pytest.mark.parametrize("option", [("--prime", "4"), ("--trials", "0"), ("--seed", "1")])
+def test_laman_takes_no_trial_policy(capsys, tmp_path, option):
+    # the sparsity counts draw nothing, so a policy option is a usage error
+    # rather than a value that is read and ignored
+    path = write_graph(tmp_path, fam.double_banana())
+    argv = ["laman", "--graph", path, "-k", "2", "-l", "2"]
+    with pytest.raises(SystemExit) as info:
+        main(argv + list(option))
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+    rc, out = run_cli(capsys, *argv, "--format", "table")
+    assert rc == 0 and "holds: True" in out.splitlines()
+
+
 def test_mcheck_octahedron(capsys, tmp_path):
     path = write_complex(tmp_path, fam.cross_polytope_boundary(3))
     rc, out = run_cli(capsys, "mcheck", "--complex", path, "-l", "2")

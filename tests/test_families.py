@@ -235,12 +235,20 @@ def quadratic_quadrangulation(n_faces: int, seed: int) -> BipartiteGraph:
             faces[fids[pos]] = tuple(z if w == u else w for w in faces[fids[pos]])
             pos = (pos + 1) % deg
         faces.append((z, nbrs[i], u, nbrs[j]))
-    b = fam._Builder()
-    b.sides = sides
-    for f in faces:
-        for pos in range(4):
-            b.add_edge(f[pos], f[(pos + 1) % 4])
-    return b.finish()[0]
+    # each side numbers its vertices in the order they were made; every edge
+    # bounds two faces, once in each direction, so its A-to-B pass finds it
+    sizes = {"A": 0, "B": 0}
+    index = []
+    for side in sides:
+        sizes[side] += 1
+        index.append(sizes[side])
+    edges = {
+        (index[u], index[v])
+        for f in faces
+        for u, v in zip(f, f[1:] + f[:1])
+        if sides[u] == "A"
+    }
+    return BipartiteGraph(sizes["A"], sizes["B"], frozenset(edges))
 
 
 def test_quadrangulations_match_the_quadratic_builder():

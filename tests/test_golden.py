@@ -15,8 +15,9 @@ as a van Kampen complex and the laman augmentations shared one mapping to
 dense edges, the complement digest before graphs and complexes were
 ranked through their complement in the complete join, the stress
 digests of the graphs that take that route before their bases were read
-off it, and the empty complex's digest before its layout lost a branch of
-its own.
+off it, the empty complex's digest before its layout lost a branch of
+its own, and the facet-ridge and cubical digests before those constructions
+numbered each vertex once.
 """
 
 import hashlib
@@ -36,6 +37,7 @@ from balrig.combinat import (
     cone_right,
     contract,
     delete_vertex,
+    facet_ridge_graph,
     glue,
     induced_subgraph,
 )
@@ -397,6 +399,71 @@ def test_generators_keep_their_digest(capsys, monkeypatch):
             for mode in ("two-vertex", "opposite-facets", "laman"):
                 out.append(augmentation_json(cg, facet, mode))
     assert sha256(json.dumps(out)) == GENERATOR_DIGEST
+
+
+def ridge_complexes() -> list:
+    """The cross-polytopes, d = 2..7, the glued cross-polytopes, d = 3..5,
+    and 300 seeded random complexes of 1-4 colors of 1-4 vertices, each with
+    a random nonempty set of colorful picks as facets; about half of them
+    have a ridge in three or four facets."""
+    cases = [fam.cross_polytope_boundary(d) for d in range(2, 8)]
+    cases += [fam.glued_cross_polytopes(d).complex for d in range(3, 6)]
+    rng = random.Random(5)
+    for _ in range(300):
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+        picks = list(itertools.product(*[range(1, s + 1) for s in sizes]))
+        chosen = rng.sample(picks, rng.randint(1, len(picks)))
+        facets = frozenset(frozenset(enumerate(p, start=1)) for p in chosen)
+        cases.append(BalancedComplex(sizes, facets))
+    return cases
+
+
+def ridge_json(kx) -> list | str:
+    try:
+        frg = facet_ridge_graph(kx)
+    except InputError as exc:
+        return str(exc)
+    vertex_of = sorted([sorted(f), list(v)] for f, v in frg.vertex_of.items())
+    return [frg.graph.to_json_dict(), vertex_of]
+
+
+#: sha256 of each facet-ridge graph above, as JSON, with its sorted facet ->
+#: vertex map, or of its refusal message: 150 of the 309 complexes are
+#: refused, naming an overloaded ridge. Recorded before the graph numbered
+#: each facet in one pass after its 2-coloring
+FACET_RIDGE_DIGEST = "fb692d2ead004a9fb31e1309cbf3feff5eaec061d4fdcef90716b78a3b752a56"
+
+
+def test_facet_ridge_graphs_keep_their_digest():
+    out = [ridge_json(kx) for kx in ridge_complexes()]
+    assert sha256(json.dumps(out)) == FACET_RIDGE_DIGEST
+
+
+def cubical_json(cg) -> list:
+    """A cubical graph, its facet grids and coordinates, and the two-vertex
+    augmentation at each facet, as JSON data."""
+    grids = [sorted([list(y), list(v)] for y, v in f.items()) for f in cg.facets]
+    coords = None if cg.coords is None else sorted([list(v), list(x)] for v, x in cg.coords.items())
+    augmented = [augmentation_json(cg, facet, "two-vertex") for facet in range(len(cg.facets))]
+    return [cg.graph.to_json_dict(), grids, coords, augmented]
+
+
+#: sha256 of ``cubical_json`` of the d-cube, d = 1..7, and of the stacked
+#: cubical d-polytopes of t = 1..5 cubes, d = 3..5, seeds 0-2, as JSON.
+#: Recorded before the cubical builder handed out graph vertices, when the
+#: grids and coordinates were read through a map from abstract ids
+CUBICAL_DIGEST = "f660bbfc0102cfa3f2b6446608b07c2d8d509bba807465934014b21768a83e36"
+
+
+def test_cubical_graphs_keep_their_digest():
+    cgs = [fam.cube_complex(d) for d in range(1, 8)]
+    cgs += [
+        fam.stacked_cubical_graph(d, t, seed)
+        for d in range(3, 6)
+        for t in range(1, 6)
+        for seed in range(3)
+    ]
+    assert sha256(json.dumps([cubical_json(cg) for cg in cgs])) == CUBICAL_DIGEST
 
 
 def complement_graphs() -> list:
